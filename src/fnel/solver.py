@@ -1,9 +1,19 @@
 """Monotone finite-difference solvers for F(D^2 u) = f with Dirichlet data.
 
 Radial path: any dimension n <= 6, annuli and balls, grid uniform in log r
-by default.  2D path: rectangles and annuli on a uniform Cartesian grid with
-a 9-point stencil per control matrix.  Nonlinear kinds are solved by
-Howard-style policy iteration (control selection frozen per sweep).
+by default.  Nonlinear kinds are solved by Howard-style policy iteration
+(control selection frozen per sweep).
+
+2D path: rectangles and annuli on a uniform Cartesian grid.  F is realized
+as a sup over rows of an inf over control matrices A, each discretized by
+the 9-point stencil of -tr(A D^2 u); the family is stored once per solve as
+a (rows, controls, 9) coefficient array.  One array kernel, ``_evaluate_2d``,
+takes the (9, nodes) neighbor values of every interior node and returns
+F_h u with the chosen row and control per node, looping over rows only.  A
+policy-iteration sweep assembles the frozen-control matrix as one COO build
+from the chosen (nodes, 9) coefficient rows, solves it, and evaluates the
+new iterate once: that evaluation gives both its residual and the next
+policy.  ``residual_norm`` runs the same kernel on a Field2D.
 """
 
 from __future__ import annotations
@@ -159,9 +169,15 @@ class Field2D:
         return self.x0 + i * self.h, self.y0 + j * self.h
 
     def interp(self, x, y):
+        """Bilinear interpolation; points on the closed grid edge are allowed."""
+        nx, ny = self.values.shape
         gi = (x - self.x0) / self.h
         gj = (y - self.y0) / self.h
-        i, j = int(np.floor(gi)), int(np.floor(gj))
+        slack = 1e-9
+        if not (-slack <= gi <= nx - 1 + slack and -slack <= gj <= ny - 1 + slack):
+            raise ValueError(f"point ({x!r}, {y!r}) lies outside the grid")
+        i = min(max(int(np.floor(gi)), 0), nx - 2)
+        j = min(max(int(np.floor(gj)), 0), ny - 2)
         fx, fy = gi - i, gj - j
         v = self.values
         return ((1 - fx) * (1 - fy) * v[i, j] + fx * (1 - fy) * v[i + 1, j]
@@ -287,6 +303,17 @@ def _radial_grid(problem, cells):
     raise ValueError("radial solver needs an annulus or ball domain")
 
 
+def _radial_rhs(problem, r):
+    """f at the interior nodes; on a ball, f at the centre is appended.
+
+    The centre value is taken just off r = 0, where f may be singular.
+    """
+    rhs = np.array([problem.rhs_at(ri) for ri in r[1:-1]])
+    if isinstance(problem.domain, Ball):
+        rhs = np.append(rhs, problem.rhs_at(r[1] * 1e-8 if r[0] == 0 else r[0]))
+    return rhs
+
+
 def _radial_residual(f_op, n, u, h, r, spacing, rhs, is_ball):
     a, b = _radial_entries(u, h, r, spacing)
     res = np.empty(len(u) - 2)
@@ -319,20 +346,16 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
     is_ball = isinstance(problem.domain, Ball)
     _check_radial_monotonicity(f_op, n, h, spacing)
 
-    rhs_interior = np.array([problem.rhs_at(ri) for ri in r[1:-1]])
+    rhs_all = _radial_rhs(problem, r)
     if is_ball:
         g1 = problem.boundary_at(r[-1])
-        rhs_center = problem.rhs_at(r[1] * 1e-8 if r[0] == 0 else r[0])
-        rhs_all = np.append(rhs_interior, rhs_center)
         # unknowns: nodes 0..cells-1 (center included), fixed at outer boundary
         u = np.full(cells + 1, g1)
     else:
         g0 = problem.boundary_at(r[0])
         g1 = problem.boundary_at(r[-1])
-        rhs_all = rhs_interior
         t = np.log(r) if spacing == "log" else r
         u = g0 + (g1 - g0) * (t - t[0]) / (t[-1] - t[0])
-        rhs_center = None
 
     scale = 1.0 + np.abs(rhs_all).max(initial=0.0) + abs(g1)
     if not is_ball:
@@ -438,23 +461,17 @@ def residual_norm(f_op: EllipticOperator, fld, problem: DirichletProblem) -> flo
         spacing = fld.spacing
         h = (math.log(r[1]) - math.log(r[0])) if spacing == "log" else r[1] - r[0]
         is_ball = isinstance(problem.domain, Ball)
-        rhs_interior = np.array([problem.rhs_at(ri) for ri in r[1:-1]])
-        if is_ball:
-            rhs_all = np.append(rhs_interior, problem.rhs_at(max(r[0], 1e-12)))
-        else:
-            rhs_all = rhs_interior
         res, res0 = _radial_residual(f_op, fld.n, fld.values, h, r, spacing,
-                                     rhs_all, is_ball)
+                                     _radial_rhs(problem, r), is_ball)
         m = np.abs(res).max(initial=0.0)
         if res0 is not None:
             m = max(m, abs(res0))
         return float(m)
     if isinstance(fld, Field2D):
-        grid = _Grid2D.from_field(fld)
-        fams = _control_families(f_op)
-        rhs = np.array([problem.rhs_at(*fld.xy(i, j)) for i, j in grid.interior_ij])
-        res = _residual_2d(grid, fld.values, fams, rhs)
-        return float(np.abs(res).max(initial=0.0))
+        grid = _Grid2D(h=fld.h, x0=fld.x0, y0=fld.y0, interior=fld.interior)
+        coef = _stencil_coefficients(_control_families(f_op), fld.h)
+        fu, _, _ = _evaluate_2d(coef, fld.values.ravel()[grid.nbr])
+        return float(np.abs(fu - grid.rhs(problem)).max(initial=0.0))
     raise TypeError("unknown field type")
 
 
@@ -534,28 +551,61 @@ def _check_stencil_monotone(a, h, label):
             "anisotropy too strong for the 9-point stencil")
 
 
-def _stencil_coeffs(a, h):
-    """9-point coefficients of -tr(A D^2 .), keyed by neighbor offset."""
-    a11, a12, a22 = a[0, 0], a[0, 1], a[1, 1]
+# neighbor offsets (di, dj) of the 9-point stencil; every (..., 9) array below
+# is in this order
+_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1), (0, 0))
+
+
+def _stencil_coefficients(fams, h):
+    """(rows, controls, 9) coefficients of -tr(A D^2 .) for every control A.
+
+    Ragged rows are padded with a repeat of the row's first control, which
+    changes neither the row minimum nor its first argmin.
+    """
+    width = max(len(row) for row in fams)
+    coef = np.empty((len(fams), width, 9))
     h2 = h * h
-    c = {}
-    m = abs(a12)
-    c[(1, 0)] = -(a11 - m) / h2
-    c[(-1, 0)] = -(a11 - m) / h2
-    c[(0, 1)] = -(a22 - m) / h2
-    c[(0, -1)] = -(a22 - m) / h2
-    if a12 >= 0:
-        c[(1, 1)] = -m / h2
-        c[(-1, -1)] = -m / h2
-        c[(1, -1)] = 0.0
-        c[(-1, 1)] = 0.0
-    else:
-        c[(1, -1)] = -m / h2
-        c[(-1, 1)] = -m / h2
-        c[(1, 1)] = 0.0
-        c[(-1, -1)] = 0.0
-    c[(0, 0)] = -sum(v for k, v in c.items() if k != (0, 0))
-    return c
+    for r, row in enumerate(fams):
+        for c in range(width):
+            a = row[c] if c < len(row) else row[0]
+            m = abs(a[0, 1])
+            ex, ey, d = -(a[0, 0] - m) / h2, -(a[1, 1] - m) / h2, -m / h2
+            diag = (d, d, 0.0, 0.0) if a[0, 1] >= 0 else (0.0, 0.0, d, d)
+            arms = (ex, ex, ey, ey) + diag
+            coef[r, c] = arms + (-sum(arms),)
+    return coef
+
+
+def _evaluate_2d(coef, u9):
+    """F_h u = sup over rows of inf over controls, at every node at once.
+
+    ``u9`` is the (9, nodes) array of neighbor values.  Returns F_h u and the
+    chosen row and control per node.  Ties go to the first minimum within a
+    row and to the first row that is strictly larger.
+    """
+    nodes = np.arange(u9.shape[1])
+    best = np.full(nodes.size, -np.inf)
+    row = np.zeros(nodes.size, dtype=np.intp)
+    ctl = np.zeros(nodes.size, dtype=np.intp)
+    for r, block in enumerate(coef):
+        vals = block @ u9                  # (controls, nodes)
+        k = vals.argmin(axis=0)
+        worst = vals[k, nodes]
+        up = worst > best
+        best[up], row[up], ctl[up] = worst[up], r, k[up]
+    return best, row, ctl
+
+
+def _window(mask):
+    """The 9 shifted views mask[i + di, j + dj] over the inner nodes."""
+    nx, ny = mask.shape
+    return [mask[1 + di:nx - 1 + di, 1 + dj:ny - 1 + dj] for di, dj in _OFFSETS]
+
+
+def _at_nodes(fn, mask, x0, y0, h):
+    """fn(x, y) at every node of ``mask``, in row-major order."""
+    return np.array([fn(x0 + i * h, y0 + j * h)
+                     for i, j in np.argwhere(mask).tolist()], dtype=float)
 
 
 @dataclass
@@ -563,96 +613,56 @@ class _Grid2D:
     h: float
     x0: float
     y0: float
-    shape: tuple
-    interior: np.ndarray        # bool (nx, ny)
-    boundary_values: np.ndarray  # float (nx, ny), NaN where not boundary
-    interior_ij: list
-    index_of: dict
+    interior: np.ndarray                 # bool (nx, ny)
+    boundary_values: Optional[np.ndarray] = None  # NaN where not boundary
+
+    def __post_init__(self):
+        nx, ny = self.interior.shape
+        if self.interior[[0, -1], :].any() or self.interior[:, [0, -1]].any():
+            raise ValueError("interior nodes need all 8 neighbors on the grid")
+        self.nodes = np.flatnonzero(self.interior)          # row-major order
+        step = np.array([di * ny + dj for di, dj in _OFFSETS])
+        self.nbr = self.nodes + step[:, None]                # (9, nodes)
+        unknown = np.full(nx * ny, -1)
+        unknown[self.nodes] = np.arange(self.nodes.size)
+        self.col = unknown[self.nbr.T]       # (nodes, 9), -1 marks a boundary node
 
     @classmethod
     def build(cls, problem, h):
         dom = problem.domain
         if isinstance(dom, Rectangle):
+            for name, side in (("x", dom.x1 - dom.x0), ("y", dom.y1 - dom.y0)):
+                cells = side / h
+                if abs(cells - round(cells)) > 1e-9 * cells:
+                    raise ValueError(
+                        f"h={h!r} does not divide the rectangle's {name} side "
+                        f"{side!r}")
             nx = int(round((dom.x1 - dom.x0) / h)) + 1
             ny = int(round((dom.y1 - dom.y0) / h)) + 1
             x0, y0 = dom.x0, dom.y0
             interior = np.zeros((nx, ny), dtype=bool)
             interior[1:-1, 1:-1] = True
             bvals = np.full((nx, ny), np.nan)
-            for i in range(nx):
-                for j in range(ny):
-                    if not interior[i, j]:
-                        bvals[i, j] = problem.boundary_at(x0 + i * h, y0 + j * h)
+            bvals[~interior] = _at_nodes(problem.boundary_at, ~interior, x0, y0, h)
         elif isinstance(dom, Annulus):
             half = int(math.ceil(dom.r1 / h)) + 2
-            nx = ny = 2 * half + 1
             x0 = y0 = -half * h
-            interior = np.zeros((nx, ny), dtype=bool)
-            rad = np.empty((nx, ny))
-            for i in range(nx):
-                for j in range(ny):
-                    x, y = x0 + i * h, y0 + j * h
-                    rad[i, j] = math.hypot(x, y)
+            c = x0 + np.arange(2 * half + 1) * h
+            rad = np.hypot(c[:, None], c[None, :])
             inside = (rad > dom.r0) & (rad < dom.r1)
             # interior nodes need the full 9-point neighborhood inside
-            for i in range(1, nx - 1):
-                for j in range(1, ny - 1):
-                    if inside[i, j] and inside[i - 1:i + 2, j - 1:j + 2].all():
-                        interior[i, j] = True
-            bvals = np.full((nx, ny), np.nan)
-            for i in range(nx):
-                for j in range(ny):
-                    if interior[i, j]:
-                        continue
-                    near = interior[max(0, i - 1):i + 2, max(0, j - 1):j + 2].any()
-                    if near:
-                        # project to the nearest circle of the annulus boundary
-                        rb = dom.r0 if abs(rad[i, j] - dom.r0) < abs(rad[i, j] - dom.r1) else dom.r1
-                        bvals[i, j] = problem.boundary_at(rb)
+            interior = np.pad(np.logical_and.reduce(_window(inside)), 1)
+            ring = np.logical_or.reduce(_window(np.pad(interior, 1))) & ~interior
+            # project to the nearest circle of the annulus boundary
+            rb = np.where(np.abs(rad - dom.r0) < np.abs(rad - dom.r1), dom.r0, dom.r1)
+            bvals = np.full(interior.shape, np.nan)
+            bvals[ring] = [problem.boundary_at(r) for r in rb[ring].tolist()]
         else:
             raise ValueError("2D solver needs a rectangle or annulus domain")
-        ij = [(i, j) for i in range(nx) for j in range(ny) if interior[i, j]]
-        index = {p: k for k, p in enumerate(ij)}
-        return cls(h=h, x0=x0, y0=y0, shape=(nx, ny), interior=interior,
-                   boundary_values=bvals, interior_ij=ij, index_of=index)
+        return cls(h=h, x0=x0, y0=y0, interior=interior, boundary_values=bvals)
 
-    @classmethod
-    def from_field(cls, fld):
-        interior = fld.interior
-        nx, ny = fld.values.shape
-        bvals = np.where(~interior & ~np.isnan(fld.values), fld.values, np.nan)
-        ij = [(i, j) for i in range(nx) for j in range(ny) if interior[i, j]]
-        index = {p: k for k, p in enumerate(ij)}
-        return cls(h=fld.h, x0=fld.x0, y0=fld.y0, shape=(nx, ny),
-                   interior=interior, boundary_values=bvals,
-                   interior_ij=ij, index_of=index)
-
-
-_OFFSETS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1), (0, 0)]
-
-
-def _apply_stencil(grid, values, coeffs, i, j):
-    total = 0.0
-    for off, c in coeffs.items():
-        if c == 0.0:
-            continue
-        total += c * values[i + off[0], j + off[1]]
-    return total
-
-
-def _residual_2d(grid, values, fams, rhs):
-    h = grid.h
-    coeff_cache = [
-        [_stencil_coeffs(a, h) for a in row] for row in fams
-    ]
-    res = np.empty(len(grid.interior_ij))
-    for k, (i, j) in enumerate(grid.interior_ij):
-        best = -math.inf
-        for row in coeff_cache:
-            worst = min(_apply_stencil(grid, values, c, i, j) for c in row)
-            best = max(best, worst)
-        res[k] = best - rhs[k]
-    return res
+    def rhs(self, problem):
+        return _at_nodes(problem.rhs_at, self.interior, self.x0, self.y0, self.h)
 
 
 def solve_dirichlet_2d(f_op: EllipticOperator, problem: DirichletProblem,
@@ -666,85 +676,54 @@ def solve_dirichlet_2d(f_op: EllipticOperator, problem: DirichletProblem,
     for i, row in enumerate(fams):
         for j, a in enumerate(row):
             _check_stencil_monotone(a, h, f"({i},{j})")
+    coef = _stencil_coefficients(fams, h)
     grid = _Grid2D.build(problem, h)
-    nun = len(grid.interior_ij)
+    nun = grid.nodes.size
     if nun == 0:
         raise ValueError("no interior nodes at this resolution")
-    rhs = np.array([problem.rhs_at(grid.x0 + i * h, grid.y0 + j * h)
-                    for i, j in grid.interior_ij])
+    rhs = grid.rhs(problem)
     bscale = np.nanmax(np.abs(grid.boundary_values), initial=0.0)
-    scale = 1.0 + np.abs(rhs).max(initial=0.0) + (0.0 if np.isnan(bscale) else bscale)
-    tol = RESIDUAL_TOL * scale
+    tol = RESIDUAL_TOL * (1.0 + np.abs(rhs).max(initial=0.0) + bscale)
 
-    values = np.where(np.isnan(grid.boundary_values), 0.0, grid.boundary_values)
-    values = values.astype(float)
-    if not np.isnan(bscale) and bscale > 0:
-        fill = float(np.nanmean(grid.boundary_values))
-        for (i, j) in grid.interior_ij:
-            values[i, j] = fill
+    # flat grid values; boundary nodes hold their data, others 0
+    values = np.where(np.isnan(grid.boundary_values), 0.0, grid.boundary_values).ravel()
+    if bscale > 0:
+        values[grid.nodes] = float(np.nanmean(grid.boundary_values))
+    boundary = grid.col < 0
+    bterms = np.where(boundary, values[grid.nbr.T], 0.0)    # (nodes, 9)
+    node_of = np.broadcast_to(np.arange(nun)[:, None], boundary.shape)
 
-    coeff_cache = [[_stencil_coeffs(a, h) for a in row] for row in fams]
+    def evaluate(vals):
+        """Residual sup-norm at vals and the controls it selects."""
+        fu, row, ctl = _evaluate_2d(coef, vals[grid.nbr])
+        return float(np.abs(fu - rhs).max(initial=0.0)), row, ctl
 
-    def select_controls(vals):
-        chosen = []
-        for (i, j) in grid.interior_ij:
-            best, arg = -math.inf, None
-            for row in coeff_cache:
-                worst, warg = math.inf, None
-                for c in row:
-                    v = _apply_stencil(grid, vals, c, i, j)
-                    if v < worst:
-                        worst, warg = v, c
-                if worst > best:
-                    best, arg = worst, warg
-            chosen.append(arg)
-        return chosen
+    def linear_solve(row, ctl):
+        sel = coef[row, ctl]                                # (nodes, 9)
+        keep = ~boundary & (sel != 0.0)
+        mat = sparse.csr_matrix((sel[keep], (node_of[keep], grid.col[keep])),
+                                shape=(nun, nun))
+        return spla.spsolve(mat, rhs - (sel * bterms).sum(axis=1))
 
-    def linear_solve(controls):
-        rows, cols, data = [], [], []
-        rvec = rhs.copy()
-        for k, (i, j) in enumerate(grid.interior_ij):
-            for off, c in controls[k].items():
-                if c == 0.0:
-                    continue
-                p = (i + off[0], j + off[1])
-                if grid.interior[p]:
-                    rows.append(k); cols.append(grid.index_of[p]); data.append(c)
-                else:
-                    bv = grid.boundary_values[p]
-                    rvec[k] -= c * (0.0 if np.isnan(bv) else bv)
-        mat = sparse.csr_matrix((data, (rows, cols)), shape=(nun, nun))
-        return spla.spsolve(mat, rvec)
-
-    def residual_sup(vals):
-        return float(np.abs(_residual_2d(grid, vals, fams, rhs)).max(initial=0.0))
-
-    prev = residual_sup(values)
+    prev, row, ctl = evaluate(values)
     history = [prev]
     for _ in range(ITERATION_CAP):
         if prev <= tol:
             break
-        controls = select_controls(values)
-        sol = linear_solve(controls)
         new_vals = values.copy()
-        for k, (i, j) in enumerate(grid.interior_ij):
-            new_vals[i, j] = sol[k]
-        cur = residual_sup(new_vals)
+        new_vals[grid.nodes] = linear_solve(row, ctl)
+        cur, new_row, new_ctl = evaluate(new_vals)
         if cur > prev and cur > tol:
             new_vals = values + DAMPING * (new_vals - values)
-            cur = residual_sup(new_vals)
-        values = new_vals
-        prev = cur
+            cur, new_row, new_ctl = evaluate(new_vals)
+        values, row, ctl, prev = new_vals, new_row, new_ctl, cur
         history.append(prev)
     else:
         raise PolicyIterationDiverged(
             f"2D policy iteration stalled at residual {prev:.2e}", history)
 
-    out = np.full(grid.shape, np.nan)
-    for (i, j) in grid.interior_ij:
-        out[i, j] = values[i, j]
-    mask_b = ~np.isnan(grid.boundary_values)
-    out[mask_b] = grid.boundary_values[mask_b]
+    out = np.where(grid.interior, values.reshape(grid.interior.shape),
+                   grid.boundary_values)
     meta = {"operator": f_op.kind, "h": h, "residual": prev}
     return Field2D(h=h, x0=grid.x0, y0=grid.y0, values=out,
                    interior=grid.interior, meta=meta)

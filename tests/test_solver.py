@@ -1,6 +1,7 @@
 """Monotone finite-difference Dirichlet solvers and the profile fit."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from fnel import (
     fundamental_profile, isaacs, laplacian, pucci_max, pucci_min,
     residual_norm, solve_dirichlet_2d, solve_dirichlet_radial,
 )
-from fnel.solver import NonMonotoneScheme, RadialField
+from fnel import parse_operator_spec
+from fnel.solver import (
+    Field2D, NonMonotoneScheme, RadialField, _control_families, _evaluate_2d,
+    _Grid2D, _stencil_coefficients,
+)
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def radial_problem(domain, n, exact, rhs=None):
@@ -120,6 +127,14 @@ class TestResidualNorm:
                              spacing=fld.spacing)
         h = math.log(fld.nodes[1] / fld.nodes[0])
         assert residual_norm(lap3, bumped, prob) >= 0.1 * delta / h ** 2
+
+    def test_ball_centre_matches_solver(self, lap3):
+        # f singular at r = 0: the oracle must use the solver's centre point
+        prob = DirichletProblem(domain=Ball(1.0), n=3, rhs=lambda r: r ** -0.5,
+                                boundary=lambda r: 0.0)
+        fld = solve_dirichlet_radial(lap3, 3, prob, 64)
+        assert residual_norm(lap3, fld, prob) == fld.meta["residual"]
+        assert residual_norm(lap3, fld, prob) <= 1e-10
 
     def test_exact_solution_second_order(self, pm3):
         # residual of the sampled exact solution u = 2 r^{-2} decays like h^2
@@ -235,6 +250,172 @@ class TestSolver2D:
         fld = solve_dirichlet_2d(lap2, prob, h=1.0 / 16)
         interior = fld.values[fld.interior]
         assert interior.min() >= -1e-12 and interior.max() <= 1.0 + 1e-12
+
+
+def _stencil_coeffs_reference(a, h):
+    """Per-node 9-point coefficients of -tr(A D^2 .), keyed by offset."""
+    a11, a12, a22 = a[0, 0], a[0, 1], a[1, 1]
+    h2 = h * h
+    c = {}
+    m = abs(a12)
+    c[(1, 0)] = -(a11 - m) / h2
+    c[(-1, 0)] = -(a11 - m) / h2
+    c[(0, 1)] = -(a22 - m) / h2
+    c[(0, -1)] = -(a22 - m) / h2
+    if a12 >= 0:
+        c[(1, 1)] = -m / h2
+        c[(-1, -1)] = -m / h2
+        c[(1, -1)] = 0.0
+        c[(-1, 1)] = 0.0
+    else:
+        c[(1, -1)] = -m / h2
+        c[(-1, 1)] = -m / h2
+        c[(1, 1)] = 0.0
+        c[(-1, -1)] = 0.0
+    c[(0, 0)] = -sum(v for k, v in c.items() if k != (0, 0))
+    return c
+
+
+def _apply_stencil_reference(values, coeffs, i, j):
+    total = 0.0
+    for off, c in coeffs.items():
+        if c == 0.0:
+            continue
+        total += c * values[i + off[0], j + off[1]]
+    return total
+
+
+def _reference_f_h(fams, h, values, interior):
+    """sup-inf of the per-node stencil sums, with the chosen coefficients."""
+    cache = [[_stencil_coeffs_reference(a, h) for a in row] for row in fams]
+    out, chosen = [], []
+    for i, j in np.argwhere(interior).tolist():
+        best, arg = -math.inf, None
+        for row in cache:
+            worst, warg = math.inf, None
+            for c in row:
+                v = _apply_stencil_reference(values, c, i, j)
+                if v < worst:
+                    worst, warg = v, c
+            if worst > best:
+                best, arg = worst, warg
+        out.append(best)
+        chosen.append(arg)
+    return np.array(out), chosen
+
+
+def _annulus_reference(dom, h, boundary):
+    """Per-node construction of the annulus grid: interior mask and ring data."""
+    half = int(math.ceil(dom.r1 / h)) + 2
+    nx = ny = 2 * half + 1
+    x0 = y0 = -half * h
+    rad = np.empty((nx, ny))
+    for i in range(nx):
+        for j in range(ny):
+            rad[i, j] = math.hypot(x0 + i * h, y0 + j * h)
+    inside = (rad > dom.r0) & (rad < dom.r1)
+    interior = np.zeros((nx, ny), dtype=bool)
+    for i in range(1, nx - 1):
+        for j in range(1, ny - 1):
+            if inside[i, j] and inside[i - 1:i + 2, j - 1:j + 2].all():
+                interior[i, j] = True
+    bvals = np.full((nx, ny), np.nan)
+    for i in range(nx):
+        for j in range(ny):
+            if interior[i, j]:
+                continue
+            if interior[max(0, i - 1):i + 2, max(0, j - 1):j + 2].any():
+                near_r0 = abs(rad[i, j] - dom.r0) < abs(rad[i, j] - dom.r1)
+                bvals[i, j] = boundary(dom.r0 if near_r0 else dom.r1)
+    return x0, interior, bvals
+
+
+class TestKernel2D:
+    @pytest.mark.parametrize("name", ["laplacian", "pucci_max", "pucci_min",
+                                      "isaacs_2d"])
+    def test_matches_per_node_reference(self, name):
+        if name == "isaacs_2d":
+            op = parse_operator_spec((SAMPLES / "isaacs_2d.json").read_text())
+        else:
+            op = {"laplacian": laplacian(2), "pucci_max": pucci_max(1.0, 2.0, 2),
+                  "pucci_min": pucci_min(1.0, 2.0, 2)}[name]
+        h = 1.0 / 8
+        fams = _control_families(op)
+        rng = np.random.default_rng(7)
+        grid = _Grid2D.build(DirichletProblem(
+            domain=Rectangle(0.0, 1.0, 0.0, 1.0), n=2), h)
+        coef = _stencil_coefficients(fams, h)
+        for _ in range(3):
+            values = rng.standard_normal(grid.interior.shape)
+            want, chosen = _reference_f_h(fams, h, values, grid.interior)
+            got, row, ctl = _evaluate_2d(coef, values.ravel()[grid.nbr])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            # the chosen control is the reference's, up to the rotated copies
+            # of lam*I and Lam*I that Pucci families hold, equal but for
+            # rounding
+            order = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1),
+                     (1, -1), (-1, 1), (0, 0)]
+            want_coef = np.array([[c[o] for o in order] for c in chosen])
+            assert (np.abs(coef[row, ctl] - want_coef).max()
+                    <= 1e-12 * np.abs(want_coef).max())
+
+    @pytest.mark.parametrize("sign,want_ctl,want_f", [(1.0, 0, -8.0),
+                                                      (-1.0, 1, 4.0)])
+    def test_tie_breaks(self, sign, want_ctl, want_f):
+        # both rows hold {2I, I}, so their minima tie exactly: the first row
+        # wins, and within it the first minimum
+        two, one = 2.0 * np.eye(2), np.eye(2)
+        coef = _stencil_coefficients(((two, one, two), (one, two)), 0.25)
+        grid = _Grid2D.build(DirichletProblem(
+            domain=Rectangle(0.0, 1.0, 0.0, 1.0), n=2), 0.25)
+        xs = np.arange(5) * 0.25
+        values = sign * (xs[:, None] ** 2 + xs[None, :] ** 2)
+        got, row, ctl = _evaluate_2d(coef, values.ravel()[grid.nbr])
+        assert np.all(row == 0) and np.all(ctl == want_ctl)
+        assert np.allclose(got, want_f)
+
+    @pytest.mark.parametrize("r0,r1", [(1.0, 2.0), (0.5, 3.0)])
+    @pytest.mark.parametrize("h", [1.0 / 8, 1.0 / 16])
+    def test_annulus_masks_match_per_node_construction(self, r0, r1, h):
+        dom = Annulus(r0, r1)
+        x0, interior, bvals = _annulus_reference(dom, h, lambda r: r)
+        grid = _Grid2D.build(DirichletProblem(domain=dom, n=2,
+                                              boundary=lambda r: r), h)
+        assert grid.x0 == x0
+        assert np.array_equal(grid.interior, interior)
+        assert np.array_equal(grid.boundary_values, bvals, equal_nan=True)
+
+    def test_rectangle_step_must_divide_sides(self):
+        prob = DirichletProblem(domain=Rectangle(0.0, 1.0, 0.0, 1.0), n=2)
+        with pytest.raises(ValueError, match="x side"):
+            solve_dirichlet_2d(laplacian(2), prob, h=0.3)
+        tall = DirichletProblem(domain=Rectangle(0.0, 1.0, 0.0, 1.3), n=2)
+        with pytest.raises(ValueError, match="y side"):
+            solve_dirichlet_2d(laplacian(2), tall, h=0.25)
+        # 1 / (1/12) is not exactly 12 in floating point
+        fld = solve_dirichlet_2d(laplacian(2), prob, h=1.0 / 12)
+        assert fld.values.shape == (13, 13)
+
+
+class TestField2DInterp:
+    def field(self):
+        prob = DirichletProblem(
+            domain=Rectangle(0.0, 1.0, 0.0, 1.0), n=2,
+            rhs=lambda x, y: -4.0, boundary=lambda x, y: x * x + y * y)
+        return solve_dirichlet_2d(laplacian(2), prob, h=1.0 / 8)
+
+    def test_closed_upper_edges(self):
+        fld = self.field()
+        assert fld.interp(1.0, 0.5) == pytest.approx(1.25, abs=1e-12)
+        assert fld.interp(0.5, 1.0) == pytest.approx(1.25, abs=1e-12)
+        assert fld.interp(1.0, 1.0) == pytest.approx(2.0, abs=1e-12)
+        assert fld.interp(0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x,y", [(-0.05, 0.5), (0.5, -0.05), (1.05, 0.5),
+                                     (0.5, 1.05)])
+    def test_outside_rejected(self, x, y):
+        with pytest.raises(ValueError, match="outside"):
+            self.field().interp(x, y)
 
 
 class TestFundamentalProfile:
