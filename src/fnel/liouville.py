@@ -179,13 +179,11 @@ def hadamard_check(f_op: EllipticOperator, fld: RadialField,
 
 def _signed_min_residual(f_op, fld):
     """Minimum of the discrete residual F(D^2_h u) over interior nodes."""
-    from .solver import _radial_entries
+    from .solver import _pattern_value, _radial_controls, _radial_entries
     r = fld.nodes
     h = (math.log(r[1] / r[0]) if fld.spacing == "log" else r[1] - r[0])
-    a, b = _radial_entries(fld.values, h, r, fld.spacing)
-    from .solver import _pattern_value
-    vals = [_pattern_value(f_op, fld.n, a[i], b[i]) for i in range(len(a))]
-    return float(min(vals))
+    a, b = _radial_entries(fld.values, h, r, fld.spacing, is_ball=False)
+    return float(_pattern_value(f_op, fld.n, a, b, _radial_controls(f_op)).min())
 
 
 def fit_lower_bound(fld, alpha: float) -> float:

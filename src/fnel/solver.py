@@ -1,8 +1,15 @@
 """Monotone finite-difference solvers for F(D^2 u) = f with Dirichlet data.
 
 Radial path: any dimension n <= 6, annuli and balls, grid uniform in log r
-by default.  Nonlinear kinds are solved by Howard-style policy iteration
-(control selection frozen per sweep).
+by default.  At every node the discrete Hessian has the eigenvalue pattern
+diag(a, b, ..., b), and a frozen control reduces F to -(wa*a + wb*b).  One
+array kernel, ``_pattern_weights``, picks (wa, wb) at all interior nodes
+(and a ball's centre) at once: closed-form sign tests for the Laplacian and
+Pucci kinds, a loop over sup-rows of the (a11, tr A - a11) control table for
+Isaacs families.  The residual and ``residual_norm`` evaluate F through it,
+and each Howard policy-iteration sweep freezes its weights, builds the
+tridiagonal system (plus the centre row on a ball) as one CSR matrix and
+solves it.
 
 2D path: rectangles and annuli on a uniform Cartesian grid.  F is realized
 as a sup over rows of an inf over control matrices A, each discretized by
@@ -207,67 +214,66 @@ class Field2D:
 # a = D2 U - D1 U and b = D1 U.  In linear coordinates a = D2 u, b = D1 u / r.
 
 
-def _radial_entries(u, h, r, spacing):
-    """Per-interior-node pattern entries (a_i, b_i) for the radial Hessian."""
+def _radial_entries(u, h, r, spacing, is_ball):
+    """Pattern entries (a, b) at the interior nodes; a ball appends its centre.
+
+    At the centre the Hessian is u''(0) I by symmetry; with the ghost value
+    U[-1] = U[1] that is a = b = 2 (U[1] - U[0]) / h^2.
+    """
     d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
     d1 = (u[2:] - u[:-2]) / (2.0 * h)
     ri = r[1:-1]
     if spacing == "log":
-        return (d2 - d1) / ri ** 2, d1 / ri ** 2
-    return d2, d1 / ri
+        a, b = (d2 - d1) / ri ** 2, d1 / ri ** 2
+    else:
+        a, b = d2, d1 / ri
+    if is_ball:
+        a0 = 2.0 * (u[1] - u[0]) / h ** 2
+        a, b = np.append(a, a0), np.append(b, a0)
+    return a, b
 
 
-def _pattern_value(f_op, n, a, b):
-    """F(diag(a, b, ..., b)) without building matrices (hot loop)."""
-    if f_op.kind == LAPLACIAN:
-        return -(a + (n - 1) * b)
-    if f_op.kind in (PUCCI_MAX, PUCCI_MIN):
-        lam, Lam = f_op.lam, f_op.Lam
-        if f_op.kind == PUCCI_MAX:
-            wa = lam if a > 0 else Lam
-            wb = lam if b > 0 else Lam
-        else:
-            wa = Lam if a > 0 else lam
-            wb = Lam if b > 0 else lam
-        return -(wa * a + (n - 1) * wb * b)
-    best = -math.inf
+def _radial_controls(f_op):
+    """Per sup-row (a11, tr A - a11) arrays of an Isaacs family; () otherwise."""
+    if f_op.kind != ISAACS:
+        return ()
+    rows = []
     for row in f_op.families:
-        worst = math.inf
-        for amat in row:
-            dense = amat.to_dense()
-            a11 = dense[0, 0]
-            s = float(np.trace(dense)) - a11
-            worst = min(worst, -(a11 * a + s * b))
-        best = max(best, worst)
-    return best
+        dense = np.array([amat.to_dense() for amat in row])
+        a11 = dense[:, 0, 0]
+        rows.append((a11, np.trace(dense, axis1=1, axis2=2) - a11))
+    return tuple(rows)
 
 
-def _pattern_weights(f_op, n, a, b):
-    """Frozen-control coefficients (wa, wb) with F_lin = -(wa*a + wb*b)."""
+def _pattern_weights(f_op, n, a, b, controls):
+    """Frozen-control coefficients (wa, wb) with F(diag(a, b, ..., b)) =
+    -(wa*a + wb*b), at every node of the arrays a, b at once.
+
+    ``controls`` is ``_radial_controls(f_op)``.  Isaacs ties go to the first
+    minimum within a row and to the first row that is strictly larger.
+    """
     if f_op.kind == LAPLACIAN:
-        return 1.0, float(n - 1)
+        return np.ones_like(a), np.full_like(b, n - 1.0)
     if f_op.kind in (PUCCI_MAX, PUCCI_MIN):
-        lam, Lam = f_op.lam, f_op.Lam
-        if f_op.kind == PUCCI_MAX:
-            wa = lam if a > 0 else Lam
-            wb = lam if b > 0 else Lam
-        else:
-            wa = Lam if a > 0 else lam
-            wb = Lam if b > 0 else lam
-        return wa, (n - 1) * wb
-    best, arg = -math.inf, None
-    for row in f_op.families:
-        worst, warg = math.inf, None
-        for amat in row:
-            dense = amat.to_dense()
-            a11 = dense[0, 0]
-            s = float(np.trace(dense)) - a11
-            v = -(a11 * a + s * b)
-            if v < worst:
-                worst, warg = v, (a11, s)
-        if worst > best:
-            best, arg = worst, warg
-    return arg
+        pos, neg = f_op.lam, f_op.Lam
+        if f_op.kind == PUCCI_MIN:
+            pos, neg = neg, pos
+        return np.where(a > 0, pos, neg), (n - 1) * np.where(b > 0, pos, neg)
+    best = np.full(a.shape, -np.inf)
+    wa, wb = np.zeros(a.shape), np.zeros(b.shape)
+    for a11, s in controls:
+        vals = -(a11[:, None] * a + s[:, None] * b)     # (controls, nodes)
+        k = vals.argmin(axis=0)
+        worst = vals.min(axis=0)
+        up = worst > best
+        best[up], wa[up], wb[up] = worst[up], a11[k[up]], s[k[up]]
+    return wa, wb
+
+
+def _pattern_value(f_op, n, a, b, controls):
+    """F(diag(a, b, ..., b)) at every node of the arrays a, b."""
+    wa, wb = _pattern_weights(f_op, n, a, b, controls)
+    return -(wa * a + wb * b)
 
 
 def _check_radial_monotonicity(f_op, n, h, spacing):
@@ -314,17 +320,10 @@ def _radial_rhs(problem, r):
     return rhs
 
 
-def _radial_residual(f_op, n, u, h, r, spacing, rhs, is_ball):
-    a, b = _radial_entries(u, h, r, spacing)
-    res = np.empty(len(u) - 2)
-    for i in range(len(res)):
-        res[i] = _pattern_value(f_op, n, a[i], b[i]) - rhs[i]
-    if is_ball:
-        # center node: Hessian -> u''(0) I by symmetry, ghost U[-1] = U[1]
-        a0 = 2.0 * (u[1] - u[0]) / h ** 2
-        res0 = _pattern_value(f_op, n, a0, a0) - rhs[-1]  # rhs[-1] holds f(0)
-        return res, res0
-    return res, None
+def _radial_residual(f_op, n, u, h, r, spacing, rhs, is_ball, controls):
+    """F_h u - f at the interior nodes, and last at the centre of a ball."""
+    a, b = _radial_entries(u, h, r, spacing, is_ball)
+    return _pattern_value(f_op, n, a, b, controls) - rhs
 
 
 def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
@@ -345,6 +344,7 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
     r, h, spacing = _radial_grid(problem, cells)
     is_ball = isinstance(problem.domain, Ball)
     _check_radial_monotonicity(f_op, n, h, spacing)
+    controls = _radial_controls(f_op)
 
     rhs_all = _radial_rhs(problem, r)
     if is_ball:
@@ -361,13 +361,12 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
     if not is_ball:
         scale += abs(g0)
     tol = RESIDUAL_TOL * scale
+    unknown = slice(0 if is_ball else 1, -1)
 
     def residual_sup(uu):
-        res, res0 = _radial_residual(f_op, n, uu, h, r, spacing, rhs_all, is_ball)
-        m = np.abs(res).max(initial=0.0)
-        if res0 is not None:
-            m = max(m, abs(res0))
-        return m
+        res = _radial_residual(f_op, n, uu, h, r, spacing, rhs_all, is_ball,
+                               controls)
+        return np.abs(res).max(initial=0.0)
 
     history = []
     prev = residual_sup(u)
@@ -375,8 +374,9 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
         history.append(prev)
         if prev <= tol:
             break
-        u_new = _radial_policy_step(f_op, n, u, h, r, spacing, rhs_all,
-                                    is_ball, g1)
+        u_new = u.copy()
+        u_new[unknown] = spla.spsolve(*_radial_system(
+            f_op, n, u, h, r, spacing, rhs_all, is_ball, controls))
         cur = residual_sup(u_new)
         if cur > prev and cur > tol:
             u_new = u + DAMPING * (u_new - u)
@@ -393,65 +393,50 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
     return RadialField(n=n, nodes=r, values=u, spacing=spacing, meta=meta)
 
 
-def _radial_policy_step(f_op, n, u, h, r, spacing, rhs, is_ball, g_outer):
-    """One Howard sweep: freeze controls at u, solve the linear system."""
-    a, b = _radial_entries(u, h, r, spacing)
+def _radial_system(f_op, n, u, h, r, spacing, rhs, is_ball, controls):
+    """One Howard sweep's linear system (matrix, rhs), controls frozen at u.
+
+    Unknowns are the interior nodes, preceded on a ball by the centre; the
+    boundary values held in u go into the rhs.  The matrix is tridiagonal,
+    built as CSR with each row's entries in column order, the canonical
+    order that ``spsolve`` hands to SuperLU.
+    """
     m = len(u) - 2                       # interior nodes 1..m
-    nun = m + 1 if is_ball else m        # ball adds the center unknown
-    rows, cols, vals = [], [], []
-    rvec = np.zeros(nun)
-
-    for i in range(m):
-        wa, wb = _pattern_weights(f_op, n, a[i], b[i])
-        ri = r[1 + i]
-        if spacing == "log":
-            ca = 1.0 / (ri ** 2 * h ** 2)
-            cb = 1.0 / (ri ** 2 * 2.0 * h)
-            # a = (U_{i+1} - 2U_i + U_{i-1}) ca - (U_{i+1} - U_{i-1}) cb*? no:
-            # a = d2 - d1, b = d1 (all already divided by r^2)
-            cm = -(wa * (ca + cb) + wb * (-cb))   # coefficient of U_{i-1}
-            cc = -(wa * (-2.0 * ca))              # coefficient of U_i
-            cp = -(wa * (ca - cb) + wb * cb)      # coefficient of U_{i+1}
-        else:
-            ca = 1.0 / h ** 2
-            cb = 1.0 / (2.0 * h * ri)
-            cm = -(wa * ca - wb * cb)
-            cc = -(wa * (-2.0 * ca))
-            cp = -(wa * ca + wb * cb)
-        # unknown index mapping
-        def uidx(node):
-            if is_ball:
-                return node            # nodes 0..cells-1 unknown
-            return node - 1            # nodes 1..m unknown
-        row = uidx(1 + i)
-        rows.append(row); cols.append(row); vals.append(cc)
-        rvec[row] += rhs[i]
-        for node, coef in ((i, cm), (i + 2, cp)):
-            if is_ball and node == len(u) - 1:
-                rvec[row] -= coef * g_outer
-            elif not is_ball and (node == 0 or node == len(u) - 1):
-                rvec[row] -= coef * u[node]   # boundary values held in u
-            else:
-                rows.append(row); cols.append(uidx(node)); vals.append(coef)
-
-    if is_ball:
-        a0 = 2.0 * (u[1] - u[0]) / h ** 2
-        wa, wb = _pattern_weights(f_op, n, a0, a0)
-        w = wa + wb
-        c0 = 2.0 / h ** 2
-        row = 0
-        rows.append(row); cols.append(0); vals.append(w * c0)
-        rows.append(row); cols.append(1); vals.append(-w * c0)
-        rvec[row] += rhs[-1]
-
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(nun, nun))
-    sol = spla.spsolve(mat, rvec)
-    out = u.copy()
-    if is_ball:
-        out[:-1] = sol
+    a, b = _radial_entries(u, h, r, spacing, is_ball)
+    wa, wb = _pattern_weights(f_op, n, a, b, controls)
+    wa_i, wb_i = wa[:m], wb[:m]          # a ball's centre weights come last
+    ri = r[1:-1]
+    if spacing == "log":
+        ca = 1.0 / (ri ** 2 * h ** 2)
+        cb = 1.0 / (ri ** 2 * 2.0 * h)
+        # a = d2 - d1, b = d1 (all already divided by r^2)
+        cm = -(wa_i * (ca + cb) + wb_i * (-cb))   # coefficient of U_{i-1}
+        cc = -(wa_i * (-2.0 * ca))                # coefficient of U_i
+        cp = -(wa_i * (ca - cb) + wb_i * cb)      # coefficient of U_{i+1}
     else:
-        out[1:-1] = sol
-    return out
+        ca = 1.0 / h ** 2
+        cb = 1.0 / (2.0 * h * ri)
+        cm = -(wa_i * ca - wb_i * cb)
+        cc = -(wa_i * (-2.0 * ca))
+        cp = -(wa_i * ca + wb_i * cb)
+    band = np.stack([cm, cc, cp], axis=1)     # (rows, 3): U_{i-1}, U_i, U_{i+1}
+    rvec = np.zeros(len(rhs))
+    if is_ball:
+        w = wa[m] + wb[m]
+        c0 = 2.0 / h ** 2
+        band = np.vstack([(0.0, w * c0, -w * c0), band])
+        rvec += np.roll(rhs, 1)          # rhs[-1] holds f(0)
+    else:
+        rvec += rhs
+        rvec[0] -= cm[0] * u[0]
+    rvec[-1] -= cp[-1] * u[-1]
+    # drop the first row's U_{i-1} and the last row's U_{i+1}
+    nun = len(band)
+    cols = np.arange(nun)[:, None] + np.array([-1, 0, 1])
+    indptr = np.clip(3 * np.arange(nun + 1) - 1, 0, 3 * nun - 2)
+    mat = sparse.csr_matrix((band.ravel()[1:-1], cols.ravel()[1:-1], indptr),
+                            shape=(nun, nun))
+    return mat, rvec
 
 
 def residual_norm(f_op: EllipticOperator, fld, problem: DirichletProblem) -> float:
@@ -460,13 +445,11 @@ def residual_norm(f_op: EllipticOperator, fld, problem: DirichletProblem) -> flo
         r = fld.nodes
         spacing = fld.spacing
         h = (math.log(r[1]) - math.log(r[0])) if spacing == "log" else r[1] - r[0]
-        is_ball = isinstance(problem.domain, Ball)
-        res, res0 = _radial_residual(f_op, fld.n, fld.values, h, r, spacing,
-                                     _radial_rhs(problem, r), is_ball)
-        m = np.abs(res).max(initial=0.0)
-        if res0 is not None:
-            m = max(m, abs(res0))
-        return float(m)
+        res = _radial_residual(f_op, fld.n, fld.values, h, r, spacing,
+                               _radial_rhs(problem, r),
+                               isinstance(problem.domain, Ball),
+                               _radial_controls(f_op))
+        return float(np.abs(res).max(initial=0.0))
     if isinstance(fld, Field2D):
         grid = _Grid2D(h=fld.h, x0=fld.x0, y0=fld.y0, interior=fld.interior)
         coef = _stencil_coefficients(_control_families(f_op), fld.h)
@@ -536,7 +519,9 @@ def _control_families(f_op, angles=24):
         c, s = math.cos(th), math.sin(th)
         rot = np.array([[c, -s], [s, c]])
         for w in ((lam, lam), (lam, Lam), (Lam, lam), (Lam, Lam)):
-            mats.append(rot @ np.diag(w) @ rot.T)
+            # lam*I and Lam*I are rotation-invariant: add them at angle 0 only
+            if k == 0 or w[0] != w[1]:
+                mats.append(rot @ np.diag(w) @ rot.T)
     if f_op.kind == PUCCI_MAX:
         return tuple((m,) for m in mats)     # sup over singleton-inf rows
     return ((tuple(mats)),)                  # single sup row, inf inside

@@ -77,9 +77,12 @@ def _eigen_radial(f_op, domain, cells, tol):
     lam_prev = None
     for it in range(1, EIGEN_ITERATION_CAP + 1):
         rhs_values = u.copy()
+        # the solver asks at the nodes, where np.interp returns the node value
+        at_node = dict(zip(nodes.tolist(), rhs_values.tolist()))
 
-        def rhs(r, nodes=nodes, vals=rhs_values):
-            return float(np.interp(r, nodes, vals))
+        def rhs(r, nodes=nodes, vals=rhs_values, at_node=at_node):
+            v = at_node.get(r)
+            return float(np.interp(r, nodes, vals)) if v is None else v
 
         problem = DirichletProblem(domain=domain, n=n, rhs=rhs)
         sol = solve_dirichlet_radial(f_op, n, problem, cells)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from fnel import (
     Annulus, Ball, DirichletProblem, Rectangle, convergence_order,
@@ -12,9 +13,13 @@ from fnel import (
     residual_norm, solve_dirichlet_2d, solve_dirichlet_radial,
 )
 from fnel import parse_operator_spec
+from fnel.liouville import _signed_min_residual
+from fnel.matcore import LAPLACIAN, PUCCI_MAX, PUCCI_MIN
 from fnel.solver import (
     Field2D, NonMonotoneScheme, RadialField, _control_families, _evaluate_2d,
-    _Grid2D, _stencil_coefficients,
+    _Grid2D, _pattern_value, _pattern_weights, _radial_controls,
+    _radial_entries, _radial_grid, _radial_rhs, _radial_system,
+    _stencil_coefficients,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -350,14 +355,12 @@ class TestKernel2D:
             want, chosen = _reference_f_h(fams, h, values, grid.interior)
             got, row, ctl = _evaluate_2d(coef, values.ravel()[grid.nbr])
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            # the chosen control is the reference's, up to the rotated copies
-            # of lam*I and Lam*I that Pucci families hold, equal but for
-            # rounding
+            # the chosen control is the reference's: no two controls of a
+            # family are equal up to rounding, so rounding decides no choice
             order = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1),
                      (1, -1), (-1, 1), (0, 0)]
             want_coef = np.array([[c[o] for o in order] for c in chosen])
-            assert (np.abs(coef[row, ctl] - want_coef).max()
-                    <= 1e-12 * np.abs(want_coef).max())
+            assert np.array_equal(coef[row, ctl], want_coef)
 
     @pytest.mark.parametrize("sign,want_ctl,want_f", [(1.0, 0, -8.0),
                                                       (-1.0, 1, 4.0)])
@@ -395,6 +398,15 @@ class TestKernel2D:
         # 1 / (1/12) is not exactly 12 in floating point
         fld = solve_dirichlet_2d(laplacian(2), prob, h=1.0 / 12)
         assert fld.values.shape == (13, 13)
+
+    @pytest.mark.parametrize("make", [pucci_max, pucci_min])
+    def test_pucci_family_has_no_repeated_controls(self, make):
+        # lam*I and Lam*I are rotation-invariant, so they appear once
+        mats = np.array([a for row in _control_families(make(1.0, 2.0, 2))
+                         for a in row])
+        assert len(mats) == 50
+        gap = np.abs(mats[:, None] - mats[None, :]).max(axis=(2, 3))
+        assert np.all(gap[~np.eye(len(mats), dtype=bool)] > 1e-12)
 
 
 class TestField2DInterp:
@@ -445,3 +457,163 @@ class TestFundamentalProfile:
     def test_outer_radius_guard(self, pm3):
         with pytest.raises(ValueError):
             fundamental_profile(pm3, 3, cells=64, outer_radius=8.0)
+
+
+def _pattern_weights_reference(f_op, n, a, b):
+    """Per-node frozen-control coefficients (wa, wb), F = -(wa*a + wb*b)."""
+    if f_op.kind == LAPLACIAN:
+        return 1.0, float(n - 1)
+    if f_op.kind in (PUCCI_MAX, PUCCI_MIN):
+        lam, Lam = f_op.lam, f_op.Lam
+        if f_op.kind == PUCCI_MAX:
+            wa = lam if a > 0 else Lam
+            wb = lam if b > 0 else Lam
+        else:
+            wa = Lam if a > 0 else lam
+            wb = Lam if b > 0 else lam
+        return wa, (n - 1) * wb
+    best, arg = -math.inf, None
+    for row in f_op.families:
+        worst, warg = math.inf, None
+        for amat in row:
+            dense = amat.to_dense()
+            a11 = dense[0, 0]
+            s = float(np.trace(dense)) - a11
+            v = -(a11 * a + s * b)
+            if v < worst:
+                worst, warg = v, (a11, s)
+        if worst > best:
+            best, arg = worst, warg
+    return arg
+
+
+def _pattern_value_reference(f_op, n, a, b):
+    """Per-node F(diag(a, b, ..., b))."""
+    if f_op.kind == LAPLACIAN:
+        return -(a + (n - 1) * b)
+    if f_op.kind in (PUCCI_MAX, PUCCI_MIN):
+        wa, wb = _pattern_weights_reference(f_op, n, a, b)
+        return -(wa * a + wb * b)
+    best = -math.inf
+    for row in f_op.families:
+        worst = math.inf
+        for amat in row:
+            dense = amat.to_dense()
+            a11 = dense[0, 0]
+            s = float(np.trace(dense)) - a11
+            worst = min(worst, -(a11 * a + s * b))
+        best = max(best, worst)
+    return best
+
+
+def _radial_system_reference(f_op, n, u, h, r, spacing, rhs, is_ball):
+    """Per-node assembly of one policy-iteration sweep: (CSR matrix, rhs)."""
+    d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
+    d1 = (u[2:] - u[:-2]) / (2.0 * h)
+    ri_all = r[1:-1]
+    if spacing == "log":
+        a, b = (d2 - d1) / ri_all ** 2, d1 / ri_all ** 2
+    else:
+        a, b = d2, d1 / ri_all
+    m = len(u) - 2
+    nun = m + 1 if is_ball else m
+    rows, cols, vals = [], [], []
+    rvec = np.zeros(nun)
+    for i in range(m):
+        wa, wb = _pattern_weights_reference(f_op, n, a[i], b[i])
+        ri = r[1 + i]
+        if spacing == "log":
+            ca = 1.0 / (ri ** 2 * h ** 2)
+            cb = 1.0 / (ri ** 2 * 2.0 * h)
+            cm = -(wa * (ca + cb) + wb * (-cb))
+            cc = -(wa * (-2.0 * ca))
+            cp = -(wa * (ca - cb) + wb * cb)
+        else:
+            ca = 1.0 / h ** 2
+            cb = 1.0 / (2.0 * h * ri)
+            cm = -(wa * ca - wb * cb)
+            cc = -(wa * (-2.0 * ca))
+            cp = -(wa * ca + wb * cb)
+        row = 1 + i if is_ball else i
+        rows.append(row); cols.append(row); vals.append(cc)
+        rvec[row] += rhs[i]
+        for node, coef in ((i, cm), (i + 2, cp)):
+            if node == len(u) - 1 or (not is_ball and node == 0):
+                rvec[row] -= coef * u[node]
+            else:
+                rows.append(row); cols.append(node if is_ball else node - 1)
+                vals.append(coef)
+    if is_ball:
+        a0 = 2.0 * (u[1] - u[0]) / h ** 2
+        wa, wb = _pattern_weights_reference(f_op, n, a0, a0)
+        w = wa + wb
+        c0 = 2.0 / h ** 2
+        rows += [0, 0]; cols += [0, 1]; vals += [w * c0, -w * c0]
+        rvec[0] += rhs[-1]
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(nun, nun)), rvec
+
+
+def _radial_ops(n):
+    # ragged rotation-invariant Isaacs: rows of 2 and 1 multiples of I; the
+    # 1.5 I in both rows makes the row minima tie exactly
+    eye = np.eye(n)
+    return {"laplacian": laplacian(n), "pucci_max": pucci_max(1.0, 2.0, n),
+            "pucci_min": pucci_min(1.0, 2.0, n),
+            "isaacs": isaacs(1.0, 2.0, n, [[2.0 * eye, 1.5 * eye], [1.5 * eye]],
+                             rot_invariant=True)}
+
+
+class TestRadialKernel:
+    @pytest.mark.parametrize("name", ["laplacian", "pucci_max", "pucci_min",
+                                      "isaacs"])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_per_node_reference(self, name, n):
+        op = _radial_ops(n)[name]
+        rng = np.random.default_rng(11 + n)
+        a, b = rng.standard_normal((2, 400))
+        a[::7] = 0.0
+        b[::5] = 0.0
+        a[3::11] = -(n - 1) * b[3::11]       # every control gives F = 0
+        controls = _radial_controls(op)
+        wa, wb = _pattern_weights(op, n, a, b, controls)
+        value = _pattern_value(op, n, a, b, controls)
+        for i in range(a.size):
+            assert (wa[i], wb[i]) == _pattern_weights_reference(op, n, a[i], b[i])
+            assert value[i] == _pattern_value_reference(op, n, a[i], b[i])
+
+    @pytest.mark.parametrize("name", ["pucci_max", "isaacs"])
+    @pytest.mark.parametrize("domain,spacing", [(Annulus(1.0, 16.0), "log"),
+                                                (Annulus(1.0, 3.0), "linear"),
+                                                (Ball(1.0), "auto")])
+    def test_system_matches_per_node_assembly(self, name, domain, spacing):
+        op = _radial_ops(3)[name]
+        prob = DirichletProblem(domain=domain, n=3, rhs=lambda r: math.cos(r),
+                                spacing=spacing)
+        r, h, sp = _radial_grid(prob, 64)
+        rhs = _radial_rhs(prob, r)
+        rng = np.random.default_rng(5)
+        u = np.sin(3.0 * r) + 0.1 * rng.standard_normal(r.size)
+        is_ball = isinstance(domain, Ball)
+        mat, rvec = _radial_system(op, 3, u, h, r, sp, rhs, is_ball,
+                                   _radial_controls(op))
+        want_mat, want_rvec = _radial_system_reference(op, 3, u, h, r, sp, rhs,
+                                                       is_ball)
+        assert mat.nnz == want_mat.nnz
+        dense, want = mat.toarray(), want_mat.toarray()
+        assert np.abs(dense - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.abs(rvec - want_rvec).max() <= 1e-15 * np.abs(want_rvec).max()
+
+    @pytest.mark.parametrize("name", ["laplacian", "pucci_max", "pucci_min",
+                                      "isaacs"])
+    def test_signed_min_residual_matches_reference(self, name):
+        op = _radial_ops(3)[name]
+        nodes = np.geomspace(1.0, 4.0, 65)
+        rng = np.random.default_rng(3)
+        fld = RadialField(n=3, nodes=nodes,
+                          values=nodes ** -1.0 + 0.01 * rng.standard_normal(65),
+                          spacing="log")
+        h = math.log(nodes[1] / nodes[0])
+        a, b = _radial_entries(fld.values, h, nodes, "log", is_ball=False)
+        want = min(_pattern_value_reference(op, 3, a[i], b[i])
+                   for i in range(a.size))
+        assert _signed_min_residual(op, fld) == want
