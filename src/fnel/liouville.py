@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy import optimize as opt
 
-from .matcore import EllipticOperator, SymMatrix, eval_operator, radial_hessian
+from .matcore import EllipticOperator, eval_operator, radial_hessian
 from .scaling import (
     EXISTENCE_SUPERSOLUTION, NONEXISTENCE_EXTERIOR,
     K_coefficient, alpha_star, beta_star, classify,
@@ -264,19 +264,17 @@ def critical_log_check(f_op: EllipticOperator, n: int) -> dict:
     a = rep.alpha_star
     if a <= 0:
         raise ValueError("requires a positive scaling exponent")
-    vals = []
-    for r in LOG_GRID:
-        lg = math.log(r)
-        g1 = r ** (-a - 1.0) * (1.0 - a * lg)
-        g2 = r ** (-a - 2.0) * (a * (a + 1.0) * lg - (2.0 * a + 1.0))
-        res = eval_operator(f_op, radial_hessian(n, g1, g2, r))
-        vals.append(res * r ** (a + 2.0))
-    c_fit = float(max(vals))
+    r = LOG_GRID
+    lg = np.log(r)
+    g1 = r ** (-a - 1.0) * (1.0 - a * lg)
+    g2 = r ** (-a - 2.0) * (a * (a + 1.0) * lg - (2.0 * a + 1.0))
+    vals = eval_operator(f_op, radial_hessian(n, g1, g2, r)) * r ** (a + 2.0)
+    c_fit = float(vals.max())
     r_far = 1e6
     return {
         "alpha_star": a,
         "C": c_fit,
-        "C_min_on_grid": float(min(vals)),
+        "C_min_on_grid": float(vals.min()),
         "finite": math.isfinite(c_fit),
         "w_at_1e6": r_far ** (-a) * math.log(r_far),
     }
@@ -300,19 +298,16 @@ def bend_fundamental(f_op: EllipticOperator, n: int, p: float,
     if not (0.0 < b < a):
         raise WrongRegime(f"requires 0 < beta*={b:.4g} < alpha*={a:.4g}")
     tau = b / a
-    ratios = []
-    for r in LOG_GRID:
-        g1 = -b * r ** (-b - 1.0)
-        g2 = b * (b + 1.0) * r ** (-b - 2.0)
-        lhs = eval_operator(f_op, radial_hessian(n, g1, g2, r))
-        rhs = r ** (-gamma) * (r ** (-b)) ** p
-        ratios.append(lhs / rhs)
-    c = float(min(ratios))
+    r = LOG_GRID
+    lhs = eval_operator(f_op, radial_hessian(n, -b * r ** (-b - 1.0),
+                                             b * (b + 1.0) * r ** (-b - 2.0), r))
+    ratios = lhs / (r ** (-gamma) * (r ** (-b)) ** p)
+    c = float(ratios.min())
     report = {
         "tau": tau, "c": c, "beta_star": b, "alpha_star": a,
         "K_at_beta_star": K_coefficient(f_op, n, b),
         "grid": (float(LOG_GRID[0]), float(LOG_GRID[-1]), len(LOG_GRID)),
-        "ratio_spread": float(max(ratios) - min(ratios)),
+        "ratio_spread": float(ratios.max() - ratios.min()),
     }
     return tau, c, report
 
@@ -408,16 +403,13 @@ def build_global_supersolution(f_op: EllipticOperator, n: int, p: float,
     # per-piece residuals of F(D^2 u) - |x|^{-gamma} u^p
     inner_res = float(np.min(
         a_val - weight[interior] * np.maximum(w_vals[interior], 0.0) ** p))
-    tail_res_min = math.inf
-    for r in LOG_GRID:
-        g1 = -b * s_val * r ** (-b - 1.0)
-        g2 = b * (b + 1.0) * s_val * r ** (-b - 2.0)
-        lhs = eval_operator(f_op, radial_hessian(n, g1, g2, r))
-        rhs = r ** (-gamma) * v_at(r) ** p
-        tail_res_min = min(tail_res_min, lhs - rhs)
+    r = LOG_GRID
+    lhs = eval_operator(f_op, radial_hessian(n, -b * s_val * r ** (-b - 1.0),
+                                             b * (b + 1.0) * s_val * r ** (-b - 2.0), r))
+    tail_res_min = float((lhs - r ** (-gamma) * v_at(r) ** p).min())
     residual_report = {
         "inner_min_residual": inner_res,
-        "tail_min_residual": float(tail_res_min),
+        "tail_min_residual": tail_res_min,
         "passed": inner_res >= -1e-8 and tail_res_min >= -1e-8,
     }
     return PatchedSupersolution(
@@ -448,20 +440,14 @@ def angular_hessian_profile(psi, dpsi, ddpsi, beta):
 def _angular_residual(f_op, psi_vals, beta, rhs_vals):
     m = len(psi_vals)
     dth = 2.0 * math.pi / m
-    res = np.empty(m)
-    for j in range(m):
-        pj = psi_vals[j]
-        pp = psi_vals[(j + 1) % m]
-        pm = psi_vals[(j - 1) % m]
-        dpsi = (pp - pm) / (2.0 * dth)
-        ddpsi = (pp - 2.0 * pj + pm) / dth ** 2
-        th = j * dth
-        c, s = math.cos(th), math.sin(th)
-        rot = np.array([[c, -s], [s, c]])
-        hmat = angular_hessian_profile(pj, dpsi, ddpsi, beta)
-        amb = rot @ hmat @ rot.T
-        res[j] = eval_operator(f_op, SymMatrix.from_dense(amb)) - rhs_vals[j]
-    return res
+    pp, pm = np.roll(psi_vals, -1), np.roll(psi_vals, 1)
+    dpsi = (pp - pm) / (2.0 * dth)
+    ddpsi = (pp - 2.0 * psi_vals + pm) / dth ** 2
+    th = np.arange(m) * dth
+    c, s = np.cos(th), np.sin(th)
+    rot = np.moveaxis(np.array([[c, -s], [s, c]]), -1, 0)              # (m, 2, 2)
+    hmat = np.moveaxis(angular_hessian_profile(psi_vals, dpsi, ddpsi, beta), -1, 0)
+    return eval_operator(f_op, rot @ hmat @ rot.swapaxes(1, 2)) - rhs_vals
 
 
 def _newton_solve(residual_fn, x0, tol=1e-10, restarts=5):

@@ -3,12 +3,15 @@
 Everything downstream evaluates operators F through this module.  The sign
 convention is fixed once and for all: F(M) = -trace(M) for the Laplacian,
 so "u is a supersolution of F(D^2 u) = f" means F(D^2 u) >= f.
+
+A matrix is a dense float array: one ``SymMatrix``, or an (..., n, n) stack
+that ``eval_operator`` evaluates in one call, with LAPACK eigenvalues.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +22,7 @@ PUCCI_MAX = "pucci_max"
 PUCCI_MIN = "pucci_min"
 ISAACS = "isaacs"
 
-_KINDS = (LAPLACIAN, PUCCI_MAX, PUCCI_MIN, ISAACS)
+KINDS = (LAPLACIAN, PUCCI_MAX, PUCCI_MIN, ISAACS)
 
 
 class DimensionMismatch(ValueError):
@@ -30,130 +33,108 @@ class InvalidOperator(ValueError):
     pass
 
 
-def _packed_size(dim):
-    return dim * (dim + 1) // 2
+def _symmetrized(a):
+    """Finite, nearly symmetric (..., n, n) stack -> exactly symmetric copy.
+
+    Each matrix may differ from its transpose as ``np.allclose`` allows
+    (relative 1e-5), with absolute slack 1e-12 times its largest entry plus one.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("entries must be finite")
+    at = a.swapaxes(-1, -2)
+    scale = 1.0 + np.abs(a).max(axis=(-2, -1), keepdims=True, initial=0.0)
+    if (np.abs(a - at) > 1e-12 * scale + 1e-5 * np.abs(at)).any():
+        raise ValueError("matrix is not symmetric")
+    return 0.5 * (a + at)
 
 
-@dataclass(frozen=True)
+def diag_matrices(values) -> np.ndarray:
+    """(..., n, n) stack of diagonal matrices with the (..., n) diagonals given."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    out = np.zeros(values.shape + (n,))
+    out[..., range(n), range(n)] = values
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """Dense symmetric matrix, packed upper triangle (row-major).
+    """Dense symmetric matrix, stored as a read-only (dim, dim) array.
 
-    Immutable; dim <= 8 by construction (desk-scale guard).
+    Immutable; dim <= 8 by construction (desk-scale guard).  The input may
+    be asymmetric by rounding; it is stored symmetrized.
     """
 
-    dim: int
-    entries: tuple
+    entries: np.ndarray
 
     def __post_init__(self):
-        if not (1 <= self.dim <= MAX_DIM):
-            raise ValueError(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
-        ent = tuple(float(v) for v in self.entries)
-        if len(ent) != _packed_size(self.dim):
-            raise ValueError(
-                f"expected {_packed_size(self.dim)} packed entries for dim "
-                f"{self.dim}, got {len(ent)}"
-            )
-        if not all(math.isfinite(v) for v in ent):
-            raise ValueError("entries must be finite")
-        object.__setattr__(self, "entries", ent)
+        a = np.asarray(self.entries, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not 1 <= len(a) <= MAX_DIM:
+            raise ValueError(f"need a square array of dim 1..{MAX_DIM}, got shape {a.shape}")
+        a = _symmetrized(a)
+        a.flags.writeable = False
+        object.__setattr__(self, "entries", a)
+
+    @property
+    def dim(self) -> int:
+        return len(self.entries)
+
+    def __eq__(self, other):
+        return isinstance(other, SymMatrix) and np.array_equal(self.entries, other.entries)
+
+    def __hash__(self):
+        return hash(tuple(self.entries.ravel().tolist()))
 
     @classmethod
     def from_dense(cls, a) -> "SymMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("from_dense needs a square array")
-        if not np.allclose(a, a.T, atol=1e-12 * (1 + np.abs(a).max())):
-            raise ValueError("matrix is not symmetric")
-        n = a.shape[0]
-        sym = 0.5 * (a + a.T)
-        packed = [sym[i, j] for i in range(n) for j in range(i, n)]
-        return cls(n, tuple(packed))
+        return cls(a)
 
     @classmethod
     def diag(cls, *values) -> "SymMatrix":
-        return cls.from_dense(np.diag(np.asarray(values, dtype=float)))
+        return cls(diag_matrices(values))
 
     @classmethod
     def identity(cls, dim) -> "SymMatrix":
-        return cls.from_dense(np.eye(dim))
+        return cls(np.eye(dim))
 
     @classmethod
     def zero(cls, dim) -> "SymMatrix":
-        return cls.from_dense(np.zeros((dim, dim)))
+        return cls(np.zeros((dim, dim)))
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim))
-        k = 0
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                a[i, j] = self.entries[k]
-                a[j, i] = self.entries[k]
-                k += 1
-        return a
+        """The stored (read-only) array."""
+        return self.entries
 
     def trace(self) -> float:
-        a = self.to_dense()
-        return float(np.trace(a))
+        return float(np.trace(self.entries))
 
     def __add__(self, other):
         self._check_dim(other)
-        return SymMatrix.from_dense(self.to_dense() + other.to_dense())
+        return SymMatrix(self.entries + other.entries)
 
     def __sub__(self, other):
         self._check_dim(other)
-        return SymMatrix.from_dense(self.to_dense() - other.to_dense())
+        return SymMatrix(self.entries - other.entries)
 
     def __mul__(self, t):
-        return SymMatrix.from_dense(float(t) * self.to_dense())
+        return SymMatrix(float(t) * self.entries)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SymMatrix.from_dense(-self.to_dense())
+        return SymMatrix(-self.entries)
 
     def _check_dim(self, other):
         if self.dim != other.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.to_dense()))
+        return float(np.linalg.norm(self.entries))
 
 
 def eigenvalues_sym(m: SymMatrix) -> list:
-    """Ascending eigenvalues via cyclic Jacobi rotations.
-
-    Dependency-free on purpose: matrices here never exceed 8x8, and the
-    rotation method is exact enough that A = V diag(w) V^T reconstructs to
-    ~1e-15 relative.
-    """
-    a = m.to_dense()
-    n = a.shape[0]
-    if n == 1:
-        return [float(a[0, 0])]
-    scale = 1.0 + np.abs(a).max()
-    for _ in range(100):  # sweeps; quadratic convergence, ~6 needed
-        off = math.sqrt(max(0.0, (a * a).sum() - (np.diag(a) ** 2).sum()))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.hypot(1.0, theta)
-                )
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a = 0.5 * (a + a.T)
-    return sorted(float(v) for v in np.diag(a))
+    """Ascending eigenvalues of m, from LAPACK (``np.linalg.eigvalsh``)."""
+    return np.linalg.eigvalsh(m.entries).tolist()
 
 
 @dataclass(frozen=True)
@@ -171,10 +152,12 @@ class EllipticOperator:
     Lam: float = 1.0
     families: tuple = ()
     rot_invariant: bool = True
-    _rot_checked: bool = field(default=False, repr=False, compare=False)
+    # isaacs: the controls as (rows, controls, 1, dim*dim), ragged rows padded
+    # with their first control, which leaves every row minimum unchanged
+    _controls: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise InvalidOperator(f"unknown kind {self.kind!r}")
         if not (1 <= self.dim <= MAX_DIM):
             raise InvalidOperator(f"dim must be in [1, {MAX_DIM}]")
@@ -210,27 +193,24 @@ class EllipticOperator:
                             f"[{ev[0]:.6g}, {ev[-1]:.6g}] outside "
                             f"[{self.lam}, {self.Lam}]"
                         )
+            width = max(len(row) for row in fams)
+            ctrl = [[a.entries.ravel() for a in row + row[:1] * (width - len(row))]
+                    for row in fams]
             object.__setattr__(self, "families", fams)
-            if self.rot_invariant and not self._rot_checked:
-                object.__setattr__(self, "_rot_checked", True)
-                if not self._sample_rotation_invariance():
-                    # downgrade the claim rather than erroring out
-                    object.__setattr__(self, "rot_invariant", False)
+            object.__setattr__(self, "_controls", np.array(ctrl)[:, :, None, :])
+            if self.rot_invariant and not self._sample_rotation_invariance():
+                # downgrade the claim rather than erroring out
+                object.__setattr__(self, "rot_invariant", False)
         elif self.families:
             raise InvalidOperator("families only valid for isaacs kind")
 
     def _sample_rotation_invariance(self, samples=64, seed=0):
-        rng = np.random.default_rng(seed)
         n = self.dim
-        for _ in range(samples):
-            m = rng.standard_normal((n, n))
-            m = SymMatrix.from_dense(0.5 * (m + m.T))
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            mr = SymMatrix.from_dense(q @ m.to_dense() @ q.T)
-            a, b = eval_operator(self, m), eval_operator(self, mr)
-            if abs(a - b) > 1e-8 * (1.0 + abs(a)):
-                return False
-        return True
+        draws = np.random.default_rng(seed).standard_normal((samples, 2, n, n))
+        m = 0.5 * (draws[:, 0] + draws[:, 0].swapaxes(1, 2))
+        q = np.linalg.qr(draws[:, 1])[0]
+        a, b = eval_operator(self, np.stack([m, q @ m @ q.swapaxes(1, 2)]))
+        return bool((np.abs(a - b) <= 1e-8 * (1.0 + np.abs(a))).all())
 
 
 def laplacian(dim) -> EllipticOperator:
@@ -256,47 +236,66 @@ def isaacs(lam, Lam, dim, families, rot_invariant=False) -> EllipticOperator:
     )
 
 
-def pucci_max_value(lam, Lam, eigs) -> float:
-    return float(-lam * sum(e for e in eigs if e > 0) - Lam * sum(e for e in eigs if e < 0))
+def pucci_max_value(lam, Lam, eigs):
+    """-lam * (sum of eigs > 0) - Lam * (sum of eigs < 0) along the last axis.
+
+    ``cumsum`` adds left to right, so a stack gets the same bits as one
+    ascending eigenvalue list at a time.
+    """
+    e = np.asarray(eigs, dtype=float)
+    pos = np.cumsum(np.where(e > 0, e, 0.0), axis=-1)[..., -1]
+    neg = np.cumsum(np.where(e < 0, e, 0.0), axis=-1)[..., -1]
+    return -lam * pos - Lam * neg
 
 
-def pucci_min_value(lam, Lam, eigs) -> float:
-    return float(-Lam * sum(e for e in eigs if e > 0) - lam * sum(e for e in eigs if e < 0))
+def pucci_min_value(lam, Lam, eigs):
+    return pucci_max_value(Lam, lam, eigs)
 
 
-def eval_operator(f: EllipticOperator, m: SymMatrix) -> float:
-    """Evaluate F(M).
+def eval_operator(f: EllipticOperator, m):
+    """Evaluate F(M) for a SymMatrix, or F at each matrix of an (..., n, n) stack.
 
     laplacian -> -tr(M); pucci kinds -> weighted eigenvalue sums; isaacs ->
-    max over sup families of min over the family of -tr(A M).
+    max over sup families of min over the family of -tr(A M).  A SymMatrix
+    gives a float; a stack gives an array of shape (...), after the checks
+    ``SymMatrix`` applies to one matrix.
     """
-    if f.dim != m.dim:
-        raise DimensionMismatch(f"operator dim {f.dim}, matrix dim {m.dim}")
+    single = isinstance(m, SymMatrix)
+    a = m.entries if single else np.asarray(m, dtype=float)
+    if a.shape[-2:] != (f.dim, f.dim):
+        raise DimensionMismatch(
+            f"operator dim {f.dim}, matrices of shape {a.shape[-2:]}")
+    if not single:
+        a = _symmetrized(a)
     if f.kind == LAPLACIAN:
-        return -m.trace()
-    if f.kind in (PUCCI_MAX, PUCCI_MIN):
-        eigs = eigenvalues_sym(m)
-        if f.kind == PUCCI_MAX:
-            return pucci_max_value(f.lam, f.Lam, eigs)
-        return pucci_min_value(f.lam, f.Lam, eigs)
-    md = m.to_dense()
-    return max(
-        min(-float(np.tensordot(a.to_dense(), md)) for a in row)
-        for row in f.families
-    )
+        val = -np.trace(a, axis1=-2, axis2=-1)
+    elif f.kind == PUCCI_MAX:
+        val = pucci_max_value(f.lam, f.Lam, np.linalg.eigvalsh(a))
+    elif f.kind == PUCCI_MIN:
+        val = pucci_min_value(f.lam, f.Lam, np.linalg.eigvalsh(a))
+    else:
+        # (1, n*n) @ (n*n, 1) products: one BLAS dot per (matrix, control)
+        # pair, so a matrix gets the same bits alone as inside a stack
+        flat = a.reshape(a.shape[:-2] + (1, 1, f.dim ** 2, 1))
+        vals = -(f._controls @ flat)[..., 0, 0]        # (..., rows, controls)
+        val = vals.min(axis=-1).max(axis=-1)
+    return float(val) if single else val
 
 
-def radial_hessian(n: int, g1: float, g2: float, r: float) -> SymMatrix:
+def radial_hessian(n: int, g1, g2, r):
     """Hessian of x -> g(|x|) in the frame with first axis radial.
 
-    Eigenvalues: g'' once and g'/r with multiplicity n - 1.
+    Eigenvalues: g'' once and g'/r with multiplicity n - 1.  Scalars give a
+    SymMatrix; arrays broadcast and give an (..., n, n) stack.
     """
-    if r <= 0:
+    r = np.asarray(r, dtype=float)
+    if (r <= 0).any():
         raise ValueError("r must be positive")
     if n < 2:
         raise ValueError("n must be >= 2")
-    vals = [g2] + [g1 / r] * (n - 1)
-    return SymMatrix.diag(*vals)
+    g2, g1r = np.broadcast_arrays(np.asarray(g2, dtype=float), g1 / r)
+    hess = diag_matrices(np.stack([g2] + [g1r] * (n - 1), axis=-1))
+    return SymMatrix(hess) if hess.ndim == 2 else hess
 
 
 def hessian_xi(beta: float, z, n: int) -> SymMatrix:
@@ -314,16 +313,6 @@ def hessian_xi(beta: float, z, n: int) -> SymMatrix:
     a = beta * (beta + 2.0) * r ** (-beta - 4.0) * np.outer(z, z)
     a -= beta * r ** (-beta - 2.0) * np.eye(n)
     return SymMatrix.from_dense(a)
-
-
-def _random_sym(rng, n, scale=2.0):
-    a = rng.standard_normal((n, n)) * scale
-    return SymMatrix.from_dense(0.5 * (a + a.T))
-
-
-def _random_psd(rng, n, scale=1.0):
-    a = rng.standard_normal((n, n)) * scale
-    return SymMatrix.from_dense(a @ a.T / n)
 
 
 @dataclass
@@ -348,25 +337,33 @@ def verify_ellipticity(f: EllipticOperator, samples: int, seed: int) -> Elliptic
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     n = f.dim
+    # drawn per sample (M, then N, then t), so a seed keeps its samples
+    draws = [(rng.standard_normal((n, n)) * 2.0, rng.standard_normal((n, n)),
+              rng.uniform(0.0, 4.0)) for _ in range(samples)]
+    a, b, t = (np.array(x) for x in zip(*draws))
+    m = 0.5 * (a + a.swapaxes(1, 2))            # random symmetric
+    nn = _symmetrized(b @ b.swapaxes(1, 2) / n)  # random positive semidefinite
+    fm, fmn, ftm = eval_operator(f, np.stack([m, m - nn, t[:, None, None] * m]))
+    trn = np.trace(nn, axis1=1, axis2=2)
+    lo, hi = f.lam * trn, f.Lam * trn
+    slack = 1e-9 * (1.0 + np.abs(fm) + trn)
+    h1 = ~((lo - slack <= fmn - fm) & (fmn - fm <= hi + slack))
+    h2 = np.abs(ftm - t * fm) > 1e-10 * (1.0 + np.abs(t * fm))
+    eigs = np.linalg.eigvalsh(m)
+    pmin = pucci_min_value(f.lam, f.Lam, eigs)
+    pmax = pucci_max_value(f.lam, f.Lam, eigs)
+    sandwich = ~((pmin - slack <= fm) & (fm <= pmax + slack))
     violations = []
-    for k in range(samples):
-        m = _random_sym(rng, n)
-        nn = _random_psd(rng, n)
-        fm = eval_operator(f, m)
-        fmn = eval_operator(f, m - nn)
-        trn = nn.trace()
-        lo, hi = f.lam * trn, f.Lam * trn
-        slack = 1e-9 * (1.0 + abs(fm) + trn)
-        if not (lo - slack <= fmn - fm <= hi + slack):
-            violations.append(("H1", k, m, nn, fmn - fm, (lo, hi)))
-        t = float(rng.uniform(0.0, 4.0))
-        ftm = eval_operator(f, t * m)
-        if abs(ftm - t * fm) > 1e-10 * (1.0 + abs(t * fm)):
-            violations.append(("H2", k, m, t, ftm, t * fm))
-        eigs = eigenvalues_sym(m)
-        pmin = pucci_min_value(f.lam, f.Lam, eigs)
-        pmax = pucci_max_value(f.lam, f.Lam, eigs)
-        if not (pmin - slack <= fm <= pmax + slack):
-            violations.append(("sandwich", k, m, fm, (pmin, pmax)))
+    for k in np.flatnonzero(h1 | h2 | sandwich).tolist():
+        mk = SymMatrix(m[k])
+        if h1[k]:
+            violations.append(("H1", k, mk, SymMatrix(nn[k]), float(fmn[k] - fm[k]),
+                               (float(lo[k]), float(hi[k]))))
+        if h2[k]:
+            violations.append(("H2", k, mk, float(t[k]), float(ftm[k]),
+                               float(t[k] * fm[k])))
+        if sandwich[k]:
+            violations.append(("sandwich", k, mk, float(fm[k]),
+                               (float(pmin[k]), float(pmax[k]))))
     return EllipticityReport(samples=samples, violations=violations,
                              lam=f.lam, Lam=f.Lam)

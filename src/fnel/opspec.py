@@ -8,11 +8,8 @@ import json
 import numpy as np
 
 from .matcore import (
-    ISAACS, LAPLACIAN, PUCCI_MAX, PUCCI_MIN,
-    EllipticOperator, InvalidOperator, SymMatrix,
+    ISAACS, KINDS, LAPLACIAN, EllipticOperator, InvalidOperator, SymMatrix,
 )
-
-_KINDS = (LAPLACIAN, PUCCI_MAX, PUCCI_MIN, ISAACS)
 
 
 class SpecError(ValueError):
@@ -34,8 +31,8 @@ def parse_operator_spec(text: str) -> EllipticOperator:
     except (TypeError, ValueError):
         raise SpecError("field 'n' must be an integer")
     kind = doc.get("kind")
-    if kind not in _KINDS:
-        raise SpecError(f"field 'kind' must be one of {_KINDS}, got {kind!r}")
+    if kind not in KINDS:
+        raise SpecError(f"field 'kind' must be one of {KINDS}, got {kind!r}")
     lam = float(doc.get("lambda", 1.0))
     Lam = float(doc.get("Lambda", lam))
     if kind == LAPLACIAN:

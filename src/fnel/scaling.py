@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .matcore import EllipticOperator, SymMatrix, eval_operator
+from .matcore import EllipticOperator, SymMatrix, diag_matrices, eval_operator
 
 LOG_CASE_THRESHOLD = 1e-9
 DEFAULT_ALPHA_TOL = 1e-12
@@ -46,18 +46,22 @@ def alpha_bracket(f: EllipticOperator, n: int) -> tuple:
     return ((f.lam / f.Lam) * (n - 1) - 1.0, (f.Lam / f.lam) * (n - 1) - 1.0)
 
 
-def homogeneity_indicator(f: EllipticOperator, n: int, alpha: float) -> float:
+def homogeneity_indicator(f: EllipticOperator, n: int, alpha):
     """Normalized radial residual psi(a) = F(diag(a+1, -1, ..., -1)).
 
     sign(psi(a)) = sign(F(D^2 xi_a)) for every r > 0, and psi is strictly
-    decreasing in a, so its unique root is the scaling exponent.
+    decreasing in a, so its unique root is the scaling exponent.  A float
+    alpha gives a float; an array of alpha gives psi at each entry.
     """
     if not f.rot_invariant:
         raise NotRotInvariant("indicator requires a rotationally invariant operator")
     if n != f.dim:
         raise ValueError(f"n={n} does not match operator dim {f.dim}")
-    pattern = SymMatrix.diag(alpha + 1.0, *([-1.0] * (n - 1)))
-    return eval_operator(f, pattern)
+    alpha = np.asarray(alpha, dtype=float)
+    diag = np.full(alpha.shape + (n,), -1.0)
+    diag[..., 0] = alpha + 1.0
+    psi = eval_operator(f, diag_matrices(diag))
+    return psi if alpha.ndim else float(psi)
 
 
 @dataclass(frozen=True)
@@ -82,8 +86,9 @@ def alpha_star(f: EllipticOperator, n: int, tol: float = DEFAULT_ALPHA_TOL) -> S
         raise ValueError("tol must be positive")
     lo, hi = alpha_bracket(f, n)
     scale = max(f.lam, 1.0)
-    psi_lo = homogeneity_indicator(f, n, lo)
-    psi_hi = homogeneity_indicator(f, n, hi)
+    alphas = np.linspace(lo, hi, 9)           # the endpoints are exactly lo, hi
+    psi = homogeneity_indicator(f, n, alphas)
+    psi_lo, psi_hi = float(psi[0]), float(psi[-1])
     if lo == hi:
         root = lo
     elif abs(psi_lo) <= tol * scale:
@@ -107,10 +112,7 @@ def alpha_star(f: EllipticOperator, n: int, tol: float = DEFAULT_ALPHA_TOL) -> S
     log_case = abs(root) < LOG_CASE_THRESHOLD
     if log_case:
         root = 0.0
-    samples = tuple(
-        (float(a), homogeneity_indicator(f, n, float(a)))
-        for a in np.linspace(lo, hi, 9)
-    )
+    samples = tuple(zip(alphas.tolist(), psi.tolist()))
     crit = (root + 2.0) / root if root > 0 else math.inf
     return ScalingReport(
         alpha_star=root, log_case=log_case, bracket=(lo, hi),

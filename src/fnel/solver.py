@@ -27,17 +27,15 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .matcore import (
-    ISAACS, LAPLACIAN, PUCCI_MAX, PUCCI_MIN,
-    EllipticOperator, SymMatrix, eval_operator,
-)
+from .matcore import ISAACS, LAPLACIAN, PUCCI_MAX, PUCCI_MIN, EllipticOperator
+from .scaling import alpha_bracket
 
 RESIDUAL_TOL = 1e-10
 ITERATION_CAP = 200
@@ -442,9 +440,14 @@ def _radial_system(f_op, n, u, h, r, spacing, rhs, is_ball, controls):
 def residual_norm(f_op: EllipticOperator, fld, problem: DirichletProblem) -> float:
     """Sup-norm of the discrete residual F(D^2_h u) - f at interior nodes."""
     if isinstance(fld, RadialField):
+        # the solver's step h (from its linspace, not from the nodes), on the
+        # solver's grid up to rounding
         r = fld.nodes
-        spacing = fld.spacing
-        h = (math.log(r[1]) - math.log(r[0])) if spacing == "log" else r[1] - r[0]
+        grid, h, spacing = _radial_grid(replace(problem, spacing=fld.spacing),
+                                        len(r) - 1)
+        if not np.allclose(r, grid, rtol=1e-12, atol=0.0):
+            raise ValueError(f"field nodes are not the {len(r) - 1}-cell "
+                             f"{spacing} grid of the problem's domain")
         res = _radial_residual(f_op, fld.n, fld.values, h, r, spacing,
                                _radial_rhs(problem, r),
                                isinstance(problem.domain, Ball),
@@ -770,7 +773,7 @@ def fundamental_profile(f_op: EllipticOperator, n: int, cells: int = 512,
     mins = np.asarray(mins)
     maxs = np.asarray(maxs)
 
-    lo, hi = (f_op.lam / f_op.Lam) * (n - 1) - 1.0, (f_op.Lam / f_op.lam) * (n - 1) - 1.0
+    lo, hi = alpha_bracket(f_op, n)
     from scipy.optimize import minimize_scalar
     bound_lo, bound_hi = 1e-3, max(hi, 0.5) + 2.0
 

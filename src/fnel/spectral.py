@@ -16,7 +16,7 @@ import numpy as np
 from .matcore import EllipticOperator
 from .solver import (
     Annulus, Ball, DirichletProblem, Field2D, RadialField, Rectangle,
-    solve_dirichlet_2d, solve_dirichlet_radial,
+    _Grid2D, _radial_grid, solve_dirichlet_2d, solve_dirichlet_radial,
 )
 
 EIGEN_ITERATION_CAP = 500
@@ -68,12 +68,10 @@ def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
 
 def _eigen_radial(f_op, domain, cells, tol):
     n = f_op.dim
-    base = DirichletProblem(domain=domain, n=n)
-    fld = solve_dirichlet_radial(f_op, n, base, cells)  # fixes the grid
-    nodes = fld.nodes
-    u = _bump(domain, nodes)
-    u = np.maximum(u, 0.0)
-    u /= u.max()
+    nodes = _radial_grid(DirichletProblem(domain=domain, n=n), cells)[0]
+    u = np.maximum(_bump(domain, nodes), 0.0)
+    with np.errstate(invalid="ignore"):   # 0/0 below 2 cells; the solve rejects it
+        u /= u.max()
     lam_prev = None
     for it in range(1, EIGEN_ITERATION_CAP + 1):
         rhs_values = u.copy()
@@ -109,26 +107,23 @@ def _eigen_radial(f_op, domain, cells, tol):
 
 def _eigen_2d(f_op, domain, cells, tol):
     h = min(domain.x1 - domain.x0, domain.y1 - domain.y0) / cells
-    base = DirichletProblem(domain=domain, n=2)
-    fld = solve_dirichlet_2d(f_op, base, h)
-    values = np.zeros_like(fld.values)
-    hx = domain.x1 - domain.x0
-    hy = domain.y1 - domain.y0
-    nx, ny = fld.values.shape
-    for i in range(nx):
-        for j in range(ny):
-            x, y = fld.xy(i, j)
-            values[i, j] = max(0.0, min(x - domain.x0, domain.x1 - x) / hx
-                               * min(y - domain.y0, domain.y1 - y) / hy)
+    grid = _Grid2D.build(DirichletProblem(domain=domain, n=2), h)
+    nx, ny = grid.interior.shape
+    x = grid.x0 + np.arange(nx)[:, None] * grid.h
+    y = grid.y0 + np.arange(ny)[None, :] * grid.h
+    values = np.maximum(0.0, np.minimum(x - domain.x0, domain.x1 - x)
+                        / (domain.x1 - domain.x0)
+                        * np.minimum(y - domain.y0, domain.y1 - y)
+                        / (domain.y1 - domain.y0))
     values /= values.max()
     u = values
     lam_prev = None
     for it in range(1, EIGEN_ITERATION_CAP + 1):
         snapshot = u.copy()
 
-        def rhs(x, y, fld=fld, snap=snapshot):
-            i = int(round((x - fld.x0) / fld.h))
-            j = int(round((y - fld.y0) / fld.h))
+        def rhs(x, y, grid=grid, snap=snapshot):
+            i = int(round((x - grid.x0) / grid.h))
+            j = int(round((y - grid.y0) / grid.h))
             return float(snap[i, j])
 
         problem = DirichletProblem(domain=domain, n=2, rhs=rhs)

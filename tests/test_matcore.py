@@ -1,5 +1,6 @@
 """Symmetric-matrix kernel, operator evaluation, and ellipticity checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,107 @@ from fnel import (
     isaacs, laplacian, pucci_max, pucci_min, radial_hessian, verify_ellipticity,
 )
 from fnel.matcore import (
-    DimensionMismatch, InvalidOperator, pucci_max_value, pucci_min_value,
+    LAPLACIAN, PUCCI_MAX, PUCCI_MIN, DimensionMismatch, InvalidOperator,
+    pucci_max_value, pucci_min_value,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-matrix evaluator that the stacked one replaced
+
+
+def _jacobi_eigenvalues(a):
+    """Ascending eigenvalues of a dense symmetric matrix, cyclic Jacobi."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    if n == 1:
+        return [float(a[0, 0])]
+    scale = 1.0 + np.abs(a).max()
+    for _ in range(100):
+        off = math.sqrt(max(0.0, (a * a).sum() - (np.diag(a) ** 2).sum()))
+        if off <= 1e-15 * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-18 * scale:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                rot = np.eye(n)
+                rot[p, p] = c
+                rot[q, q] = c
+                rot[p, q] = s
+                rot[q, p] = -s
+                a = rot.T @ a @ rot
+                a = 0.5 * (a + a.T)
+    return sorted(float(v) for v in np.diag(a))
+
+
+def _eval_reference(f, a):
+    """F at one dense matrix, one Python call per matrix."""
+    if f.kind == LAPLACIAN:
+        return -float(np.trace(a))
+    if f.kind in (PUCCI_MAX, PUCCI_MIN):
+        eigs = _jacobi_eigenvalues(a)
+        pos = sum(e for e in eigs if e > 0)
+        neg = sum(e for e in eigs if e < 0)
+        if f.kind == PUCCI_MAX:
+            return float(-f.lam * pos - f.Lam * neg)
+        return float(-f.Lam * pos - f.lam * neg)
+    return max(min(-float(np.tensordot(c.to_dense(), a)) for c in row)
+               for row in f.families)
+
+
+def _verify_ellipticity_reference(f, samples, seed):
+    """(kind, index) of every violation, checking one sample at a time."""
+    rng = np.random.default_rng(seed)
+    n = f.dim
+    out = []
+    for k in range(samples):
+        a = rng.standard_normal((n, n)) * 2.0
+        m = SymMatrix.from_dense(0.5 * (a + a.T)).to_dense()
+        b = rng.standard_normal((n, n))
+        nn = SymMatrix.from_dense(b @ b.T / n).to_dense()
+        fm = _eval_reference(f, m)
+        fmn = _eval_reference(f, SymMatrix.from_dense(m - nn).to_dense())
+        trn = float(np.trace(nn))
+        slack = 1e-9 * (1.0 + abs(fm) + trn)
+        if not (f.lam * trn - slack <= fmn - fm <= f.Lam * trn + slack):
+            out.append(("H1", k))
+        t = float(rng.uniform(0.0, 4.0))
+        ftm = _eval_reference(f, t * m)
+        if abs(ftm - t * fm) > 1e-10 * (1.0 + abs(t * fm)):
+            out.append(("H2", k))
+        eigs = _jacobi_eigenvalues(m)
+        pmin = pucci_min_value(f.lam, f.Lam, eigs)
+        pmax = pucci_max_value(f.lam, f.Lam, eigs)
+        if not (pmin - slack <= fm <= pmax + slack):
+            out.append(("sandwich", k))
+    return out
+
+
+def _ragged_isaacs(rng, n):
+    """Isaacs operator with sup-rows of 3 and 1 controls in [I, 2I]."""
+    def control():
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return q @ np.diag(rng.uniform(1.0, 2.0, n)) @ q.T
+    return isaacs(1.0, 2.0, n, [[control(), control(), control()], [control()]])
+
+
+def _stack(rng, shape, n, diagonal):
+    """Random symmetric (*shape, n, n) stack; in a diagonal stack about a
+    quarter of the eigenvalues are exactly 0."""
+    if diagonal:
+        d = rng.standard_normal(shape + (n,)) * 3.0
+        d[rng.random(d.shape) < 0.25] = 0.0
+        out = np.zeros(shape + (n, n))
+        out[..., range(n), range(n)] = d
+        return out
+    a = rng.standard_normal(shape + (n, n)) * 3.0
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 class TestSymMatrix:
@@ -40,6 +140,28 @@ class TestSymMatrix:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             SymMatrix.identity(2) + SymMatrix.identity(3)
+
+    def test_storage_is_read_only(self):
+        a = np.array([[1.0, 2.0], [2.0, 3.0]])
+        m = SymMatrix.from_dense(a)
+        a[0, 0] = 7.0                     # the matrix keeps its own copy
+        assert m.to_dense()[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            m.to_dense()[0, 0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.entries = np.eye(2)
+
+    def test_equal_matrices_compare_and_hash_equal(self):
+        a = np.array([[1.0, 0.5], [0.5, -2.0]])
+        m1, m2 = SymMatrix.from_dense(a), SymMatrix.from_dense(a.copy())
+        assert m1 == m2 and hash(m1) == hash(m2) and len({m1, m2}) == 1
+        zero, neg_zero = SymMatrix.zero(2), SymMatrix.from_dense(-np.zeros((2, 2)))
+        assert zero == neg_zero and hash(zero) == hash(neg_zero)
+        assert SymMatrix.diag(1.0, 2.0) != SymMatrix.diag(1.0, 3.0)
+        assert SymMatrix.identity(2) != SymMatrix.identity(3)
+        c = np.array([[1.5, 0.2], [0.2, 1.5]])
+        op1, op2 = isaacs(1, 2, 2, [[c]]), isaacs(1, 2, 2, [[c.copy()]])
+        assert op1 == op2 and hash(op1) == hash(op2)
 
 
 class TestEigenvaluesSym:
@@ -124,6 +246,43 @@ class TestEvalOperator:
         with pytest.raises(DimensionMismatch):
             eval_operator(laplacian(3), SymMatrix.identity(2))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
+    def test_stack_matches_per_matrix_reference(self, n, shape):
+        rng = np.random.default_rng(100 + n)
+        ops = [laplacian(n), pucci_max(0.5, 3.0, n), pucci_min(0.5, 3.0, n),
+               _ragged_isaacs(rng, n)]
+        for diagonal in (True, False):
+            mats = _stack(rng, shape, n, diagonal)
+            scale = 1.0 + np.abs(mats).max(axis=(-2, -1))
+            for op in ops:
+                got = eval_operator(op, mats)
+                assert got.shape == shape
+                ref = np.array([_eval_reference(op, a) for a in
+                                mats.reshape(-1, n, n)]).reshape(shape)
+                if diagonal:
+                    assert np.array_equal(got, ref), op.kind
+                else:
+                    assert np.all(np.abs(got - ref) <= 1e-12 * scale), op.kind
+                single = [eval_operator(op, SymMatrix.from_dense(a))
+                          for a in mats.reshape(-1, n, n)]
+                assert np.array_equal(np.reshape(single, shape), got)
+
+    def test_stack_shape_and_entries_checked(self):
+        op = pucci_max(1, 2, 3)
+        for bad in (np.zeros((4, 3, 2)), np.zeros((4, 2, 2)), np.zeros(3)):
+            with pytest.raises(DimensionMismatch):
+                eval_operator(op, bad)
+        asym = np.zeros((2, 3, 3))
+        asym[1, 0, 1] = 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            eval_operator(op, asym)
+        for v in (np.nan, np.inf):
+            bad = np.zeros((2, 3, 3))
+            bad[0, 1, 1] = v
+            with pytest.raises(ValueError, match="finite"):
+                eval_operator(op, bad)
+
     def test_pucci_agrees_with_eigenvalue_sums(self):
         rng = np.random.default_rng(2)
         pm = pucci_max(0.5, 3.0, 4)
@@ -172,6 +331,17 @@ class TestRadialHessian:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             radial_hessian(3, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            radial_hessian(3, 1.0, 1.0, np.array([1.0, -2.0]))
+
+    def test_broadcasts_over_arrays(self):
+        r = np.geomspace(0.5, 4.0, 6)
+        g1, g2 = -1.3 * r ** -2.3, 2.9
+        stack = radial_hessian(4, g1, g2, r)
+        assert stack.shape == (6, 4, 4)
+        for k in range(6):
+            assert np.array_equal(
+                stack[k], radial_hessian(4, float(g1[k]), g2, float(r[k])).to_dense())
 
 
 class TestHessianXi:
@@ -210,6 +380,15 @@ class TestVerifyEllipticity:
         assert not rep.passed
         assert any(v[0] in ("H1", "sandwich") for v in rep.violations)
         assert verify_ellipticity(base, samples=200, seed=0).passed
+
+    def test_violations_match_per_sample_reference(self):
+        lying = isaacs(1.0, 3.0, 2, [[np.diag([1.0, 3.0])]])
+        object.__setattr__(lying, "Lam", 1.2)
+        rep = verify_ellipticity(lying, samples=200, seed=0)
+        got = [(v[0], v[1]) for v in rep.violations]
+        assert got and got == _verify_ellipticity_reference(lying, 200, 0)
+        for kind, k, m, *_ in rep.violations:
+            assert isinstance(k, int) and isinstance(m, SymMatrix)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):

@@ -50,6 +50,17 @@ class TestHomogeneityIndicator:
             psi_ad = homogeneity_indicator(pm3, 3, a + d)
             assert psi_ad <= psi_a - pm3.lam * d + 1e-12
 
+    def test_array_of_alpha(self, pm3, lap3):
+        alphas = np.array([[-0.5, 0.0, 1.0], [2.5, 3.0, 4.75]])
+        iso = isaacs(1, 2, 3, [[1.5 * np.eye(3), 2 * np.eye(3)], [np.eye(3)]],
+                     rot_invariant=True)
+        for op in (pm3, lap3, iso):
+            psi = homogeneity_indicator(op, 3, alphas)
+            assert psi.shape == alphas.shape
+            assert psi.tolist() == [[homogeneity_indicator(op, 3, float(a))
+                                     for a in row] for row in alphas]
+        assert isinstance(homogeneity_indicator(pm3, 3, 1.0), float)
+
     def test_rejects_non_rot_invariant(self):
         op = isaacs(1, 2, 2, [[np.diag([1.0, 2.0])]])
         with pytest.raises(NotRotInvariant):

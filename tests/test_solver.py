@@ -133,13 +133,31 @@ class TestResidualNorm:
         h = math.log(fld.nodes[1] / fld.nodes[0])
         assert residual_norm(lap3, bumped, prob) >= 0.1 * delta / h ** 2
 
-    def test_ball_centre_matches_solver(self, lap3):
-        # f singular at r = 0: the oracle must use the solver's centre point
-        prob = DirichletProblem(domain=Ball(1.0), n=3, rhs=lambda r: r ** -0.5,
-                                boundary=lambda r: 0.0)
+    def test_ball_centre_matches_solver(self, lap3, pm3):
+        # the oracle reproduces the solver's own residual: on a ball with f
+        # singular at r = 0 it must use the solver's centre point, and on a
+        # log grid the solver's step t[1] - t[0], not log(r[1]) - log(r[0])
+        cases = [
+            (lap3, DirichletProblem(domain=Ball(1.0), n=3, rhs=lambda r: r ** -0.5,
+                                    boundary=lambda r: 0.0), 64),
+            (pm3, DirichletProblem(domain=Annulus(1.0, 2.0), n=3,
+                                   rhs=lambda r: 0.1, boundary=lambda r: 1.0 / r), 256),
+        ]
+        for op, prob, cells in cases:
+            fld = solve_dirichlet_radial(op, 3, prob, cells)
+            assert residual_norm(op, fld, prob) == fld.meta["residual"]
+            assert residual_norm(op, fld, prob) <= 1e-10
+
+    def test_rejects_field_off_the_problem_grid(self, lap3):
+        prob = radial_problem(Annulus(1.0, 2.0), 3, lambda r: 1.0 / r)
         fld = solve_dirichlet_radial(lap3, 3, prob, 64)
-        assert residual_norm(lap3, fld, prob) == fld.meta["residual"]
-        assert residual_norm(lap3, fld, prob) <= 1e-10
+        other = radial_problem(Annulus(1.0, 3.0), 3, lambda r: 1.0 / r)
+        with pytest.raises(ValueError, match="grid"):
+            residual_norm(lap3, fld, other)
+        linear = DirichletProblem(domain=Annulus(1.0, 2.0), n=3, spacing="linear")
+        with pytest.raises(ValueError, match="grid"):
+            residual_norm(lap3, RadialField(n=3, nodes=fld.nodes, values=fld.values,
+                                            spacing="linear"), linear)
 
     def test_exact_solution_second_order(self, pm3):
         # residual of the sampled exact solution u = 2 r^{-2} decays like h^2

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fnel import (
-    Annulus, Rectangle, eigen_scaling_check, laplacian, principal_eigenvalue,
-    pucci_max, pucci_min,
+    Annulus, Ball, Rectangle, eigen_scaling_check, laplacian, principal_eigenvalue,
+    pucci_max, pucci_min, spectral,
 )
 from conftest import random_isaacs
 
@@ -62,6 +62,28 @@ class TestRadialEigenvalue:
     def test_rejects_bad_tol(self, lap3):
         with pytest.raises(ValueError):
             principal_eigenvalue(lap3, Annulus(1.0, 2.0), 128, tol=0.0)
+
+
+class TestSolveCount:
+    @pytest.mark.parametrize("domain,cells", [
+        (Annulus(1.0, 2.0), 128), (Ball(1.0), 128), (Rectangle(0.0, 1.0, 0.0, 1.0), 8),
+    ])
+    def test_one_solve_per_iteration(self, monkeypatch, domain, cells):
+        # the grid comes from the domain, not from a throwaway solve
+        calls = []
+        for name in ("solve_dirichlet_radial", "solve_dirichlet_2d"):
+            solve = getattr(spectral, name)
+            monkeypatch.setattr(spectral, name,
+                                lambda *a, solve=solve: calls.append(1) or solve(*a))
+        op = pucci_max(1, 2, 2 if isinstance(domain, Rectangle) else 3)
+        res = principal_eigenvalue(op, domain, cells)
+        assert len(calls) == res.iterations
+
+    def test_invalid_input_raises_from_the_first_solve(self, lap3):
+        with pytest.raises(ValueError, match="cells"):
+            principal_eigenvalue(lap3, Annulus(1.0, 2.0), 1)
+        with pytest.raises(ValueError, match="2-dimensional"):
+            principal_eigenvalue(lap3, Rectangle(0.0, 1.0, 0.0, 1.0), 8)
 
 
 class TestScalingCheck:
