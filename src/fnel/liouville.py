@@ -456,22 +456,29 @@ def _newton_solve(residual_fn, x0, tol=1e-10, restarts=5):
     Works in w = log(x), which enforces positivity without constraints.
     F is only piecewise smooth (eigenvalue crossings), so the Powell hybrid
     method can stall on a bad trust region; restarting from the stalled
-    iterate usually escapes, and Levenberg-Marquardt is the last resort.
+    iterate usually escapes, and Levenberg-Marquardt is the last resort.  A
+    trial point where exp(w) or the residual overflows ends its attempt, and
+    the next attempt starts from the best trial point seen so far.
     """
-    def wrapped(w):
-        return residual_fn(np.exp(w))
-
     w = np.log(np.asarray(x0, dtype=float))
-    for _ in range(restarts):
-        sol = opt.root(wrapped, w, method="hybr", tol=1e-12)
-        w = sol.x
-        if float(np.abs(wrapped(w)).max()) <= tol:
+    best = {"nrm": math.inf, "w": w}
+
+    def wrapped(w):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            res = residual_fn(np.exp(w))
+        nrm = float(np.abs(res).max())
+        if nrm < best["nrm"]:
+            best["nrm"], best["w"] = nrm, w.copy()
+        return res
+
+    for method, opts in [("hybr", {"tol": 1e-12})] * restarts + [("lm", {})]:
+        try:
+            w = opt.root(wrapped, w, method=method, **opts).x
+            nrm = float(np.abs(wrapped(w)).max())
+        except FloatingPointError:
+            w, nrm = best["w"], best["nrm"]
+        if nrm <= tol:
             return np.exp(w)
-    sol = opt.root(wrapped, w, method="lm")
-    w = sol.x
-    nrm = float(np.abs(wrapped(w)).max())
-    if nrm <= tol:
-        return np.exp(w)
     raise RuntimeError(f"Newton did not converge (residual {nrm:.2e})")
 
 

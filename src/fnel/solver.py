@@ -21,6 +21,15 @@ policy-iteration sweep assembles the frozen-control matrix as one COO build
 from the chosen (nodes, 9) coefficient rows, solves it, and evaluates the
 new iterate once: that evaluation gives both its residual and the next
 policy.  ``residual_norm`` runs the same kernel on a Field2D.
+
+Both paths take an optional ``start``, the first iterate at the unknown
+nodes on the solve's own grid (the boundary data always come from the
+problem), and a field-valued rhs: a RadialField is interpolated at all nodes
+in one call, a Field2D on the solve's grid is read at its interior nodes.
+Every sweep solves its sparse system through ``_spsolve``, which keeps the
+last matrix and, when that matrix comes again right away, its LU
+factorization: a warm start whose first sweep repeats the previous solve's
+last policy reuses that factorization.
 """
 
 from __future__ import annotations
@@ -50,6 +59,47 @@ class PolicyIterationDiverged(RuntimeError):
 
 class NonMonotoneScheme(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# the linear solve and warm starts
+
+
+# the one-slot factorization cache of _spsolve: (the exact bytes of the last
+# matrix solved, its LU once that matrix has come twice in a row, else None),
+# replaced as one object so that a reader never pairs a key with another LU
+_slot = (None, None)
+
+
+def _spsolve(mat, rhs):
+    """``spla.spsolve(mat, rhs)`` for a CSR matrix, reusing one factorization.
+
+    For CSR input spsolve hands SuperLU the transpose in CSC form and solves
+    the transposed system; ``splu(mat.T.tocsc())`` solved with ``trans="T"``
+    runs the same factorization and triangular solves, so the bits agree.  A
+    new matrix goes through spsolve and drops the held LU, so cold solves
+    neither pay for ``splu`` nor keep an LU alive; a repeat is factorized
+    once and every further repeat only runs the triangular solves.
+    """
+    global _slot
+    key = (mat.shape, mat.indptr.tobytes(), mat.indices.tobytes(),
+           mat.data.tobytes())
+    last, lu = _slot
+    if key != last:
+        _slot = (key, None)
+        return spla.spsolve(mat, rhs)
+    if lu is None:
+        lu = spla.splu(mat.T.tocsc())
+        _slot = (key, lu)
+    return lu.solve(rhs, trans="T")
+
+
+def _checked_start(start, shape):
+    """A solve's ``start`` as a float array of the grid's shape."""
+    start = np.asarray(start, dtype=float)
+    if start.shape != shape:
+        raise ValueError(f"start has shape {start.shape}, the grid {shape}")
+    return start
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +152,9 @@ class DirichletProblem:
     """F(D^2 u) = rhs in the domain, u = boundary on its boundary.
 
     rhs and boundary take a radius for radial domains and (x, y) for 2D.
-    ``exact`` is an optional oracle used by convergence studies only.
+    rhs may also be a field: a RadialField, read by interpolation, or a
+    Field2D on the 2D solve's own grid, read at its nodes.  ``exact`` is an
+    optional oracle used by convergence studies only.
     """
 
     domain: object
@@ -231,16 +283,23 @@ def _radial_entries(u, h, r, spacing, is_ball):
     return a, b
 
 
+def _isaacs_controls(f_op):
+    """An Isaacs family's (rows, controls, n, n) padded control table."""
+    n = f_op.dim
+    return f_op._controls.reshape(f_op._controls.shape[:2] + (n, n))
+
+
 def _radial_controls(f_op):
-    """Per sup-row (a11, tr A - a11) arrays of an Isaacs family; () otherwise."""
+    """Per sup-row (a11, tr A - a11) arrays of an Isaacs family; () otherwise.
+
+    Read from the operator's padded control table: a ragged row repeats its
+    first control, which changes neither the row minimum nor its first argmin.
+    """
     if f_op.kind != ISAACS:
         return ()
-    rows = []
-    for row in f_op.families:
-        dense = np.array([amat.to_dense() for amat in row])
-        a11 = dense[:, 0, 0]
-        rows.append((a11, np.trace(dense, axis1=1, axis2=2) - a11))
-    return tuple(rows)
+    dense = _isaacs_controls(f_op)                  # (rows, controls, n, n)
+    a11 = dense[:, :, 0, 0]
+    return tuple(zip(a11, np.trace(dense, axis1=2, axis2=3) - a11))
 
 
 def _pattern_weights(f_op, n, a, b, controls):
@@ -293,6 +352,8 @@ def _check_radial_monotonicity(f_op, n, h, spacing):
 
 
 def _radial_grid(problem, cells):
+    if cells < 2:
+        raise ValueError("need at least 2 cells")
     dom = problem.domain
     spacing = problem.resolved_spacing()
     if isinstance(dom, Annulus):
@@ -310,12 +371,16 @@ def _radial_grid(problem, cells):
 def _radial_rhs(problem, r):
     """f at the interior nodes; on a ball, f at the centre is appended.
 
-    The centre value is taken just off r = 0, where f may be singular.
+    The centre value is taken just off r = 0, where f may be singular.  A
+    RadialField rhs is interpolated in one call; at its own nodes that gives
+    the node values.
     """
-    rhs = np.array([problem.rhs_at(ri) for ri in r[1:-1]])
+    pts = r[1:-1]
     if isinstance(problem.domain, Ball):
-        rhs = np.append(rhs, problem.rhs_at(r[1] * 1e-8 if r[0] == 0 else r[0]))
-    return rhs
+        pts = np.append(pts, r[1] * 1e-8 if r[0] == 0 else r[0])
+    if isinstance(problem.rhs, RadialField):
+        return problem.rhs(pts)
+    return np.array([problem.rhs_at(ri) for ri in pts])
 
 
 def _radial_residual(f_op, n, u, h, r, spacing, rhs, is_ball, controls):
@@ -325,11 +390,14 @@ def _radial_residual(f_op, n, u, h, r, spacing, rhs, is_ball, controls):
 
 
 def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
-                           problem: DirichletProblem, cells: int) -> RadialField:
+                           problem: DirichletProblem, cells: int,
+                           start=None) -> RadialField:
     """Solve F(D^2 u) = f(r) on a radial annulus or ball.
 
     Deterministic for fixed inputs; returns when the interior residual
-    sup-norm is below 1e-10 relative to the data scale.
+    sup-norm is below 1e-10 relative to the data scale.  ``start``, an array
+    of the cells + 1 node values, is the first iterate at the unknown nodes;
+    its boundary entries are ignored.
     """
     if not f_op.rot_invariant:
         raise ValueError("radial solver needs a rotationally invariant operator")
@@ -337,8 +405,6 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
         raise ValueError(f"n={n} does not match operator dim {f_op.dim}")
     if not 2 <= n <= 6:
         raise ValueError("radial solver supports 2 <= n <= 6")
-    if cells < 2:
-        raise ValueError("need at least 2 cells")
     r, h, spacing = _radial_grid(problem, cells)
     is_ball = isinstance(problem.domain, Ball)
     _check_radial_monotonicity(f_op, n, h, spacing)
@@ -360,6 +426,8 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
         scale += abs(g0)
     tol = RESIDUAL_TOL * scale
     unknown = slice(0 if is_ball else 1, -1)
+    if start is not None:
+        u[unknown] = _checked_start(start, u.shape)[unknown]
 
     def residual_sup(uu):
         res = _radial_residual(f_op, n, uu, h, r, spacing, rhs_all, is_ball,
@@ -373,7 +441,7 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
         if prev <= tol:
             break
         u_new = u.copy()
-        u_new[unknown] = spla.spsolve(*_radial_system(
+        u_new[unknown] = _spsolve(*_radial_system(
             f_op, n, u, h, r, spacing, rhs_all, is_ball, controls))
         cur = residual_sup(u_new)
         if cur > prev and cur > tol:
@@ -387,7 +455,7 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
             f"in {ITERATION_CAP} sweeps (last residual {prev:.2e})", history)
 
     meta = {"operator": f_op.kind, "n": n, "cells": cells,
-            "spacing": spacing, "residual": residual_sup(u)}
+            "spacing": spacing, "residual": prev}
     return RadialField(n=n, nodes=r, values=u, spacing=spacing, meta=meta)
 
 
@@ -514,7 +582,7 @@ def _control_families(f_op, angles=24):
     if f_op.kind == LAPLACIAN:
         return ((np.eye(2),),)
     if f_op.kind == ISAACS:
-        return tuple(tuple(a.to_dense() for a in row) for row in f_op.families)
+        return _isaacs_controls(f_op)
     lam, Lam = f_op.lam, f_op.Lam
     mats = []
     for k in range(angles):
@@ -650,15 +718,24 @@ class _Grid2D:
         return cls(h=h, x0=x0, y0=y0, interior=interior, boundary_values=bvals)
 
     def rhs(self, problem):
+        """f at the interior nodes; a Field2D rhs must lie on this grid."""
+        f = problem.rhs
+        if isinstance(f, Field2D):
+            if (f.h, f.x0, f.y0, f.values.shape) != (
+                    self.h, self.x0, self.y0, self.interior.shape):
+                raise ValueError("rhs field is not on the solve's grid")
+            return f.values[self.interior]
         return _at_nodes(problem.rhs_at, self.interior, self.x0, self.y0, self.h)
 
 
 def solve_dirichlet_2d(f_op: EllipticOperator, problem: DirichletProblem,
-                       h: float) -> Field2D:
+                       h: float, start=None) -> Field2D:
     """Solve F(D^2 u) = f on a 2D rectangle or annulus, 9-point stencil.
 
     Every control matrix is checked for diagonal dominance before assembly;
-    a violating matrix raises NonMonotoneScheme naming it.
+    a violating matrix raises NonMonotoneScheme naming it.  ``start``, an
+    (nx, ny) array on the solve's grid, is the first iterate at the interior
+    nodes; its other entries are ignored.
     """
     fams = _control_families(f_op)
     for i, row in enumerate(fams):
@@ -677,6 +754,9 @@ def solve_dirichlet_2d(f_op: EllipticOperator, problem: DirichletProblem,
     values = np.where(np.isnan(grid.boundary_values), 0.0, grid.boundary_values).ravel()
     if bscale > 0:
         values[grid.nodes] = float(np.nanmean(grid.boundary_values))
+    if start is not None:
+        start = _checked_start(start, grid.interior.shape)
+        values[grid.nodes] = start.ravel()[grid.nodes]
     boundary = grid.col < 0
     bterms = np.where(boundary, values[grid.nbr.T], 0.0)    # (nodes, 9)
     node_of = np.broadcast_to(np.arange(nun)[:, None], boundary.shape)
@@ -691,7 +771,7 @@ def solve_dirichlet_2d(f_op: EllipticOperator, problem: DirichletProblem,
         keep = ~boundary & (sel != 0.0)
         mat = sparse.csr_matrix((sel[keep], (node_of[keep], grid.col[keep])),
                                 shape=(nun, nun))
-        return spla.spsolve(mat, rhs - (sel * bterms).sum(axis=1))
+        return _spsolve(mat, rhs - (sel * bterms).sum(axis=1))
 
     prev, row, ctl = evaluate(values)
     history = [prev]

@@ -3,6 +3,13 @@
 Each step solves F(D^2 u_{k+1}) = u_k with zero boundary data and
 sup-normalizes; the reciprocal of the pre-normalization sup-norm converges
 to the first eigenvalue associated with a positive eigenfunction.
+
+The rhs u_k is handed to the solver as a field on its own grid, and every
+step after the first is warm-started from the previous raw solution.  F is
+positively homogeneous, so that start is the next solution up to the drift:
+a step then takes one policy sweep with the previous policy, its matrix is
+the one the previous step ended with, and the solver's one-slot cache
+reuses that factorization instead of computing it again.
 """
 
 from __future__ import annotations
@@ -68,23 +75,16 @@ def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
 
 def _eigen_radial(f_op, domain, cells, tol):
     n = f_op.dim
-    nodes = _radial_grid(DirichletProblem(domain=domain, n=n), cells)[0]
+    nodes, _, spacing = _radial_grid(DirichletProblem(domain=domain, n=n), cells)
     u = np.maximum(_bump(domain, nodes), 0.0)
-    with np.errstate(invalid="ignore"):   # 0/0 below 2 cells; the solve rejects it
-        u /= u.max()
+    u /= u.max()
+    start = None
     lam_prev = None
     for it in range(1, EIGEN_ITERATION_CAP + 1):
-        rhs_values = u.copy()
-        # the solver asks at the nodes, where np.interp returns the node value
-        at_node = dict(zip(nodes.tolist(), rhs_values.tolist()))
-
-        def rhs(r, nodes=nodes, vals=rhs_values, at_node=at_node):
-            v = at_node.get(r)
-            return float(np.interp(r, nodes, vals)) if v is None else v
-
+        rhs = RadialField(n=n, nodes=nodes, values=u, spacing=spacing)
         problem = DirichletProblem(domain=domain, n=n, rhs=rhs)
-        sol = solve_dirichlet_radial(f_op, n, problem, cells)
-        v = sol.values
+        sol = solve_dirichlet_radial(f_op, n, problem, cells, start)
+        v = start = sol.values
         interior = v[1:-1] if isinstance(domain, Annulus) else v[:-1]
         if interior.min() <= 0:
             raise IterationFailure(
@@ -117,18 +117,14 @@ def _eigen_2d(f_op, domain, cells, tol):
                         / (domain.y1 - domain.y0))
     values /= values.max()
     u = values
+    start = None
     lam_prev = None
     for it in range(1, EIGEN_ITERATION_CAP + 1):
-        snapshot = u.copy()
-
-        def rhs(x, y, grid=grid, snap=snapshot):
-            i = int(round((x - grid.x0) / grid.h))
-            j = int(round((y - grid.y0) / grid.h))
-            return float(snap[i, j])
-
+        rhs = Field2D(h=grid.h, x0=grid.x0, y0=grid.y0, values=u,
+                      interior=grid.interior)
         problem = DirichletProblem(domain=domain, n=2, rhs=rhs)
-        sol = solve_dirichlet_2d(f_op, problem, h)
-        v = sol.values
+        sol = solve_dirichlet_2d(f_op, problem, h, start)
+        v = start = sol.values
         vin = v[sol.interior]
         if vin.min() <= 0:
             raise IterationFailure(

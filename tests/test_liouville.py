@@ -9,7 +9,7 @@ import pytest
 from fnel import (
     Annulus, DirichletProblem, HomogeneousProfile, bend_fundamental,
     build_global_supersolution, cone_map_A, critical_log_check,
-    fit_lower_bound, fixed_point, hadamard_check, laplacian,
+    fit_lower_bound, fixed_point, hadamard_check, isaacs, laplacian,
     nonexistence_certificate, pucci_max, pucci_min, rescale,
     solve_dirichlet_radial, sphere_min_curve,
 )
@@ -376,6 +376,14 @@ class TestFixedPoint:
                                        perturb=0.25, seed=seed)
             spread = prof.angular.max() - prof.angular.min()
             assert spread <= 1e-8 and rep["residual"] <= 1e-6
+
+    def test_overflowing_trial_points_reach_the_fallbacks(self):
+        # hybr steps here reach w where exp(w) overflows; the attempt ends
+        # there and the restarts and Levenberg-Marquardt run, instead of a
+        # ValueError escaping from the matrix checks inside the residual
+        op = isaacs(1.0, 2.0, 2, [[np.diag([1.0, 1.5])], [np.diag([1.5, 1.0])]])
+        with pytest.raises(RuntimeError, match="Newton did not converge"):
+            fixed_point(op, 2, 5.0, angular_points=12, perturb=0.05, seed=1)
 
     def test_wrong_regime(self, lap3):
         with pytest.raises(WrongRegime):

@@ -1,24 +1,26 @@
 """Monotone finite-difference Dirichlet solvers and the profile fit."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 from fnel import (
     Annulus, Ball, DirichletProblem, Rectangle, convergence_order,
     fundamental_profile, isaacs, laplacian, pucci_max, pucci_min,
     residual_norm, solve_dirichlet_2d, solve_dirichlet_radial,
 )
-from fnel import parse_operator_spec
+from fnel import parse_operator_spec, solver
 from fnel.liouville import _signed_min_residual
 from fnel.matcore import LAPLACIAN, PUCCI_MAX, PUCCI_MIN
 from fnel.solver import (
     Field2D, NonMonotoneScheme, RadialField, _control_families, _evaluate_2d,
     _Grid2D, _pattern_value, _pattern_weights, _radial_controls,
-    _radial_entries, _radial_grid, _radial_rhs, _radial_system,
+    _radial_entries, _radial_grid, _radial_rhs, _radial_system, _spsolve,
     _stencil_coefficients,
 )
 
@@ -635,3 +637,164 @@ class TestRadialKernel:
         want = min(_pattern_value_reference(op, 3, a[i], b[i])
                    for i in range(a.size))
         assert _signed_min_residual(op, fld) == want
+
+
+# ---------------------------------------------------------------------------
+# the linear solve, warm starts and field-valued rhs
+
+SQUARE = Rectangle(0.0, 1.0, 0.0, 1.0)
+SOLVE_CASES = ["log", "linear", "ball", "laplacian_2d", "pucci_2d", "isaacs_2d",
+               "annulus_2d"]
+
+
+def _solve_case(name, start=None):
+    """One solve per kind of system the linear solve sees, cold or warm."""
+    if name == "log":
+        prob = DirichletProblem(domain=Annulus(1.0, 16.0), n=3,
+                                rhs=lambda r: math.cos(r),
+                                boundary=lambda r: 1.0 / r)
+        return solve_dirichlet_radial(pucci_max(1.0, 2.0, 3), 3, prob, 128, start)
+    if name == "linear":
+        prob = DirichletProblem(domain=Annulus(1.0, 3.0), n=3,
+                                rhs=lambda r: math.sin(2.0 * r),
+                                boundary=lambda r: r, spacing="linear")
+        return solve_dirichlet_radial(_radial_ops(3)["isaacs"], 3, prob, 128,
+                                      start)
+    if name == "ball":
+        prob = DirichletProblem(domain=Ball(1.0), n=3, rhs=lambda r: 1.0 + r,
+                                boundary=lambda r: 0.5)
+        return solve_dirichlet_radial(pucci_min(1.0, 2.0, 3), 3, prob, 128, start)
+    if name == "annulus_2d":
+        prob = DirichletProblem(domain=Annulus(1.0, 2.0), n=2,
+                                rhs=lambda x, y: 0.5, boundary=lambda r: 1.0 / r)
+        return solve_dirichlet_2d(laplacian(2), prob, 1.0 / 8, start)
+    op = {"laplacian_2d": laplacian(2), "pucci_2d": pucci_max(1.0, 2.0, 2),
+          "isaacs_2d": parse_operator_spec(
+              (SAMPLES / "isaacs_2d.json").read_text())}[name]
+    prob = DirichletProblem(domain=SQUARE, n=2, rhs=lambda x, y: 1.0 + x * y,
+                            boundary=lambda x, y: x * x + 0.5 * y)
+    return solve_dirichlet_2d(op, prob, 1.0 / 8, start)
+
+
+def _systems(monkeypatch, name):
+    """The (matrix, rhs) pairs a cold solve hands to the linear solve."""
+    seen = []
+    inner = solver._spsolve
+    monkeypatch.setattr(solver, "_spsolve", lambda mat, rhs: (
+        seen.append((mat, rhs.copy())) or inner(mat, rhs)))
+    _solve_case(name)
+    monkeypatch.setattr(solver, "_spsolve", inner)
+    return seen
+
+
+class TestFactorizationReuse:
+    @pytest.mark.parametrize("name", SOLVE_CASES)
+    def test_matches_spsolve_bit_for_bit(self, monkeypatch, name):
+        systems = _systems(monkeypatch, name)
+        assert systems
+        for mat, rhs in systems:
+            want = spla.spsolve(mat, rhs)
+            other = np.cos(np.arange(rhs.size, dtype=float))
+            monkeypatch.setattr(solver, "_slot", (None, None))
+            # spsolve, then splu on the repeat, then the held LU
+            for _ in range(3):
+                assert np.array_equal(_spsolve(mat, rhs), want)
+            assert np.array_equal(_spsolve(mat, other), spla.spsolve(mat, other))
+
+    def test_only_a_repeated_matrix_is_factorized(self, monkeypatch):
+        mat, rhs = _systems(monkeypatch, "log")[-1]
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu",
+                            lambda *a, **k: calls.append(1) or splu(*a, **k))
+        monkeypatch.setattr(solver, "_slot", (None, None))
+        changed = mat.copy()
+        changed.data[4] *= 1.0 + 1e-9
+        steps = [(mat, rhs, 0), (mat, 2.0 * rhs, 1), (mat, rhs + 1.0, 1),
+                 (changed, rhs, 1), (changed, rhs, 2), (mat, rhs, 2)]
+        for m, b, want_calls in steps:
+            assert np.array_equal(_spsolve(m, b), spla.spsolve(m, b))
+            assert len(calls) == want_calls
+
+
+def _boundary_entries(fld):
+    """Mask of the entries a solve's ``start`` does not use."""
+    if isinstance(fld, Field2D):
+        return ~fld.interior
+    mask = np.zeros(fld.values.shape, dtype=bool)
+    mask[-1] = True
+    mask[0] = fld.nodes[0] > 0          # a ball solves for its centre
+    return mask
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("name", SOLVE_CASES)
+    def test_start_at_the_solution_returns_it(self, name):
+        cold = _solve_case(name)
+        warm = _solve_case(name, cold.values)
+        assert np.array_equal(warm.values, cold.values, equal_nan=True)
+        assert warm.meta == cold.meta
+        # the boundary data come from the problem, not from start
+        start = cold.values.copy()
+        start[_boundary_entries(cold)] = 7.0
+        other = _solve_case(name, start)
+        assert np.array_equal(other.values, cold.values, equal_nan=True)
+
+    @pytest.mark.parametrize("name", ["log", "ball", "pucci_2d"])
+    def test_perturbed_start_meets_the_tolerance(self, name):
+        cold = _solve_case(name)
+        start = cold.values * 1.2 + 0.1
+        warm = _solve_case(name, start)
+        assert np.nanmax(np.abs(warm.values - cold.values)) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["log", "ball", "laplacian_2d"])
+    def test_wrong_shape_raises(self, name):
+        cold = _solve_case(name)
+        with pytest.raises(ValueError, match="start has shape"):
+            _solve_case(name, cold.values[:-1])
+
+
+class TestFieldRhs:
+    @pytest.mark.parametrize("domain", [Annulus(1.0, 2.0), Ball(1.0)])
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_radial_field_is_the_per_node_rhs(self, domain, on_grid):
+        prob = DirichletProblem(domain=domain, n=3, boundary=lambda r: 0.25)
+        r = _radial_grid(prob, 64)[0]
+        nodes = r if on_grid else np.linspace(r[0], r[-1], 41)
+        fld = RadialField(n=3, nodes=nodes, values=2.0 + np.sin(3.0 * nodes),
+                          spacing="linear")
+        per_node = replace(prob, rhs=lambda x: float(fld(x)))
+        as_field = replace(prob, rhs=fld)
+        assert np.array_equal(_radial_rhs(as_field, r), _radial_rhs(per_node, r))
+        if on_grid:
+            assert np.array_equal(_radial_rhs(as_field, r)[:63], fld.values[1:-1])
+        op = pucci_max(1.0, 2.0, 3)
+        assert np.array_equal(solve_dirichlet_radial(op, 3, as_field, 64).values,
+                              solve_dirichlet_radial(op, 3, per_node, 64).values)
+
+    def _square(self):
+        prob = DirichletProblem(domain=SQUARE, n=2, rhs=lambda x, y: 1.0 + x * y,
+                                boundary=lambda x, y: x - y)
+        grid = _Grid2D.build(prob, 1.0 / 8)
+        xs = np.arange(9) / 8.0
+        fld = Field2D(h=1.0 / 8, x0=0.0, y0=0.0, interior=grid.interior,
+                      values=1.0 + xs[:, None] * xs[None, :])
+        return prob, fld
+
+    def test_field2d_on_the_grid_is_the_per_node_rhs(self):
+        prob, fld = self._square()
+        op = pucci_max(1.0, 2.0, 2)
+        want = solve_dirichlet_2d(op, prob, 1.0 / 8)
+        got = solve_dirichlet_2d(op, replace(prob, rhs=fld), 1.0 / 8)
+        assert np.array_equal(got.values, want.values)
+        assert got.meta == want.meta
+
+    @pytest.mark.parametrize("change", [
+        {"h": 1.0 / 16}, {"x0": 0.125}, {"y0": -0.125},
+        {"values": np.ones((9, 10)), "interior": np.zeros((9, 10), dtype=bool)},
+    ])
+    def test_field2d_on_another_grid_raises(self, change):
+        prob, fld = self._square()
+        with pytest.raises(ValueError, match="not on the solve's grid"):
+            solve_dirichlet_2d(laplacian(2), replace(prob, rhs=replace(fld, **change)),
+                               1.0 / 8)

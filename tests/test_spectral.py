@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from fnel import (
     Annulus, Ball, Rectangle, eigen_scaling_check, laplacian, principal_eigenvalue,
@@ -78,6 +79,22 @@ class TestSolveCount:
         op = pucci_max(1, 2, 2 if isinstance(domain, Rectangle) else 3)
         res = principal_eigenvalue(op, domain, cells)
         assert len(calls) == res.iterations
+
+    @pytest.mark.parametrize("op,cells,most", [
+        (laplacian(3), 512, 2),
+        # a Pucci step repeats the previous step's last matrix
+        (pucci_max(1.0, 2.0, 3), 256, 12),
+    ])
+    def test_warm_steps_reuse_the_factorization(self, monkeypatch, op, cells,
+                                                most):
+        factorizations = []
+        for name in ("spsolve", "splu"):
+            fn = getattr(spla, name)
+            monkeypatch.setattr(spla, name, lambda *a, fn=fn, **k: (
+                factorizations.append(1) or fn(*a, **k)))
+        res = principal_eigenvalue(op, Annulus(1.0, 2.0), cells)
+        assert res.iterations >= 12
+        assert len(factorizations) <= most
 
     def test_invalid_input_raises_from_the_first_solve(self, lap3):
         with pytest.raises(ValueError, match="cells"):
