@@ -7,6 +7,7 @@ written when possible), 3 invalid operator spec.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import itertools
 import json
@@ -346,75 +347,101 @@ SWEEP_COLUMNS = {
     "constant": ("constant", "beta_star"),
     "bend": ("tau", "c"),
 }
+_OUTCOMES = {True: scaling.NONEXISTENCE_EXTERIOR, False: scaling.EXISTENCE_SUPERSOLUTION}
 
 
-def _sweep_operator(kind, lam, Lam, n):
-    return parse_operator_spec(json.dumps(
-        {"n": n, "kind": kind, "lambda": lam, "Lambda": Lam}))
+class _RowError(str):
+    """A per-row failure, recorded not raised: "<ExceptionType>: <message>"."""
 
 
-def _sweep_row(task):
-    command, kind, params = task
-    p = params.get("p", 2.0)
-    gamma = params.get("gamma", 0.0)
-    lam = params.get("lambda", 1.0)
-    Lam = params.get("Lambda", lam)
-    n = int(params.get("n", 3))
-    row = {k: params.get(k, "") for k in SWEEP_AXES}
+def _attempt(fn, *args):
     try:
-        op = _sweep_operator(kind, lam, Lam, n)
-        if command == "classify":
-            v = scaling.classify(op, n, p, gamma)
-            vals = (v.outcome, v.alpha_star, v.beta_star, v.margin)
-        elif command == "alpha-star":
-            rep = scaling.alpha_star(op, n)
-            vals = (rep.alpha_star, rep.log_case, rep.critical_exponent)
-        elif command == "critical-exponent":
-            vals = (scaling.alpha_star(op, n).critical_exponent,)
-        elif command == "constant":
-            c = scaling.explicit_constant(op, n, p, gamma)
-            vals = (c if c is not None else "NONE", scaling.beta_star(p, gamma))
-        elif command == "bend":
-            tau, c, _ = liouville.bend_fundamental(op, n, p, gamma)
-            vals = (tau, c)
-        else:
-            raise ValueError(f"sweep does not support command {command!r}")
-        row.update(dict(zip(SWEEP_COLUMNS[command], vals)))
-        row["error"] = ""
+        return fn(*args)
     except Exception as exc:  # per-row failure, recorded not raised
-        row.update({k: "" for k in SWEEP_COLUMNS.get(command, ())})
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+        return _RowError(f"{type(exc).__name__}: {exc}")
+
+
+def _operator_rows(command, op, exps, mapper):
+    """Result columns of one operator's rows as CSV text, or a _RowError; one
+    per ``exps`` entry (axis text, p, gamma, beta* or its _RowError, str(beta*))."""
+    if isinstance(op, _RowError):
+        return [op] * len(exps)
+    if command == "bend":
+        out = mapper(_attempt, itertools.repeat(liouville.bend_fundamental), itertools.repeat(op),
+                     itertools.repeat(op.dim), [e[1] for e in exps], [e[2] for e in exps])
+        return [r if isinstance(r, _RowError) else f"{r[0]},{r[1]}" for r in out]
+    if command == "constant":
+        # K at every beta* in one stacked call; rows it misses take the scalar path
+        betas = [e[3] for e in exps if not isinstance(e[3], _RowError)]
+        ks = _attempt(scaling.K_coefficient, op, op.dim, betas) if op.rot_invariant else None
+        ks = dict(zip(betas, ks.tolist())) if isinstance(ks, np.ndarray) else {}
+        rows = []
+        for _, p, gamma, b, b_text in exps:
+            if b in ks:
+                c = ks[b] ** (1.0 / (p - 1.0)) if ks[b] > 0 else None
+            else:
+                c = _attempt(scaling.explicit_constant, op, op.dim, p, gamma)
+            rows.append(c if isinstance(c, _RowError) else f"{'NONE' if c is None else c},{b_text}")
+        return rows
+    rep = _attempt(scaling.alpha_star, op, op.dim)
+    if command == "classify":  # operator error > beta_star error > alpha_star error
+        a = rep if isinstance(rep, _RowError) else rep.alpha_star
+        a_text = str(a)
+        return [b if isinstance(b, _RowError) else a if isinstance(a, _RowError) else
+                f"{_OUTCOMES[a <= b]},{a_text},{b_text},{a - b}" for _, _, _, b, b_text in exps]
+    if not isinstance(rep, _RowError):
+        rep = (f"{rep.alpha_star},{rep.log_case},{rep.critical_exponent}"
+               if command == "alpha-star" else f"{rep.critical_exponent}")
+    return [rep] * len(exps)
 
 
 def run_sweep(config: dict, jobs: int = 1) -> tuple:
-    """Execute a sweep; returns (csv_text, any_row_failed)."""
+    """Execute a sweep; returns (csv_text, any_row_failed).
+
+    Rows run over the axis product in ``SWEEP_AXES`` order.  Each distinct
+    operator (lambda, Lambda, n) is built and its alpha* found once, beta* once
+    per (p, gamma); only ``bend`` works per row, and only it uses ``jobs``.
+    """
     command = config.get("command")
     if command not in SWEEP_COLUMNS:
         raise _UsageError(f"sweep command must be one of {sorted(SWEEP_COLUMNS)}")
     kind = config.get("kind", "pucci_max")
     axes = config.get("axes", {})
-    names = [a for a in SWEEP_AXES if a in axes]
-    lists = [axes[a] for a in names]
-    total = math.prod(len(v) for v in lists) if lists else 0
+    total = math.prod(len(axes[a]) for a in SWEEP_AXES if a in axes)
     if total > SWEEP_ROW_CAP:
         raise _UsageError(f"axis product {total} exceeds the {SWEEP_ROW_CAP} row cap")
-    tasks = [
-        (command, kind, dict(zip(names, combo)))
-        for combo in itertools.product(*lists)
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(t) for t in tasks]
-    columns = list(SWEEP_AXES) + list(SWEEP_COLUMNS[command]) + ["error"]
+
+    def product(keys):  # (axis text, axis values) over the product of keys
+        present = [k for k in keys if k in axes]
+        for combo in itertools.product(*(axes[k] for k in present)):
+            prm = dict(zip(present, combo))
+            yield ",".join(str(prm.get(k, "")) for k in keys), prm
+
+    exps = []
+    for text, prm in product(SWEEP_AXES[:2]):
+        p, gamma = prm.get("p", 2.0), prm.get("gamma", 0.0)
+        b = _attempt(scaling.beta_star, p, gamma)
+        exps.append((text, p, gamma, b, str(b)))
+    built, ops, failed = {}, [], False
+    pooled = command == "bend" and jobs > 1 and total > 1
+    with ProcessPoolExecutor(jobs) if pooled else contextlib.nullcontext() as pool:
+        for text, prm in product(SWEEP_AXES[2:]):
+            lam = prm.get("lambda", 1.0)
+            spec = json.dumps({"n": prm.get("n", 3), "kind": kind, "lambda": lam,
+                               "Lambda": prm.get("Lambda", lam)}, default=_json_default)
+            if spec not in built:
+                rows = _operator_rows(command, _attempt(parse_operator_spec, spec),
+                                      exps, pool.map if pooled else map)
+                failed = failed or any(isinstance(v, _RowError) for v in rows)
+                built[spec] = ["," * len(SWEEP_COLUMNS[command]) + v
+                               if isinstance(v, _RowError) else v + ","
+                               for v in rows]
+            ops.append((text, built[spec]))
     buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    failed = False
-    for row in rows:
-        failed = failed or bool(row["error"])
-        buf.write(",".join(str(row.get(c, "")) for c in columns) + "\n")
+    buf.write(",".join(SWEEP_AXES + SWEEP_COLUMNS[command] + ("error",)) + "\n")
+    for i, (text, *_) in enumerate(exps):
+        for op_text, cells in ops:
+            buf.write(f"{text},{op_text},{cells[i]}\n")
     return buf.getvalue(), failed
 
 

@@ -27,8 +27,10 @@ def parse_operator_spec(text: str) -> EllipticOperator:
     if "n" not in doc:
         raise SpecError("missing field 'n'")
     try:
-        n = int(doc["n"])
-    except (TypeError, ValueError):
+        n = int(doc["n"])  # 3 and 3.0 pass; 3.5 and true do not
+        if isinstance(doc["n"], bool) or n != float(doc["n"]):
+            raise ValueError(doc["n"])
+    except (TypeError, ValueError, OverflowError):
         raise SpecError("field 'n' must be an integer")
     kind = doc.get("kind")
     if kind not in KINDS:

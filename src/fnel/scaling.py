@@ -13,10 +13,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .matcore import EllipticOperator, SymMatrix, diag_matrices, eval_operator
+from .matcore import EllipticOperator, diag_matrices, eval_operator
 
 LOG_CASE_THRESHOLD = 1e-9
 DEFAULT_ALPHA_TOL = 1e-12
+_BISECT_LEVELS = 5  # bisection levels evaluated per indicator call
 
 NONEXISTENCE_EXTERIOR = "NONEXISTENCE_EXTERIOR"
 EXISTENCE_SUPERSOLUTION = "EXISTENCE_SUPERSOLUTION"
@@ -81,7 +82,8 @@ class ScalingReport:
 
 
 def alpha_star(f: EllipticOperator, n: int, tol: float = DEFAULT_ALPHA_TOL) -> ScalingReport:
-    """Scaling exponent of F in dimension n, by bisection on the indicator."""
+    """Scaling exponent of F in dimension n, by bisection on the indicator;
+    one indicator call evaluates the midpoints of several levels at once."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = alpha_bracket(f, n)
@@ -101,10 +103,15 @@ def alpha_star(f: EllipticOperator, n: int, tol: float = DEFAULT_ALPHA_TOL) -> S
             f"psi(lo)={psi_lo:.6g}, psi(hi)={psi_hi:.6g}"
         )
     else:
-        a, b = lo, hi
+        a, b, up = lo, hi, {}
         while b - a > tol:
             mid = 0.5 * (a + b)
-            if homogeneity_indicator(f, n, mid) > 0:
+            if mid not in up:  # sign of psi at every midpoint of the next levels
+                pts = [a, b]
+                for _ in range(_BISECT_LEVELS):
+                    pts = [x for u, v in zip(pts, pts[1:]) for x in (u, 0.5 * (u + v))] + [b]
+                up = dict(zip(pts[1:-1], (homogeneity_indicator(f, n, pts[1:-1]) > 0).tolist()))
+            if up[mid]:
                 a = mid
             else:
                 b = mid
@@ -134,15 +141,19 @@ def beta_star(p: float, gamma: float = 0.0) -> float:
     return (2.0 - gamma) / (p - 1.0)
 
 
-def K_coefficient(f: EllipticOperator, n: int, beta: float) -> float:
+def K_coefficient(f: EllipticOperator, n: int, beta):
     """Constant K with F(D^2(r^{-beta})) = K r^{-beta-2}.
 
-    Positive exactly when beta < alpha_star, zero at beta = alpha_star.
+    Positive exactly when beta < alpha_star, zero at beta = alpha_star.  A
+    float beta gives a float; an array of beta gives K at each entry.
     """
-    if beta <= 0:
+    beta = np.asarray(beta, dtype=float)
+    if (beta <= 0).any():
         raise ValueError("beta must be positive")
-    pattern = SymMatrix.diag(beta * (beta + 1.0), *([-beta] * (n - 1)))
-    return eval_operator(f, pattern)
+    with np.errstate(over="ignore"):  # an infinite entry fails the finiteness check
+        diag = np.stack([beta * (beta + 1.0)] + [-beta] * (n - 1), axis=-1)
+    k = eval_operator(f, diag_matrices(diag))
+    return k if beta.ndim else float(k)
 
 
 def explicit_constant(f: EllipticOperator, n: int, p: float, gamma: float = 0.0) -> Optional[float]:

@@ -56,6 +56,10 @@ class TestSpecParsing:
         ("not json at all", "JSON"),
         (json.dumps([1, 2]), "object"),
         (json.dumps({"kind": "pucci_max"}), "'n'"),
+        (json.dumps({**PM_DOC, "n": 3.5}), "'n'"),
+        (json.dumps({**PM_DOC, "n": True}), "'n'"),
+        (json.dumps({**PM_DOC, "n": [3]}), "'n'"),
+        ('{"n": Infinity, "kind": "pucci_max"}', "'n'"),
         (json.dumps({**PM_DOC, "kind": "mystery"}), "'kind'"),
         (json.dumps({**PM_DOC, "lambda": -1.0}), "'lambda'"),
         (json.dumps({**PM_DOC, "lambda": 3.0}), "'Lambda'"),
@@ -67,6 +71,9 @@ class TestSpecParsing:
         with pytest.raises(SpecError) as exc:
             parse_operator_spec(doc)
         assert field in str(exc.value)
+
+    def test_integral_float_n_accepted(self):
+        assert parse_operator_spec(json.dumps({**PM_DOC, "n": 3.0})).dim == 3
 
     def test_load_operator(self, tmp_path):
         path = write_spec(tmp_path, PM_DOC)

@@ -11,6 +11,7 @@ from fnel import (
     explicit_constant, homogeneity_indicator, hypothesis_check, laplacian,
     pucci_max, pucci_min, xi_alpha,
 )
+from fnel import scaling
 from fnel.matcore import eval_operator, isaacs, radial_hessian
 from fnel.scaling import LOG_CASE_THRESHOLD, NotRotInvariant, alpha_star, sampled_verdict
 
@@ -111,6 +112,64 @@ class TestAlphaStar:
         assert len(rep.indicator_samples) >= 2
 
 
+def sequential_root(f, n, tol):
+    """Reference root search of alpha_star, bisecting one scalar indicator
+    call per level.  Returns (root before the log-case snap, levels)."""
+    a, b = scaling.alpha_bracket(f, n)
+    scale = max(f.lam, 1.0)
+    psi_lo, psi_hi = (homogeneity_indicator(f, n, x) for x in (a, b))
+    if a == b or abs(psi_lo) <= tol * scale:
+        return a, 0
+    if abs(psi_hi) <= tol * scale:
+        return b, 0
+    levels = 0
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if homogeneity_indicator(f, n, mid) > 0:
+            a = mid
+        else:
+            b = mid
+        levels += 1
+    return 0.5 * (a + b), levels
+
+
+def scalar_isaacs(rng, n):
+    """Rotation-invariant Isaacs operator: ragged rows of multiples of I."""
+    lam = float(rng.uniform(0.2, 2.0))
+    Lam = lam * float(rng.uniform(1.01, 4.0))
+    fams = [[float(rng.uniform(lam, Lam)) * np.eye(n)
+             for _ in range(int(rng.integers(1, 4)))]
+            for _ in range(int(rng.integers(1, 4)))]
+    return isaacs(lam, Lam, n, fams, rot_invariant=True)
+
+
+class TestStackedBisection:
+    """alpha_star evaluates several bisection levels per indicator call; its
+    root must be the float the one-level-at-a-time loop finds."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-3, 0.3])
+    def test_matches_sequential_loop_bit_for_bit(self, tol, monkeypatch):
+        calls = []
+        real = scaling.homogeneity_indicator
+        monkeypatch.setattr(scaling, "homogeneity_indicator",
+                            lambda *args: calls.append(1) or real(*args))
+        rng = np.random.default_rng(2024)
+        bisected = 0
+        for i in range(60):
+            n = 2 + i % 5
+            op = scalar_isaacs(rng, n)
+            assert op.rot_invariant
+            root, levels = sequential_root(op, n, tol)
+            calls.clear()
+            rep = alpha_star(op, n, tol)
+            want = 0.0 if abs(root) < LOG_CASE_THRESHOLD else root
+            assert rep.alpha_star.hex() == want.hex()
+            if levels:
+                bisected += 1
+                assert len(calls) <= 1 + math.ceil(levels / scaling._BISECT_LEVELS)
+        assert bisected >= 40
+
+
 class TestCriticalExponent:
     def test_laplacian_n3(self, lap3):
         assert critical_exponent(lap3, 3) == pytest.approx(3.0, abs=1e-12)
@@ -156,6 +215,15 @@ class TestKCoefficient:
     def test_sign_switch_at_alpha_star(self, pm3):
         assert K_coefficient(pm3, 3, 2.9) > 0
         assert K_coefficient(pm3, 3, 3.1) < 0
+
+    def test_array_of_beta_matches_scalars(self, pm3, pmin3, lap3):
+        betas = np.random.default_rng(5).uniform(0.01, 8.0, 50)
+        for op in (pm3, pmin3, lap3):
+            ks = K_coefficient(op, 3, betas)
+            assert ks.shape == betas.shape
+            assert ks.tolist() == [K_coefficient(op, 3, b) for b in betas.tolist()]
+        with pytest.raises(ValueError, match="positive"):
+            K_coefficient(pm3, 3, np.array([1.0, 0.0]))
 
 
 class TestExplicitConstant:
