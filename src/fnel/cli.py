@@ -402,11 +402,18 @@ def run_sweep(config: dict, jobs: int = 1) -> tuple:
     operator (lambda, Lambda, n) is built and its alpha* found once, beta* once
     per (p, gamma); only ``bend`` works per row, and only it uses ``jobs``.
     """
+    if not isinstance(config, dict):
+        raise _UsageError("sweep config must be a JSON object")
     command = config.get("command")
     if command not in SWEEP_COLUMNS:
         raise _UsageError(f"sweep command must be one of {sorted(SWEEP_COLUMNS)}")
     kind = config.get("kind", "pucci_max")
     axes = config.get("axes", {})
+    if not isinstance(axes, dict):
+        raise _UsageError("sweep 'axes' must map axis names to lists of values")
+    for a in SWEEP_AXES:
+        if a in axes and not isinstance(axes[a], (list, tuple)):
+            raise _UsageError(f"sweep axis {a!r} must be a list of values")
     total = math.prod(len(axes[a]) for a in SWEEP_AXES if a in axes)
     if total > SWEEP_ROW_CAP:
         raise _UsageError(f"axis product {total} exceeds the {SWEEP_ROW_CAP} row cap")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -14,6 +15,14 @@ from .matcore import (
 
 class SpecError(ValueError):
     """Malformed operator spec; the message names the offending field."""
+
+
+def _finite(doc, name, default):
+    """Field ``name`` of a spec as a float: a finite JSON number, not a bool."""
+    value = doc.get(name, default)
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise SpecError(f"field '{name}' must be a finite number")
+    return float(value)
 
 
 def parse_operator_spec(text: str) -> EllipticOperator:
@@ -35,8 +44,8 @@ def parse_operator_spec(text: str) -> EllipticOperator:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise SpecError(f"field 'kind' must be one of {KINDS}, got {kind!r}")
-    lam = float(doc.get("lambda", 1.0))
-    Lam = float(doc.get("Lambda", lam))
+    lam = _finite(doc, "lambda", 1.0)
+    Lam = _finite(doc, "Lambda", lam)
     if kind == LAPLACIAN:
         lam = Lam = 1.0
     if lam <= 0:

@@ -1,26 +1,33 @@
 """Monotone finite-difference solvers for F(D^2 u) = f with Dirichlet data.
 
+Both grids run one Howard policy-iteration loop, ``_howard``.  A sweep
+evaluates F_h at the iterate, which gives the residual and the policy (the
+controls chosen at every node), and solves the linear system with that
+policy frozen.  The loop stops with success once the residual sup-norm is at
+most 1e-10 times the data scale.  An iterate that selects the very policy
+that produced it is the scheme's fixed point: the same policy gives the same
+system and the same iterate again.  A residual still above tolerance there
+is round-off, and the solve raises PolicyIterationDiverged at once, naming
+the floor 4 eps |u| / h_min^2.  No step is damped; ITERATION_CAP only stops
+a sup-inf family whose policies cycle.
+
 Radial path: any dimension n <= 6, annuli and balls, grid uniform in log r
 by default.  At every node the discrete Hessian has the eigenvalue pattern
 diag(a, b, ..., b), and a frozen control reduces F to -(wa*a + wb*b).  One
-array kernel, ``_pattern_weights``, picks (wa, wb) at all interior nodes
-(and a ball's centre) at once: closed-form sign tests for the Laplacian and
-Pucci kinds, a loop over sup-rows of the (a11, tr A - a11) control table for
-Isaacs families.  The residual and ``residual_norm`` evaluate F through it,
-and each Howard policy-iteration sweep freezes its weights, builds the
-tridiagonal system (plus the centre row on a ball) as one CSR matrix and
-solves it.
+array kernel, ``_pattern_weights``, picks the policy (wa, wb) at all interior
+nodes (and a ball's centre) at once: closed-form sign tests for the Laplacian
+and Pucci kinds, a loop over sup-rows of the (a11, tr A - a11) control table
+for Isaacs families.  The residual, ``residual_norm`` and the tridiagonal
+system (plus the centre row on a ball, one CSR matrix) all use it.
 
 2D path: rectangles and annuli on a uniform Cartesian grid.  F is realized
 as a sup over rows of an inf over control matrices A, each discretized by
 the 9-point stencil of -tr(A D^2 u); the family is stored once per solve as
 a (rows, controls, 9) coefficient array.  One array kernel, ``_evaluate_2d``,
 takes the (9, nodes) neighbor values of every interior node and returns
-F_h u with the chosen row and control per node, looping over rows only.  A
-policy-iteration sweep assembles the frozen-control matrix as one COO build
-from the chosen (nodes, 9) coefficient rows, solves it, and evaluates the
-new iterate once: that evaluation gives both its residual and the next
-policy.  ``residual_norm`` runs the same kernel on a Field2D.
+F_h u with the policy (row, control) per node, looping over rows only.  The
+frozen-policy matrix is one COO build from the chosen (nodes, 9) coefficient
+rows.  ``residual_norm`` runs the same kernel on a Field2D.
 
 Both paths take an optional ``start``, the first iterate at the unknown
 nodes on the solve's own grid (the boundary data always come from the
@@ -48,7 +55,6 @@ from .scaling import alpha_bracket
 
 RESIDUAL_TOL = 1e-10
 ITERATION_CAP = 200
-DAMPING = 0.5
 
 
 class PolicyIterationDiverged(RuntimeError):
@@ -59,6 +65,35 @@ class PolicyIterationDiverged(RuntimeError):
 
 class NonMonotoneScheme(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Howard policy iteration
+
+
+def _howard(evaluate, solve, u, tol, h_min):
+    """Policy iteration from u, stopped as the module docstring says (h_min is
+    the grid's smallest step); returns the solution and its residual.
+    ``evaluate(u)`` gives the residual sup-norm and the policy (a tuple of
+    arrays) at u, ``solve(policy)`` the iterate with that policy frozen."""
+    res, policy = evaluate(u)
+    history = [res]
+    while not res <= tol:                # a NaN residual never passes
+        if len(history) > ITERATION_CAP:
+            raise PolicyIterationDiverged(
+                f"policy iteration did not reach tolerance {tol:.2e} in "
+                f"{ITERATION_CAP} sweeps (last residual {res:.2e})", history)
+        u = solve(policy)
+        res, new = evaluate(u)
+        history.append(res)
+        if not res <= tol and all(map(np.array_equal, new, policy)):
+            floor = 4.0 * np.finfo(float).eps * np.abs(u).max() / h_min ** 2
+            raise PolicyIterationDiverged(
+                f"policy iteration reached its fixed point at residual "
+                f"{res:.2e} above tolerance {tol:.2e}; the round-off floor "
+                f"4*eps*|u|/h_min^2 is {floor:.2e}", history)
+        policy = new
+    return u, res
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +419,10 @@ def _radial_rhs(problem, r):
 
 
 def _radial_residual(f_op, n, u, h, r, spacing, rhs, is_ball, controls):
-    """F_h u - f at the interior nodes, and last at the centre of a ball."""
+    """Sup-norm of F_h u - f (interior nodes, a ball's centre) and (wa, wb)."""
     a, b = _radial_entries(u, h, r, spacing, is_ball)
-    return _pattern_value(f_op, n, a, b, controls) - rhs
+    wa, wb = _pattern_weights(f_op, n, a, b, controls)
+    return np.abs(-(wa * a + wb * b) - rhs).max(initial=0.0), (wa, wb)
 
 
 def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
@@ -429,38 +465,25 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
     if start is not None:
         u[unknown] = _checked_start(start, u.shape)[unknown]
 
-    def residual_sup(uu):
-        res = _radial_residual(f_op, n, uu, h, r, spacing, rhs_all, is_ball,
-                               controls)
-        return np.abs(res).max(initial=0.0)
+    def evaluate(uu):
+        return _radial_residual(f_op, n, uu, h, r, spacing, rhs_all, is_ball,
+                                controls)
 
-    history = []
-    prev = residual_sup(u)
-    for _ in range(ITERATION_CAP):
-        history.append(prev)
-        if prev <= tol:
-            break
-        u_new = u.copy()
-        u_new[unknown] = _spsolve(*_radial_system(
-            f_op, n, u, h, r, spacing, rhs_all, is_ball, controls))
-        cur = residual_sup(u_new)
-        if cur > prev and cur > tol:
-            u_new = u + DAMPING * (u_new - u)
-            cur = residual_sup(u_new)
-        u = u_new
-        prev = cur
-    else:
-        raise PolicyIterationDiverged(
-            f"policy iteration did not reach tolerance {tol:.2e} "
-            f"in {ITERATION_CAP} sweeps (last residual {prev:.2e})", history)
+    def solve(policy):
+        uu = u.copy()
+        uu[unknown] = _spsolve(*_radial_system(*policy, u, h, r, spacing,
+                                               rhs_all, is_ball))
+        return uu
 
+    u, res = _howard(evaluate, solve, u, tol, np.diff(r).min())
     meta = {"operator": f_op.kind, "n": n, "cells": cells,
-            "spacing": spacing, "residual": prev}
+            "spacing": spacing, "residual": res}
     return RadialField(n=n, nodes=r, values=u, spacing=spacing, meta=meta)
 
 
-def _radial_system(f_op, n, u, h, r, spacing, rhs, is_ball, controls):
-    """One Howard sweep's linear system (matrix, rhs), controls frozen at u.
+def _radial_system(wa, wb, u, h, r, spacing, rhs, is_ball):
+    """One Howard sweep's linear system (matrix, rhs) for the frozen weights
+    (wa, wb) of ``_pattern_weights``.
 
     Unknowns are the interior nodes, preceded on a ball by the centre; the
     boundary values held in u go into the rhs.  The matrix is tridiagonal,
@@ -468,8 +491,6 @@ def _radial_system(f_op, n, u, h, r, spacing, rhs, is_ball, controls):
     order that ``spsolve`` hands to SuperLU.
     """
     m = len(u) - 2                       # interior nodes 1..m
-    a, b = _radial_entries(u, h, r, spacing, is_ball)
-    wa, wb = _pattern_weights(f_op, n, a, b, controls)
     wa_i, wb_i = wa[:m], wb[:m]          # a ball's centre weights come last
     ri = r[1:-1]
     if spacing == "log":
@@ -516,11 +537,11 @@ def residual_norm(f_op: EllipticOperator, fld, problem: DirichletProblem) -> flo
         if not np.allclose(r, grid, rtol=1e-12, atol=0.0):
             raise ValueError(f"field nodes are not the {len(r) - 1}-cell "
                              f"{spacing} grid of the problem's domain")
-        res = _radial_residual(f_op, fld.n, fld.values, h, r, spacing,
-                               _radial_rhs(problem, r),
-                               isinstance(problem.domain, Ball),
-                               _radial_controls(f_op))
-        return float(np.abs(res).max(initial=0.0))
+        res, _ = _radial_residual(f_op, fld.n, fld.values, h, r, spacing,
+                                  _radial_rhs(problem, r),
+                                  isinstance(problem.domain, Ball),
+                                  _radial_controls(f_op))
+        return float(res)
     if isinstance(fld, Field2D):
         grid = _Grid2D(h=fld.h, x0=fld.x0, y0=fld.y0, interior=fld.interior)
         coef = _stencil_coefficients(_control_families(f_op), fld.h)
@@ -547,13 +568,8 @@ def convergence_order(f_op: EllipticOperator, problem: DirichletProblem,
             dom = problem.domain
             h = min(dom.x1 - dom.x0, dom.y1 - dom.y0) / cells
             fld = solve_dirichlet_2d(f_op, problem, h)
-            err = 0.0
-            nx, ny = fld.values.shape
-            for i in range(nx):
-                for j in range(ny):
-                    x, y = fld.xy(i, j)
-                    err = max(err, abs(fld.values[i, j] - problem.exact(x, y)))
-            errs.append(err)
+            errs.append(max(abs(fld.values[ij] - problem.exact(*fld.xy(*ij)))
+                            for ij in np.ndindex(fld.values.shape)))
         else:
             fld = solve_dirichlet_radial(f_op, problem.n, problem, cells)
             exact = np.array([problem.exact(ri) for ri in fld.nodes])
@@ -762,37 +778,22 @@ def solve_dirichlet_2d(f_op: EllipticOperator, problem: DirichletProblem,
     node_of = np.broadcast_to(np.arange(nun)[:, None], boundary.shape)
 
     def evaluate(vals):
-        """Residual sup-norm at vals and the controls it selects."""
         fu, row, ctl = _evaluate_2d(coef, vals[grid.nbr])
-        return float(np.abs(fu - rhs).max(initial=0.0)), row, ctl
+        return float(np.abs(fu - rhs).max(initial=0.0)), (row, ctl)
 
-    def linear_solve(row, ctl):
-        sel = coef[row, ctl]                                # (nodes, 9)
+    def solve(policy):
+        sel = coef[policy]                                  # (nodes, 9)
         keep = ~boundary & (sel != 0.0)
         mat = sparse.csr_matrix((sel[keep], (node_of[keep], grid.col[keep])),
                                 shape=(nun, nun))
-        return _spsolve(mat, rhs - (sel * bterms).sum(axis=1))
+        vals = values.copy()
+        vals[grid.nodes] = _spsolve(mat, rhs - (sel * bterms).sum(axis=1))
+        return vals
 
-    prev, row, ctl = evaluate(values)
-    history = [prev]
-    for _ in range(ITERATION_CAP):
-        if prev <= tol:
-            break
-        new_vals = values.copy()
-        new_vals[grid.nodes] = linear_solve(row, ctl)
-        cur, new_row, new_ctl = evaluate(new_vals)
-        if cur > prev and cur > tol:
-            new_vals = values + DAMPING * (new_vals - values)
-            cur, new_row, new_ctl = evaluate(new_vals)
-        values, row, ctl, prev = new_vals, new_row, new_ctl, cur
-        history.append(prev)
-    else:
-        raise PolicyIterationDiverged(
-            f"2D policy iteration stalled at residual {prev:.2e}", history)
-
+    values, res = _howard(evaluate, solve, values, tol, h)
     out = np.where(grid.interior, values.reshape(grid.interior.shape),
                    grid.boundary_values)
-    meta = {"operator": f_op.kind, "h": h, "residual": prev}
+    meta = {"operator": f_op.kind, "h": h, "residual": res}
     return Field2D(h=h, x0=grid.x0, y0=grid.y0, values=out,
                    interior=grid.interior, meta=meta)
 
@@ -813,9 +814,8 @@ def _sphere_extrema(fld, sigma):
     if isinstance(fld, RadialField):
         v = float(fld(sigma))
         return v, v
-    vals = []
-    for th in np.linspace(0, 2 * math.pi, 128, endpoint=False):
-        vals.append(fld.interp(sigma * math.cos(th), sigma * math.sin(th)))
+    vals = [fld.interp(sigma * math.cos(th), sigma * math.sin(th))
+            for th in np.linspace(0, 2 * math.pi, 128, endpoint=False)]
     return float(min(vals)), float(max(vals))
 
 
@@ -849,9 +849,7 @@ def fundamental_profile(f_op: EllipticOperator, n: int, cells: int = 512,
         fld = solve_dirichlet_2d(f_op, problem, h=outer_radius / (cells / 4))
 
     sig = np.geomspace(2.0, 8.0, 33)
-    mins, maxs = zip(*(_sphere_extrema(fld, s) for s in sig))
-    mins = np.asarray(mins)
-    maxs = np.asarray(maxs)
+    mins, maxs = map(np.asarray, zip(*(_sphere_extrema(fld, s) for s in sig)))
 
     lo, hi = alpha_bracket(f_op, n)
     from scipy.optimize import minimize_scalar

@@ -2,7 +2,10 @@
 
 Each step solves F(D^2 u_{k+1}) = u_k with zero boundary data and
 sup-normalizes; the reciprocal of the pre-normalization sup-norm converges
-to the first eigenvalue associated with a positive eigenfunction.
+to the first eigenvalue associated with a positive eigenfunction.  One loop
+in ``principal_eigenvalue`` serves both grids: each grid supplies its start
+vector and a step (u, start) -> (solution, interior values), and the
+eigenfield is the last solution rescaled.
 
 The rhs u_k is handed to the solver as a field on its own grid, and every
 step after the first is warm-started from the previous raw solution.  F is
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,97 +55,79 @@ class EigenResult:
         })
 
 
-def _bump(domain, nodes):
-    if isinstance(domain, Annulus):
-        half = 0.5 * (domain.r1 - domain.r0)
-        return np.minimum(nodes - domain.r0, domain.r1 - nodes) / half
-    if isinstance(domain, Ball):
-        return (domain.r1 - nodes) / domain.r1
-    raise TypeError
-
-
 def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
                          tol: float = 1e-8) -> EigenResult:
     """First half-eigenvalue of F on a bounded annulus, ball, or rectangle."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if isinstance(domain, (Annulus, Ball)):
-        return _eigen_radial(f_op, domain, cells, tol)
-    if isinstance(domain, Rectangle):
-        return _eigen_2d(f_op, domain, cells, tol)
-    raise TypeError("domain must be an annulus, ball, or rectangle")
-
-
-def _eigen_radial(f_op, domain, cells, tol):
-    n = f_op.dim
-    nodes, _, spacing = _radial_grid(DirichletProblem(domain=domain, n=n), cells)
-    u = np.maximum(_bump(domain, nodes), 0.0)
-    u /= u.max()
-    start = None
-    lam_prev = None
+        u, step = _radial_steps(f_op, domain, cells)
+    elif isinstance(domain, Rectangle):
+        u, step = _grid_steps(f_op, domain, cells)
+    else:
+        raise TypeError("domain must be an annulus, ball, or rectangle")
+    u = u / u.max()
+    start = lam_prev = None
     for it in range(1, EIGEN_ITERATION_CAP + 1):
-        rhs = RadialField(n=n, nodes=nodes, values=u, spacing=spacing)
-        problem = DirichletProblem(domain=domain, n=n, rhs=rhs)
-        sol = solve_dirichlet_radial(f_op, n, problem, cells, start)
-        v = start = sol.values
-        interior = v[1:-1] if isinstance(domain, Annulus) else v[:-1]
-        if interior.min() <= 0:
-            raise IterationFailure(
-                "iterate lost positivity; discretization failure")
-        sup = float(v.max())
-        lam = 1.0 / sup
-        u = v / sup
-        if lam_prev is not None:
-            drift = abs(lam - lam_prev) / lam
-            if drift <= tol:
-                field = RadialField(n=n, nodes=nodes, values=u,
-                                    spacing=sol.spacing,
-                                    meta={**sol.meta, "lambda1": lam})
-                return EigenResult(lambda1=lam, eigenfield=field,
-                                   iterations=it, drift=drift)
-        lam_prev = lam
-    raise IterationFailure(
-        f"eigenvalue iteration did not converge in {EIGEN_ITERATION_CAP} steps")
-
-
-def _eigen_2d(f_op, domain, cells, tol):
-    h = min(domain.x1 - domain.x0, domain.y1 - domain.y0) / cells
-    grid = _Grid2D.build(DirichletProblem(domain=domain, n=2), h)
-    nx, ny = grid.interior.shape
-    x = grid.x0 + np.arange(nx)[:, None] * grid.h
-    y = grid.y0 + np.arange(ny)[None, :] * grid.h
-    values = np.maximum(0.0, np.minimum(x - domain.x0, domain.x1 - x)
-                        / (domain.x1 - domain.x0)
-                        * np.minimum(y - domain.y0, domain.y1 - y)
-                        / (domain.y1 - domain.y0))
-    values /= values.max()
-    u = values
-    start = None
-    lam_prev = None
-    for it in range(1, EIGEN_ITERATION_CAP + 1):
-        rhs = Field2D(h=grid.h, x0=grid.x0, y0=grid.y0, values=u,
-                      interior=grid.interior)
-        problem = DirichletProblem(domain=domain, n=2, rhs=rhs)
-        sol = solve_dirichlet_2d(f_op, problem, h, start)
-        v = start = sol.values
-        vin = v[sol.interior]
+        sol, vin = step(u, start)
         if vin.min() <= 0:
             raise IterationFailure(
                 "iterate lost positivity; discretization failure")
+        start = sol.values
         sup = float(vin.max())
         lam = 1.0 / sup
-        u = np.where(np.isnan(v), 0.0, v / sup)
+        u = np.where(np.isnan(start), 0.0, start / sup)  # NaN off a 2D domain
         if lam_prev is not None:
             drift = abs(lam - lam_prev) / lam
             if drift <= tol:
-                field = Field2D(h=sol.h, x0=sol.x0, y0=sol.y0,
-                                values=v / sup, interior=sol.interior,
+                field = replace(sol, values=start / sup,
                                 meta={**sol.meta, "lambda1": lam})
                 return EigenResult(lambda1=lam, eigenfield=field,
                                    iterations=it, drift=drift)
         lam_prev = lam
     raise IterationFailure(
         f"eigenvalue iteration did not converge in {EIGEN_ITERATION_CAP} steps")
+
+
+def _radial_steps(f_op, domain, cells):
+    """The radial start vector and step (u, start) -> (solution, interior)."""
+    n = f_op.dim
+    nodes, _, spacing = _radial_grid(DirichletProblem(domain=domain, n=n), cells)
+    if isinstance(domain, Annulus):
+        half = 0.5 * (domain.r1 - domain.r0)
+        bump = np.minimum(nodes - domain.r0, domain.r1 - nodes) / half
+        inner = slice(1, -1)
+    else:                                # a ball solves for its centre too
+        bump, inner = (domain.r1 - nodes) / domain.r1, slice(0, -1)
+
+    def step(u, start):
+        rhs = RadialField(n=n, nodes=nodes, values=u, spacing=spacing)
+        problem = DirichletProblem(domain=domain, n=n, rhs=rhs)
+        sol = solve_dirichlet_radial(f_op, n, problem, cells, start)
+        return sol, sol.values[inner]
+
+    return np.maximum(bump, 0.0), step
+
+
+def _grid_steps(f_op, domain, cells):
+    """The 2D start vector and step (u, start) -> (solution, interior)."""
+    h = min(domain.x1 - domain.x0, domain.y1 - domain.y0) / cells
+    grid = _Grid2D.build(DirichletProblem(domain=domain, n=2), h)
+    nx, ny = grid.interior.shape
+    x = grid.x0 + np.arange(nx)[:, None] * grid.h
+    y = grid.y0 + np.arange(ny)[None, :] * grid.h
+
+    def step(u, start):
+        rhs = Field2D(h=grid.h, x0=grid.x0, y0=grid.y0, values=u,
+                      interior=grid.interior)
+        problem = DirichletProblem(domain=domain, n=2, rhs=rhs)
+        sol = solve_dirichlet_2d(f_op, problem, h, start)
+        return sol, sol.values[sol.interior]
+
+    return np.maximum(0.0, np.minimum(x - domain.x0, domain.x1 - x)
+                      / (domain.x1 - domain.x0)
+                      * np.minimum(y - domain.y0, domain.y1 - y)
+                      / (domain.y1 - domain.y0)), step
 
 
 def eigen_scaling_check(f_op: EllipticOperator, domain, sigma: float,

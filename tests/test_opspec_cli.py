@@ -63,6 +63,15 @@ class TestSpecParsing:
         (json.dumps({**PM_DOC, "kind": "mystery"}), "'kind'"),
         (json.dumps({**PM_DOC, "lambda": -1.0}), "'lambda'"),
         (json.dumps({**PM_DOC, "lambda": 3.0}), "'Lambda'"),
+        (json.dumps({**PM_DOC, "Lambda": math.inf}), "'Lambda' must be a finite"),
+        (json.dumps({**PM_DOC, "lambda": -math.inf}), "'lambda' must be a finite"),
+        (json.dumps({**PM_DOC, "Lambda": math.nan}), "'Lambda' must be a finite"),
+        (json.dumps({**PM_DOC, "lambda": "x"}), "'lambda' must be a finite"),
+        (json.dumps({**PM_DOC, "lambda": "2.0"}), "'lambda' must be a finite"),
+        (json.dumps({**PM_DOC, "Lambda": None}), "'Lambda' must be a finite"),
+        (json.dumps({**PM_DOC, "lambda": True}), "'lambda' must be a finite"),
+        (json.dumps({**PM_DOC, "Lambda": [2.0]}), "'Lambda' must be a finite"),
+        (json.dumps({**PM_DOC, "Lambda": 10 ** 400}), "'Lambda' must be a finite"),
         (json.dumps({"n": 2, "kind": "isaacs"}), "families"),
         (json.dumps({"n": 2, "kind": "isaacs",
                      "families": [[[[1.0]]]]}), "families[0][0]"),
@@ -100,6 +109,14 @@ class TestCliExitCodes:
         path = write_spec(tmp_path, {**PM_DOC, "lambda": -2.0})
         assert main(["alpha-star", "--op", path]) == EXIT_BAD_SPEC
         assert "invalid operator spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["Infinity", '"x"', "null"])
+    def test_non_finite_constant_is_bad_spec(self, tmp_path, capsys, text):
+        path = tmp_path / "op.json"
+        path.write_text(f'{{"n": 3, "kind": "pucci_max", "Lambda": {text}}}')
+        assert main(["classify", "--op", str(path), "--p", "2.0"]) \
+            == EXIT_BAD_SPEC
+        assert "'Lambda' must be a finite number" in capsys.readouterr().err
 
     def test_missing_spec_file(self, tmp_path, capsys):
         assert main(["alpha-star", "--op", str(tmp_path / "nope.json")]) \
@@ -263,6 +280,15 @@ class TestSweep:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["sweep", "--config", str(bad)]) == EXIT_USAGE
+        for cfg, msg in (
+                ({"command": "classify", "axes": {"p": 2.0, "n": [3]}},
+                 "sweep axis 'p' must be a list"),
+                ({"command": "classify", "axes": 5}, "'axes' must map"),
+                (["classify"], "must be a JSON object")):
+            capsys.readouterr()
+            bad.write_text(json.dumps(cfg))
+            assert main(["sweep", "--config", str(bad)]) == EXIT_USAGE
+            assert msg in capsys.readouterr().err
 
     def test_row_cap_enforced(self):
         cfg = {"command": "classify", "kind": "pucci_max",

@@ -614,8 +614,9 @@ class TestRadialKernel:
         rng = np.random.default_rng(5)
         u = np.sin(3.0 * r) + 0.1 * rng.standard_normal(r.size)
         is_ball = isinstance(domain, Ball)
-        mat, rvec = _radial_system(op, 3, u, h, r, sp, rhs, is_ball,
-                                   _radial_controls(op))
+        wa, wb = _pattern_weights(op, 3, *_radial_entries(u, h, r, sp, is_ball),
+                                  _radial_controls(op))
+        mat, rvec = _radial_system(wa, wb, u, h, r, sp, rhs, is_ball)
         want_mat, want_rvec = _radial_system_reference(op, 3, u, h, r, sp, rhs,
                                                        is_ball)
         assert mat.nnz == want_mat.nnz
@@ -798,3 +799,66 @@ class TestFieldRhs:
         with pytest.raises(ValueError, match="not on the solve's grid"):
             solve_dirichlet_2d(laplacian(2), replace(prob, rhs=replace(fld, **change)),
                                1.0 / 8)
+
+
+def _counted_solves(monkeypatch):
+    """Route ``_spsolve`` through a counter; returns the list it appends to."""
+    calls = []
+    inner = solver._spsolve
+    monkeypatch.setattr(solver, "_spsolve",
+                        lambda mat, rhs: calls.append(1) or inner(mat, rhs))
+    return calls
+
+
+class TestHowardStop:
+    # boundary data 1 inside, 0 outside: at these grids the round-off floor
+    # of the residual lies above the 2e-10 tolerance
+    @pytest.mark.parametrize("make", [lambda: laplacian(3),
+                                      lambda: pucci_max(1.0, 2.0, 3)],
+                             ids=["laplacian", "pucci_max"])
+    @pytest.mark.parametrize("cells", [700, 1024, 4096])
+    def test_round_off_floor_fails_after_one_solve(self, monkeypatch, make,
+                                                   cells):
+        calls = _counted_solves(monkeypatch)
+        prob = DirichletProblem(domain=Annulus(1.0, 2.0), n=3,
+                                boundary=lambda r: 1.0 if r < 1.5 else 0.0)
+        with pytest.raises(solver.PolicyIterationDiverged) as exc:
+            solve_dirichlet_radial(make(), 3, prob, cells)
+        assert len(calls) == 1
+        history = exc.value.history
+        assert len(history) == 2
+        r, _, _ = _radial_grid(prob, cells)
+        floor = 4.0 * np.finfo(float).eps / np.diff(r).min() ** 2  # |u| = 1
+        msg = str(exc.value)
+        assert f"residual {history[-1]:.2e} above tolerance 2.00e-10" in msg
+        assert f"round-off floor 4*eps*|u|/h_min^2 is {floor:.2e}" in msg
+
+    @pytest.mark.parametrize("case", ["radial", "2d"])
+    def test_cycle_guard(self, monkeypatch, case):
+        # sup-inf families whose solves take more than one sweep
+        if case == "radial":
+            eye = np.eye(3)
+            op = isaacs(1.0, 2.0, 3, [[2.0 * eye, eye], [1.5 * eye]],
+                        rot_invariant=True)
+            prob = DirichletProblem(domain=Annulus(1.0, 2.0), n=3,
+                                    rhs=lambda r: math.sin(4.0 * r))
+
+            def solve():
+                return solve_dirichlet_radial(op, 3, prob, 64)
+        else:
+            op = parse_operator_spec((SAMPLES / "isaacs_2d.json").read_text())
+            prob = DirichletProblem(domain=Rectangle(0.0, 1.0, 0.0, 1.0), n=2,
+                                    rhs=lambda x, y: math.sin(3.0 * x) * y)
+
+            def solve():
+                return solve_dirichlet_2d(op, prob, 1.0 / 8)
+        calls = _counted_solves(monkeypatch)
+        solve()
+        assert len(calls) >= 2
+        monkeypatch.setattr(solver, "ITERATION_CAP", 1)
+        calls.clear()
+        with pytest.raises(solver.PolicyIterationDiverged,
+                           match="in 1 sweeps") as exc:
+            solve()
+        assert len(calls) == 1
+        assert len(exc.value.history) == 2
