@@ -31,17 +31,23 @@ rows.  ``residual_norm`` runs the same kernel on a Field2D.
 
 Both paths take an optional ``start``, the first iterate at the unknown
 nodes on the solve's own grid (the boundary data always come from the
-problem), and a field-valued rhs: a RadialField is interpolated at all nodes
-in one call, a Field2D on the solve's grid is read at its interior nodes.
-Every sweep solves its sparse system through ``_spsolve``, which keeps the
-last matrix and, when that matrix comes again right away, its LU
-factorization: a warm start whose first sweep repeats the previous solve's
-last policy reuses that factorization.
+problem), and a field-valued rhs: a RadialField spanning the nodes is
+interpolated at all of them in one call, a Field2D on the solve's grid is
+read at its interior nodes.  Callable data are called once per node, None
+data are zero.  Every sweep solves its sparse system through ``_spsolve``,
+which keeps the last matrix and, when that matrix comes again right away,
+its LU factorization: a warm start whose first sweep repeats the previous
+solve's last policy reuses that factorization.
+
+``fundamental_profile`` samples the min and max of a solution over 33
+spheres of radius s in [2, 8] in one pass and fits A s^-a + B to each by a
+bounded Brent search over a, each step a closed-form least-squares line in
+s^-a; a max profile equal to the min one (always so when radial) reuses the
+min fit.  log_case: the line A + B log s fits as well (to 1e-9) or a < 0.05.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -137,6 +143,14 @@ def _checked_start(start, shape):
     return start
 
 
+def _data(fn, *coords):
+    """fn at the points of the coordinate lists, as the problem's ``rhs_at``
+    or ``boundary_at`` gives it, in one float array (zeros for fn None)."""
+    if fn is None:
+        return np.zeros(len(coords[0]))
+    return np.array([fn(*p) for p in zip(*coords)], dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # domains and problems
 
@@ -186,10 +200,12 @@ class Rectangle:
 class DirichletProblem:
     """F(D^2 u) = rhs in the domain, u = boundary on its boundary.
 
-    rhs and boundary take a radius for radial domains and (x, y) for 2D.
-    rhs may also be a field: a RadialField, read by interpolation, or a
-    Field2D on the 2D solve's own grid, read at its nodes.  ``exact`` is an
-    optional oracle used by convergence studies only.
+    rhs and boundary take a radius for radial domains and (x, y) for 2D,
+    except the boundary of a 2D annulus, which takes the radius of the
+    boundary circle nearest the node.  None means zero.  rhs may also be a
+    field: a RadialField spanning the solve's nodes, read by interpolation,
+    or a Field2D on the 2D solve's own grid, read at its nodes.  ``exact`` is
+    an optional oracle used by convergence studies only.
     """
 
     domain: object
@@ -239,13 +255,7 @@ class RadialField:
         return np.interp(r, self.nodes, self.values)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        meta = " ".join(f"{k}={v}" for k, v in sorted(self.meta.items()))
-        buf.write(f"# {meta}\n")
-        buf.write("r,u\n")
-        for r, u in zip(self.nodes, self.values):
-            buf.write(f"{float(r)!r},{float(u)!r}\n")
-        return buf.getvalue()
+        return _csv(self.meta, "r,u", self.nodes, self.values)
 
 
 @dataclass(frozen=True)
@@ -261,34 +271,38 @@ class Field2D:
         return self.x0 + i * self.h, self.y0 + j * self.h
 
     def interp(self, x, y):
-        """Bilinear interpolation; points on the closed grid edge are allowed."""
+        """Bilinear interpolation at a point or at arrays of points; points on
+        the closed grid edge are allowed."""
         nx, ny = self.values.shape
-        gi = (x - self.x0) / self.h
-        gj = (y - self.y0) / self.h
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), y)
+        gi, gj = (x - self.x0) / self.h, (y - self.y0) / self.h
         slack = 1e-9
-        if not (-slack <= gi <= nx - 1 + slack and -slack <= gj <= ny - 1 + slack):
-            raise ValueError(f"point ({x!r}, {y!r}) lies outside the grid")
-        i = min(max(int(np.floor(gi)), 0), nx - 2)
-        j = min(max(int(np.floor(gj)), 0), ny - 2)
+        off = ~((-slack <= gi) & (gi <= nx - 1 + slack)
+                & (-slack <= gj) & (gj <= ny - 1 + slack))
+        if off.any():
+            k = off.argmax()
+            raise ValueError(f"point {(x.flat[k].item(), y.flat[k].item())} "
+                             "lies outside the grid")
+        i = np.clip(np.floor(gi).astype(np.intp), 0, nx - 2)
+        j = np.clip(np.floor(gj).astype(np.intp), 0, ny - 2)
         fx, fy = gi - i, gj - j
         v = self.values
         return ((1 - fx) * (1 - fy) * v[i, j] + fx * (1 - fy) * v[i + 1, j]
                 + (1 - fx) * fy * v[i, j + 1] + fx * fy * v[i + 1, j + 1])
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        meta = " ".join(f"{k}={v}" for k, v in sorted(self.meta.items()))
-        buf.write(f"# {meta}\n")
-        buf.write("x,y,u\n")
-        nx, ny = self.values.shape
-        for i in range(nx):
-            for j in range(ny):
-                v = self.values[i, j]
-                if np.isnan(v):
-                    continue
-                x, y = self.xy(i, j)
-                buf.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")
-        return buf.getvalue()
+        """One row per node in the domain (not NaN), in row-major order."""
+        i, j = np.nonzero(~np.isnan(self.values))
+        return _csv(self.meta, "x,y,u", *self.xy(i, j), self.values[i, j])
+
+
+def _csv(meta, header, *columns):
+    """A '# key=value ...' meta line, the header and one row per entry of the
+    equal-length float columns, each value as its shortest round-trip repr."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())),
+             header, *(",".join(map(repr, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +422,19 @@ def _radial_rhs(problem, r):
 
     The centre value is taken just off r = 0, where f may be singular.  A
     RadialField rhs is interpolated in one call; at its own nodes that gives
-    the node values.
+    the node values.  It must span the points (to 1e-12 relative), since
+    interpolation would hold its end values beyond them.
     """
     pts = r[1:-1]
     if isinstance(problem.domain, Ball):
         pts = np.append(pts, r[1] * 1e-8 if r[0] == 0 else r[0])
-    if isinstance(problem.rhs, RadialField):
-        return problem.rhs(pts)
-    return np.array([problem.rhs_at(ri) for ri in pts])
+    f = problem.rhs
+    if isinstance(f, RadialField):
+        lo, hi = f.nodes[[0, -1]] * (1.0 - 1e-12, 1.0 + 1e-12)
+        if pts.min() < lo or pts.max() > hi:
+            raise ValueError("rhs field is not on the solve's grid")
+        return f(pts)
+    return _data(f, pts.tolist())
 
 
 def _radial_residual(f_op, n, u, h, r, spacing, rhs, is_ball, controls):
@@ -447,20 +466,14 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
     controls = _radial_controls(f_op)
 
     rhs_all = _radial_rhs(problem, r)
-    if is_ball:
-        g1 = problem.boundary_at(r[-1])
-        # unknowns: nodes 0..cells-1 (center included), fixed at outer boundary
-        u = np.full(cells + 1, g1)
-    else:
-        g0 = problem.boundary_at(r[0])
-        g1 = problem.boundary_at(r[-1])
-        t = np.log(r) if spacing == "log" else r
-        u = g0 + (g1 - g0) * (t - t[0]) / (t[-1] - t[0])
-
-    scale = 1.0 + np.abs(rhs_all).max(initial=0.0) + abs(g1)
-    if not is_ball:
-        scale += abs(g0)
-    tol = RESIDUAL_TOL * scale
+    g1 = problem.boundary_at(r[-1])
+    g0 = g1 if is_ball else problem.boundary_at(r[0])
+    t = np.log(r) if spacing == "log" else r
+    # a ball's unknowns are nodes 0..cells-1 (centre included)
+    u = (np.full(cells + 1, g1) if is_ball
+         else g0 + (g1 - g0) * (t - t[0]) / (t[-1] - t[0]))
+    tol = RESIDUAL_TOL * (1.0 + np.abs(rhs_all).max(initial=0.0) + abs(g1)
+                          + (0.0 if is_ball else abs(g0)))
     unknown = slice(0 if is_ball else 1, -1)
     if start is not None:
         u[unknown] = _checked_start(start, u.shape)[unknown]
@@ -675,9 +688,9 @@ def _window(mask):
 
 
 def _at_nodes(fn, mask, x0, y0, h):
-    """fn(x, y) at every node of ``mask``, in row-major order."""
-    return np.array([fn(x0 + i * h, y0 + j * h)
-                     for i, j in np.argwhere(mask).tolist()], dtype=float)
+    """fn(x, y) at every node of ``mask``, in row-major order (see _data)."""
+    i, j = np.nonzero(mask)
+    return _data(fn, (x0 + i * h).tolist(), (y0 + j * h).tolist())
 
 
 @dataclass
@@ -715,7 +728,7 @@ class _Grid2D:
             interior = np.zeros((nx, ny), dtype=bool)
             interior[1:-1, 1:-1] = True
             bvals = np.full((nx, ny), np.nan)
-            bvals[~interior] = _at_nodes(problem.boundary_at, ~interior, x0, y0, h)
+            bvals[~interior] = _at_nodes(problem.boundary, ~interior, x0, y0, h)
         elif isinstance(dom, Annulus):
             half = int(math.ceil(dom.r1 / h)) + 2
             x0 = y0 = -half * h
@@ -728,7 +741,7 @@ class _Grid2D:
             # project to the nearest circle of the annulus boundary
             rb = np.where(np.abs(rad - dom.r0) < np.abs(rad - dom.r1), dom.r0, dom.r1)
             bvals = np.full(interior.shape, np.nan)
-            bvals[ring] = [problem.boundary_at(r) for r in rb[ring].tolist()]
+            bvals[ring] = _data(problem.boundary, rb[ring].tolist())
         else:
             raise ValueError("2D solver needs a rectangle or annulus domain")
         return cls(h=h, x0=x0, y0=y0, interior=interior, boundary_values=bvals)
@@ -741,7 +754,7 @@ class _Grid2D:
                     self.h, self.x0, self.y0, self.interior.shape):
                 raise ValueError("rhs field is not on the solve's grid")
             return f.values[self.interior]
-        return _at_nodes(problem.rhs_at, self.interior, self.x0, self.y0, self.h)
+        return _at_nodes(f, self.interior, self.x0, self.y0, self.h)
 
 
 def solve_dirichlet_2d(f_op: EllipticOperator, problem: DirichletProblem,
@@ -810,20 +823,27 @@ class FundamentalProfile:
     fit_report: dict
 
 
-def _sphere_extrema(fld, sigma):
+def _sphere_extrema(fld, sig):
+    """(min, max) profiles of the field over the spheres of radii sig; 2D
+    samples off the computational domain (NaN) are skipped."""
     if isinstance(fld, RadialField):
-        v = float(fld(sigma))
+        v = fld(sig)
         return v, v
-    vals = [fld.interp(sigma * math.cos(th), sigma * math.sin(th))
-            for th in np.linspace(0, 2 * math.pi, 128, endpoint=False)]
-    return float(min(vals)), float(max(vals))
+    th = np.linspace(0, 2 * math.pi, 128, endpoint=False).tolist()
+    cos, sin = (np.array([f(t) for t in th]) for f in (math.cos, math.sin))
+    vals = fld.interp(sig[:, None] * cos, sig[:, None] * sin)
+    return np.nanmin(vals, axis=1), np.nanmax(vals, axis=1)
 
 
-def _power_fit(sig, m, alpha):
-    basis = np.column_stack([sig ** (-alpha), np.ones_like(sig)])
-    coef, *_ = np.linalg.lstsq(basis, m, rcond=None)
-    resid = m - basis @ coef
-    return coef, float(np.sqrt(np.mean(resid ** 2)))
+def _line_fit(x, m):
+    """Least squares m ~ c0 x + c1 in closed form: ((c0, c1), rms residual),
+    from centered sums, with the residual vector formed explicitly so that
+    the rms loses no digits to cancellation."""
+    xbar, mbar = x.sum() / x.size, m.sum() / m.size     # np.mean, less its overhead
+    xc, mc = x - xbar, m - mbar
+    c0 = xc @ mc / (xc @ xc)
+    r = mc - c0 * xc
+    return (c0, mbar - c0 * xbar), math.sqrt((r * r).sum() / r.size)
 
 
 def fundamental_profile(f_op: EllipticOperator, n: int, cells: int = 512,
@@ -836,46 +856,32 @@ def fundamental_profile(f_op: EllipticOperator, n: int, cells: int = 512,
     """
     if outer_radius < 16.0:
         raise ValueError("outer radius must be at least 16")
-    dom = Annulus(1.0, outer_radius)
     problem = DirichletProblem(
-        domain=dom, n=n, rhs=None,
-        boundary=lambda r: 1.0 if abs(r - 1.0) < abs(r - outer_radius) else 0.0,
-    )
-    if f_op.rot_invariant:
-        fld = solve_dirichlet_radial(f_op, n, problem, cells)
-    else:
-        if n != 2 or f_op.dim != 2:
-            raise ValueError("grid path only available for n = 2")
-        fld = solve_dirichlet_2d(f_op, problem, h=outer_radius / (cells / 4))
+        domain=Annulus(1.0, outer_radius), n=n,
+        boundary=lambda r: 1.0 if abs(r - 1.0) < abs(r - outer_radius) else 0.0)
+    if not f_op.rot_invariant and (n != 2 or f_op.dim != 2):
+        raise ValueError("grid path only available for n = 2")
+    fld = (solve_dirichlet_radial(f_op, n, problem, cells) if f_op.rot_invariant
+           else solve_dirichlet_2d(f_op, problem, h=outer_radius / (cells / 4)))
 
     sig = np.geomspace(2.0, 8.0, 33)
-    mins, maxs = map(np.asarray, zip(*(_sphere_extrema(fld, s) for s in sig)))
-
+    mins, maxs = _sphere_extrema(fld, sig)
     lo, hi = alpha_bracket(f_op, n)
     from scipy.optimize import minimize_scalar
-    bound_lo, bound_hi = 1e-3, max(hi, 0.5) + 2.0
 
-    def rss(alpha):
-        return _power_fit(sig, mins, alpha)[1]
+    def power_fit(m):
+        return minimize_scalar(lambda a: _line_fit(sig ** (-a), m)[1],
+                               bounds=(1e-3, max(hi, 0.5) + 2.0),
+                               method="bounded", options={"xatol": 1e-10})
 
-    opt = minimize_scalar(rss, bounds=(bound_lo, bound_hi), method="bounded",
-                          options={"xatol": 1e-10})
-    alpha_fit = float(opt.x)
-    rss_power = float(opt.fun)
+    opt = power_fit(mins)
+    alpha_fit, rss_power = float(opt.x), float(opt.fun)
+    rss_log = _line_fit(np.log(sig), mins)[1]
+    log_case = rss_log <= rss_power * (1.0 + 1e-9) or alpha_fit < 0.05
+    alpha_fit = 0.0 if alpha_fit < 0.05 else alpha_fit
 
-    basis_log = np.column_stack([np.ones_like(sig), np.log(sig)])
-    coef_log, *_ = np.linalg.lstsq(basis_log, mins, rcond=None)
-    rss_log = float(np.sqrt(np.mean((mins - basis_log @ coef_log) ** 2)))
-
-    log_case = (rss_log <= rss_power * (1.0 + 1e-9)) or alpha_fit < 0.05
-    if log_case:
-        alpha_fit = 0.0 if alpha_fit < 0.05 else alpha_fit
-
-    # max-based fit for the spread report (agrees with the min-based fit for
-    # rotationally invariant operators; tolerance-checked by callers)
-    opt_max = minimize_scalar(lambda a: _power_fit(sig, maxs, a)[1],
-                              bounds=(bound_lo, bound_hi), method="bounded",
-                              options={"xatol": 1e-10})
+    # the max-based fit reports the spread over each sphere
+    opt_max = opt if np.array_equal(maxs, mins) else power_fit(maxs)
     report = {
         "rss_power": rss_power, "rss_log": rss_log,
         "alpha_min_fit": float(opt.x), "alpha_max_fit": float(opt_max.x),

@@ -19,7 +19,7 @@ from fnel.liouville import _signed_min_residual
 from fnel.matcore import LAPLACIAN, PUCCI_MAX, PUCCI_MIN
 from fnel.solver import (
     Field2D, NonMonotoneScheme, RadialField, _control_families, _evaluate_2d,
-    _Grid2D, _pattern_value, _pattern_weights, _radial_controls,
+    _Grid2D, _line_fit, _pattern_value, _pattern_weights, _radial_controls,
     _radial_entries, _radial_grid, _radial_rhs, _radial_system, _spsolve,
     _stencil_coefficients,
 )
@@ -449,6 +449,26 @@ class TestField2DInterp:
         with pytest.raises(ValueError, match="outside"):
             self.field().interp(x, y)
 
+    def test_arrays_match_the_scalar_form(self):
+        fld = self.field()
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(0.0, 1.0, (2, 200))
+        edge = np.array([0.0, 1.0, 0.5, 0.125, 1.0 + 1e-10, -1e-10])
+        x = np.concatenate([x, edge, np.full(6, 0.75), edge])
+        y = np.concatenate([y, np.full(6, 0.25), edge, edge[::-1]])
+        got = fld.interp(x, y)
+        assert got.shape == x.shape
+        want = [fld.interp(float(a), float(b)) for a, b in zip(x, y)]
+        assert np.array_equal(got, want)
+        assert np.array_equal(fld.interp(x[:, None], y[None, :5]),
+                              [[fld.interp(float(a), float(b)) for b in y[:5]]
+                               for a in x])
+
+    def test_arrays_outside_rejected(self):
+        x = np.array([[0.5, 0.25], [1.05, 0.0]])
+        with pytest.raises(ValueError, match=r"point \(1.05, 0.5\) lies outside"):
+            self.field().interp(x, np.full(x.shape, 0.5))
+
 
 class TestFundamentalProfile:
     def test_pucci_max_n3(self, pm3):
@@ -471,8 +491,35 @@ class TestFundamentalProfile:
     def test_min_max_fits_agree_for_rot_invariant(self, pm3):
         prof = fundamental_profile(pm3, 3, cells=512)
         rep = prof.fit_report
-        assert rep["alpha_min_fit"] == pytest.approx(rep["alpha_max_fit"],
-                                                     rel=1e-6)
+        assert rep["alpha_min_fit"] == rep["alpha_max_fit"]
+
+    @pytest.mark.parametrize("make,n,want", [
+        (lambda: pucci_max(1.0, 2.0, 3), 3, 3.000065982559387),
+        (lambda: laplacian(3), 3, 1.0000024408425265),
+    ], ids=["pucci_max", "laplacian"])
+    def test_fitted_alpha_pinned(self, make, n, want):
+        prof = fundamental_profile(make(), n, cells=512)
+        assert prof.fitted_alpha == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert prof.fit_report["alpha_max_fit"] == prof.fit_report["alpha_min_fit"]
+
+    def test_isaacs_2d_fits_pinned(self):
+        op = parse_operator_spec((SAMPLES / "isaacs_2d.json").read_text())
+        rep = fundamental_profile(op, 2, cells=128).fit_report
+        assert rep["alpha_min_fit"] == pytest.approx(0.3454815476584815, abs=1e-9)
+        assert rep["alpha_max_fit"] == pytest.approx(0.16232212519357656, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [None, 0.3, 1.7])
+    def test_line_fit_matches_lstsq(self, alpha):
+        sig = np.geomspace(2.0, 8.0, 33)
+        x = np.log(sig) if alpha is None else sig ** (-alpha)
+        noise = np.random.default_rng(11).standard_normal(sig.size)
+        m = 0.7 - 1.3 * x + 1e-3 * noise
+        basis = np.column_stack([x, np.ones_like(x)])
+        want, *_ = np.linalg.lstsq(basis, m, rcond=None)
+        want_rss = np.sqrt(np.mean((m - basis @ want) ** 2))
+        coef, rss = _line_fit(x, m)
+        assert np.allclose(coef, want, rtol=1e-12, atol=0.0)
+        assert rss == pytest.approx(want_rss, rel=1e-12, abs=0.0)
 
     def test_outer_radius_guard(self, pm3):
         with pytest.raises(ValueError):
@@ -799,6 +846,113 @@ class TestFieldRhs:
         with pytest.raises(ValueError, match="not on the solve's grid"):
             solve_dirichlet_2d(laplacian(2), replace(prob, rhs=replace(fld, **change)),
                                1.0 / 8)
+
+    @pytest.mark.parametrize("domain,span", [
+        (Annulus(1.0, 2.0), (1.0, 1.5)),      # short of the outer nodes
+        (Annulus(1.0, 2.0), (1.2, 2.0)),      # short of the inner nodes
+        (Ball(1.0), (0.0, 0.5)),
+        (Ball(1.0), (1e-3, 1.0)),             # misses the point near the centre
+    ])
+    def test_radial_field_short_of_the_nodes_raises(self, domain, span):
+        nodes = np.linspace(*span, 33)
+        fld = RadialField(n=3, nodes=nodes, values=nodes, spacing="linear")
+        prob = DirichletProblem(domain=domain, n=3, rhs=fld)
+        with pytest.raises(ValueError, match="not on the solve's grid"):
+            solve_dirichlet_radial(laplacian(3), 3, prob, 64)
+
+    @pytest.mark.parametrize("short,ok", [(1e-13, True), (1e-11, False)])
+    def test_radial_field_span_allows_rounding(self, short, ok):
+        # the field ends just below the last interior node of the solve
+        prob = DirichletProblem(domain=Annulus(1.0, 2.0), n=3)
+        r = _radial_grid(prob, 64)[0]
+        nodes = np.linspace(r[0], r[-2] * (1.0 - short), 40)
+        fld = RadialField(n=3, nodes=nodes, values=nodes, spacing="linear")
+        if ok:
+            assert np.array_equal(_radial_rhs(replace(prob, rhs=fld), r)[:-1],
+                                  r[1:-2])
+        else:
+            with pytest.raises(ValueError, match="not on the solve's grid"):
+                _radial_rhs(replace(prob, rhs=fld), r)
+
+
+def _per_node_rhs(problem, r):
+    """The radial rhs as one ``rhs_at`` call per node (a ball's centre last)."""
+    pts = list(r[1:-1])
+    if isinstance(problem.domain, Ball):
+        pts.append(r[1] * 1e-8)
+    return np.array([problem.rhs_at(x) for x in pts])
+
+
+def _per_node_2d(fn, mask, grid):
+    return np.array([fn(grid.x0 + i * grid.h, grid.y0 + j * grid.h)
+                     for i, j in np.argwhere(mask).tolist()])
+
+
+class TestProblemData:
+    """rhs and boundary values read in bulk equal the per-node wrappers."""
+
+    @pytest.mark.parametrize("domain,spacing", [
+        (Annulus(1.0, 16.0), "log"), (Annulus(0.5, 3.0), "linear"),
+        (Ball(2.0), "auto")])
+    def test_radial_rhs_is_the_per_node_rhs(self, domain, spacing):
+        seen = []
+
+        def rhs(r):
+            seen.append(type(r))
+            return math.cos(3.0 * r) / (0.1 + r) + r ** 2
+
+        prob = DirichletProblem(domain=domain, n=3, rhs=rhs, spacing=spacing)
+        r = _radial_grid(prob, 97)[0]
+        got = _radial_rhs(prob, r)
+        assert set(seen) == {float}
+        assert np.array_equal(got, _per_node_rhs(prob, r))
+
+    def test_rectangle_rhs_and_boundary_are_the_per_node_values(self):
+        prob = DirichletProblem(
+            domain=Rectangle(-1.0, 1.0, 0.0, 0.5), n=2,
+            rhs=lambda x, y: math.sin(x) * math.exp(y) + x / 3.0,
+            boundary=lambda x, y: x ** 2 - y / 7.0)
+        grid = _Grid2D.build(prob, 1.0 / 16)
+        assert np.array_equal(grid.rhs(prob),
+                              _per_node_2d(prob.rhs_at, grid.interior, grid))
+        edge = ~grid.interior
+        assert np.array_equal(grid.boundary_values[edge],
+                              _per_node_2d(prob.boundary_at, edge, grid))
+        assert np.isnan(grid.boundary_values[grid.interior]).all()
+
+    def test_annulus_2d_rhs_and_boundary_are_the_per_node_values(self):
+        dom = Annulus(1.0, 2.0)
+        prob = DirichletProblem(domain=dom, n=2,
+                                rhs=lambda x, y: math.hypot(x, y) / 3.0 + x * y,
+                                boundary=lambda r: 1.0 / r + 0.1)
+        grid = _Grid2D.build(prob, 1.0 / 8)
+        assert np.array_equal(grid.rhs(prob),
+                              _per_node_2d(prob.rhs_at, grid.interior, grid))
+        _, _, want = _annulus_reference(dom, 1.0 / 8, prob.boundary_at)
+        assert np.array_equal(grid.boundary_values, want, equal_nan=True)
+
+    @pytest.mark.parametrize("domain", [Annulus(1.0, 2.0), Ball(1.0),
+                                        Rectangle(0.0, 1.0, 0.0, 1.0)])
+    def test_none_data_are_zero_without_a_call(self, monkeypatch, domain):
+        def boom(self, *args):
+            raise AssertionError("per-node wrapper called")
+
+        monkeypatch.setattr(DirichletProblem, "rhs_at", boom)
+        prob = DirichletProblem(domain=domain, n=2)
+        if isinstance(domain, Rectangle):
+            monkeypatch.setattr(DirichletProblem, "boundary_at", boom)
+            grid = _Grid2D.build(prob, 1.0 / 8)
+            assert np.array_equal(grid.rhs(prob), np.zeros(grid.nodes.size))
+            assert not grid.boundary_values[~grid.interior].any()
+            return
+        r = _radial_grid(prob, 64)[0]
+        got = _radial_rhs(prob, r)
+        assert np.array_equal(got, np.zeros(r.size - 1 - (not isinstance(domain, Ball))))
+        if isinstance(domain, Annulus):
+            monkeypatch.setattr(DirichletProblem, "boundary_at", boom)
+            grid = _Grid2D.build(prob, 1.0 / 8)
+            ring = ~np.isnan(grid.boundary_values)
+            assert ring.any() and not grid.boundary_values[ring].any()
 
 
 def _counted_solves(monkeypatch):
