@@ -25,7 +25,6 @@ def main(argv=None):
     ap.add_argument("--p-min", type=float, default=1.05)
     ap.add_argument("--p-max", type=float, default=6.0)
     ap.add_argument("--p-count", type=int, default=40)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
 
@@ -39,7 +38,7 @@ def main(argv=None):
             "n": args.n_values,
         },
     }
-    csv_text, failed = run_sweep(config, jobs=args.jobs)
+    csv_text, failed = run_sweep(config)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)

@@ -7,14 +7,11 @@ written when possible), 3 invalid operator spec.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import io
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -30,6 +27,7 @@ EXIT_NUMERICAL = 2
 EXIT_BAD_SPEC = 3
 
 SWEEP_ROW_CAP = 10 ** 6
+BEND_BLOCK = 32  # in-regime bend rows per stacked call: bounds the matrix stack
 
 
 class _UsageError(Exception):
@@ -100,7 +98,6 @@ def build_parser():
         p.add_argument("--tol", type=float, default=1e-12)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         return p
 
@@ -160,8 +157,6 @@ def _cmd_critical_exponent(args, op, n):
 
 
 def _cmd_classify(args, op, n):
-    if args.p is None:
-        raise _UsageError("classify needs --p")
     v = scaling.classify(op, n, args.p, args.gamma)
     return {
         **_echo(args, op),
@@ -174,8 +169,6 @@ def _cmd_classify(args, op, n):
 
 
 def _cmd_constant(args, op, n):
-    if args.p is None:
-        raise _UsageError("constant needs --p")
     c = scaling.explicit_constant(op, n, args.p, args.gamma)
     return {
         **_echo(args, op),
@@ -229,49 +222,36 @@ def _cmd_fundamental(args, op, n):
     return payload, prof.field.to_csv()
 
 
+def _curve_csv(comment, header, curve):
+    """A '# ...' comment line, the header and one ``repr`` row per (x, y) pair."""
+    return f"# {comment}\n{header}\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in curve)
+
+
 def _cmd_hadamard(args, op, n):
-    rep = scaling.alpha_star(op, n)
-    a = rep.alpha_star
-
-    def bc(r):
-        return scaling.xi_alpha(a, r)
-
-    problem = DirichletProblem(domain=Annulus(1.0, 2.0), n=n, boundary=bc)
+    a = scaling.alpha_star(op, n).alpha_star
+    problem = DirichletProblem(domain=Annulus(1.0, 2.0), n=n,
+                               boundary=lambda r: scaling.xi_alpha(a, r))
     fld = solver.solve_dirichlet_radial(op, n, problem, args.cells)
     report = liouville.hadamard_check(op, fld)
     curve = liouville.sphere_min_curve(fld, fld.nodes[:: max(1, args.cells // 64)])
-    buf = io.StringIO()
-    buf.write(f"# operator_digest={operator_digest(op)} alpha_star={a!r}\n")
-    buf.write("r,m\n")
-    for r, m in curve:
-        buf.write(f"{float(r)!r},{float(m)!r}\n")
-    return {**_echo(args, op), **report}, buf.getvalue()
+    return {**_echo(args, op), **report}, _curve_csv(
+        f"operator_digest={operator_digest(op)} alpha_star={a!r}", "r,m", curve)
 
 
 def _cmd_certificate(args, op, n):
-    if args.p is None:
-        raise _UsageError("certificate needs --p")
     rep = liouville.nonexistence_certificate(
         op, n, args.p, args.gamma, args.c, args.sigma_max, cells=args.cells)
     curve = rep.pop("curve")
-    buf = io.StringIO()
-    buf.write(f"# operator_digest={operator_digest(op)}\n")
-    buf.write("sigma,mu\n")
-    for s, m in curve:
-        buf.write(f"{float(s)!r},{float(m)!r}\n")
-    return {**_echo(args, op), **rep}, buf.getvalue()
+    return {**_echo(args, op), **rep}, _curve_csv(
+        f"operator_digest={operator_digest(op)}", "sigma,mu", curve)
 
 
 def _cmd_bend(args, op, n):
-    if args.p is None:
-        raise _UsageError("bend needs --p")
     tau, c, rep = liouville.bend_fundamental(op, n, args.p, args.gamma)
     return {**_echo(args, op), "tau": tau, "c": c, **rep}, None
 
 
 def _cmd_truncate(args, op, n):
-    if args.p is None:
-        raise _UsageError("truncate needs --p")
     patch = liouville.build_global_supersolution(op, n, args.p, args.gamma,
                                                  cells=args.cells)
     return {
@@ -287,8 +267,6 @@ def _cmd_truncate(args, op, n):
 
 
 def _cmd_fixed_point(args, op, n):
-    if args.p is None:
-        raise _UsageError("fixed-point needs --p")
     profile, r_bar, rep = liouville.fixed_point(op, n, args.p)
     return {
         **_echo(args, op),
@@ -301,8 +279,6 @@ def _cmd_fixed_point(args, op, n):
 
 
 def _cmd_hypothesis(args, op, n):
-    if args.p is None:
-        raise _UsageError("hypothesis needs --p")
     try:
         c0, g, pw = (float(v) for v in args.power.split(":"))
     except ValueError as exc:
@@ -335,6 +311,8 @@ _HANDLERS = {
     "hypothesis": _cmd_hypothesis,
 }
 
+_NEEDS_P = {"classify", "constant", "certificate", "bend", "truncate", "fixed-point", "hypothesis"}
+
 
 # ---------------------------------------------------------------------------
 # sweeps
@@ -361,15 +339,29 @@ def _attempt(fn, *args):
         return _RowError(f"{type(exc).__name__}: {exc}")
 
 
-def _operator_rows(command, op, exps, mapper):
+def _bend_rows(op, exps, rep):
+    """``bend`` columns: rows with 0 < beta* < alpha* from stacked calls of
+    BEND_BLOCK rows; the other rows, and those of a block that raises, take
+    the scalar path, which names each row's own error."""
+    inside = [] if isinstance(rep, _RowError) else [
+        i for i, e in enumerate(exps) if not isinstance(e[3], _RowError) and 0.0 < e[3] < rep.alpha_star]
+    done = {}
+    for k in range(0, len(inside), BEND_BLOCK):
+        block = inside[k:k + BEND_BLOCK]
+        ps, gammas = np.array([exps[i][1:3] for i in block], dtype=float).T
+        out = _attempt(liouville.bend_fundamental, op, op.dim, ps, gammas)
+        if not isinstance(out, _RowError):
+            done.update(zip(block, zip(out[0].tolist(), out[1].tolist())))
+    rows = [done.get(i) or _attempt(liouville.bend_fundamental, op, op.dim, p, gamma)
+            for i, (_, p, gamma, _, _) in enumerate(exps)]
+    return [r if isinstance(r, _RowError) else f"{r[0]},{r[1]}" for r in rows]
+
+
+def _operator_rows(command, op, exps):
     """Result columns of one operator's rows as CSV text, or a _RowError; one
     per ``exps`` entry (axis text, p, gamma, beta* or its _RowError, str(beta*))."""
     if isinstance(op, _RowError):
         return [op] * len(exps)
-    if command == "bend":
-        out = mapper(_attempt, itertools.repeat(liouville.bend_fundamental), itertools.repeat(op),
-                     itertools.repeat(op.dim), [e[1] for e in exps], [e[2] for e in exps])
-        return [r if isinstance(r, _RowError) else f"{r[0]},{r[1]}" for r in out]
     if command == "constant":
         # K at every beta* in one stacked call; rows it misses take the scalar path
         betas = [e[3] for e in exps if not isinstance(e[3], _RowError)]
@@ -384,6 +376,8 @@ def _operator_rows(command, op, exps, mapper):
             rows.append(c if isinstance(c, _RowError) else f"{'NONE' if c is None else c},{b_text}")
         return rows
     rep = _attempt(scaling.alpha_star, op, op.dim)
+    if command == "bend":
+        return _bend_rows(op, exps, rep)
     if command == "classify":  # operator error > beta_star error > alpha_star error
         a = rep if isinstance(rep, _RowError) else rep.alpha_star
         a_text = str(a)
@@ -396,11 +390,14 @@ def _operator_rows(command, op, exps, mapper):
 
 
 def run_sweep(config: dict, jobs: int = 1) -> tuple:
-    """Execute a sweep; returns (csv_text, any_row_failed).
+    """Execute a sweep in this process; returns (csv_text, any_row_failed).
 
     Rows run over the axis product in ``SWEEP_AXES`` order.  Each distinct
     operator (lambda, Lambda, n) is built and its alpha* found once, beta* once
-    per (p, gamma); only ``bend`` works per row, and only it uses ``jobs``.
+    per (p, gamma); ``constant`` takes an operator's K values from one stacked
+    call, and ``bend`` its in-regime rows from stacked blocks.  ``jobs`` is
+    ignored: the benchmark harness (perfbench/workloads.py) still passes it,
+    and the keyword goes with the next change to that harness.
     """
     if not isinstance(config, dict):
         raise _UsageError("sweep config must be a JSON object")
@@ -430,20 +427,17 @@ def run_sweep(config: dict, jobs: int = 1) -> tuple:
         b = _attempt(scaling.beta_star, p, gamma)
         exps.append((text, p, gamma, b, str(b)))
     built, ops, failed = {}, [], False
-    pooled = command == "bend" and jobs > 1 and total > 1
-    with ProcessPoolExecutor(jobs) if pooled else contextlib.nullcontext() as pool:
-        for text, prm in product(SWEEP_AXES[2:]):
-            lam = prm.get("lambda", 1.0)
-            spec = json.dumps({"n": prm.get("n", 3), "kind": kind, "lambda": lam,
-                               "Lambda": prm.get("Lambda", lam)}, default=_json_default)
-            if spec not in built:
-                rows = _operator_rows(command, _attempt(parse_operator_spec, spec),
-                                      exps, pool.map if pooled else map)
-                failed = failed or any(isinstance(v, _RowError) for v in rows)
-                built[spec] = ["," * len(SWEEP_COLUMNS[command]) + v
-                               if isinstance(v, _RowError) else v + ","
-                               for v in rows]
-            ops.append((text, built[spec]))
+    for text, prm in product(SWEEP_AXES[2:]):
+        lam = prm.get("lambda", 1.0)
+        spec = json.dumps({"n": prm.get("n", 3), "kind": kind, "lambda": lam,
+                           "Lambda": prm.get("Lambda", lam)}, default=_json_default)
+        if spec not in built:
+            rows = _operator_rows(command, _attempt(parse_operator_spec, spec), exps)
+            failed = failed or any(isinstance(v, _RowError) for v in rows)
+            built[spec] = ["," * len(SWEEP_COLUMNS[command]) + v
+                           if isinstance(v, _RowError) else v + ","
+                           for v in rows]
+        ops.append((text, built[spec]))
     buf = io.StringIO()
     buf.write(",".join(SWEEP_AXES + SWEEP_COLUMNS[command] + ("error",)) + "\n")
     for i, (text, *_) in enumerate(exps):
@@ -460,10 +454,7 @@ def _cmd_sweep(args):
         raise _UsageError(f"cannot read sweep config: {exc}")
     except json.JSONDecodeError as exc:
         raise _UsageError(f"malformed sweep config: {exc}")
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("FNEL_JOBS", os.cpu_count() or 1))
-    csv_text, failed = run_sweep(config, jobs)
+    csv_text, failed = run_sweep(config)
     out_path = args.out or config.get("output")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -493,6 +484,8 @@ def main(argv=None) -> int:
             print(f"usage error: --n {n} does not match operator dim {op.dim}",
                   file=sys.stderr)
             return EXIT_USAGE
+        if args.command in _NEEDS_P and args.p is None:
+            raise _UsageError(f"{args.command} needs --p")
         payload, csv_text = _HANDLERS[args.command](args, op, n)
         _emit(args, payload, csv_text)
         return EXIT_OK

@@ -22,7 +22,7 @@ from .scaling import (
 )
 from .solver import (
     Annulus, Ball, DirichletProblem, Field2D, RadialField,
-    solve_dirichlet_radial,
+    _sphere_extrema, solve_dirichlet_radial,
 )
 from .spectral import principal_eigenvalue
 
@@ -126,16 +126,10 @@ def rescale(obj, sigma: float, beta: float):
 
 
 def sphere_min_curve(fld, radii):
-    """Samples of m(r) = min over the sphere of radius r."""
-    out = []
-    for r in radii:
-        if isinstance(fld, RadialField):
-            out.append((float(r), float(fld(r))))
-        else:
-            vals = [fld.interp(r * math.cos(t), r * math.sin(t))
-                    for t in np.linspace(0, 2 * math.pi, 128, endpoint=False)]
-            out.append((float(r), float(min(vals))))
-    return out
+    """Samples (r, m(r)) of m(r) = min over the sphere of radius r; on a
+    Field2D, sphere samples off the computational domain (NaN) are skipped."""
+    radii = np.asarray(radii, dtype=float)
+    return list(zip(radii.tolist(), _sphere_extrema(fld, radii)[0].tolist()))
 
 
 def hadamard_check(f_op: EllipticOperator, fld: RadialField,
@@ -191,13 +185,8 @@ def fit_lower_bound(fld, alpha: float) -> float:
     if isinstance(fld, RadialField):
         pairs = list(zip(fld.nodes, fld.values))
     else:
-        pairs = []
-        nx, ny = fld.values.shape
-        for i in range(nx):
-            for j in range(ny):
-                if fld.interior[i, j]:
-                    x, y = fld.xy(i, j)
-                    pairs.append((math.hypot(x, y), fld.values[i, j]))
+        pairs = [(math.hypot(*fld.xy(i, j)), fld.values[i, j])
+                 for i, j in zip(*np.nonzero(fld.interior))]
     if min(v for _, v in pairs) <= 0:
         raise ValueError("field must be positive")
     return float(min(v * r ** alpha for r, v in pairs))
@@ -284,30 +273,43 @@ def critical_log_check(f_op: EllipticOperator, n: int) -> dict:
 # bending and truncation
 
 
-def bend_fundamental(f_op: EllipticOperator, n: int, p: float,
-                     gamma: float = 0.0) -> tuple:
+def _bend_samples(b, p, gamma):
+    """g', g'' and r^{-gamma} g^p of g = r^{-b} on the log grid, from scalar
+    exponents: numpy's ``r ** e`` takes another path for an array of e."""
+    r = LOG_GRID
+    return -b * r ** (-b - 1.0), b * (b + 1.0) * r ** (-b - 2.0), r ** (-gamma) * (r ** (-b)) ** p
+
+
+def bend_fundamental(f_op: EllipticOperator, n: int, p, gamma=0.0) -> tuple:
     """Power of the fundamental solution as an explicit supersolution.
 
     Returns (tau, c, report): tau = beta*/alpha* in (0,1), v = r^{-beta*},
     and the largest c with F(D^2 v) >= c r^{-gamma} v^p on the log grid.
+    Arrays of p and gamma broadcast: alpha* is found once, one stacked
+    operator call covers every entry, and tau, c and the report's beta_star,
+    K_at_beta_star and ratio_spread hold each entry's scalar-call value.
     """
     if not f_op.rot_invariant:
         raise ValueError("bending needs a rotationally invariant operator")
     a = alpha_star(f_op, n).alpha_star
-    b = beta_star(p, gamma)
-    if not (0.0 < b < a):
-        raise WrongRegime(f"requires 0 < beta*={b:.4g} < alpha*={a:.4g}")
-    tau = b / a
-    r = LOG_GRID
-    lhs = eval_operator(f_op, radial_hessian(n, -b * r ** (-b - 1.0),
-                                             b * (b + 1.0) * r ** (-b - 2.0), r))
-    ratios = lhs / (r ** (-gamma) * (r ** (-b)) ** p)
-    c = float(ratios.min())
+    shape = np.broadcast_shapes(np.shape(p), np.shape(gamma))
+    entries = list(zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in (p, gamma))))
+    bs = [beta_star(*e) for e in entries]
+    b = np.reshape(bs, shape)
+    outside = ~((0.0 < b) & (b < a))
+    if outside.any():  # names the first entry outside the regime
+        raise WrongRegime(f"requires 0 < beta*={b[outside][0]:.4g} < alpha*={a:.4g}")
+    samples = [_bend_samples(bi, pi, gi) for bi, (pi, gi) in zip(bs, entries)]
+    g1, g2, rhs = np.moveaxis(np.reshape(samples, shape + (3, LOG_GRID.size)), -2, 0)
+    ratios = eval_operator(f_op, radial_hessian(n, g1, g2, LOG_GRID)) / rhs
+    tau, c, spread = b / a, ratios.min(axis=-1), np.ptp(ratios, axis=-1)
+    if not b.ndim:
+        b, tau, c, spread = float(b), float(tau), float(c), float(spread)
     report = {
         "tau": tau, "c": c, "beta_star": b, "alpha_star": a,
         "K_at_beta_star": K_coefficient(f_op, n, b),
         "grid": (float(LOG_GRID[0]), float(LOG_GRID[-1]), len(LOG_GRID)),
-        "ratio_spread": float(ratios.max() - ratios.min()),
+        "ratio_spread": spread,
     }
     return tau, c, report
 
@@ -583,18 +585,13 @@ def fixed_point(f_op: EllipticOperator, n: int, p: float,
         psi = _newton_solve(full_residual, psi, tol=1e-10)
         profile = HomogeneousProfile(beta=b, n=n, angular=psi)
         resid = float(np.abs(_angular_residual(f_op, psi, b, psi ** p)).max())
-        k_eff = k if k is not None else None
     else:
         c_star, iters = scalar_fixed_point_newton(k, p, 1.0)
         profile = HomogeneousProfile(beta=b, n=n, constant=c_star)
         # symbolic radial residual of F(D^2(c r^{-b})) - (c r^{-b})^p
         resid = abs(c_star * k - c_star ** p)
-        k_eff = k
 
-    if k_eff is None:
-        r_bar = 0.0
-    else:
-        r_bar = inner_validity_radius(k_eff, p)
+    r_bar = 0.0 if k is None else inner_validity_radius(k, p)
     if profile.norm() <= r_bar:
         raise RuntimeError(
             f"fixed point violates the inner-radius bound: "

@@ -19,7 +19,7 @@ from fnel.liouville import (
     scalar_fixed_point_newton,
 )
 from fnel.scaling import K_coefficient, beta_star
-from fnel.solver import RadialField
+from fnel.solver import Field2D, RadialField
 
 PI2 = math.pi ** 2
 
@@ -94,6 +94,26 @@ class TestHadamard:
                           spacing="log")
         with pytest.raises(NotSuperharmonic):
             hadamard_check(lap3, fld)
+
+
+class TestSphereMinCurve:
+    """The sampled sphere minima against one scalar sample at a time."""
+
+    def test_radial_field_matches_pointwise(self, lap3):
+        fld = harmonic_field(lap3, 3, lambda r: 1.0 / r)
+        radii = fld.nodes[::7]
+        assert sphere_min_curve(fld, radii) == [(float(r), float(fld(r))) for r in radii]
+
+    def test_field2d_matches_pointwise(self):
+        rng = np.random.default_rng(3)
+        fld = Field2D(h=0.25, x0=-2.0, y0=-2.0, values=rng.normal(size=(17, 17)),
+                      interior=np.ones((17, 17), dtype=bool))
+        radii = np.linspace(0.1, 1.9, 9)
+        thetas = np.linspace(0, 2 * math.pi, 128, endpoint=False)
+        want = [(float(r), float(min(fld.interp(r * math.cos(t), r * math.sin(t))
+                                     for t in thetas)))
+                for r in radii]
+        assert sphere_min_curve(fld, radii) == want
 
 
 class TestFitLowerBound:
@@ -204,6 +224,33 @@ class TestBend:
     def test_wrong_regime(self, lap3):
         with pytest.raises(WrongRegime):
             bend_fundamental(lap3, 3, 2.0, 0.0)
+
+    def test_scalar_call_gives_floats(self, pm3):
+        tau, c, rep = bend_fundamental(pm3, 3, 2.0, 0.0)
+        assert all(type(v) is float for v in (tau, c, rep["beta_star"],
+                                              rep["K_at_beta_star"], rep["ratio_spread"]))
+
+    @pytest.mark.parametrize("op", [laplacian(5), pucci_max(1.0, 2.0, 3),
+                                    pucci_min(1.0, 1.2, 6)], ids=lambda op: op.kind)
+    def test_array_entries_match_scalar_calls(self, op):
+        # p = 2, 3 and gamma = 1, -0.5 give exponents 2, -1 and 0.5, which
+        # numpy's power takes by another path for a scalar than for an array
+        ps = np.array([[2.0, 3.0, 4.0], [5.0, 6.5, 9.0]])
+        gammas = np.array([0.0, 1.0, -0.5])
+        tau, c, rep = bend_fundamental(op, op.dim, ps, gammas)
+        assert tau.shape == c.shape == rep["ratio_spread"].shape == ps.shape
+        for i, j in np.ndindex(ps.shape):
+            t1, c1, rep1 = bend_fundamental(op, op.dim, float(ps[i, j]), float(gammas[j]))
+            assert (tau[i, j], c[i, j]) == (t1, c1)
+            for key in ("beta_star", "K_at_beta_star", "ratio_spread"):
+                assert rep[key][i, j] == rep1[key]
+            assert rep["alpha_star"] == rep1["alpha_star"]
+
+    def test_array_wrong_regime_names_first_entry(self, lap3):
+        with pytest.raises(WrongRegime, match=r"beta\*=2 < alpha\*=1$"):
+            bend_fundamental(lap3, 3, np.array([5.0, 2.0, 1.5]), 0.0)
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            bend_fundamental(lap3, 3, np.array([5.0, 0.5]), 0.0)
 
 
 class TestGlobalSupersolution:

@@ -210,9 +210,15 @@ class TestGoldenSamples:
 
     def test_sweep_output_reproduces(self):
         config = json.loads((self.SAMPLES / "sweep_classify.json").read_text())
-        csv_text, failed = run_sweep(config, jobs=1)
+        csv_text, failed = run_sweep(config)
         assert not failed
         assert csv_text == (self.SAMPLES / "sweep_output.csv").read_text()
+
+    def test_bend_sweep_output_reproduces(self):
+        config = json.loads((self.SAMPLES / "sweep_bend.json").read_text())
+        csv_text, failed = run_sweep(config)
+        assert not failed
+        assert csv_text == (self.SAMPLES / "sweep_bend_output.csv").read_text()
 
     def test_solve_output_reproduces(self, tmp_path):
         out = tmp_path / "solve.csv"
@@ -244,15 +250,13 @@ class TestSweep:
         },
     }
 
-    def test_deterministic_across_job_counts(self):
-        one, failed1 = run_sweep(self.CONFIG, jobs=1)
-        two, failed2 = run_sweep(self.CONFIG, jobs=2)
-        assert one == two
-        assert not failed1 and not failed2
-        assert len(one.splitlines()) == 1 + 4 * 2 * 2
+    def test_one_row_per_axis_combination(self):
+        csv_text, failed = run_sweep(self.CONFIG)
+        assert not failed
+        assert len(csv_text.splitlines()) == 1 + 4 * 2 * 2
 
     def test_row_content(self):
-        csv_text, _ = run_sweep(self.CONFIG, jobs=1)
+        csv_text, _ = run_sweep(self.CONFIG)
         rows = [dict(zip(csv_text.splitlines()[0].split(","), line.split(",")))
                 for line in csv_text.splitlines()[1:]]
         for row in rows:
@@ -264,7 +268,7 @@ class TestSweep:
     def test_per_row_errors_recorded(self):
         cfg = {"command": "constant", "kind": "pucci_max",
                "axes": {"p": [0.5, 2.0], "n": [3]}}
-        csv_text, failed = run_sweep(cfg, jobs=1)
+        csv_text, failed = run_sweep(cfg)
         assert failed
         lines = csv_text.splitlines()
         assert "ValueError" in lines[1]  # p = 0.5 rejected, row kept
@@ -290,6 +294,12 @@ class TestSweep:
             assert main(["sweep", "--config", str(bad)]) == EXIT_USAGE
             assert msg in capsys.readouterr().err
 
+    def test_jobs_option_is_gone(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(self.CONFIG))
+        assert main(["sweep", "--config", str(cfg_path), "--jobs", "2"]) == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+
     def test_row_cap_enforced(self):
         cfg = {"command": "classify", "kind": "pucci_max",
                "axes": {"p": list(np.linspace(1.1, 5, 1001)),
@@ -297,5 +307,5 @@ class TestSweep:
                         "n": [3, 4]}}
         one, _ = None, None
         with pytest.raises(Exception) as exc:
-            run_sweep(cfg, jobs=1)
+            run_sweep(cfg)
         assert "row cap" in str(exc.value)

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -151,7 +152,6 @@ class TestWorkCounts:
         assert not failed
         assert counts == {"build": 2 * 2 * 2, "alpha": 2 * 2 * 2}
 
-
     def test_constant_stacks_k_per_operator(self, monkeypatch):
         calls = {"K": 0, "scalar": 0}
         real_k = scaling.K_coefficient
@@ -171,21 +171,60 @@ class TestWorkCounts:
         assert not failed
         assert calls == {"K": 4, "scalar": 0}
 
+    def test_bend_stacks_in_regime_rows_per_block(self, monkeypatch):
+        counts = {"sweep_alpha": 0, "bend_alpha": 0, "bend": 0}
 
-class TestJobs:
-    CONFIG = {"command": "classify", "kind": "pucci_min",
-              "axes": {"p": [1.5, 3.0], "Lambda": [1.0, 2.0], "n": [3, 4]}}
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
 
-    def test_classify_never_starts_a_pool(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("classify sweeps run in-process")
+        monkeypatch.setattr(scaling, "alpha_star", counted("sweep_alpha", scaling.alpha_star))
+        monkeypatch.setattr(liouville, "alpha_star", counted("bend_alpha", liouville.alpha_star))
+        monkeypatch.setattr(liouville, "bend_fundamental",
+                            counted("bend", liouville.bend_fundamental))
+        # beta* <= 1 < alpha* on all 4 operators: one block and one more row each
+        axes = {"p": list(np.linspace(3.0, 8.0, cli.BEND_BLOCK + 1)),
+                "Lambda": [2.0, 3.0], "n": [3, 4]}
+        _, failed = run_sweep({"command": "bend", "axes": axes})
+        assert not failed
+        assert counts == {"sweep_alpha": 4, "bend_alpha": 4 * 2, "bend": 4 * 2}
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
-        assert run_sweep(self.CONFIG, jobs=2) == run_sweep(self.CONFIG, jobs=1)
 
-    def test_bend_pool_gives_the_same_csv(self):
+class TestBendBlocks:
+    """In-regime bend rows come from stacked calls of BEND_BLOCK rows."""
+
+    @pytest.mark.parametrize("kind", ["laplacian", "pucci_max", "pucci_min"])
+    def test_several_blocks_match_reference(self, kind):
+        # in-regime rows over several blocks, with rows outside the regime
+        # (p = 0.5, 1.5) between them
+        ps = list(np.linspace(1.8, 8.0, 2 * cli.BEND_BLOCK + 5))
+        config = {"command": "bend", "kind": kind,
+                  "axes": {"p": [0.5] + ps[:40] + [1.5] + ps[40:], "gamma": [0.0, 1.0],
+                           "Lambda": [1.2, 3.0], "n": [4, 6]}}
+        csv_text, failed = run_sweep(config)
+        rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+        in_regime = Counter((r[3], r[4]) for r in rows if not r[-1])  # per (Lambda, n)
+        assert max(in_regime.values()) > 2 * cli.BEND_BLOCK
+        assert (csv_text, failed) == reference_sweep(config)
+
+    def test_wrong_regime_rows_match_reference(self):
         config = {"command": "bend", "kind": "pucci_max",
                   "axes": {"p": [3.0, 1.5, 0.5], "Lambda": [2.0, 3.0], "n": [3, 4]}}
-        one = run_sweep(config, jobs=1)
-        assert one[1] and "WrongRegime" in one[0]
-        assert run_sweep(config, jobs=2) == one
+        csv_text, failed = run_sweep(config)
+        assert failed and "WrongRegime" in csv_text
+        assert (csv_text, failed) == reference_sweep(config)
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_block_that_raises_takes_the_scalar_path(self):
+        # alpha* = 2e160; at gamma = -1e157, beta* = 5e156 lies in the regime
+        # but beta*(beta*+1) overflows, so that row's Hessian is not finite and
+        # its block raises; the other rows of the block still get their values
+        config = {"command": "bend", "kind": "pucci_max",
+                  "axes": {"p": [3.0, 4.0], "gamma": [0.0, -1e157, 0.5],
+                           "lambda": [1e-160], "Lambda": [1.0], "n": [3]}}
+        csv_text, failed = run_sweep(config)
+        errors = [line.split(",")[-1] for line in csv_text.splitlines()[1:]]
+        assert errors == ["", "ValueError: entries must be finite", ""] * 2
+        assert (csv_text, failed) == reference_sweep(config)
