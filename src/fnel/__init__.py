@@ -2,8 +2,9 @@
 solvers for positively homogeneous uniformly elliptic (Isaacs) operators."""
 
 from .matcore import (
-    EllipticOperator, SymMatrix, eigenvalues_sym, eval_operator, hessian_xi,
-    isaacs, laplacian, pucci_max, pucci_min, radial_hessian, verify_ellipticity,
+    EllipticOperator, SymMatrix, eigenvalues_sym, eval_diagonal, eval_operator,
+    hessian_xi, isaacs, laplacian, pucci_max, pucci_min, radial_diagonal,
+    radial_hessian, verify_ellipticity,
 )
 from .scaling import (
     EXISTENCE_SUPERSOLUTION, NONEXISTENCE_EXTERIOR, K_coefficient,

@@ -332,20 +332,27 @@ class _RowError(str):
     """A per-row failure, recorded not raised: "<ExceptionType>: <message>"."""
 
 
+def _row_error(exc):
+    return _RowError(f"{type(exc).__name__}: {exc}")
+
+
 def _attempt(fn, *args):
     try:
         return fn(*args)
     except Exception as exc:  # per-row failure, recorded not raised
-        return _RowError(f"{type(exc).__name__}: {exc}")
+        return _row_error(exc)
 
 
 def _bend_rows(op, exps, rep):
     """``bend`` columns: rows with 0 < beta* < alpha* from stacked calls of
-    BEND_BLOCK rows; the other rows, and those of a block that raises, take
+    BEND_BLOCK rows, the WrongRegime of the other rows from the sweep's alpha*;
+    rows whose alpha* or beta* failed, and those of a block that raises, take
     the scalar path, which names each row's own error."""
-    inside = [] if isinstance(rep, _RowError) else [
-        i for i, e in enumerate(exps) if not isinstance(e[3], _RowError) and 0.0 < e[3] < rep.alpha_star]
-    done = {}
+    betas = {} if isinstance(rep, _RowError) else {
+        i: e[3] for i, e in enumerate(exps) if not isinstance(e[3], _RowError)}
+    inside = [i for i, b in betas.items() if 0.0 < b < rep.alpha_star]
+    done = {i: _row_error(liouville.bend_regime_error(b, rep.alpha_star))
+            for i, b in betas.items() if not 0.0 < b < rep.alpha_star}
     for k in range(0, len(inside), BEND_BLOCK):
         block = inside[k:k + BEND_BLOCK]
         ps, gammas = np.array([exps[i][1:3] for i in block], dtype=float).T

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy import optimize as opt
 
-from .matcore import EllipticOperator, eval_operator, radial_hessian
+from .matcore import EllipticOperator, eval_diagonal, eval_operator, radial_diagonal
 from .scaling import (
     EXISTENCE_SUPERSOLUTION, NONEXISTENCE_EXTERIOR,
     K_coefficient, alpha_star, beta_star, classify,
@@ -257,7 +257,7 @@ def critical_log_check(f_op: EllipticOperator, n: int) -> dict:
     lg = np.log(r)
     g1 = r ** (-a - 1.0) * (1.0 - a * lg)
     g2 = r ** (-a - 2.0) * (a * (a + 1.0) * lg - (2.0 * a + 1.0))
-    vals = eval_operator(f_op, radial_hessian(n, g1, g2, r)) * r ** (a + 2.0)
+    vals = eval_diagonal(f_op, radial_diagonal(n, g1, g2, r)) * r ** (a + 2.0)
     c_fit = float(vals.max())
     r_far = 1e6
     return {
@@ -280,6 +280,11 @@ def _bend_samples(b, p, gamma):
     return -b * r ** (-b - 1.0), b * (b + 1.0) * r ** (-b - 2.0), r ** (-gamma) * (r ** (-b)) ** p
 
 
+def bend_regime_error(b, a) -> WrongRegime:
+    """What ``bend_fundamental`` raises for beta* = b outside (0, alpha* = a)."""
+    return WrongRegime(f"requires 0 < beta*={b:.4g} < alpha*={a:.4g}")
+
+
 def bend_fundamental(f_op: EllipticOperator, n: int, p, gamma=0.0) -> tuple:
     """Power of the fundamental solution as an explicit supersolution.
 
@@ -298,10 +303,10 @@ def bend_fundamental(f_op: EllipticOperator, n: int, p, gamma=0.0) -> tuple:
     b = np.reshape(bs, shape)
     outside = ~((0.0 < b) & (b < a))
     if outside.any():  # names the first entry outside the regime
-        raise WrongRegime(f"requires 0 < beta*={b[outside][0]:.4g} < alpha*={a:.4g}")
+        raise bend_regime_error(b[outside][0], a)
     samples = [_bend_samples(bi, pi, gi) for bi, (pi, gi) in zip(bs, entries)]
     g1, g2, rhs = np.moveaxis(np.reshape(samples, shape + (3, LOG_GRID.size)), -2, 0)
-    ratios = eval_operator(f_op, radial_hessian(n, g1, g2, LOG_GRID)) / rhs
+    ratios = eval_diagonal(f_op, radial_diagonal(n, g1, g2, LOG_GRID)) / rhs
     tau, c, spread = b / a, ratios.min(axis=-1), np.ptp(ratios, axis=-1)
     if not b.ndim:
         b, tau, c, spread = float(b), float(tau), float(c), float(spread)
@@ -406,8 +411,8 @@ def build_global_supersolution(f_op: EllipticOperator, n: int, p: float,
     inner_res = float(np.min(
         a_val - weight[interior] * np.maximum(w_vals[interior], 0.0) ** p))
     r = LOG_GRID
-    lhs = eval_operator(f_op, radial_hessian(n, -b * s_val * r ** (-b - 1.0),
-                                             b * (b + 1.0) * s_val * r ** (-b - 2.0), r))
+    lhs = eval_diagonal(f_op, radial_diagonal(n, -b * s_val * r ** (-b - 1.0),
+                                              b * (b + 1.0) * s_val * r ** (-b - 2.0), r))
     tail_res_min = float((lhs - r ** (-gamma) * v_at(r) ** p).min())
     residual_report = {
         "inner_min_residual": inner_res,

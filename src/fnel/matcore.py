@@ -5,17 +5,23 @@ convention is fixed once and for all: F(M) = -trace(M) for the Laplacian,
 so "u is a supersolution of F(D^2 u) = f" means F(D^2 u) >= f.
 
 A matrix is a dense float array: one ``SymMatrix``, or an (..., n, n) stack
-that ``eval_operator`` evaluates in one call, with LAPACK eigenvalues.
+that ``eval_operator`` evaluates in one call, with LAPACK eigenvalues.  Where
+every matrix is diagonal (the radial Hessians and the indicator matrices of
+a rotation-invariant F), ``eval_diagonal`` takes the (..., n) diagonals and
+returns the same bits without building, checking or diagonalizing matrices.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 MAX_DIM = 8
+ROTATION_SAMPLES = 64  # random (M, rotated M) pairs behind an Isaacs rot_invariant claim
+ROTATION_SEED = 0
 
 LAPLACIAN = "laplacian"
 PUCCI_MAX = "pucci_max"
@@ -175,6 +181,10 @@ class EllipticOperator:
             if not self.families:
                 raise InvalidOperator("isaacs kind needs a nonempty family")
             fams = tuple(tuple(row) for row in self.families)
+            # the bounds checks below read one eigvalsh of every well-formed control
+            ok = [a.entries for row in fams for a in row
+                  if isinstance(a, SymMatrix) and a.dim == self.dim]
+            bounds = iter(np.linalg.eigvalsh(np.array(ok))[:, [0, -1]].tolist() if ok else ())
             for i, row in enumerate(fams):
                 if not row:
                     raise InvalidOperator(f"sup family {i} is empty")
@@ -186,11 +196,11 @@ class EllipticOperator:
                             f"control matrix ({i},{j}) has dim {a.dim}, "
                             f"operator dim {self.dim}"
                         )
-                    ev = eigenvalues_sym(a)
-                    if ev[0] < self.lam - 1e-12 or ev[-1] > self.Lam + 1e-12:
+                    lo, hi = next(bounds)
+                    if lo < self.lam - 1e-12 or hi > self.Lam + 1e-12:
                         raise InvalidOperator(
                             f"control matrix ({i},{j}) has eigenvalues "
-                            f"[{ev[0]:.6g}, {ev[-1]:.6g}] outside "
+                            f"[{lo:.6g}, {hi:.6g}] outside "
                             f"[{self.lam}, {self.Lam}]"
                         )
             width = max(len(row) for row in fams)
@@ -198,19 +208,24 @@ class EllipticOperator:
                     for row in fams]
             object.__setattr__(self, "families", fams)
             object.__setattr__(self, "_controls", np.array(ctrl)[:, :, None, :])
-            if self.rot_invariant and not self._sample_rotation_invariance():
-                # downgrade the claim rather than erroring out
-                object.__setattr__(self, "rot_invariant", False)
+            if self.rot_invariant:  # a rotated sample that moves F downgrades the claim
+                a, b = eval_operator(self, _rotation_pairs(self.dim))
+                if not (np.abs(a - b) <= 1e-8 * (1.0 + np.abs(a))).all():
+                    object.__setattr__(self, "rot_invariant", False)
         elif self.families:
             raise InvalidOperator("families only valid for isaacs kind")
 
-    def _sample_rotation_invariance(self, samples=64, seed=0):
-        n = self.dim
-        draws = np.random.default_rng(seed).standard_normal((samples, 2, n, n))
-        m = 0.5 * (draws[:, 0] + draws[:, 0].swapaxes(1, 2))
-        q = np.linalg.qr(draws[:, 1])[0]
-        a, b = eval_operator(self, np.stack([m, q @ m @ q.swapaxes(1, 2)]))
-        return bool((np.abs(a - b) <= 1e-8 * (1.0 + np.abs(a))).all())
+
+@functools.lru_cache(maxsize=MAX_DIM)  # one entry per dimension
+def _rotation_pairs(n):
+    """Read-only (2, ROTATION_SAMPLES, n, n) stack of random symmetric m and
+    q m q^T, q orthogonal, drawn at the first Isaacs construction in dim n."""
+    draws = np.random.default_rng(ROTATION_SEED).standard_normal((ROTATION_SAMPLES, 2, n, n))
+    m = 0.5 * (draws[:, 0] + draws[:, 0].swapaxes(1, 2))
+    q = np.linalg.qr(draws[:, 1])[0]
+    pairs = np.stack([m, q @ m @ q.swapaxes(1, 2)])
+    pairs.flags.writeable = False
+    return pairs
 
 
 def laplacian(dim) -> EllipticOperator:
@@ -274,12 +289,46 @@ def eval_operator(f: EllipticOperator, m):
     elif f.kind == PUCCI_MIN:
         val = pucci_min_value(f.lam, f.Lam, np.linalg.eigvalsh(a))
     else:
-        # (1, n*n) @ (n*n, 1) products: one BLAS dot per (matrix, control)
-        # pair, so a matrix gets the same bits alone as inside a stack
-        flat = a.reshape(a.shape[:-2] + (1, 1, f.dim ** 2, 1))
-        vals = -(f._controls @ flat)[..., 0, 0]        # (..., rows, controls)
-        val = vals.min(axis=-1).max(axis=-1)
+        val = _isaacs_value(f, a.reshape(a.shape[:-2] + (1, 1, f.dim ** 2, 1)))
     return float(val) if single else val
+
+
+def _isaacs_value(f, flat):
+    """Isaacs F at (..., 1, 1, n*n, 1) rows: one BLAS dot per (matrix, control)
+    pair, so a matrix gets the same bits alone as inside a stack."""
+    vals = -(f._controls @ flat)[..., 0, 0]        # (..., rows, controls)
+    return vals.min(axis=-1).max(axis=-1)
+
+
+def eval_diagonal(f: EllipticOperator, d):
+    """F(diag(d)) at each (..., n) diagonal d: the bits and the errors of
+    ``eval_operator(f, diag_matrices(d))`` without the matrices, where LAPACK
+    does not rescale (1e-146 < max |d| < 1e146; outside, it rounds and
+    ``np.sort`` does not)."""
+    d = np.asarray(d, dtype=float)
+    if d.shape[-1:] != (f.dim,):
+        raise DimensionMismatch(f"operator dim {f.dim}, matrices of shape {d.shape[-1:] * 2}")
+    if not np.isfinite(d).all():
+        raise ValueError("entries must be finite")
+    if f.kind == LAPLACIAN:
+        return -d.sum(axis=-1)
+    if f.kind != ISAACS:  # a sorted diagonal is its eigenvalues
+        value = pucci_max_value if f.kind == PUCCI_MAX else pucci_min_value
+        return value(f.lam, f.Lam, np.sort(d, axis=-1))
+    flat = np.zeros(d.shape[:-1] + (1, 1, f.dim ** 2, 1))
+    flat[..., 0, 0, ::f.dim + 1, 0] = d        # the rows of the diagonal matrices
+    return _isaacs_value(f, flat)
+
+
+def radial_diagonal(n: int, g1, g2, r):
+    """(..., n) diagonal (g'', g'/r, ..., g'/r) of the Hessian of x -> g(|x|)."""
+    r = np.asarray(r, dtype=float)
+    if (r <= 0).any():
+        raise ValueError("r must be positive")
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    g2, g1r = np.broadcast_arrays(np.asarray(g2, dtype=float), g1 / r)
+    return np.stack([g2] + [g1r] * (n - 1), axis=-1)
 
 
 def radial_hessian(n: int, g1, g2, r):
@@ -288,13 +337,7 @@ def radial_hessian(n: int, g1, g2, r):
     Eigenvalues: g'' once and g'/r with multiplicity n - 1.  Scalars give a
     SymMatrix; arrays broadcast and give an (..., n, n) stack.
     """
-    r = np.asarray(r, dtype=float)
-    if (r <= 0).any():
-        raise ValueError("r must be positive")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    g2, g1r = np.broadcast_arrays(np.asarray(g2, dtype=float), g1 / r)
-    hess = diag_matrices(np.stack([g2] + [g1r] * (n - 1), axis=-1))
+    hess = diag_matrices(radial_diagonal(n, g1, g2, r))
     return SymMatrix(hess) if hess.ndim == 2 else hess
 
 

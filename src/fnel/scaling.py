@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .matcore import EllipticOperator, diag_matrices, eval_operator
+from .matcore import EllipticOperator, eval_diagonal
 
 LOG_CASE_THRESHOLD = 1e-9
 DEFAULT_ALPHA_TOL = 1e-12
@@ -52,7 +52,8 @@ def homogeneity_indicator(f: EllipticOperator, n: int, alpha):
 
     sign(psi(a)) = sign(F(D^2 xi_a)) for every r > 0, and psi is strictly
     decreasing in a, so its unique root is the scaling exponent.  A float
-    alpha gives a float; an array of alpha gives psi at each entry.
+    alpha gives a float; an array of alpha gives psi at each entry, from one
+    ``eval_diagonal`` call on the diagonals.
     """
     if not f.rot_invariant:
         raise NotRotInvariant("indicator requires a rotationally invariant operator")
@@ -61,7 +62,7 @@ def homogeneity_indicator(f: EllipticOperator, n: int, alpha):
     alpha = np.asarray(alpha, dtype=float)
     diag = np.full(alpha.shape + (n,), -1.0)
     diag[..., 0] = alpha + 1.0
-    psi = eval_operator(f, diag_matrices(diag))
+    psi = eval_diagonal(f, diag)
     return psi if alpha.ndim else float(psi)
 
 
@@ -145,14 +146,15 @@ def K_coefficient(f: EllipticOperator, n: int, beta):
     """Constant K with F(D^2(r^{-beta})) = K r^{-beta-2}.
 
     Positive exactly when beta < alpha_star, zero at beta = alpha_star.  A
-    float beta gives a float; an array of beta gives K at each entry.
+    float beta gives a float; an array of beta gives K at each entry, from
+    one ``eval_diagonal`` call on the diagonals (beta(beta+1), -beta, ...).
     """
     beta = np.asarray(beta, dtype=float)
     if (beta <= 0).any():
         raise ValueError("beta must be positive")
     with np.errstate(over="ignore"):  # an infinite entry fails the finiteness check
         diag = np.stack([beta * (beta + 1.0)] + [-beta] * (n - 1), axis=-1)
-    k = eval_operator(f, diag_matrices(diag))
+    k = eval_diagonal(f, diag)
     return k if beta.ndim else float(k)
 
 

@@ -1,19 +1,23 @@
 """Symmetric-matrix kernel, operator evaluation, and ellipticity checks."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from fnel import (
-    EllipticOperator, SymMatrix, eigenvalues_sym, eval_operator, hessian_xi,
-    isaacs, laplacian, pucci_max, pucci_min, radial_hessian, verify_ellipticity,
+    EllipticOperator, SymMatrix, eigenvalues_sym, eval_diagonal, eval_operator,
+    hessian_xi, isaacs, laplacian, pucci_max, pucci_min, radial_diagonal,
+    radial_hessian, verify_ellipticity,
 )
+from fnel import matcore
 from fnel.matcore import (
-    LAPLACIAN, PUCCI_MAX, PUCCI_MIN, DimensionMismatch, InvalidOperator,
-    pucci_max_value, pucci_min_value,
+    ISAACS, LAPLACIAN, PUCCI_MAX, PUCCI_MIN, DimensionMismatch, InvalidOperator,
+    diag_matrices, pucci_max_value, pucci_min_value,
 )
+from fnel.opspec import SpecError, parse_operator_spec
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +228,89 @@ class TestOperatorConstruction:
         assert op.rot_invariant
 
 
+class TestControlBounds:
+    """One stacked eigvalsh checks every control; the first offender in
+    row-major order raises, with the text of the per-control loop."""
+
+    BAD_LOW, BAD_HIGH = np.diag([0.5, 1.0, 1.0]), np.diag([1.0, 1.0, 3.0])
+
+    def test_first_of_two_offenders_through_isaacs(self):
+        with pytest.raises(InvalidOperator) as exc:
+            isaacs(1.0, 2.0, 3, [[np.eye(3), self.BAD_LOW], [self.BAD_HIGH]])
+        assert str(exc.value) == \
+            "control matrix (0,1) has eigenvalues [0.5, 1] outside [1.0, 2.0]"
+        with pytest.raises(InvalidOperator) as exc:
+            isaacs(1, 2, 3, [[np.eye(3)], [self.BAD_HIGH, self.BAD_LOW]])
+        assert str(exc.value) == "control matrix (1,0) has eigenvalues [1, 3] outside [1, 2]"
+
+    def test_first_of_two_offenders_through_a_spec(self):
+        doc = {"kind": "isaacs", "n": 3, "lambda": 1, "Lambda": 2,
+               "families": [[np.eye(3).tolist(), self.BAD_LOW.tolist()],
+                            [self.BAD_HIGH.tolist()]]}
+        with pytest.raises(SpecError) as exc:
+            parse_operator_spec(json.dumps(doc))
+        assert str(exc.value) == \
+            "control matrix (0,1) has eigenvalues [0.5, 1] outside [1.0, 2.0]"
+
+    def test_bound_offender_before_a_structural_one_wins(self):
+        bad, ok = SymMatrix(np.diag([3.0, 1.0])), SymMatrix(np.eye(2))
+        cases = [
+            (((bad, SymMatrix(np.eye(3))),), "control matrix (0,0) has eigenvalues"),
+            (((ok, SymMatrix(np.eye(3))),), "control matrix (0,1) has dim 3, operator dim 2"),
+            (((bad,), ()), "control matrix (0,0) has eigenvalues"),
+            (((ok,), ()), "sup family 1 is empty"),
+            (((bad, np.eye(2)),), "control matrix (0,0) has eigenvalues"),
+            (((np.eye(2), bad),), "control matrices must be SymMatrix"),
+        ]
+        for families, message in cases:
+            with pytest.raises(InvalidOperator) as exc:
+                EllipticOperator(dim=2, kind=ISAACS, lam=1.0, Lam=2.0, families=families)
+            assert str(exc.value).startswith(message)
+
+
+class TestRotationSamples:
+    """The rotation-invariance samples are drawn once per dimension."""
+
+    SCALAR = {"kind": "isaacs", "lambda": 1.0, "Lambda": 2.0, "rot_invariant": True}
+
+    def test_one_qr_per_dimension(self, monkeypatch):
+        dims = []
+        real_qr = np.linalg.qr
+
+        def qr(a, *args, **kwargs):
+            dims.append(a.shape[-1])
+            return real_qr(a, *args, **kwargs)
+
+        matcore._rotation_pairs.cache_clear()
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        for _ in range(3):
+            for n in (2, 3, 5):
+                doc = {**self.SCALAR, "n": n, "families": [[(1.5 * np.eye(n)).tolist()]]}
+                assert parse_operator_spec(json.dumps(doc)).rot_invariant
+        assert sorted(dims) == [2, 3, 5]
+
+    def test_cache_fills_at_the_first_construction(self):
+        matcore._rotation_pairs.cache_clear()
+        pucci_max(1, 2, 4)
+        assert matcore._rotation_pairs.cache_info().currsize == 0
+        isaacs(1, 2, 4, [[np.eye(4)]], rot_invariant=True)
+        assert matcore._rotation_pairs.cache_info().currsize == 1
+
+    def test_cached_stack_is_read_only(self):
+        pairs = matcore._rotation_pairs(3)
+        assert pairs.shape == (2, matcore.ROTATION_SAMPLES, 3, 3)
+        assert matcore._rotation_pairs(3) is pairs
+        with pytest.raises(ValueError):
+            pairs[0, 0, 0, 0] = 1.0
+
+    def test_non_invariant_spec_is_still_downgraded(self):
+        controls = [[[1.0, 0.0], [0.0, 2.0]], [[1.5, 0.3], [0.3, 1.5]]]
+        for _ in range(2):  # the second parse reads the cached samples
+            doc = {**self.SCALAR, "n": 2, "families": [controls]}
+            assert not parse_operator_spec(json.dumps(doc)).rot_invariant
+            assert not isaacs(1, 2, 2, [[np.diag([1.0, 2.0])]], rot_invariant=True).rot_invariant
+
+
 class TestEvalOperator:
     def test_laplacian_negative_trace(self):
         assert eval_operator(laplacian(3), SymMatrix.diag(1, 2, 3)) == -6.0
@@ -295,6 +382,89 @@ class TestEvalOperator:
                 pucci_max_value(0.5, 3.0, eigs), abs=1e-10)
             assert eval_operator(pmin, m) == pytest.approx(
                 pucci_min_value(0.5, 3.0, eigs), abs=1e-10)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestEvalDiagonal:
+    """eval_diagonal gives the bits of eval_operator on the diagonal matrices."""
+
+    @staticmethod
+    def _ops(rng, n):
+        def control():
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            return q @ np.diag(rng.uniform(1.0, 2.0, n)) @ q.T
+        rows = [[control() for _ in range(k)] for k in (3, 1, 2)]
+        return [laplacian(n), pucci_max(0.5, 3.0, n), pucci_min(0.5, 3.0, n),
+                _ragged_isaacs(rng, n), isaacs(1.0, 2.0, n, rows)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4), (2, 256)])
+    def test_bits_match_the_matrix_path(self, n, shape):
+        rng = np.random.default_rng(300 + n)
+        d = rng.standard_normal(shape + (n,)) * 10.0 ** rng.uniform(-3, 3, shape + (n,))
+        d[rng.random(d.shape) < 0.2] = 0.0
+        d[rng.random(d.shape) < 0.2] = -0.0
+        for op in self._ops(rng, n):
+            got, want = eval_diagonal(op, d), eval_operator(op, diag_matrices(d))
+            assert np.array_equal(got, want) and _same_bits(got, want), (op.kind, n)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_isaacs_with_off_diagonal_controls(self, n):
+        # ragged rows of rotated (non-diagonal) controls, many diagonals
+        rng = np.random.default_rng(n)
+        d = rng.standard_normal((4000, n)) * 3.0
+        for op in self._ops(rng, n)[3:]:
+            assert op.kind == ISAACS and np.any(op._controls[..., 1] != 0.0)
+            got, want = eval_diagonal(op, d), eval_operator(op, diag_matrices(d))
+            assert np.array_equal(got, want) and _same_bits(got, want)
+
+    def test_signed_zeros(self):
+        for n in (1, 3, 8):
+            for d in (np.zeros(n), -np.zeros(n), np.array([-0.0, 0.0] * 4)[:n]):
+                for op in self._ops(np.random.default_rng(n), n):
+                    assert _same_bits(eval_diagonal(op, d), eval_operator(op, diag_matrices(d)))
+
+    def test_errors_match_the_matrix_path(self):
+        for op in self._ops(np.random.default_rng(0), 3):
+            for v in (np.inf, -np.inf, np.nan):
+                d = np.ones((2, 3))
+                d[1, 2] = v
+                with pytest.raises(ValueError, match="entries must be finite"):
+                    eval_diagonal(op, d)
+            for d in (np.ones(2), np.ones((5, 4)), np.float64(1.0)):
+                with pytest.raises(DimensionMismatch) as got:
+                    eval_diagonal(op, d)
+                if np.ndim(d):
+                    with pytest.raises(DimensionMismatch) as want:
+                        eval_operator(op, diag_matrices(d))
+                    assert str(got.value) == str(want.value)
+
+    def test_no_symmetrization_overflow(self):
+        # eval_operator's (M + M^T)/2 overflows above half the largest float
+        d = np.array([1e308, -1.0, -1.0])
+        assert eval_diagonal(pucci_max(1.0, 2.0, 3), d) == -1e308
+        assert eval_diagonal(laplacian(3), d) == -1e308
+
+
+class TestRadialDiagonal:
+    def test_is_the_diagonal_of_radial_hessian(self):
+        r = np.geomspace(0.5, 4.0, 6)
+        g1, g2 = -1.3 * r ** -2.3, 2.9
+        for n in (2, 3, 6):
+            d = radial_diagonal(n, g1, g2, r)
+            assert d.shape == (6, n)
+            assert np.array_equal(diag_matrices(d), radial_hessian(n, g1, g2, r))
+        assert np.array_equal(radial_diagonal(3, -0.25, 0.25, 2.0), [0.25, -0.125, -0.125])
+
+    def test_rejects_nonpositive_radius_and_dimension_one(self):
+        with pytest.raises(ValueError, match="r must be positive"):
+            radial_diagonal(3, 1.0, 1.0, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            radial_diagonal(1, 1.0, 1.0, 2.0)
 
 
 class TestRadialHessian:

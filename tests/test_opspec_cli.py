@@ -204,9 +204,22 @@ class TestGoldenSamples:
     SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
     @pytest.mark.parametrize("name", ["pucci_max_n3.json", "laplacian_n4.json",
-                                      "isaacs_2d.json"])
+                                      "isaacs_2d.json", "isaacs_rot_n3.json"])
     def test_operator_specs_parse(self, name):
         load_operator(str(self.SAMPLES / name))
+
+    def test_isaacs_rot_sample_keeps_its_claim(self):
+        op = load_operator(str(self.SAMPLES / "isaacs_rot_n3.json"))
+        assert op.kind == ISAACS and op.rot_invariant and len(op.families) == 2
+
+    @pytest.mark.parametrize("spec,golden", [
+        ("pucci_max_n3.json", "classify_output.json"),
+        ("isaacs_rot_n3.json", "isaacs_rot_classify_output.json"),
+    ])
+    def test_classify_stdout_is_the_golden(self, spec, golden, capsys):
+        # the bytes the CI golden step diffs
+        assert main(["classify", "--op", str(self.SAMPLES / spec), "--p", "2.0"]) == EXIT_OK
+        assert capsys.readouterr().out == (self.SAMPLES / golden).read_text()
 
     def test_sweep_output_reproduces(self):
         config = json.loads((self.SAMPLES / "sweep_classify.json").read_text())

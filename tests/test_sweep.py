@@ -191,6 +191,25 @@ class TestWorkCounts:
         assert not failed
         assert counts == {"sweep_alpha": 4, "bend_alpha": 4 * 2, "bend": 4 * 2}
 
+    def test_bend_rows_outside_the_regime_reuse_the_sweeps_alpha(self, monkeypatch):
+        counts = {"sweep_alpha": 0, "bend_alpha": 0, "bend": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(scaling, "alpha_star", counted("sweep_alpha", scaling.alpha_star))
+        monkeypatch.setattr(liouville, "alpha_star", counted("bend_alpha", liouville.alpha_star))
+        monkeypatch.setattr(liouville, "bend_fundamental",
+                            counted("bend", liouville.bend_fundamental))
+        # beta* >= 4 > alpha* on all 4 operators, and p = 0.5 errs in beta*
+        axes = {"p": [0.5] + list(np.linspace(1.1, 1.5, 9)), "Lambda": [1.0, 1.2], "n": [3, 4]}
+        csv_text, failed = run_sweep({"command": "bend", "axes": axes})
+        assert failed and csv_text.count("WrongRegime: requires 0 < beta*=") == 4 * 9
+        assert counts == {"sweep_alpha": 4, "bend_alpha": 4, "bend": 4}
+
 
 class TestBendBlocks:
     """In-regime bend rows come from stacked calls of BEND_BLOCK rows."""
@@ -214,6 +233,19 @@ class TestBendBlocks:
                   "axes": {"p": [3.0, 1.5, 0.5], "Lambda": [2.0, 3.0], "n": [3, 4]}}
         csv_text, failed = run_sweep(config)
         assert failed and "WrongRegime" in csv_text
+        assert (csv_text, failed) == reference_sweep(config)
+
+    @pytest.mark.parametrize("kind", ["laplacian", "pucci_max", "pucci_min"])
+    def test_all_out_of_regime_sweep_matches_reference(self, kind):
+        # 2000 rows, every one outside 0 < beta* < alpha*: beta* >= 2 > alpha*,
+        # beta* = 0 at p = inf and a NaN beta* at gamma = nan
+        config = {"command": "bend", "kind": kind,
+                  "axes": {"p": list(np.linspace(1.05, 1.9, 497)) + [math.inf] * 3,
+                           "gamma": [0.0, math.nan], "Lambda": [1.0, 1.2], "n": [3]}}
+        csv_text, failed = run_sweep(config)
+        rows = csv_text.splitlines()[1:]
+        assert failed and len(rows) == 2000
+        assert all(",WrongRegime: requires 0 < beta*=" in row for row in rows)
         assert (csv_text, failed) == reference_sweep(config)
 
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
