@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as opt
 
 from .matcore import EllipticOperator, eval_diagonal, eval_operator, radial_diagonal
 from .scaling import (
@@ -467,6 +466,7 @@ def _newton_solve(residual_fn, x0, tol=1e-10, restarts=5):
     trial point where exp(w) or the residual overflows ends its attempt, and
     the next attempt starts from the best trial point seen so far.
     """
+    from scipy.optimize import root
     w = np.log(np.asarray(x0, dtype=float))
     best = {"nrm": math.inf, "w": w}
 
@@ -480,7 +480,7 @@ def _newton_solve(residual_fn, x0, tol=1e-10, restarts=5):
 
     for method, opts in [("hybr", {"tol": 1e-12})] * restarts + [("lm", {})]:
         try:
-            w = opt.root(wrapped, w, method=method, **opts).x
+            w = root(wrapped, w, method=method, **opts).x
             nrm = float(np.abs(wrapped(w)).max())
         except FloatingPointError:
             w, nrm = best["w"], best["nrm"]

@@ -51,6 +51,10 @@ def _symmetrized(a):
     scale = 1.0 + np.abs(a).max(axis=(-2, -1), keepdims=True, initial=0.0)
     if (np.abs(a - at) > 1e-12 * scale + 1e-5 * np.abs(at)).any():
         raise ValueError("matrix is not symmetric")
+    if scale.max(initial=0.0) > 0.5 * np.finfo(float).max:   # a + at may overflow
+        with np.errstate(over="ignore"):
+            out = 0.5 * (a + at)
+        return np.where(np.isinf(out), 0.5 * a + 0.5 * at, out)
     return 0.5 * (a + at)
 
 

@@ -34,10 +34,10 @@ nodes on the solve's own grid (the boundary data always come from the
 problem), and a field-valued rhs: a RadialField spanning the nodes is
 interpolated at all of them in one call, a Field2D on the solve's grid is
 read at its interior nodes.  Callable data are called once per node, None
-data are zero.  Every sweep solves its sparse system through ``_spsolve``,
-which keeps the last matrix and, when that matrix comes again right away,
-its LU factorization: a warm start whose first sweep repeats the previous
-solve's last policy reuses that factorization.
+data are zero.  A grid (``_RadialGrid``, ``_Grid2D``) is built once per
+solve, or once per ``principal_eigenvalue``, whose steps hand it over in an
+``_OnGrid`` problem.  Its one-slot ``_HeldLU`` keeps the last sweep's policy
+and, when that policy comes again right away, its matrix's LU.
 
 ``fundamental_profile`` samples the min and max of a solution over 33
 spheres of radius s in [2, 8] in one pass and fits A s^-a + B to each by a
@@ -106,33 +106,25 @@ def _howard(evaluate, solve, u, tol, h_min):
 # the linear solve and warm starts
 
 
-# the one-slot factorization cache of _spsolve: (the exact bytes of the last
-# matrix solved, its LU once that matrix has come twice in a row, else None),
-# replaced as one object so that a reader never pairs a key with another LU
-_slot = (None, None)
+class _HeldLU:
+    """A grid's one-slot cache ``(policy, LU or None)``; on one grid the policy
+    frozen for a sweep fixes its matrix.  A new policy goes through spsolve, so
+    a cold solve keeps no LU; the same policy right after is factorized once by
+    ``splu(mat.T.tocsc())``, and later repeats only run ``solve(rhs, trans="T")``:
+    the triangular solves spsolve runs on a CSR matrix, so the bits agree."""
 
+    _held = (None, None)
 
-def _spsolve(mat, rhs):
-    """``spla.spsolve(mat, rhs)`` for a CSR matrix, reusing one factorization.
-
-    For CSR input spsolve hands SuperLU the transpose in CSC form and solves
-    the transposed system; ``splu(mat.T.tocsc())`` solved with ``trans="T"``
-    runs the same factorization and triangular solves, so the bits agree.  A
-    new matrix goes through spsolve and drops the held LU, so cold solves
-    neither pay for ``splu`` nor keep an LU alive; a repeat is factorized
-    once and every further repeat only runs the triangular solves.
-    """
-    global _slot
-    key = (mat.shape, mat.indptr.tobytes(), mat.indices.tobytes(),
-           mat.data.tobytes())
-    last, lu = _slot
-    if key != last:
-        _slot = (key, None)
-        return spla.spsolve(mat, rhs)
-    if lu is None:
-        lu = spla.splu(mat.T.tocsc())
-        _slot = (key, lu)
-    return lu.solve(rhs, trans="T")
+    def _solve(self, policy, matrix, rhs):
+        """The solve for a frozen policy; ``matrix()`` assembles its CSR matrix."""
+        last, lu = self._held
+        if last is None or not all(map(np.array_equal, policy, last)):
+            self._held = (policy, None)
+            return spla.spsolve(matrix(), rhs)
+        if lu is None:
+            lu = spla.splu(matrix().T.tocsc())
+            self._held = (policy, lu)
+        return lu.solve(rhs, trans="T")
 
 
 def _checked_start(start, shape):
@@ -225,6 +217,14 @@ class DirichletProblem:
         if self.spacing != "auto":
             return self.spacing
         return "linear" if isinstance(self.domain, Ball) else "log"
+
+
+@dataclass(frozen=True)
+class _OnGrid(DirichletProblem):
+    """A step of inverse iteration: zero boundary data, the rhs an array at the
+    rhs points of a grid built once for the same solve arguments, and the grid."""
+
+    grid: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +417,17 @@ def _radial_grid(problem, cells):
     raise ValueError("radial solver needs an annulus or ball domain")
 
 
-def _radial_rhs(problem, r):
-    """f at the interior nodes; on a ball, f at the centre is appended.
+def _radial_points(r, is_ball):
+    """Interior nodes, then on a ball the centre just off r = 0 (f may be singular)."""
+    return np.append(r[1:-1], r[1] * 1e-8 if r[0] == 0 else r[0]) if is_ball else r[1:-1]
 
-    The centre value is taken just off r = 0, where f may be singular.  A
-    RadialField rhs is interpolated in one call; at its own nodes that gives
-    the node values.  It must span the points (to 1e-12 relative), since
-    interpolation would hold its end values beyond them.
-    """
-    pts = r[1:-1]
-    if isinstance(problem.domain, Ball):
-        pts = np.append(pts, r[1] * 1e-8 if r[0] == 0 else r[0])
+
+def _radial_rhs(problem, r):
+    """f at the rhs points of ``_radial_points``.  A RadialField rhs is
+    interpolated in one call; at its own nodes that gives the node values.  It
+    must span the points (to 1e-12 relative), since interpolation would hold
+    its end values beyond them."""
+    pts = _radial_points(r, isinstance(problem.domain, Ball))
     f = problem.rhs
     if isinstance(f, RadialField):
         lo, hi = f.nodes[[0, -1]] * (1.0 - 1e-12, 1.0 + 1e-12)
@@ -444,6 +444,58 @@ def _radial_residual(f_op, n, u, h, r, spacing, rhs, is_ball, controls):
     return np.abs(-(wa * a + wb * b) - rhs).max(initial=0.0), (wa, wb)
 
 
+class _RadialGrid(_HeldLU):
+    """A radial solve's grid after the solver's checks: nodes r, step h, spacing,
+    h_min, the Isaacs control table, rhs points and the matrix rows' factors."""
+
+    def __init__(self, f_op, n, problem, cells):
+        if not f_op.rot_invariant:
+            raise ValueError("radial solver needs a rotationally invariant operator")
+        if n != f_op.dim:
+            raise ValueError(f"n={n} does not match operator dim {f_op.dim}")
+        if not 2 <= n <= 6:
+            raise ValueError("radial solver supports 2 <= n <= 6")
+        r, h, spacing = _radial_grid(problem, cells)
+        is_ball = isinstance(problem.domain, Ball)
+        _check_radial_monotonicity(f_op, n, h, spacing)
+        self.r, self.h, self.spacing, self.is_ball = r, h, spacing, is_ball
+        self.h_min, self.pts = np.diff(r).min(), _radial_points(r, is_ball)
+        self.controls = _radial_controls(f_op)
+        # row i of a sweep's matrix is -(wa_i wa_rows[i] + wb_i wb_rows[i]) on
+        # U_{i-1}, U_i, U_{i+1} (log grid: a = d2 - d1, b = d1, over r^2)
+        ri = r[1:-1]
+        if spacing == "log":
+            ca, cb = 1.0 / (ri ** 2 * h ** 2), 1.0 / (ri ** 2 * 2.0 * h)
+            self.wa_rows = np.stack([ca + cb, -2.0 * ca, ca - cb], axis=1)
+        else:
+            ca, cb = np.full(ri.shape, 1.0 / h ** 2), 1.0 / (2.0 * h * ri)
+            self.wa_rows = np.stack([ca, -2.0 * ca, ca], axis=1)
+        self.wb_rows = np.stack([-cb, 0.0 * cb, cb], axis=1)
+
+    def system(self, wa, wb, u, rhs):
+        """(band, rhs) of a sweep with weights (wa, wb): band row k is on unknowns
+        k-1, k, k+1 (a ball's centre first); boundary values in u go into the rhs."""
+        m = len(u) - 2                       # a ball's centre weights come last
+        band = -(wa[:m, None] * self.wa_rows + wb[:m, None] * self.wb_rows)
+        if self.is_ball:
+            w, c0 = wa[m] + wb[m], 2.0 / self.h ** 2
+            band = np.vstack([(0.0, w * c0, -w * c0), band])
+            rvec = np.roll(rhs, 1) + 0.0     # rhs[-1] holds f(0); + 0.0 maps -0.0 to 0.0
+        else:
+            rvec = rhs + 0.0
+            rvec[0] -= band[0, 0] * u[0]
+        rvec[-1] -= band[-1, 2] * u[-1]
+        return band, rvec
+
+    def matrix(self, band):
+        """The band as CSR, in the canonical order spsolve hands to SuperLU."""
+        nun = len(band)
+        cols = np.arange(nun)[:, None] + np.array([-1, 0, 1])
+        indptr = np.clip(3 * np.arange(nun + 1) - 1, 0, 3 * nun - 2)
+        return sparse.csr_matrix((band.ravel()[1:-1], cols.ravel()[1:-1], indptr),
+                                 shape=(nun, nun))
+
+
 def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
                            problem: DirichletProblem, cells: int,
                            start=None) -> RadialField:
@@ -454,18 +506,12 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
     of the cells + 1 node values, is the first iterate at the unknown nodes;
     its boundary entries are ignored.
     """
-    if not f_op.rot_invariant:
-        raise ValueError("radial solver needs a rotationally invariant operator")
-    if n != f_op.dim:
-        raise ValueError(f"n={n} does not match operator dim {f_op.dim}")
-    if not 2 <= n <= 6:
-        raise ValueError("radial solver supports 2 <= n <= 6")
-    r, h, spacing = _radial_grid(problem, cells)
-    is_ball = isinstance(problem.domain, Ball)
-    _check_radial_monotonicity(f_op, n, h, spacing)
-    controls = _radial_controls(f_op)
-
-    rhs_all = _radial_rhs(problem, r)
+    if isinstance(problem, _OnGrid):
+        grid, rhs_all = problem.grid, problem.rhs
+    else:
+        grid = _RadialGrid(f_op, n, problem, cells)
+        rhs_all = _radial_rhs(problem, grid.r)
+    r, h, spacing, is_ball = grid.r, grid.h, grid.spacing, grid.is_ball
     g1 = problem.boundary_at(r[-1])
     g0 = g1 if is_ball else problem.boundary_at(r[0])
     t = np.log(r) if spacing == "log" else r
@@ -480,63 +526,18 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
 
     def evaluate(uu):
         return _radial_residual(f_op, n, uu, h, r, spacing, rhs_all, is_ball,
-                                controls)
+                                grid.controls)
 
     def solve(policy):
+        band, rvec = grid.system(*policy, u, rhs_all)
         uu = u.copy()
-        uu[unknown] = _spsolve(*_radial_system(*policy, u, h, r, spacing,
-                                               rhs_all, is_ball))
+        uu[unknown] = grid._solve(policy, lambda: grid.matrix(band), rvec)
         return uu
 
-    u, res = _howard(evaluate, solve, u, tol, np.diff(r).min())
+    u, res = _howard(evaluate, solve, u, tol, grid.h_min)
     meta = {"operator": f_op.kind, "n": n, "cells": cells,
             "spacing": spacing, "residual": res}
     return RadialField(n=n, nodes=r, values=u, spacing=spacing, meta=meta)
-
-
-def _radial_system(wa, wb, u, h, r, spacing, rhs, is_ball):
-    """One Howard sweep's linear system (matrix, rhs) for the frozen weights
-    (wa, wb) of ``_pattern_weights``.
-
-    Unknowns are the interior nodes, preceded on a ball by the centre; the
-    boundary values held in u go into the rhs.  The matrix is tridiagonal,
-    built as CSR with each row's entries in column order, the canonical
-    order that ``spsolve`` hands to SuperLU.
-    """
-    m = len(u) - 2                       # interior nodes 1..m
-    wa_i, wb_i = wa[:m], wb[:m]          # a ball's centre weights come last
-    ri = r[1:-1]
-    if spacing == "log":
-        ca = 1.0 / (ri ** 2 * h ** 2)
-        cb = 1.0 / (ri ** 2 * 2.0 * h)
-        # a = d2 - d1, b = d1 (all already divided by r^2)
-        cm = -(wa_i * (ca + cb) + wb_i * (-cb))   # coefficient of U_{i-1}
-        cc = -(wa_i * (-2.0 * ca))                # coefficient of U_i
-        cp = -(wa_i * (ca - cb) + wb_i * cb)      # coefficient of U_{i+1}
-    else:
-        ca = 1.0 / h ** 2
-        cb = 1.0 / (2.0 * h * ri)
-        cm = -(wa_i * ca - wb_i * cb)
-        cc = -(wa_i * (-2.0 * ca))
-        cp = -(wa_i * ca + wb_i * cb)
-    band = np.stack([cm, cc, cp], axis=1)     # (rows, 3): U_{i-1}, U_i, U_{i+1}
-    rvec = np.zeros(len(rhs))
-    if is_ball:
-        w = wa[m] + wb[m]
-        c0 = 2.0 / h ** 2
-        band = np.vstack([(0.0, w * c0, -w * c0), band])
-        rvec += np.roll(rhs, 1)          # rhs[-1] holds f(0)
-    else:
-        rvec += rhs
-        rvec[0] -= cm[0] * u[0]
-    rvec[-1] -= cp[-1] * u[-1]
-    # drop the first row's U_{i-1} and the last row's U_{i+1}
-    nun = len(band)
-    cols = np.arange(nun)[:, None] + np.array([-1, 0, 1])
-    indptr = np.clip(3 * np.arange(nun + 1) - 1, 0, 3 * nun - 2)
-    mat = sparse.csr_matrix((band.ravel()[1:-1], cols.ravel()[1:-1], indptr),
-                            shape=(nun, nun))
-    return mat, rvec
 
 
 def residual_norm(f_op: EllipticOperator, fld, problem: DirichletProblem) -> float:
@@ -694,7 +695,7 @@ def _at_nodes(fn, mask, x0, y0, h):
 
 
 @dataclass
-class _Grid2D:
+class _Grid2D(_HeldLU):
     h: float
     x0: float
     y0: float
@@ -746,6 +747,27 @@ class _Grid2D:
             raise ValueError("2D solver needs a rectangle or annulus domain")
         return cls(h=h, x0=x0, y0=y0, interior=interior, boundary_values=bvals)
 
+    @classmethod
+    def for_solve(cls, f_op, problem, h):
+        """``build``, after the family check; also holds the stencil
+        coefficients, the first iterate and the stencils' boundary terms."""
+        fams = _control_families(f_op)
+        for i, row in enumerate(fams):
+            for j, a in enumerate(row):
+                _check_stencil_monotone(a, h, f"({i},{j})")
+        grid = cls.build(problem, h)
+        if grid.nodes.size == 0:
+            raise ValueError("no interior nodes at this resolution")
+        grid.coef = _stencil_coefficients(fams, h)
+        bvals = grid.boundary_values
+        grid.bscale = np.nanmax(np.abs(bvals), initial=0.0)
+        # flat grid values; boundary nodes hold their data, others 0
+        grid.values = np.where(np.isnan(bvals), 0.0, bvals).ravel()
+        if grid.bscale > 0:
+            grid.values[grid.nodes] = float(np.nanmean(bvals))
+        grid.bterms = np.where(grid.col < 0, grid.values[grid.nbr.T], 0.0)
+        return grid
+
     def rhs(self, problem):
         """f at the interior nodes; a Field2D rhs must lie on this grid."""
         f = problem.rhs
@@ -766,41 +788,32 @@ def solve_dirichlet_2d(f_op: EllipticOperator, problem: DirichletProblem,
     (nx, ny) array on the solve's grid, is the first iterate at the interior
     nodes; its other entries are ignored.
     """
-    fams = _control_families(f_op)
-    for i, row in enumerate(fams):
-        for j, a in enumerate(row):
-            _check_stencil_monotone(a, h, f"({i},{j})")
-    coef = _stencil_coefficients(fams, h)
-    grid = _Grid2D.build(problem, h)
-    nun = grid.nodes.size
-    if nun == 0:
-        raise ValueError("no interior nodes at this resolution")
-    rhs = grid.rhs(problem)
-    bscale = np.nanmax(np.abs(grid.boundary_values), initial=0.0)
-    tol = RESIDUAL_TOL * (1.0 + np.abs(rhs).max(initial=0.0) + bscale)
-
-    # flat grid values; boundary nodes hold their data, others 0
-    values = np.where(np.isnan(grid.boundary_values), 0.0, grid.boundary_values).ravel()
-    if bscale > 0:
-        values[grid.nodes] = float(np.nanmean(grid.boundary_values))
+    if isinstance(problem, _OnGrid):
+        grid, rhs = problem.grid, problem.rhs
+    else:
+        grid = _Grid2D.for_solve(f_op, problem, h)
+        rhs = grid.rhs(problem)
+    tol = RESIDUAL_TOL * (1.0 + np.abs(rhs).max(initial=0.0) + grid.bscale)
+    values = grid.values.copy()
     if start is not None:
         start = _checked_start(start, grid.interior.shape)
         values[grid.nodes] = start.ravel()[grid.nodes]
-    boundary = grid.col < 0
-    bterms = np.where(boundary, values[grid.nbr.T], 0.0)    # (nodes, 9)
-    node_of = np.broadcast_to(np.arange(nun)[:, None], boundary.shape)
 
     def evaluate(vals):
-        fu, row, ctl = _evaluate_2d(coef, vals[grid.nbr])
+        fu, row, ctl = _evaluate_2d(grid.coef, vals[grid.nbr])
         return float(np.abs(fu - rhs).max(initial=0.0)), (row, ctl)
 
     def solve(policy):
-        sel = coef[policy]                                  # (nodes, 9)
-        keep = ~boundary & (sel != 0.0)
-        mat = sparse.csr_matrix((sel[keep], (node_of[keep], grid.col[keep])),
-                                shape=(nun, nun))
+        sel = grid.coef[policy]                                 # (nodes, 9)
+
+        def matrix():
+            i, k = np.nonzero((grid.col >= 0) & (sel != 0.0))
+            return sparse.csr_matrix((sel[i, k], (i, grid.col[i, k])),
+                                     shape=(grid.nodes.size,) * 2)
+
         vals = values.copy()
-        vals[grid.nodes] = _spsolve(mat, rhs - (sel * bterms).sum(axis=1))
+        vals[grid.nodes] = grid._solve(policy, matrix,
+                                       rhs - (sel * grid.bterms).sum(axis=1))
         return vals
 
     values, res = _howard(evaluate, solve, values, tol, h)

@@ -7,26 +7,25 @@ in ``principal_eigenvalue`` serves both grids: each grid supplies its start
 vector and a step (u, start) -> (solution, interior values), and the
 eigenfield is the last solution rescaled.
 
-The rhs u_k is handed to the solver as a field on its own grid, and every
-step after the first is warm-started from the previous raw solution.  F is
-positively homogeneous, so that start is the next solution up to the drift:
-a step then takes one policy sweep with the previous policy, its matrix is
-the one the previous step ended with, and the solver's one-slot cache
-reuses that factorization instead of computing it again.
+The grid is built once per call and held: each step hands the solver u_k
+as an array at the grid's rhs points, and every step after the first is
+warm-started from the previous raw solution.  F is positively homogeneous,
+so that start is the next solution up to the drift: a step then takes one
+policy sweep with the previous policy, and the held grid's one-slot cache
+solves with the LU of that policy's matrix instead of assembling it again.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .matcore import EllipticOperator
 from .solver import (
-    Annulus, Ball, DirichletProblem, Field2D, RadialField, Rectangle,
-    _Grid2D, _radial_grid, solve_dirichlet_2d, solve_dirichlet_radial,
+    Annulus, Ball, DirichletProblem, Rectangle, _Grid2D, _OnGrid, _RadialGrid,
+    solve_dirichlet_2d, solve_dirichlet_radial,
 )
 
 EIGEN_ITERATION_CAP = 500
@@ -92,7 +91,8 @@ def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
 def _radial_steps(f_op, domain, cells):
     """The radial start vector and step (u, start) -> (solution, interior)."""
     n = f_op.dim
-    nodes, _, spacing = _radial_grid(DirichletProblem(domain=domain, n=n), cells)
+    grid = _RadialGrid(f_op, n, DirichletProblem(domain=domain, n=n), cells)
+    nodes = grid.r
     if isinstance(domain, Annulus):
         half = 0.5 * (domain.r1 - domain.r0)
         bump = np.minimum(nodes - domain.r0, domain.r1 - nodes) / half
@@ -101,8 +101,8 @@ def _radial_steps(f_op, domain, cells):
         bump, inner = (domain.r1 - nodes) / domain.r1, slice(0, -1)
 
     def step(u, start):
-        rhs = RadialField(n=n, nodes=nodes, values=u, spacing=spacing)
-        problem = DirichletProblem(domain=domain, n=n, rhs=rhs)
+        problem = _OnGrid(domain=domain, n=n, rhs=np.interp(grid.pts, nodes, u),
+                          grid=grid)
         sol = solve_dirichlet_radial(f_op, n, problem, cells, start)
         return sol, sol.values[inner]
 
@@ -112,15 +112,13 @@ def _radial_steps(f_op, domain, cells):
 def _grid_steps(f_op, domain, cells):
     """The 2D start vector and step (u, start) -> (solution, interior)."""
     h = min(domain.x1 - domain.x0, domain.y1 - domain.y0) / cells
-    grid = _Grid2D.build(DirichletProblem(domain=domain, n=2), h)
+    grid = _Grid2D.for_solve(f_op, DirichletProblem(domain=domain, n=2), h)
     nx, ny = grid.interior.shape
     x = grid.x0 + np.arange(nx)[:, None] * grid.h
     y = grid.y0 + np.arange(ny)[None, :] * grid.h
 
     def step(u, start):
-        rhs = Field2D(h=grid.h, x0=grid.x0, y0=grid.y0, values=u,
-                      interior=grid.interior)
-        problem = DirichletProblem(domain=domain, n=2, rhs=rhs)
+        problem = _OnGrid(domain=domain, n=2, rhs=u[grid.interior], grid=grid)
         sol = solve_dirichlet_2d(f_op, problem, h, start)
         return sol, sol.values[sol.interior]
 

@@ -2,6 +2,10 @@
 and the homogeneous-cone fixed point."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,3 +460,16 @@ class TestHomogeneousProfile:
         prof = HomogeneousProfile(beta=2.0, n=3, constant=1.5)
         x = np.array([1.0, 2.0, -0.5])
         assert prof(2.0 * x) == pytest.approx(prof(x) / 4.0)
+
+
+class TestImport:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # only the Newton solve and the profile fit need scipy.optimize, and
+        # both import it when they run
+        import fnel
+
+        env = {**os.environ, "PYTHONPATH": str(Path(fnel.__file__).parents[1])}
+        code = "import sys, fnel; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

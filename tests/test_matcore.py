@@ -311,6 +311,36 @@ class TestRotationSamples:
             assert not isaacs(1, 2, 2, [[np.diag([1.0, 2.0])]], rot_invariant=True).rot_invariant
 
 
+class TestSymmetrizedOverflow:
+    # above half the largest float the sum M + M^T overflows; the mean is
+    # then taken as M/2 + M^T/2, and everywhere else as (M + M^T)/2
+    def test_stored_entry_stays_finite(self):
+        assert SymMatrix(np.diag([1e308, -1.0, -1.0])).entries[0, 0] == 1e308
+        off = np.array([[0.0, 1e308, 0.0], [1e308, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(SymMatrix(off).entries, off)
+        # beside a huge entry a finite sum keeps (M + M^T)/2: M/2 + M^T/2
+        # would round the smallest subnormal to 0
+        tiny = np.array([[1e308, 5e-324], [5e-324, 1.0]])
+        assert np.array_equal(SymMatrix(tiny).entries, tiny)
+
+    @pytest.mark.parametrize("make", [lambda: pucci_max(1.0, 2.0, 3),
+                                      lambda: laplacian(3)],
+                             ids=["pucci_max", "laplacian"])
+    def test_eval_operator_matches_eval_diagonal(self, make):
+        op = make()
+        for d in ([1e308, -1.0, -1.0], [1.5e308, 0.5, -3.0], [-8e307, 1e308, 1.0]):
+            d = np.array(d)
+            got, want = eval_operator(op, np.diag(d)), eval_diagonal(op, d)
+            assert np.isfinite(got)
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_finite_sums_keep_their_bits(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((200, 4, 4)) * 10.0 ** rng.integers(-300, 300, (200, 1, 1))
+        a = a + a.swapaxes(1, 2) * (1.0 + 1e-9)
+        assert np.array_equal(matcore._symmetrized(a), 0.5 * (a + a.swapaxes(1, 2)))
+
+
 class TestEvalOperator:
     def test_laplacian_negative_trace(self):
         assert eval_operator(laplacian(3), SymMatrix.diag(1, 2, 3)) == -6.0

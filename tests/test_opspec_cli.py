@@ -221,6 +221,17 @@ class TestGoldenSamples:
         assert main(["classify", "--op", str(self.SAMPLES / spec), "--p", "2.0"]) == EXIT_OK
         assert capsys.readouterr().out == (self.SAMPLES / golden).read_text()
 
+    @pytest.mark.parametrize("spec,domain,cells,golden", [
+        ("pucci_max_n3.json", "annulus:1:2", "256", "eigen_pucci_max_n3.csv"),
+        ("laplacian_n4.json", "ball:1", "128", "eigen_laplacian_n4_ball.csv"),
+        ("isaacs_2d.json", "rectangle:0:1:0:1", "8", "eigen_isaacs_2d.csv"),
+    ])
+    def test_eigen_stdout_is_the_golden(self, spec, domain, cells, golden, capsys):
+        # a log grid, a ball's centre row and the 2D grid, as CI diffs them
+        assert main(["eigen", "--op", str(self.SAMPLES / spec), "--domain", domain,
+                     "--cells", cells, "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out == (self.SAMPLES / golden).read_text()
+
     def test_sweep_output_reproduces(self):
         config = json.loads((self.SAMPLES / "sweep_classify.json").read_text())
         csv_text, failed = run_sweep(config)

@@ -19,8 +19,8 @@ from fnel.liouville import _signed_min_residual
 from fnel.matcore import LAPLACIAN, PUCCI_MAX, PUCCI_MIN
 from fnel.solver import (
     Field2D, NonMonotoneScheme, RadialField, _control_families, _evaluate_2d,
-    _Grid2D, _line_fit, _pattern_value, _pattern_weights, _radial_controls,
-    _radial_entries, _radial_grid, _radial_rhs, _radial_system, _spsolve,
+    _Grid2D, _HeldLU, _line_fit, _pattern_value, _pattern_weights,
+    _radial_controls, _radial_entries, _radial_grid, _radial_rhs, _RadialGrid,
     _stencil_coefficients,
 )
 
@@ -656,14 +656,16 @@ class TestRadialKernel:
         op = _radial_ops(3)[name]
         prob = DirichletProblem(domain=domain, n=3, rhs=lambda r: math.cos(r),
                                 spacing=spacing)
-        r, h, sp = _radial_grid(prob, 64)
+        grid = _RadialGrid(op, 3, prob, 64)
+        r, h, sp = grid.r, grid.h, grid.spacing
         rhs = _radial_rhs(prob, r)
         rng = np.random.default_rng(5)
         u = np.sin(3.0 * r) + 0.1 * rng.standard_normal(r.size)
         is_ball = isinstance(domain, Ball)
         wa, wb = _pattern_weights(op, 3, *_radial_entries(u, h, r, sp, is_ball),
                                   _radial_controls(op))
-        mat, rvec = _radial_system(wa, wb, u, h, r, sp, rhs, is_ball)
+        band, rvec = grid.system(wa, wb, u, rhs)
+        mat = grid.matrix(band)
         want_mat, want_rvec = _radial_system_reference(op, 3, u, h, r, sp, rhs,
                                                        is_ball)
         assert mat.nnz == want_mat.nnz
@@ -725,13 +727,17 @@ def _solve_case(name, start=None):
 
 
 def _systems(monkeypatch, name):
-    """The (matrix, rhs) pairs a cold solve hands to the linear solve."""
+    """(grid, policy, matrix, rhs) of every sweep of a cold solve."""
     seen = []
-    inner = solver._spsolve
-    monkeypatch.setattr(solver, "_spsolve", lambda mat, rhs: (
-        seen.append((mat, rhs.copy())) or inner(mat, rhs)))
+    inner = _HeldLU._solve
+
+    def spy(grid, policy, matrix, rhs):
+        seen.append((grid, policy, matrix(), rhs.copy()))
+        return inner(grid, policy, matrix, rhs)
+
+    monkeypatch.setattr(_HeldLU, "_solve", spy)
     _solve_case(name)
-    monkeypatch.setattr(solver, "_spsolve", inner)
+    monkeypatch.setattr(_HeldLU, "_solve", inner)
     return seen
 
 
@@ -740,28 +746,43 @@ class TestFactorizationReuse:
     def test_matches_spsolve_bit_for_bit(self, monkeypatch, name):
         systems = _systems(monkeypatch, name)
         assert systems
-        for mat, rhs in systems:
+        for grid, policy, mat, rhs in systems:
             want = spla.spsolve(mat, rhs)
             other = np.cos(np.arange(rhs.size, dtype=float))
-            monkeypatch.setattr(solver, "_slot", (None, None))
-            # spsolve, then splu on the repeat, then the held LU
+            built = []
+
+            def matrix(mat=mat):
+                built.append(1)
+                return mat
+
+            grid._held = (None, None)
+            # spsolve, then splu on the repeat, then the held LU, which
+            # assembles no matrix
             for _ in range(3):
-                assert np.array_equal(_spsolve(mat, rhs), want)
-            assert np.array_equal(_spsolve(mat, other), spla.spsolve(mat, other))
+                assert np.array_equal(grid._solve(policy, matrix, rhs), want)
+            assert len(built) == 2
+            assert np.array_equal(grid._solve(policy, matrix, other),
+                                  spla.spsolve(mat, other))
+            assert len(built) == 2
 
     def test_only_a_repeated_matrix_is_factorized(self, monkeypatch):
-        mat, rhs = _systems(monkeypatch, "log")[-1]
+        grid, policy, mat, rhs = _systems(monkeypatch, "log")[-1]
         calls = []
         splu = spla.splu
         monkeypatch.setattr(spla, "splu",
                             lambda *a, **k: calls.append(1) or splu(*a, **k))
-        monkeypatch.setattr(solver, "_slot", (None, None))
-        changed = mat.copy()
-        changed.data[4] *= 1.0 + 1e-9
-        steps = [(mat, rhs, 0), (mat, 2.0 * rhs, 1), (mat, rhs + 1.0, 1),
-                 (changed, rhs, 1), (changed, rhs, 2), (mat, rhs, 2)]
-        for m, b, want_calls in steps:
-            assert np.array_equal(_spsolve(m, b), spla.spsolve(m, b))
+        wa, wb = policy
+        changed = (wa.copy(), wb)
+        changed[0][4] *= 1.0 + 1e-9
+        changed_mat = grid.matrix(grid.system(*changed, np.zeros(129), rhs)[0])
+        assert (changed_mat != mat).nnz == 3
+        grid._held = (None, None)
+        steps = [(policy, mat, rhs, 0), (policy, mat, 2.0 * rhs, 1),
+                 (policy, mat, rhs + 1.0, 1), (changed, changed_mat, rhs, 1),
+                 (changed, changed_mat, rhs, 2), (policy, mat, rhs, 2)]
+        for p, m, b, want_calls in steps:
+            assert np.array_equal(grid._solve(p, lambda m=m: m, b),
+                                  spla.spsolve(m, b))
             assert len(calls) == want_calls
 
 
@@ -956,11 +977,22 @@ class TestProblemData:
 
 
 def _counted_solves(monkeypatch):
-    """Route ``_spsolve`` through a counter; returns the list it appends to."""
+    """Count the linear solves, ``spla.spsolve`` calls and solves with an LU
+    from ``spla.splu``; returns the list the counter appends to."""
     calls = []
-    inner = solver._spsolve
-    monkeypatch.setattr(solver, "_spsolve",
-                        lambda mat, rhs: calls.append(1) or inner(mat, rhs))
+    spsolve, splu = spla.spsolve, spla.splu
+
+    class CountedLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, *args, **kwargs):
+            calls.append(1)
+            return self.lu.solve(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "spsolve",
+                        lambda *a, **k: calls.append(1) or spsolve(*a, **k))
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: CountedLU(splu(*a, **k)))
     return calls
 
 

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from fnel import (
     Annulus, Ball, Rectangle, eigen_scaling_check, laplacian, principal_eigenvalue,
-    pucci_max, pucci_min, spectral,
+    pucci_max, pucci_min, solver, spectral,
 )
 from conftest import random_isaacs
 
@@ -70,15 +70,19 @@ class TestSolveCount:
         (Annulus(1.0, 2.0), 128), (Ball(1.0), 128), (Rectangle(0.0, 1.0, 0.0, 1.0), 8),
     ])
     def test_one_solve_per_iteration(self, monkeypatch, domain, cells):
-        # the grid comes from the domain, not from a throwaway solve
-        calls = []
+        # one solver call and one policy iteration per step on the held
+        # grid, and no throwaway solve to find the grid
+        calls, howards = [], []
         for name in ("solve_dirichlet_radial", "solve_dirichlet_2d"):
             solve = getattr(spectral, name)
             monkeypatch.setattr(spectral, name,
                                 lambda *a, solve=solve: calls.append(1) or solve(*a))
+        howard = solver._howard
+        monkeypatch.setattr(solver, "_howard",
+                            lambda *a: howards.append(1) or howard(*a))
         op = pucci_max(1, 2, 2 if isinstance(domain, Rectangle) else 3)
         res = principal_eigenvalue(op, domain, cells)
-        assert len(calls) == res.iterations
+        assert len(calls) == len(howards) == res.iterations
 
     @pytest.mark.parametrize("op,cells,most", [
         (laplacian(3), 512, 2),
@@ -95,6 +99,32 @@ class TestSolveCount:
         res = principal_eigenvalue(op, Annulus(1.0, 2.0), cells)
         assert res.iterations >= 12
         assert len(factorizations) <= most
+
+    @pytest.mark.parametrize("call", [
+        lambda: principal_eigenvalue(laplacian(3), Annulus(1.0, 2.0), 256),
+        lambda: principal_eigenvalue(pucci_max(1.0, 2.0, 2),
+                                     Rectangle(0.0, 1.0, 0.0, 1.0), 8),
+        lambda: solver.solve_dirichlet_radial(
+            laplacian(3), 3, solver.DirichletProblem(
+                domain=Annulus(1.0, 2.0), n=3, rhs=lambda r: 1.0), 256),
+    ], ids=["eigen_radial", "eigen_2d", "solve"])
+    def test_back_to_back_calls_factorize_alike(self, monkeypatch, call):
+        # every call builds its own grid, so no LU outlives the call that
+        # made it: a second, identical call cannot reuse the first one's
+        counts = {"spsolve": 0, "splu": 0}
+        for name in counts:
+            fn = getattr(spla, name)
+
+            def counted(*a, fn=fn, name=name, **k):
+                counts[name] += 1
+                return fn(*a, **k)
+
+            monkeypatch.setattr(spla, name, counted)
+        call()
+        first = dict(counts)
+        call()
+        assert first["spsolve"] >= 1
+        assert {k: v - first[k] for k, v in counts.items()} == first
 
     def test_invalid_input_raises_from_the_first_solve(self, lap3):
         with pytest.raises(ValueError, match="cells"):
