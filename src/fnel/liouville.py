@@ -20,8 +20,8 @@ from .scaling import (
     K_coefficient, alpha_star, beta_star, classify,
 )
 from .solver import (
-    Annulus, Ball, DirichletProblem, Field2D, RadialField,
-    _sphere_extrema, solve_dirichlet_radial,
+    Annulus, Ball, DirichletProblem, Field2D, RadialField, _RadialGrid,
+    _sphere_samples, solve_dirichlet_radial,
 )
 from .spectral import principal_eigenvalue
 
@@ -128,7 +128,8 @@ def sphere_min_curve(fld, radii):
     """Samples (r, m(r)) of m(r) = min over the sphere of radius r; on a
     Field2D, sphere samples off the computational domain (NaN) are skipped."""
     radii = np.asarray(radii, dtype=float)
-    return list(zip(radii.tolist(), _sphere_extrema(fld, radii)[0].tolist()))
+    mins = np.nanmin(_sphere_samples(fld, radii), axis=1)
+    return list(zip(radii.tolist(), mins.tolist()))
 
 
 def hadamard_check(f_op: EllipticOperator, fld: RadialField,
@@ -172,11 +173,10 @@ def hadamard_check(f_op: EllipticOperator, fld: RadialField,
 
 def _signed_min_residual(f_op, fld):
     """Minimum of the discrete residual F(D^2_h u) over interior nodes."""
-    from .solver import _pattern_value, _radial_controls, _radial_entries
     r = fld.nodes
     h = (math.log(r[1] / r[0]) if fld.spacing == "log" else r[1] - r[0])
-    a, b = _radial_entries(fld.values, h, r, fld.spacing, is_ball=False)
-    return float(_pattern_value(f_op, fld.n, a, b, _radial_controls(f_op)).min())
+    grid = _RadialGrid(f_op, fld.n, r, h, fld.spacing, is_ball=False)
+    return float(grid.apply(fld.values)[0].min())
 
 
 def fit_lower_bound(fld, alpha: float) -> float:

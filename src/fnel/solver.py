@@ -1,49 +1,58 @@
 """Monotone finite-difference solvers for F(D^2 u) = f with Dirichlet data.
 
-Both grids run one Howard policy-iteration loop, ``_howard``.  A sweep
-evaluates F_h at the iterate, which gives the residual and the policy (the
-controls chosen at every node), and solves the linear system with that
-policy frozen.  The loop stops with success once the residual sup-norm is at
-most 1e-10 times the data scale.  An iterate that selects the very policy
-that produced it is the scheme's fixed point: the same policy gives the same
-system and the same iterate again.  A residual still above tolerance there
-is round-off, and the solve raises PolicyIterationDiverged at once, naming
-the floor 4 eps |u| / h_min^2.  No step is damped; ITERATION_CAP only stops
-a sup-inf family whose policies cycle.
+Both public solvers build a grid (``_RadialGrid.for_solve`` or
+``_Grid2D.for_solve``), read the rhs at its rhs points and call ``_solve_on``,
+the one driver: it alone sets the tolerance (1e-10 times the data scale),
+puts ``start`` into the first iterate and runs Howard's policy iteration,
+``_howard``.  Both grids offer it the same interface: the first iterate
+``first`` with the boundary data in place, the index ``unknown`` of its
+unknowns, the ``shape`` of ``start``, the boundary data terms ``tol_terms``
+of the tolerance, ``h_min``, the base ``meta``, and three methods.
+``apply(u)`` gives F_h u at the rhs points and the policy (the controls
+chosen at every node); ``step(policy, u, rhs)`` solves the linear system
+with that policy frozen, reading only u's boundary data; ``field(u, meta)``
+gives the RadialField or Field2D.  ``apply`` is each grid's one kernel: the
+stopping residual, ``residual_norm`` and every sweep's policy come from it.
+
+The loop succeeds once the residual sup-norm is at most the tolerance.  An
+iterate that selects the very policy that produced it is the scheme's fixed
+point: the same policy gives the same system and the same iterate again.  A
+residual still above tolerance there is round-off, and the solve raises
+PolicyIterationDiverged at once, naming the floor 4 eps |u| / h_min^2.  No
+step is damped; ITERATION_CAP only stops a sup-inf family whose policies
+cycle.
 
 Radial path: any dimension n <= 6, annuli and balls, grid uniform in log r
 by default.  At every node the discrete Hessian has the eigenvalue pattern
-diag(a, b, ..., b), and a frozen control reduces F to -(wa*a + wb*b).  One
-array kernel, ``_pattern_weights``, picks the policy (wa, wb) at all interior
-nodes (and a ball's centre) at once: closed-form sign tests for the Laplacian
-and Pucci kinds, a loop over sup-rows of the (a11, tr A - a11) control table
-for Isaacs families.  The residual, ``residual_norm`` and the tridiagonal
-system (plus the centre row on a ball, one CSR matrix) all use it.
+diag(a, b, ..., b), and a frozen control reduces F to -(wa*a + wb*b).
+``_pattern_weights`` picks the policy (wa, wb) at all interior nodes (and a
+ball's centre) at once: closed-form sign tests for the Laplacian and Pucci
+kinds, a loop over sup-rows of the (a11, tr A - a11) control table for
+Isaacs families.  A step solves the tridiagonal system (plus the centre row
+on a ball), one CSR matrix.
 
-2D path: rectangles and annuli on a uniform Cartesian grid.  F is realized
-as a sup over rows of an inf over control matrices A, each discretized by
-the 9-point stencil of -tr(A D^2 u); the family is stored once per solve as
-a (rows, controls, 9) coefficient array.  One array kernel, ``_evaluate_2d``,
-takes the (9, nodes) neighbor values of every interior node and returns
-F_h u with the policy (row, control) per node, looping over rows only.  The
-frozen-policy matrix is one COO build from the chosen (nodes, 9) coefficient
-rows.  ``residual_norm`` runs the same kernel on a Field2D.
+2D path: rectangles and annuli on a uniform Cartesian grid.  F is a sup over
+rows of an inf over the controls A of one (rows, controls, 2, 2) array, each
+discretized by the 9-point stencil of -tr(A D^2 u); the diagonal dominance
+check and the (rows, controls, 9) coefficients are array expressions.
+``_evaluate_2d`` takes the (9, nodes) neighbor values of every interior node
+and returns F_h u with the policy (row, control) per node, looping over rows
+only.  A step's matrix is one COO build from the chosen coefficient rows.
 
-Both paths take an optional ``start``, the first iterate at the unknown
-nodes on the solve's own grid (the boundary data always come from the
-problem), and a field-valued rhs: a RadialField spanning the nodes is
-interpolated at all of them in one call, a Field2D on the solve's grid is
-read at its interior nodes.  Callable data are called once per node, None
-data are zero.  A grid (``_RadialGrid``, ``_Grid2D``) is built once per
-solve, or once per ``principal_eigenvalue``, whose steps hand it over in an
-``_OnGrid`` problem.  Its one-slot ``_HeldLU`` keeps the last sweep's policy
-and, when that policy comes again right away, its matrix's LU.
+A field-valued rhs is read in one call: a RadialField spanning the nodes is
+interpolated at all of them, a Field2D on the solve's grid is read at its
+interior nodes.  Callable data are called once per node, None data are zero.
+A grid is built once per solve, or once per ``principal_eigenvalue``, whose
+steps hand it over in an ``_OnGrid`` problem.  Its one-slot ``_HeldLU`` keeps
+the last sweep's policy and, when that policy comes again right away, its
+matrix's LU.
 
-``fundamental_profile`` samples the min and max of a solution over 33
-spheres of radius s in [2, 8] in one pass and fits A s^-a + B to each by a
-bounded Brent search over a, each step a closed-form least-squares line in
-s^-a; a max profile equal to the min one (always so when radial) reuses the
-min fit.  log_case: the line A + B log s fits as well (to 1e-9) or a < 0.05.
+``fundamental_profile`` samples a solution at 128 points on each of 33
+spheres of radius s in [2, 8] in one pass (a sample off a 2D grid's domain
+raises) and fits A s^-a + B to the min and the max profile by a bounded
+Brent search over a, each step a closed-form least-squares line in s^-a; a
+max profile equal to the min one (always so when radial) reuses the min fit.
+log_case: the line A + B log s fits as well (to 1e-9) or a < 0.05.
 """
 
 from __future__ import annotations
@@ -102,8 +111,31 @@ def _howard(evaluate, solve, u, tol, h_min):
     return u, res
 
 
+def _residual(grid, u, rhs):
+    """Sup-norm of F_h u - f at a grid's rhs points, and the policy F_h picked."""
+    fu, policy = grid.apply(u)
+    return float(np.abs(fu - rhs).max(initial=0.0)), policy
+
+
+def _solve_on(grid, rhs, start):
+    """Howard's loop on a solve's grid (``for_solve`` of either grid class) for
+    the rhs at its rhs points, from the grid's first iterate with ``start`` at
+    the unknowns; the grid's field of the solution."""
+    tol = RESIDUAL_TOL * sum((1.0, np.abs(rhs).max(initial=0.0), *grid.tol_terms))
+    u = grid.first.copy()
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != grid.shape:
+            raise ValueError(f"start has shape {start.shape}, the grid {grid.shape}")
+        u[grid.unknown] = start.ravel()[grid.unknown]
+    # a step reads only the boundary data of the iterate it is given
+    u, res = _howard(lambda v: _residual(grid, v, rhs),
+                     lambda policy: grid.step(policy, u, rhs), u, tol, grid.h_min)
+    return grid.field(u, {**grid.meta, "residual": res})
+
+
 # ---------------------------------------------------------------------------
-# the linear solve and warm starts
+# the linear solve and problem data
 
 
 class _HeldLU:
@@ -125,14 +157,6 @@ class _HeldLU:
             lu = spla.splu(matrix().T.tocsc())
             self._held = (policy, lu)
         return lu.solve(rhs, trans="T")
-
-
-def _checked_start(start, shape):
-    """A solve's ``start`` as a float array of the grid's shape."""
-    start = np.asarray(start, dtype=float)
-    if start.shape != shape:
-        raise ValueError(f"start has shape {start.shape}, the grid {shape}")
-    return start
 
 
 def _data(fn, *coords):
@@ -376,12 +400,6 @@ def _pattern_weights(f_op, n, a, b, controls):
     return wa, wb
 
 
-def _pattern_value(f_op, n, a, b, controls):
-    """F(diag(a, b, ..., b)) at every node of the arrays a, b."""
-    wa, wb = _pattern_weights(f_op, n, a, b, controls)
-    return -(wa * a + wb * b)
-
-
 def _check_radial_monotonicity(f_op, n, h, spacing):
     """Sufficient condition for the log-grid scheme to be monotone.
 
@@ -437,18 +455,19 @@ def _radial_rhs(problem, r):
     return _data(f, pts.tolist())
 
 
-def _radial_residual(f_op, n, u, h, r, spacing, rhs, is_ball, controls):
-    """Sup-norm of F_h u - f (interior nodes, a ball's centre) and (wa, wb)."""
-    a, b = _radial_entries(u, h, r, spacing, is_ball)
-    wa, wb = _pattern_weights(f_op, n, a, b, controls)
-    return np.abs(-(wa * a + wb * b) - rhs).max(initial=0.0), (wa, wb)
-
-
 class _RadialGrid(_HeldLU):
-    """A radial solve's grid after the solver's checks: nodes r, step h, spacing,
-    h_min, the Isaacs control table, rhs points and the matrix rows' factors."""
+    """Radial nodes r with step h, spacing and the Isaacs control table: all
+    that ``apply`` needs.  ``for_solve`` adds the rest of the solve interface."""
 
-    def __init__(self, f_op, n, problem, cells):
+    def __init__(self, f_op, n, r, h, spacing, is_ball):
+        self.f_op, self.n, self.r, self.h = f_op, n, r, h
+        self.spacing, self.is_ball = spacing, is_ball
+        self.controls = _radial_controls(f_op)
+
+    @classmethod
+    def for_solve(cls, f_op, n, problem, cells):
+        """A radial solve's grid after the solver's checks, with the rhs points,
+        the first iterate, the matrix rows' factors and the solve interface."""
         if not f_op.rot_invariant:
             raise ValueError("radial solver needs a rotationally invariant operator")
         if n != f_op.dim:
@@ -456,21 +475,46 @@ class _RadialGrid(_HeldLU):
         if not 2 <= n <= 6:
             raise ValueError("radial solver supports 2 <= n <= 6")
         r, h, spacing = _radial_grid(problem, cells)
-        is_ball = isinstance(problem.domain, Ball)
         _check_radial_monotonicity(f_op, n, h, spacing)
-        self.r, self.h, self.spacing, self.is_ball = r, h, spacing, is_ball
-        self.h_min, self.pts = np.diff(r).min(), _radial_points(r, is_ball)
-        self.controls = _radial_controls(f_op)
+        grid = cls(f_op, n, r, h, spacing, isinstance(problem.domain, Ball))
+        grid.h_min, grid.pts = np.diff(r).min(), _radial_points(r, grid.is_ball)
         # row i of a sweep's matrix is -(wa_i wa_rows[i] + wb_i wb_rows[i]) on
         # U_{i-1}, U_i, U_{i+1} (log grid: a = d2 - d1, b = d1, over r^2)
         ri = r[1:-1]
         if spacing == "log":
             ca, cb = 1.0 / (ri ** 2 * h ** 2), 1.0 / (ri ** 2 * 2.0 * h)
-            self.wa_rows = np.stack([ca + cb, -2.0 * ca, ca - cb], axis=1)
+            grid.wa_rows = np.stack([ca + cb, -2.0 * ca, ca - cb], axis=1)
         else:
             ca, cb = np.full(ri.shape, 1.0 / h ** 2), 1.0 / (2.0 * h * ri)
-            self.wa_rows = np.stack([ca, -2.0 * ca, ca], axis=1)
-        self.wb_rows = np.stack([-cb, 0.0 * cb, cb], axis=1)
+            grid.wa_rows = np.stack([ca, -2.0 * ca, ca], axis=1)
+        grid.wb_rows = np.stack([-cb, 0.0 * cb, cb], axis=1)
+        g1 = problem.boundary_at(r[-1])
+        g0 = g1 if grid.is_ball else problem.boundary_at(r[0])
+        t = np.log(r) if spacing == "log" else r
+        # a ball's unknowns are nodes 0..cells-1, centre included
+        grid.first = (np.full(cells + 1, g1) if grid.is_ball
+                      else g0 + (g1 - g0) * (t - t[0]) / (t[-1] - t[0]))
+        grid.unknown = slice(0 if grid.is_ball else 1, -1)
+        grid.tol_terms = (abs(g1), 0.0 if grid.is_ball else abs(g0))
+        grid.shape = grid.first.shape
+        grid.meta = {"operator": f_op.kind, "n": n, "cells": cells, "spacing": spacing}
+        return grid
+
+    def apply(self, u):
+        """F_h u at the interior nodes (and a ball's centre) and the policy (wa, wb)."""
+        a, b = _radial_entries(u, self.h, self.r, self.spacing, self.is_ball)
+        wa, wb = _pattern_weights(self.f_op, self.n, a, b, self.controls)
+        return -(wa * a + wb * b), (wa, wb)
+
+    def step(self, policy, u, rhs):
+        band, rvec = self.system(*policy, u, rhs)
+        out = u.copy()
+        out[self.unknown] = self._solve(policy, lambda: self.matrix(band), rvec)
+        return out
+
+    def field(self, u, meta):
+        return RadialField(n=self.n, nodes=self.r, values=u, spacing=self.spacing,
+                           meta=meta)
 
     def system(self, wa, wb, u, rhs):
         """(band, rhs) of a sweep with weights (wa, wb): band row k is on unknowns
@@ -507,37 +551,9 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
     its boundary entries are ignored.
     """
     if isinstance(problem, _OnGrid):
-        grid, rhs_all = problem.grid, problem.rhs
-    else:
-        grid = _RadialGrid(f_op, n, problem, cells)
-        rhs_all = _radial_rhs(problem, grid.r)
-    r, h, spacing, is_ball = grid.r, grid.h, grid.spacing, grid.is_ball
-    g1 = problem.boundary_at(r[-1])
-    g0 = g1 if is_ball else problem.boundary_at(r[0])
-    t = np.log(r) if spacing == "log" else r
-    # a ball's unknowns are nodes 0..cells-1 (centre included)
-    u = (np.full(cells + 1, g1) if is_ball
-         else g0 + (g1 - g0) * (t - t[0]) / (t[-1] - t[0]))
-    tol = RESIDUAL_TOL * (1.0 + np.abs(rhs_all).max(initial=0.0) + abs(g1)
-                          + (0.0 if is_ball else abs(g0)))
-    unknown = slice(0 if is_ball else 1, -1)
-    if start is not None:
-        u[unknown] = _checked_start(start, u.shape)[unknown]
-
-    def evaluate(uu):
-        return _radial_residual(f_op, n, uu, h, r, spacing, rhs_all, is_ball,
-                                grid.controls)
-
-    def solve(policy):
-        band, rvec = grid.system(*policy, u, rhs_all)
-        uu = u.copy()
-        uu[unknown] = grid._solve(policy, lambda: grid.matrix(band), rvec)
-        return uu
-
-    u, res = _howard(evaluate, solve, u, tol, grid.h_min)
-    meta = {"operator": f_op.kind, "n": n, "cells": cells,
-            "spacing": spacing, "residual": res}
-    return RadialField(n=n, nodes=r, values=u, spacing=spacing, meta=meta)
+        return _solve_on(problem.grid, problem.rhs, start)
+    grid = _RadialGrid.for_solve(f_op, n, problem, cells)
+    return _solve_on(grid, _radial_rhs(problem, grid.r), start)
 
 
 def residual_norm(f_op: EllipticOperator, fld, problem: DirichletProblem) -> float:
@@ -546,22 +562,20 @@ def residual_norm(f_op: EllipticOperator, fld, problem: DirichletProblem) -> flo
         # the solver's step h (from its linspace, not from the nodes), on the
         # solver's grid up to rounding
         r = fld.nodes
-        grid, h, spacing = _radial_grid(replace(problem, spacing=fld.spacing),
-                                        len(r) - 1)
-        if not np.allclose(r, grid, rtol=1e-12, atol=0.0):
+        nodes, h, spacing = _radial_grid(replace(problem, spacing=fld.spacing),
+                                         len(r) - 1)
+        if not np.allclose(r, nodes, rtol=1e-12, atol=0.0):
             raise ValueError(f"field nodes are not the {len(r) - 1}-cell "
                              f"{spacing} grid of the problem's domain")
-        res, _ = _radial_residual(f_op, fld.n, fld.values, h, r, spacing,
-                                  _radial_rhs(problem, r),
-                                  isinstance(problem.domain, Ball),
-                                  _radial_controls(f_op))
-        return float(res)
-    if isinstance(fld, Field2D):
-        grid = _Grid2D(h=fld.h, x0=fld.x0, y0=fld.y0, interior=fld.interior)
-        coef = _stencil_coefficients(_control_families(f_op), fld.h)
-        fu, _, _ = _evaluate_2d(coef, fld.values.ravel()[grid.nbr])
-        return float(np.abs(fu - grid.rhs(problem)).max(initial=0.0))
-    raise TypeError("unknown field type")
+        grid = _RadialGrid(f_op, fld.n, r, h, spacing, isinstance(problem.domain, Ball))
+        u, rhs = fld.values, _radial_rhs(problem, r)
+    elif isinstance(fld, Field2D):
+        grid = _Grid2D(h=fld.h, x0=fld.x0, y0=fld.y0, interior=fld.interior,
+                       coef=_stencil_coefficients(_control_families(f_op), fld.h))
+        u, rhs = fld.values.ravel(), grid.rhs(problem)
+    else:
+        raise TypeError("unknown field type")
+    return _residual(grid, u, rhs)[0]
 
 
 def convergence_order(f_op: EllipticOperator, problem: DirichletProblem,
@@ -601,7 +615,7 @@ def convergence_order(f_op: EllipticOperator, problem: DirichletProblem,
 
 
 def _control_families(f_op, angles=24):
-    """Finite sup-inf control families realizing F on 2D grids.
+    """The (rows, controls, 2, 2) sup-inf control family realizing F on 2D grids.
 
     Pucci kinds are approximated by rotated extremal diagonal controls; the
     approximation is exact whenever the discrete Hessian's eigenframe hits a
@@ -610,30 +624,33 @@ def _control_families(f_op, angles=24):
     if f_op.dim != 2:
         raise ValueError("2D solver needs a 2-dimensional operator")
     if f_op.kind == LAPLACIAN:
-        return ((np.eye(2),),)
+        return np.eye(2)[None, None]
     if f_op.kind == ISAACS:
         return _isaacs_controls(f_op)
     lam, Lam = f_op.lam, f_op.Lam
-    mats = []
-    for k in range(angles):
-        th = k * math.pi / (2 * angles)
-        c, s = math.cos(th), math.sin(th)
-        rot = np.array([[c, -s], [s, c]])
-        for w in ((lam, lam), (lam, Lam), (Lam, lam), (Lam, Lam)):
-            # lam*I and Lam*I are rotation-invariant: add them at angle 0 only
-            if k == 0 or w[0] != w[1]:
-                mats.append(rot @ np.diag(w) @ rot.T)
+    th = [k * math.pi / (2 * angles) for k in range(angles)]
+    c, s = (np.array([f(t) for t in th]) for f in (math.cos, math.sin))
+    rot = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)[:, None]  # (angles, 1, 2, 2)
+    w = np.array([(lam, lam), (lam, Lam), (Lam, lam), (Lam, Lam)])
+    mats = rot @ (w[:, :, None] * np.eye(2)) @ rot.swapaxes(2, 3)
+    # lam*I and Lam*I are rotation-invariant: keep them at angle 0 only
+    mats = np.concatenate([mats[0], mats[1:, w[:, 0] != w[:, 1]].reshape(-1, 2, 2)])
     if f_op.kind == PUCCI_MAX:
-        return tuple((m,) for m in mats)     # sup over singleton-inf rows
-    return ((tuple(mats)),)                  # single sup row, inf inside
+        return mats[:, None]                 # sup over singleton-inf rows
+    return mats[None]                        # single sup row, inf inside
 
 
-def _check_stencil_monotone(a, h, label):
-    a11, a12, a22 = a[0, 0], a[0, 1], a[1, 1]
-    if a11 < abs(a12) - 1e-12 or a22 < abs(a12) - 1e-12:
+def _check_stencil_monotone(fams):
+    """Raise NonMonotoneScheme naming the first control (i,j) of the family
+    array that is not diagonally dominant."""
+    a11, a12, a22 = fams[..., 0, 0], fams[..., 0, 1], fams[..., 1, 1]
+    m = np.abs(a12) - 1e-12
+    bad = (a11 < m) | (a22 < m)
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
         raise NonMonotoneScheme(
-            f"control matrix {label} = [[{a11:.4g},{a12:.4g}],"
-            f"[{a12:.4g},{a22:.4g}]] violates diagonal dominance; "
+            f"control matrix ({i},{j}) = [[{a11[i, j]:.4g},{a12[i, j]:.4g}],"
+            f"[{a12[i, j]:.4g},{a22[i, j]:.4g}]] violates diagonal dominance; "
             "anisotropy too strong for the 9-point stencil")
 
 
@@ -643,23 +660,17 @@ _OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)
 
 
 def _stencil_coefficients(fams, h):
-    """(rows, controls, 9) coefficients of -tr(A D^2 .) for every control A.
-
-    Ragged rows are padded with a repeat of the row's first control, which
-    changes neither the row minimum nor its first argmin.
-    """
-    width = max(len(row) for row in fams)
-    coef = np.empty((len(fams), width, 9))
-    h2 = h * h
-    for r, row in enumerate(fams):
-        for c in range(width):
-            a = row[c] if c < len(row) else row[0]
-            m = abs(a[0, 1])
-            ex, ey, d = -(a[0, 0] - m) / h2, -(a[1, 1] - m) / h2, -m / h2
-            diag = (d, d, 0.0, 0.0) if a[0, 1] >= 0 else (0.0, 0.0, d, d)
-            arms = (ex, ex, ey, ey) + diag
-            coef[r, c] = arms + (-sum(arms),)
-    return coef
+    """(rows, controls, 9) coefficients of -tr(A D^2 .) for every control A of
+    the (rows, controls, 2, 2) family array."""
+    a12 = fams[..., 0, 1, None]
+    m, h2 = np.abs(a12), h * h
+    # the axis arms take a11 or a22; the diagonal pair along the sign of a12
+    # takes -m/h^2, the other pair 0
+    arms = np.concatenate(
+        [-(fams[..., [0, 0, 1, 1], [0, 0, 1, 1]] - m) / h2,
+         np.where((a12 >= 0) == [True, True, False, False], -m / h2, 0.0)], axis=-1)
+    # the centre sums the arms left to right
+    return np.concatenate([arms, -np.add.accumulate(arms, axis=-1)[..., -1:]], axis=-1)
 
 
 def _evaluate_2d(coef, u9):
@@ -701,6 +712,7 @@ class _Grid2D(_HeldLU):
     y0: float
     interior: np.ndarray                 # bool (nx, ny)
     boundary_values: Optional[np.ndarray] = None  # NaN where not boundary
+    coef: Optional[np.ndarray] = None    # (rows, controls, 9), see _stencil_coefficients
 
     def __post_init__(self):
         nx, ny = self.interior.shape
@@ -749,23 +761,23 @@ class _Grid2D(_HeldLU):
 
     @classmethod
     def for_solve(cls, f_op, problem, h):
-        """``build``, after the family check; also holds the stencil
-        coefficients, the first iterate and the stencils' boundary terms."""
+        """``build`` after the family check, with the stencil coefficients, the
+        stencils' boundary terms and the solve interface."""
         fams = _control_families(f_op)
-        for i, row in enumerate(fams):
-            for j, a in enumerate(row):
-                _check_stencil_monotone(a, h, f"({i},{j})")
+        _check_stencil_monotone(fams)
         grid = cls.build(problem, h)
         if grid.nodes.size == 0:
             raise ValueError("no interior nodes at this resolution")
         grid.coef = _stencil_coefficients(fams, h)
         bvals = grid.boundary_values
-        grid.bscale = np.nanmax(np.abs(bvals), initial=0.0)
+        bscale = np.nanmax(np.abs(bvals), initial=0.0)
         # flat grid values; boundary nodes hold their data, others 0
-        grid.values = np.where(np.isnan(bvals), 0.0, bvals).ravel()
-        if grid.bscale > 0:
-            grid.values[grid.nodes] = float(np.nanmean(bvals))
-        grid.bterms = np.where(grid.col < 0, grid.values[grid.nbr.T], 0.0)
+        grid.first = np.where(np.isnan(bvals), 0.0, bvals).ravel()
+        if bscale > 0:
+            grid.first[grid.nodes] = float(np.nanmean(bvals))
+        grid.bterms = np.where(grid.col < 0, grid.first[grid.nbr.T], 0.0)
+        grid.unknown, grid.shape, grid.h_min = grid.nodes, grid.interior.shape, h
+        grid.tol_terms, grid.meta = (bscale,), {"operator": f_op.kind, "h": h}
         return grid
 
     def rhs(self, problem):
@@ -778,6 +790,29 @@ class _Grid2D(_HeldLU):
             return f.values[self.interior]
         return _at_nodes(f, self.interior, self.x0, self.y0, self.h)
 
+    def apply(self, u):
+        """F_h u at the interior nodes and the policy (row, control) per node."""
+        fu, row, ctl = _evaluate_2d(self.coef, u[self.nbr])
+        return fu, (row, ctl)
+
+    def step(self, policy, u, rhs):
+        sel = self.coef[policy]                                 # (nodes, 9)
+
+        def matrix():
+            i, k = np.nonzero((self.col >= 0) & (sel != 0.0))
+            return sparse.csr_matrix((sel[i, k], (i, self.col[i, k])),
+                                     shape=(self.nodes.size,) * 2)
+
+        out = u.copy()
+        out[self.unknown] = self._solve(policy, matrix,
+                                        rhs - (sel * self.bterms).sum(axis=1))
+        return out
+
+    def field(self, u, meta):
+        values = np.where(self.interior, u.reshape(self.shape), self.boundary_values)
+        return Field2D(h=self.h, x0=self.x0, y0=self.y0, values=values,
+                       interior=self.interior, meta=meta)
+
 
 def solve_dirichlet_2d(f_op: EllipticOperator, problem: DirichletProblem,
                        h: float, start=None) -> Field2D:
@@ -789,39 +824,9 @@ def solve_dirichlet_2d(f_op: EllipticOperator, problem: DirichletProblem,
     nodes; its other entries are ignored.
     """
     if isinstance(problem, _OnGrid):
-        grid, rhs = problem.grid, problem.rhs
-    else:
-        grid = _Grid2D.for_solve(f_op, problem, h)
-        rhs = grid.rhs(problem)
-    tol = RESIDUAL_TOL * (1.0 + np.abs(rhs).max(initial=0.0) + grid.bscale)
-    values = grid.values.copy()
-    if start is not None:
-        start = _checked_start(start, grid.interior.shape)
-        values[grid.nodes] = start.ravel()[grid.nodes]
-
-    def evaluate(vals):
-        fu, row, ctl = _evaluate_2d(grid.coef, vals[grid.nbr])
-        return float(np.abs(fu - rhs).max(initial=0.0)), (row, ctl)
-
-    def solve(policy):
-        sel = grid.coef[policy]                                 # (nodes, 9)
-
-        def matrix():
-            i, k = np.nonzero((grid.col >= 0) & (sel != 0.0))
-            return sparse.csr_matrix((sel[i, k], (i, grid.col[i, k])),
-                                     shape=(grid.nodes.size,) * 2)
-
-        vals = values.copy()
-        vals[grid.nodes] = grid._solve(policy, matrix,
-                                       rhs - (sel * grid.bterms).sum(axis=1))
-        return vals
-
-    values, res = _howard(evaluate, solve, values, tol, h)
-    out = np.where(grid.interior, values.reshape(grid.interior.shape),
-                   grid.boundary_values)
-    meta = {"operator": f_op.kind, "h": h, "residual": res}
-    return Field2D(h=h, x0=grid.x0, y0=grid.y0, values=out,
-                   interior=grid.interior, meta=meta)
+        return _solve_on(problem.grid, problem.rhs, start)
+    grid = _Grid2D.for_solve(f_op, problem, h)
+    return _solve_on(grid, grid.rhs(problem), start)
 
 
 # ---------------------------------------------------------------------------
@@ -836,16 +841,14 @@ class FundamentalProfile:
     fit_report: dict
 
 
-def _sphere_extrema(fld, sig):
-    """(min, max) profiles of the field over the spheres of radii sig; 2D
-    samples off the computational domain (NaN) are skipped."""
+def _sphere_samples(fld, sig):
+    """The field at 128 points of each sphere of radius sig, (spheres, samples);
+    a radial field gives one sample per sphere, a 2D one NaN off its domain."""
     if isinstance(fld, RadialField):
-        v = fld(sig)
-        return v, v
+        return fld(sig)[:, None]
     th = np.linspace(0, 2 * math.pi, 128, endpoint=False).tolist()
     cos, sin = (np.array([f(t) for t in th]) for f in (math.cos, math.sin))
-    vals = fld.interp(sig[:, None] * cos, sig[:, None] * sin)
-    return np.nanmin(vals, axis=1), np.nanmax(vals, axis=1)
+    return fld.interp(sig[:, None] * cos, sig[:, None] * sin)
 
 
 def _line_fit(x, m):
@@ -878,7 +881,12 @@ def fundamental_profile(f_op: EllipticOperator, n: int, cells: int = 512,
            else solve_dirichlet_2d(f_op, problem, h=outer_radius / (cells / 4)))
 
     sig = np.geomspace(2.0, 8.0, 33)
-    mins, maxs = _sphere_extrema(fld, sig)
+    vals = _sphere_samples(fld, sig)
+    off = int(np.isnan(vals).sum())
+    if off:
+        raise ValueError(f"{off} of the {vals.size} sphere samples fell off the "
+                         "grid; a fit needs whole spheres, so use more cells")
+    mins, maxs = vals.min(axis=1), vals.max(axis=1)
     lo, hi = alpha_bracket(f_op, n)
     from scipy.optimize import minimize_scalar
 

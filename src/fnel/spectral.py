@@ -3,9 +3,9 @@
 Each step solves F(D^2 u_{k+1}) = u_k with zero boundary data and
 sup-normalizes; the reciprocal of the pre-normalization sup-norm converges
 to the first eigenvalue associated with a positive eigenfunction.  One loop
-in ``principal_eigenvalue`` serves both grids: each grid supplies its start
-vector and a step (u, start) -> (solution, interior values), and the
-eigenfield is the last solution rescaled.
+in ``principal_eigenvalue`` serves both grids: each supplies its grid, start
+vector and step (u, start) -> solution, the iterate is read at the grid's
+unknowns, and the eigenfield is the last solution rescaled.
 
 The grid is built once per call and held: each step hands the solver u_k
 as an array at the grid's rhs points, and every step after the first is
@@ -17,7 +17,6 @@ solves with the LU of that policy's matrix instead of assembling it again.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,13 +45,6 @@ class EigenResult:
         if self.lambda1 <= 0:
             raise ValueError("lambda1 must be positive")
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "lambda1": self.lambda1,
-            "iterations": self.iterations,
-            "drift": self.drift,
-        })
-
 
 def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
                          tol: float = 1e-8) -> EigenResult:
@@ -60,15 +52,16 @@ def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
     if tol <= 0:
         raise ValueError("tol must be positive")
     if isinstance(domain, (Annulus, Ball)):
-        u, step = _radial_steps(f_op, domain, cells)
+        grid, u, step = _radial_steps(f_op, domain, cells)
     elif isinstance(domain, Rectangle):
-        u, step = _grid_steps(f_op, domain, cells)
+        grid, u, step = _grid_steps(f_op, domain, cells)
     else:
         raise TypeError("domain must be an annulus, ball, or rectangle")
     u = u / u.max()
     start = lam_prev = None
     for it in range(1, EIGEN_ITERATION_CAP + 1):
-        sol, vin = step(u, start)
+        sol = step(u, start)
+        vin = sol.values.ravel()[grid.unknown]       # a ball's centre included
         if vin.min() <= 0:
             raise IterationFailure(
                 "iterate lost positivity; discretization failure")
@@ -89,28 +82,27 @@ def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
 
 
 def _radial_steps(f_op, domain, cells):
-    """The radial start vector and step (u, start) -> (solution, interior)."""
+    """The radial grid, start vector and step (u, start) -> solution."""
     n = f_op.dim
-    grid = _RadialGrid(f_op, n, DirichletProblem(domain=domain, n=n), cells)
+    grid = _RadialGrid.for_solve(f_op, n, DirichletProblem(domain=domain, n=n),
+                                cells)
     nodes = grid.r
     if isinstance(domain, Annulus):
         half = 0.5 * (domain.r1 - domain.r0)
         bump = np.minimum(nodes - domain.r0, domain.r1 - nodes) / half
-        inner = slice(1, -1)
-    else:                                # a ball solves for its centre too
-        bump, inner = (domain.r1 - nodes) / domain.r1, slice(0, -1)
+    else:
+        bump = (domain.r1 - nodes) / domain.r1
 
     def step(u, start):
         problem = _OnGrid(domain=domain, n=n, rhs=np.interp(grid.pts, nodes, u),
                           grid=grid)
-        sol = solve_dirichlet_radial(f_op, n, problem, cells, start)
-        return sol, sol.values[inner]
+        return solve_dirichlet_radial(f_op, n, problem, cells, start)
 
-    return np.maximum(bump, 0.0), step
+    return grid, np.maximum(bump, 0.0), step
 
 
 def _grid_steps(f_op, domain, cells):
-    """The 2D start vector and step (u, start) -> (solution, interior)."""
+    """The 2D grid, start vector and step (u, start) -> solution."""
     h = min(domain.x1 - domain.x0, domain.y1 - domain.y0) / cells
     grid = _Grid2D.for_solve(f_op, DirichletProblem(domain=domain, n=2), h)
     nx, ny = grid.interior.shape
@@ -119,13 +111,12 @@ def _grid_steps(f_op, domain, cells):
 
     def step(u, start):
         problem = _OnGrid(domain=domain, n=2, rhs=u[grid.interior], grid=grid)
-        sol = solve_dirichlet_2d(f_op, problem, h, start)
-        return sol, sol.values[sol.interior]
+        return solve_dirichlet_2d(f_op, problem, h, start)
 
-    return np.maximum(0.0, np.minimum(x - domain.x0, domain.x1 - x)
-                      / (domain.x1 - domain.x0)
-                      * np.minimum(y - domain.y0, domain.y1 - y)
-                      / (domain.y1 - domain.y0)), step
+    return grid, np.maximum(0.0, np.minimum(x - domain.x0, domain.x1 - x)
+                            / (domain.x1 - domain.x0)
+                            * np.minimum(y - domain.y0, domain.y1 - y)
+                            / (domain.y1 - domain.y0)), step
 
 
 def eigen_scaling_check(f_op: EllipticOperator, domain, sigma: float,

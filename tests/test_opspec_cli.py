@@ -252,6 +252,15 @@ class TestGoldenSamples:
         assert code == EXIT_OK
         assert out.read_text() == (self.SAMPLES / "solve_output.csv").read_text()
 
+    def test_solve_2d_output_reproduces(self, tmp_path):
+        # the 2D grid with the rotated Pucci control family
+        out = tmp_path / "solve.csv"
+        code = main(["solve", "--op", str(self.SAMPLES / "pucci_max_n2.json"),
+                     "--domain", "rectangle:0:1:0:1", "--rhs-const", "1.0",
+                     "--cells", "16", "--format", "csv", "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text() == (self.SAMPLES / "solve_pucci_max_2d.csv").read_text()
+
     def test_classify_output_reproduces(self, tmp_path):
         out = tmp_path / "classify.json"
         code = main(["classify", "--op",

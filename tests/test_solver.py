@@ -19,7 +19,7 @@ from fnel.liouville import _signed_min_residual
 from fnel.matcore import LAPLACIAN, PUCCI_MAX, PUCCI_MIN
 from fnel.solver import (
     Field2D, NonMonotoneScheme, RadialField, _control_families, _evaluate_2d,
-    _Grid2D, _HeldLU, _line_fit, _pattern_value, _pattern_weights,
+    _Grid2D, _HeldLU, _line_fit, _pattern_weights,
     _radial_controls, _radial_entries, _radial_grid, _radial_rhs, _RadialGrid,
     _stencil_coefficients,
 )
@@ -258,13 +258,17 @@ class TestSolver2D:
     def test_non_monotone_rejected_with_matrix_named(self):
         # off-diagonal dominance fails: a12 > min(a11, a22)
         bad = np.array([[1.0, 1.4], [1.4, 2.5]])
-        op = isaacs(0.1, 4.0, 2, [[bad]])
         prob = DirichletProblem(
             domain=Rectangle(0.0, 1.0, 0.0, 1.0), n=2,
             rhs=lambda x, y: 0.0, boundary=lambda x, y: 0.0)
-        with pytest.raises(NonMonotoneScheme) as err:
-            solve_dirichlet_2d(op, prob, h=1.0 / 8)
-        assert "1.4" in str(err.value)
+        # the second family is ragged, its violating control in the longer row
+        for fams, label in (([[bad]], "(0,0)"),
+                            ([[np.eye(2)], [np.eye(2), np.eye(2), bad]], "(1,2)")):
+            with pytest.raises(NonMonotoneScheme) as err:
+                solve_dirichlet_2d(isaacs(0.1, 4.0, 2, fams), prob, h=1.0 / 8)
+            assert str(err.value) == (
+                f"control matrix {label} = [[1,1.4],[1.4,2.5]] violates diagonal "
+                "dominance; anisotropy too strong for the 9-point stencil")
 
     def test_annulus_grid_path(self, lap3):
         lap2 = laplacian(2)
@@ -388,7 +392,9 @@ class TestKernel2D:
         # both rows hold {2I, I}, so their minima tie exactly: the first row
         # wins, and within it the first minimum
         two, one = 2.0 * np.eye(2), np.eye(2)
-        coef = _stencil_coefficients(((two, one, two), (one, two)), 0.25)
+        # the short row padded with its first control, as matcore pads it
+        coef = _stencil_coefficients(np.array([[two, one, two], [one, two, one]]),
+                                     0.25)
         grid = _Grid2D.build(DirichletProblem(
             domain=Rectangle(0.0, 1.0, 0.0, 1.0), n=2), 0.25)
         xs = np.arange(5) * 0.25
@@ -507,6 +513,14 @@ class TestFundamentalProfile:
         rep = fundamental_profile(op, 2, cells=128).fit_report
         assert rep["alpha_min_fit"] == pytest.approx(0.3454815476584815, abs=1e-9)
         assert rep["alpha_max_fit"] == pytest.approx(0.16232212519357656, abs=1e-9)
+
+    def test_isaacs_2d_partial_spheres_rejected(self):
+        # at 64 cells 130 samples on 3 of the 33 spheres lie off the annulus
+        # grid; fitting the rest pinned alpha_max_fit at Brent's lower bound
+        op = parse_operator_spec((SAMPLES / "isaacs_2d.json").read_text())
+        with pytest.raises(ValueError, match="130 of the 4224 sphere samples "
+                                             "fell off the grid"):
+            fundamental_profile(op, 2, cells=64)
 
     @pytest.mark.parametrize("alpha", [None, 0.3, 1.7])
     def test_line_fit_matches_lstsq(self, alpha):
@@ -641,9 +655,8 @@ class TestRadialKernel:
         a[::7] = 0.0
         b[::5] = 0.0
         a[3::11] = -(n - 1) * b[3::11]       # every control gives F = 0
-        controls = _radial_controls(op)
-        wa, wb = _pattern_weights(op, n, a, b, controls)
-        value = _pattern_value(op, n, a, b, controls)
+        wa, wb = _pattern_weights(op, n, a, b, _radial_controls(op))
+        value = -(wa * a + wb * b)           # F as _RadialGrid.apply forms it
         for i in range(a.size):
             assert (wa[i], wb[i]) == _pattern_weights_reference(op, n, a[i], b[i])
             assert value[i] == _pattern_value_reference(op, n, a[i], b[i])
@@ -656,7 +669,7 @@ class TestRadialKernel:
         op = _radial_ops(3)[name]
         prob = DirichletProblem(domain=domain, n=3, rhs=lambda r: math.cos(r),
                                 spacing=spacing)
-        grid = _RadialGrid(op, 3, prob, 64)
+        grid = _RadialGrid.for_solve(op, 3, prob, 64)
         r, h, sp = grid.r, grid.h, grid.spacing
         rhs = _radial_rhs(prob, r)
         rng = np.random.default_rng(5)
@@ -697,33 +710,50 @@ SOLVE_CASES = ["log", "linear", "ball", "laplacian_2d", "pucci_2d", "isaacs_2d",
                "annulus_2d"]
 
 
-def _solve_case(name, start=None):
-    """One solve per kind of system the linear solve sees, cold or warm."""
+def _case(name):
+    """(operator, problem, radial cells or 2D step) of one solve per kind of
+    system the linear solve sees."""
     if name == "log":
         prob = DirichletProblem(domain=Annulus(1.0, 16.0), n=3,
                                 rhs=lambda r: math.cos(r),
                                 boundary=lambda r: 1.0 / r)
-        return solve_dirichlet_radial(pucci_max(1.0, 2.0, 3), 3, prob, 128, start)
+        return pucci_max(1.0, 2.0, 3), prob, 128
     if name == "linear":
         prob = DirichletProblem(domain=Annulus(1.0, 3.0), n=3,
                                 rhs=lambda r: math.sin(2.0 * r),
                                 boundary=lambda r: r, spacing="linear")
-        return solve_dirichlet_radial(_radial_ops(3)["isaacs"], 3, prob, 128,
-                                      start)
+        return _radial_ops(3)["isaacs"], prob, 128
     if name == "ball":
         prob = DirichletProblem(domain=Ball(1.0), n=3, rhs=lambda r: 1.0 + r,
                                 boundary=lambda r: 0.5)
-        return solve_dirichlet_radial(pucci_min(1.0, 2.0, 3), 3, prob, 128, start)
+        return pucci_min(1.0, 2.0, 3), prob, 128
     if name == "annulus_2d":
         prob = DirichletProblem(domain=Annulus(1.0, 2.0), n=2,
                                 rhs=lambda x, y: 0.5, boundary=lambda r: 1.0 / r)
-        return solve_dirichlet_2d(laplacian(2), prob, 1.0 / 8, start)
+        return laplacian(2), prob, 1.0 / 8
     op = {"laplacian_2d": laplacian(2), "pucci_2d": pucci_max(1.0, 2.0, 2),
           "isaacs_2d": parse_operator_spec(
               (SAMPLES / "isaacs_2d.json").read_text())}[name]
     prob = DirichletProblem(domain=SQUARE, n=2, rhs=lambda x, y: 1.0 + x * y,
                             boundary=lambda x, y: x * x + 0.5 * y)
-    return solve_dirichlet_2d(op, prob, 1.0 / 8, start)
+    return op, prob, 1.0 / 8
+
+
+def _solve_case(name, start=None):
+    """The solve of ``_case(name)``, cold or warm."""
+    op, prob, size = _case(name)
+    if isinstance(size, int):            # radial cells; a 2D step is a float
+        return solve_dirichlet_radial(op, 3, prob, size, start)
+    return solve_dirichlet_2d(op, prob, size, start)
+
+
+class TestResidualNormOfSolves:
+    @pytest.mark.parametrize("name", SOLVE_CASES)
+    def test_matches_the_solver_residual(self, name):
+        # the 2D entries read the solver's kernel on a Field2D
+        op, prob, _ = _case(name)
+        fld = _solve_case(name)
+        assert residual_norm(op, fld, prob) == fld.meta["residual"]
 
 
 def _systems(monkeypatch, name):
