@@ -29,7 +29,8 @@ diag(a, b, ..., b), and a frozen control reduces F to -(wa*a + wb*b).
 ball's centre) at once: closed-form sign tests for the Laplacian and Pucci
 kinds, a loop over sup-rows of the (a11, tr A - a11) control table for
 Isaacs families.  A step solves the tridiagonal system (plus the centre row
-on a ball), one CSR matrix.
+on a ball) from its (unknowns, 3) band; see ``_RadialGrid`` for the skeleton
+its factorizations share.
 
 2D path: rectangles and annuli on a uniform Cartesian grid.  F is a sup over
 rows of an inf over the controls A of one (rows, controls, 2, 2) array, each
@@ -44,8 +45,9 @@ interpolated at all of them, a Field2D on the solve's grid is read at its
 interior nodes.  Callable data are called once per node, None data are zero.
 A grid is built once per solve, or once per ``principal_eigenvalue``, whose
 steps hand it over in an ``_OnGrid`` problem.  Its one-slot ``_HeldLU`` keeps
-the last sweep's policy and, when that policy comes again right away, its
-matrix's LU.
+the last sweep's policy and its matrix's LU: the radial grid factorizes
+every new policy once, the 2D grid only a policy that comes again right
+away.
 
 ``fundamental_profile`` samples a solution at 128 points on each of 33
 spheres of radius s in [2, 8] in one pass (a sample off a 2D grid's domain
@@ -139,20 +141,27 @@ def _solve_on(grid, rhs, start):
 
 
 class _HeldLU:
-    """A grid's one-slot cache ``(policy, LU or None)``; on one grid the policy
-    frozen for a sweep fixes its matrix.  A new policy goes through spsolve, so
-    a cold solve keeps no LU; the same policy right after is factorized once by
-    ``splu(mat.T.tocsc())``, and later repeats only run ``solve(rhs, trans="T")``:
-    the triangular solves spsolve runs on a CSR matrix, so the bits agree."""
+    """A grid's one-slot cache ``_held = (policy, LU)`` of the last sweep; on
+    one grid the policy frozen for a sweep fixes its matrix.  ``_solve`` here
+    is the 2D rule, with the LU None until a policy repeats: a new policy goes
+    through spsolve, so a cold solve keeps no LU; the same policy right after
+    is factorized once by ``splu(mat.T.tocsc())``, and later repeats only run
+    ``solve(rhs, trans="T")``: the triangular solves spsolve runs on a CSR
+    matrix, so the bits agree.  ``_RadialGrid._solve`` holds the LU of every
+    new policy instead."""
 
     _held = (None, None)
 
+    def _holds(self, policy):
+        last = self._held[0]
+        return last is not None and all(map(np.array_equal, policy, last))
+
     def _solve(self, policy, matrix, rhs):
         """The solve for a frozen policy; ``matrix()`` assembles its CSR matrix."""
-        last, lu = self._held
-        if last is None or not all(map(np.array_equal, policy, last)):
+        if not self._holds(policy):
             self._held = (policy, None)
             return spla.spsolve(matrix(), rhs)
+        lu = self._held[1]
         if lu is None:
             lu = spla.splu(matrix().T.tocsc())
             self._held = (policy, lu)
@@ -455,9 +464,45 @@ def _radial_rhs(problem, r):
     return _data(f, pts.tolist())
 
 
+# a radial sweep's pattern depends on its number of unknowns alone; per number,
+# the read-only arrays of ``_skeleton`` (no values, no LU)
+_SKELETONS = {}
+_SKELETON_CAP = 32                      # sizes held; the oldest goes first
+
+
+def _skeleton(nun, perm_c):
+    """Remember, for SuperLU's COLAMD order perm_c of the transposed matrix B
+    of nun unknowns (B Pc = B[:, order]), ``(order, perm_c, take, indices,
+    indptr)``: the gather index from ``band.ravel()`` into the CSC skeleton
+    B[order][:, order] and that skeleton's int32 index arrays."""
+    order = np.argsort(perm_c)
+    # the positions of the matrix entries in band.ravel() stand in for values
+    pos = _RadialGrid.matrix(np.arange(3.0 * nun).reshape(nun, 3))
+    skel = pos.T.tocsc()[order][:, order].tocsc()
+    skel.sort_indices()
+    arrays = (order, perm_c.copy(), skel.data.astype(np.intp),
+              skel.indices.astype(np.int32), skel.indptr.astype(np.int32))
+    for a in arrays:
+        a.setflags(write=False)
+    while len(_SKELETONS) >= _SKELETON_CAP:
+        del _SKELETONS[next(iter(_SKELETONS))]
+    _SKELETONS[nun] = arrays
+
+
 class _RadialGrid(_HeldLU):
     """Radial nodes r with step h, spacing and the Isaacs control table: all
-    that ``apply`` needs.  ``for_solve`` adds the rest of the solve interface."""
+    that ``apply`` needs.  ``for_solve`` adds the rest of the solve interface.
+
+    A sweep's policy is factorized once and held (``_solve``).  The first
+    factorization at a number of unknowns is SuperLU's own, with COLAMD, on
+    ``matrix(band)``; it gives ``_SKELETONS`` that size's order.  Every later one
+    fills the grid's one CSC skeleton with the band by one ``np.take`` and
+    factorizes it in its natural order, without assembly, COLAMD or a
+    transpose.  The skeleton's rows follow the order as its columns do, so the
+    diagonal SuperLU prefers as pivot stays the matrix diagonal: on the
+    scheme's M-matrices the bits are those of ``spsolve(matrix(band), rhs)``."""
+
+    _skel = None                        # the grid's CSC skeleton, made on first use
 
     def __init__(self, f_op, n, r, h, spacing, is_ball):
         self.f_op, self.n, self.r, self.h = f_op, n, r, h
@@ -509,8 +554,33 @@ class _RadialGrid(_HeldLU):
     def step(self, policy, u, rhs):
         band, rvec = self.system(*policy, u, rhs)
         out = u.copy()
-        out[self.unknown] = self._solve(policy, lambda: self.matrix(band), rvec)
+        out[self.unknown] = self._solve(policy, band, rvec)
         return out
+
+    def _solve(self, policy, band, rvec):
+        """The sweep's solution for a frozen policy with this band: a new policy
+        is factorized, after the old LU is dropped, and held for its repeats."""
+        if not self._holds(policy):
+            self._held = (None, None)
+            self._held = (policy, self._factorize(band))
+        lu, order, perm_c = self._held[1]
+        return lu.solve(rvec[order], trans="T")[perm_c]
+
+    def _factorize(self, band):
+        """(LU, order, perm_c) of the band's matrix: the LU solves for the rhs
+        in that order and gives the solution in the order perm_c, both the
+        identity for SuperLU's first factorization at this size."""
+        nun = len(band)
+        if nun not in _SKELETONS:
+            lu = spla.splu(self.matrix(band).T.tocsc())
+            _skeleton(nun, lu.perm_c)
+            return lu, slice(None), slice(None)
+        order, perm_c, take, indices, indptr = _SKELETONS[nun]
+        if self._skel is None:
+            self._skel = sparse.csc_matrix((np.empty(take.size), indices, indptr),
+                                           shape=(nun, nun))
+        np.take(band, take, out=self._skel.data)
+        return spla.splu(self._skel, permc_spec="NATURAL"), order, perm_c
 
     def field(self, u, meta):
         return RadialField(n=self.n, nodes=self.r, values=u, spacing=self.spacing,
@@ -531,8 +601,10 @@ class _RadialGrid(_HeldLU):
         rvec[-1] -= band[-1, 2] * u[-1]
         return band, rvec
 
-    def matrix(self, band):
-        """The band as CSR, in the canonical order spsolve hands to SuperLU."""
+    @staticmethod
+    def matrix(band):
+        """The band as CSR with its explicit zeros: the sweep's matrix, whose
+        transpose in CSC is what SuperLU factorizes."""
         nun = len(band)
         cols = np.arange(nun)[:, None] + np.array([-1, 0, 1])
         indptr = np.clip(3 * np.arange(nun + 1) - 1, 0, 3 * nun - 2)

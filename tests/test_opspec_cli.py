@@ -261,6 +261,16 @@ class TestGoldenSamples:
         assert code == EXIT_OK
         assert out.read_text() == (self.SAMPLES / "solve_pucci_max_2d.csv").read_text()
 
+    def test_solve_annulus4_output_reproduces(self, tmp_path):
+        # four sweeps on 511 unknowns, whose COLAMD order is not the identity
+        out = tmp_path / "solve.csv"
+        code = main(["solve", "--op", str(self.SAMPLES / "pucci_max_n3.json"),
+                     "--domain", "annulus:1:4", "--rhs-const", "1.0",
+                     "--cells", "512", "--format", "csv", "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text() == (
+            self.SAMPLES / "solve_pucci_max_annulus4.csv").read_text()
+
     def test_classify_output_reproduces(self, tmp_path):
         out = tmp_path / "classify.json"
         code = main(["classify", "--op",

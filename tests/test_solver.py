@@ -23,6 +23,7 @@ from fnel.solver import (
     _radial_controls, _radial_entries, _radial_grid, _radial_rhs, _RadialGrid,
     _stencil_coefficients,
 )
+from conftest import counted_solves
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -695,11 +696,30 @@ class TestRadialKernel:
         fld = RadialField(n=3, nodes=nodes,
                           values=nodes ** -1.0 + 0.01 * rng.standard_normal(65),
                           spacing="log")
-        h = math.log(nodes[1] / nodes[0])
-        a, b = _radial_entries(fld.values, h, nodes, "log", is_ball=False)
+        # the solver's step: that of the linspace in log r, not log(r1 / r0)
+        t = np.linspace(math.log(1.0), math.log(4.0), 65)
+        a, b = _radial_entries(fld.values, t[1] - t[0], nodes, "log", is_ball=False)
         want = min(_pattern_value_reference(op, 3, a[i], b[i])
                    for i in range(a.size))
         assert _signed_min_residual(op, fld) == want
+
+    @pytest.mark.parametrize("prob,cells", [
+        (DirichletProblem(domain=Annulus(1.0, 16.0), n=3, rhs=lambda r: 1.0), 128),
+        (DirichletProblem(domain=Ball(2.0), n=3, rhs=lambda r: 1.0 + r,
+                          boundary=lambda r: 0.3), 64),
+    ], ids=["annulus", "ball"])
+    def test_signed_min_residual_is_the_solvers(self, prob, cells):
+        # the minimum of F_h u on the solve's own grid, a ball's centre row
+        # included
+        op = pucci_max(1.0, 2.0, 3)
+        fld = solve_dirichlet_radial(op, 3, prob, cells)
+        fu = _RadialGrid.for_solve(op, 3, prob, cells).apply(fld.values)[0]
+        assert _signed_min_residual(op, fld) == fu.min()
+        if isinstance(prob.domain, Annulus):
+            assert _signed_min_residual(op, fld) == 0.9999999999984794
+        else:
+            assert fu.argmin() == fu.size - 1        # the centre row
+            assert fu[:-1].min() > fu.min()
 
 
 # ---------------------------------------------------------------------------
@@ -757,18 +777,28 @@ class TestResidualNormOfSolves:
 
 
 def _systems(monkeypatch, name):
-    """(grid, policy, matrix, rhs) of every sweep of a cold solve."""
+    """(grid, policy, system, matrix, rhs) of every sweep of a cold solve; the
+    system is what the grid's ``_solve`` takes: a radial sweep's band, a 2D
+    sweep's matrix assembler."""
     seen = []
-    inner = _HeldLU._solve
+    inner = {True: _RadialGrid._solve, False: _HeldLU._solve}
 
-    def spy(grid, policy, matrix, rhs):
-        seen.append((grid, policy, matrix(), rhs.copy()))
-        return inner(grid, policy, matrix, rhs)
+    def spy(grid, policy, system, rhs):
+        radial = isinstance(grid, _RadialGrid)
+        mat = grid.matrix(system) if radial else system()
+        seen.append((grid, policy, system, mat, rhs.copy()))
+        return inner[radial](grid, policy, system, rhs)
 
-    monkeypatch.setattr(_HeldLU, "_solve", spy)
+    for cls in (_RadialGrid, _HeldLU):
+        monkeypatch.setattr(cls, "_solve", spy)
     _solve_case(name)
-    monkeypatch.setattr(_HeldLU, "_solve", inner)
+    monkeypatch.setattr(_RadialGrid, "_solve", inner[True])
+    monkeypatch.setattr(_HeldLU, "_solve", inner[False])
     return seen
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a held LU needs no matrix and no factorization")
 
 
 class TestFactorizationReuse:
@@ -776,44 +806,158 @@ class TestFactorizationReuse:
     def test_matches_spsolve_bit_for_bit(self, monkeypatch, name):
         systems = _systems(monkeypatch, name)
         assert systems
-        for grid, policy, mat, rhs in systems:
+        monkeypatch.setattr(solver, "_SKELETONS", {})
+        for grid, policy, system, mat, rhs in systems:
             want = spla.spsolve(mat, rhs)
             other = np.cos(np.arange(rhs.size, dtype=float))
+            other_want = spla.spsolve(mat, other)
+            grid._held = (None, None)
+            if isinstance(grid, _RadialGrid):
+                # SuperLU's first factorization at this size, then one in the
+                # order it left in the skeleton cache
+                solver._SKELETONS.pop(len(system), None)
+                for cached in (False, True):
+                    assert (len(system) in solver._SKELETONS) == cached
+                    grid._held = (None, None)
+                    assert np.array_equal(grid._solve(policy, system, rhs), want)
+                # the held LU reads no band and factorizes nothing
+                with monkeypatch.context() as m:
+                    m.setattr(spla, "splu", _forbidden)
+                    m.setattr(_RadialGrid, "matrix", _forbidden)
+                    for b, b_want in ((other, other_want), (rhs, want)):
+                        assert np.array_equal(grid._solve(policy, None, b), b_want)
+                continue
             built = []
 
             def matrix(mat=mat):
                 built.append(1)
                 return mat
 
-            grid._held = (None, None)
             # spsolve, then splu on the repeat, then the held LU, which
             # assembles no matrix
             for _ in range(3):
                 assert np.array_equal(grid._solve(policy, matrix, rhs), want)
             assert len(built) == 2
-            assert np.array_equal(grid._solve(policy, matrix, other),
-                                  spla.spsolve(mat, other))
+            assert np.array_equal(grid._solve(policy, matrix, other), other_want)
             assert len(built) == 2
 
     def test_only_a_repeated_matrix_is_factorized(self, monkeypatch):
-        grid, policy, mat, rhs = _systems(monkeypatch, "log")[-1]
-        calls = []
-        splu = spla.splu
-        monkeypatch.setattr(spla, "splu",
-                            lambda *a, **k: calls.append(1) or splu(*a, **k))
+        # the 2D rule: a new policy goes through spsolve, its first repeat is
+        # factorized by splu, later repeats solve with the held LU
+        (grid, p0, m0, mat0, rhs), (_, p1, m1, mat1, _) = \
+            _systems(monkeypatch, "pucci_2d")[:2]
+        assert (mat0 != mat1).nnz
+        steps = [(p0, m0, mat0, rhs, 1), (p0, m0, mat0, 2.0 * rhs, 2),
+                 (p0, m0, mat0, rhs + 1.0, 2), (p1, m1, mat1, rhs, 3),
+                 (p1, m1, mat1, rhs, 4), (p0, m0, mat0, rhs, 5)]
+        wants = [spla.spsolve(mat, b) for _, _, mat, b, _ in steps]
+        calls = counted_solves(monkeypatch)
+        grid._held = (None, None)
+        for (p, matrix, _, b, factorized), want in zip(steps, wants):
+            assert np.array_equal(grid._solve(p, matrix, b), want)
+            assert calls.count("factorize") == factorized
+        assert calls.count("solve") == len(steps)
+
+    def test_a_new_radial_policy_is_factorized_once(self, monkeypatch):
+        # the radial rule: a new policy is factorized once and held, a repeat
+        # is not factorized
+        grid, policy, band, mat, rhs = _systems(monkeypatch, "log")[-1]
         wa, wb = policy
         changed = (wa.copy(), wb)
         changed[0][4] *= 1.0 + 1e-9
-        changed_mat = grid.matrix(grid.system(*changed, np.zeros(129), rhs)[0])
-        assert (changed_mat != mat).nnz == 3
+        changed_band = grid.system(*changed, np.zeros(129), rhs)[0]
+        assert (grid.matrix(changed_band) != mat).nnz == 3
+        steps = [(policy, band, rhs, 1), (policy, band, 2.0 * rhs, 1),
+                 (policy, band, rhs + 1.0, 1), (changed, changed_band, rhs, 2),
+                 (changed, changed_band, rhs, 2), (policy, band, rhs, 3)]
+        wants = [spla.spsolve(grid.matrix(bd), b) for _, bd, b, _ in steps]
+        calls = counted_solves(monkeypatch)
         grid._held = (None, None)
-        steps = [(policy, mat, rhs, 0), (policy, mat, 2.0 * rhs, 1),
-                 (policy, mat, rhs + 1.0, 1), (changed, changed_mat, rhs, 1),
-                 (changed, changed_mat, rhs, 2), (policy, mat, rhs, 2)]
-        for p, m, b, want_calls in steps:
-            assert np.array_equal(grid._solve(p, lambda m=m: m, b),
-                                  spla.spsolve(m, b))
-            assert len(calls) == want_calls
+        for (p, bd, b, factorized), want in zip(steps, wants):
+            assert np.array_equal(grid._solve(p, bd, b), want)
+            assert calls.count("factorize") == factorized
+        assert calls.count("solve") == len(steps)
+
+
+class TestSkeletonCache:
+    @pytest.mark.parametrize("name", ["laplacian", "pucci_max", "pucci_min",
+                                      "isaacs"])
+    @pytest.mark.parametrize("domain,spacing", [(Annulus(1.0, 4.0), "log"),
+                                                (Annulus(1.0, 3.0), "linear"),
+                                                (Ball(1.0), "auto")])
+    def test_cached_order_is_superlus(self, monkeypatch, name, domain, spacing):
+        monkeypatch.setattr(solver, "_SKELETONS", {})
+        seen = []
+        inner = _RadialGrid._solve
+
+        def spy(grid, policy, band, rvec):
+            seen.append((grid, band))
+            return inner(grid, policy, band, rvec)
+
+        monkeypatch.setattr(_RadialGrid, "_solve", spy)
+        op = _radial_ops(3)[name]
+        for cells in (8, 33, 128, 512):
+            prob = DirichletProblem(domain=domain, n=3, spacing=spacing,
+                                    rhs=lambda r: math.cos(3.0 * r),
+                                    boundary=lambda r: 1.0 / (1.0 + r))
+            solve_dirichlet_radial(op, 3, prob, cells)
+        assert sorted(solver._SKELETONS) == sorted({len(b) for _, b in seen})
+        for grid, band in seen:
+            nun = len(band)
+            mat = grid.matrix(band).T.tocsc()
+            skel = solver._SKELETONS[nun]
+            order, perm_c, take, indices, indptr = skel
+            assert np.array_equal(perm_c, spla.splu(mat).perm_c)
+            assert np.array_equal(order[perm_c], np.arange(nun))
+            assert not any(a.flags.writeable for a in skel)
+            assert indices.dtype == indptr.dtype == np.int32
+            # the filled skeleton is the transposed matrix, rows and columns
+            # in that order, its explicit zeros kept
+            filled = sparse.csc_matrix((np.take(band, take), indices, indptr),
+                                       shape=(nun, nun))
+            assert filled.nnz == 3 * nun - 2
+            assert np.array_equal(filled.toarray(),
+                                  mat.toarray()[order][:, order])
+
+    def test_ties_pivot_as_spsolve_does(self, monkeypatch):
+        # tridiagonal M-matrices whose entries tie in size, a ball's centre
+        # row among them: the skeleton keeps the diagonal on the diagonal, so
+        # SuperLU prefers the same pivots and gives the same bits
+        rng = np.random.default_rng(7)
+        # the first band of a size is factorized with COLAMD, the rest on
+        # the skeleton
+        monkeypatch.setattr(solver, "_SKELETONS", {})
+        for nun in (7, 8, 16, 33):
+            grid = _RadialGrid(laplacian(3), 3, None, None, "log", False)
+            for k in range(200):
+                off = -rng.choice([0.0, 0.5, 1.0, 2.0], size=(nun, 2))
+                diag = -off.sum(axis=1) + rng.choice([0.0, 0.0, 0.25, 1.0], size=nun)
+                diag[diag == 0.0] = 1.0
+                band = np.stack([off[:, 0], diag, off[:, 1]], axis=1)
+                if k % 2:
+                    band[0] = (0.0, 2.0, -2.0)
+                mat = grid.matrix(band)
+                try:
+                    spla.splu(mat.T.tocsc())
+                except RuntimeError:            # exactly singular
+                    continue
+                rhs = rng.standard_normal(nun)
+                grid._held = (None, None)
+                assert np.array_equal(grid._solve((), band, rhs),
+                                      spla.spsolve(mat, rhs))
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(solver, "_SKELETONS", {})
+        prob = DirichletProblem(domain=Annulus(1.0, 2.0), n=3, rhs=lambda r: 1.0)
+        sizes = range(4, 12 + solver._SKELETON_CAP)
+        for cells in sizes:
+            solve_dirichlet_radial(laplacian(3), 3, prob, cells)
+            assert len(solver._SKELETONS) <= solver._SKELETON_CAP
+        # the oldest sizes went first; an evicted size is factorized afresh
+        assert list(solver._SKELETONS) == [c - 1 for c in sizes[-solver._SKELETON_CAP:]]
+        fld = solve_dirichlet_radial(laplacian(3), 3, prob, 4)
+        assert 3 in solver._SKELETONS
+        assert fld.meta["residual"] <= 1e-9
 
 
 def _boundary_entries(fld):
@@ -1006,26 +1150,6 @@ class TestProblemData:
             assert ring.any() and not grid.boundary_values[ring].any()
 
 
-def _counted_solves(monkeypatch):
-    """Count the linear solves, ``spla.spsolve`` calls and solves with an LU
-    from ``spla.splu``; returns the list the counter appends to."""
-    calls = []
-    spsolve, splu = spla.spsolve, spla.splu
-
-    class CountedLU:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, *args, **kwargs):
-            calls.append(1)
-            return self.lu.solve(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "spsolve",
-                        lambda *a, **k: calls.append(1) or spsolve(*a, **k))
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: CountedLU(splu(*a, **k)))
-    return calls
-
-
 class TestHowardStop:
     # boundary data 1 inside, 0 outside: at these grids the round-off floor
     # of the residual lies above the 2e-10 tolerance
@@ -1035,12 +1159,12 @@ class TestHowardStop:
     @pytest.mark.parametrize("cells", [700, 1024, 4096])
     def test_round_off_floor_fails_after_one_solve(self, monkeypatch, make,
                                                    cells):
-        calls = _counted_solves(monkeypatch)
+        calls = counted_solves(monkeypatch)
         prob = DirichletProblem(domain=Annulus(1.0, 2.0), n=3,
                                 boundary=lambda r: 1.0 if r < 1.5 else 0.0)
         with pytest.raises(solver.PolicyIterationDiverged) as exc:
             solve_dirichlet_radial(make(), 3, prob, cells)
-        assert len(calls) == 1
+        assert calls == ["factorize", "solve"]
         history = exc.value.history
         assert len(history) == 2
         r, _, _ = _radial_grid(prob, cells)
@@ -1068,13 +1192,13 @@ class TestHowardStop:
 
             def solve():
                 return solve_dirichlet_2d(op, prob, 1.0 / 8)
-        calls = _counted_solves(monkeypatch)
+        calls = counted_solves(monkeypatch)
         solve()
-        assert len(calls) >= 2
+        assert calls.count("solve") >= 2
         monkeypatch.setattr(solver, "ITERATION_CAP", 1)
         calls.clear()
         with pytest.raises(solver.PolicyIterationDiverged,
                            match="in 1 sweeps") as exc:
             solve()
-        assert len(calls) == 1
+        assert calls == ["factorize", "solve"]
         assert len(exc.value.history) == 2

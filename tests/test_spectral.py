@@ -4,13 +4,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from fnel import (
     Annulus, Ball, Rectangle, eigen_scaling_check, laplacian, principal_eigenvalue,
     pucci_max, pucci_min, solver, spectral,
 )
-from conftest import random_isaacs
+from conftest import counted_solves, random_isaacs
 
 PI2 = math.pi ** 2
 
@@ -85,20 +84,21 @@ class TestSolveCount:
         assert len(calls) == len(howards) == res.iterations
 
     @pytest.mark.parametrize("op,cells,most", [
-        (laplacian(3), 512, 2),
-        # a Pucci step repeats the previous step's last matrix
-        (pucci_max(1.0, 2.0, 3), 256, 12),
+        (laplacian(3), 512, 1),
+        # a Pucci step repeats the previous step's last policy
+        (pucci_max(1.0, 2.0, 3), 256, 6),
     ])
     def test_warm_steps_reuse_the_factorization(self, monkeypatch, op, cells,
                                                 most):
-        factorizations = []
-        for name in ("spsolve", "splu"):
-            fn = getattr(spla, name)
-            monkeypatch.setattr(spla, name, lambda *a, fn=fn, **k: (
-                factorizations.append(1) or fn(*a, **k)))
+        sweeps = []
+        step = solver._RadialGrid.step
+        monkeypatch.setattr(solver._RadialGrid, "step",
+                            lambda *a: sweeps.append(1) or step(*a))
+        calls = counted_solves(monkeypatch)
         res = principal_eigenvalue(op, Annulus(1.0, 2.0), cells)
         assert res.iterations >= 12
-        assert len(factorizations) <= most
+        assert calls.count("factorize") <= most
+        assert calls.count("solve") == len(sweeps)
 
     @pytest.mark.parametrize("call", [
         lambda: principal_eigenvalue(laplacian(3), Annulus(1.0, 2.0), 256),
@@ -111,20 +111,12 @@ class TestSolveCount:
     def test_back_to_back_calls_factorize_alike(self, monkeypatch, call):
         # every call builds its own grid, so no LU outlives the call that
         # made it: a second, identical call cannot reuse the first one's
-        counts = {"spsolve": 0, "splu": 0}
-        for name in counts:
-            fn = getattr(spla, name)
-
-            def counted(*a, fn=fn, name=name, **k):
-                counts[name] += 1
-                return fn(*a, **k)
-
-            monkeypatch.setattr(spla, name, counted)
+        calls = counted_solves(monkeypatch)
         call()
-        first = dict(counts)
+        first = list(calls)
         call()
-        assert first["spsolve"] >= 1
-        assert {k: v - first[k] for k, v in counts.items()} == first
+        assert "factorize" in first
+        assert calls[len(first):] == first
 
     def test_invalid_input_raises_from_the_first_solve(self, lap3):
         with pytest.raises(ValueError, match="cells"):
