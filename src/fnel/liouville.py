@@ -20,8 +20,8 @@ from .scaling import (
     K_coefficient, alpha_star, beta_star, classify,
 )
 from .solver import (
-    Annulus, Ball, DirichletProblem, Field2D, RadialField, _radial_grid,
-    _RadialGrid, _sphere_samples, solve_dirichlet_radial,
+    Annulus, Ball, DirichletProblem, Field2D, RadialField, _RadialGrid,
+    _sphere_samples, solve_dirichlet_radial,
 )
 from .spectral import principal_eigenvalue
 
@@ -175,11 +175,8 @@ def _signed_min_residual(f_op, fld):
     """Minimum of the discrete residual F(D^2_h u) over interior nodes and, on
     a ball (r[0] = 0), its centre; h is the solver's step for the end radii."""
     r = fld.nodes
-    is_ball = bool(r[0] == 0)
-    domain = Ball(r[-1]) if is_ball else Annulus(r[0], r[-1])
-    _, h, spacing = _radial_grid(
-        DirichletProblem(domain=domain, n=fld.n, spacing=fld.spacing), len(r) - 1)
-    grid = _RadialGrid(f_op, fld.n, r, h, spacing, is_ball)
+    domain = Ball(r[-1]) if r[0] == 0 else Annulus(r[0], r[-1])
+    grid = _RadialGrid.for_field(f_op, fld, domain)[0]
     return float(grid.apply(fld.values)[0].min())
 
 

@@ -38,16 +38,16 @@ discretized by the 9-point stencil of -tr(A D^2 u); the diagonal dominance
 check and the (rows, controls, 9) coefficients are array expressions.
 ``_evaluate_2d`` takes the (9, nodes) neighbor values of every interior node
 and returns F_h u with the policy (row, control) per node, looping over rows
-only.  A step's matrix is one COO build from the chosen coefficient rows.
+only.  A step's matrix is built transposed, in CSC, from the chosen
+coefficient rows, and factorized with SuperLU's COLAMD order.
 
 A field-valued rhs is read in one call: a RadialField spanning the nodes is
 interpolated at all of them, a Field2D on the solve's grid is read at its
 interior nodes.  Callable data are called once per node, None data are zero.
 A grid is built once per solve, or once per ``principal_eigenvalue``, whose
 steps hand it over in an ``_OnGrid`` problem.  Its one-slot ``_HeldLU`` keeps
-the last sweep's policy and its matrix's LU: the radial grid factorizes
-every new policy once, the 2D grid only a policy that comes again right
-away.
+the last sweep's policy and its matrix's LU: both grids factorize every new
+policy once and solve its repeats with the held LU.
 
 ``fundamental_profile`` samples a solution at 128 points on each of 33
 spheres of radius s in [2, 8] in one pass (a sample off a 2D grid's domain
@@ -60,7 +60,7 @@ log_case: the line A + B log s fits as well (to 1e-9) or a < 0.05.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -141,31 +141,27 @@ def _solve_on(grid, rhs, start):
 
 
 class _HeldLU:
-    """A grid's one-slot cache ``_held = (policy, LU)`` of the last sweep; on
-    one grid the policy frozen for a sweep fixes its matrix.  ``_solve`` here
-    is the 2D rule, with the LU None until a policy repeats: a new policy goes
-    through spsolve, so a cold solve keeps no LU; the same policy right after
-    is factorized once by ``splu(mat.T.tocsc())``, and later repeats only run
-    ``solve(rhs, trans="T")``: the triangular solves spsolve runs on a CSR
-    matrix, so the bits agree.  ``_RadialGrid._solve`` holds the LU of every
-    new policy instead."""
+    """A grid's one-slot cache ``_held = (policy, factors)`` of the last sweep;
+    on one grid the policy frozen for a sweep fixes its matrix.  A new policy
+    is factorized once, by the grid's ``_factorize(system)``, after the old
+    factors are dropped; its repeats only solve with the held LU.  Each grid
+    factorizes the transpose of the sweep's matrix and solves with
+    ``trans="T"``: the triangular solves spsolve runs on the matrix in CSR, so
+    the bits are spsolve's."""
 
     _held = (None, None)
 
-    def _holds(self, policy):
+    def _solve(self, policy, system, rhs):
+        """The sweep's solution for a frozen policy with this system (a radial
+        band, the 2D coefficient rows).  ``_factorize`` gives (LU, order,
+        perm_c): the LU solves for the rhs in that order and gives the solution
+        in the order perm_c."""
         last = self._held[0]
-        return last is not None and all(map(np.array_equal, policy, last))
-
-    def _solve(self, policy, matrix, rhs):
-        """The solve for a frozen policy; ``matrix()`` assembles its CSR matrix."""
-        if not self._holds(policy):
-            self._held = (policy, None)
-            return spla.spsolve(matrix(), rhs)
-        lu = self._held[1]
-        if lu is None:
-            lu = spla.splu(matrix().T.tocsc())
-            self._held = (policy, lu)
-        return lu.solve(rhs, trans="T")
+        if last is None or not all(map(np.array_equal, policy, last)):
+            self._held = (None, None)
+            self._held = (policy, self._factorize(system))
+        lu, order, perm_c = self._held[1]
+        return lu.solve(rhs[order], trans="T")[perm_c]
 
 
 def _data(fn, *coords):
@@ -493,14 +489,14 @@ class _RadialGrid(_HeldLU):
     """Radial nodes r with step h, spacing and the Isaacs control table: all
     that ``apply`` needs.  ``for_solve`` adds the rest of the solve interface.
 
-    A sweep's policy is factorized once and held (``_solve``).  The first
-    factorization at a number of unknowns is SuperLU's own, with COLAMD, on
-    ``matrix(band)``; it gives ``_SKELETONS`` that size's order.  Every later one
-    fills the grid's one CSC skeleton with the band by one ``np.take`` and
-    factorizes it in its natural order, without assembly, COLAMD or a
-    transpose.  The skeleton's rows follow the order as its columns do, so the
-    diagonal SuperLU prefers as pivot stays the matrix diagonal: on the
-    scheme's M-matrices the bits are those of ``spsolve(matrix(band), rhs)``."""
+    The first factorization at a number of unknowns is SuperLU's own, with
+    COLAMD, on ``matrix(band)``; it gives ``_SKELETONS`` that size's order.
+    Every later one fills the grid's one CSC skeleton with the band by one
+    ``np.take`` and factorizes it in its natural order, without assembly,
+    COLAMD or a transpose.  The skeleton's rows follow the order as its
+    columns do, so the diagonal SuperLU prefers as pivot stays the matrix
+    diagonal: on the scheme's M-matrices the bits are those of
+    ``spsolve(matrix(band), rhs)``."""
 
     _skel = None                        # the grid's CSC skeleton, made on first use
 
@@ -545,6 +541,19 @@ class _RadialGrid(_HeldLU):
         grid.meta = {"operator": f_op.kind, "n": n, "cells": cells, "spacing": spacing}
         return grid
 
+    @classmethod
+    def for_field(cls, f_op, fld, domain):
+        """The kernel grid of a RadialField on an annulus or ball ``domain``,
+        and the solver's nodes for the field's cells.  The grid holds the
+        field's nodes and the solver's step h (from its linspace, not from the
+        nodes), so on the solver's grid ``apply`` is the solver's up to
+        rounding."""
+        nodes, h, spacing = _radial_grid(
+            DirichletProblem(domain=domain, n=fld.n, spacing=fld.spacing),
+            len(fld.nodes) - 1)
+        grid = cls(f_op, fld.n, fld.nodes, h, spacing, isinstance(domain, Ball))
+        return grid, nodes
+
     def apply(self, u):
         """F_h u at the interior nodes (and a ball's centre) and the policy (wa, wb)."""
         a, b = _radial_entries(u, self.h, self.r, self.spacing, self.is_ball)
@@ -557,19 +566,9 @@ class _RadialGrid(_HeldLU):
         out[self.unknown] = self._solve(policy, band, rvec)
         return out
 
-    def _solve(self, policy, band, rvec):
-        """The sweep's solution for a frozen policy with this band: a new policy
-        is factorized, after the old LU is dropped, and held for its repeats."""
-        if not self._holds(policy):
-            self._held = (None, None)
-            self._held = (policy, self._factorize(band))
-        lu, order, perm_c = self._held[1]
-        return lu.solve(rvec[order], trans="T")[perm_c]
-
     def _factorize(self, band):
-        """(LU, order, perm_c) of the band's matrix: the LU solves for the rhs
-        in that order and gives the solution in the order perm_c, both the
-        identity for SuperLU's first factorization at this size."""
+        """(LU, order, perm_c) of the band's matrix, both orders the identity
+        for SuperLU's first factorization at this size."""
         nun = len(band)
         if nun not in _SKELETONS:
             lu = spla.splu(self.matrix(band).T.tocsc())
@@ -631,16 +630,11 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
 def residual_norm(f_op: EllipticOperator, fld, problem: DirichletProblem) -> float:
     """Sup-norm of the discrete residual F(D^2_h u) - f at interior nodes."""
     if isinstance(fld, RadialField):
-        # the solver's step h (from its linspace, not from the nodes), on the
-        # solver's grid up to rounding
-        r = fld.nodes
-        nodes, h, spacing = _radial_grid(replace(problem, spacing=fld.spacing),
-                                         len(r) - 1)
-        if not np.allclose(r, nodes, rtol=1e-12, atol=0.0):
-            raise ValueError(f"field nodes are not the {len(r) - 1}-cell "
-                             f"{spacing} grid of the problem's domain")
-        grid = _RadialGrid(f_op, fld.n, r, h, spacing, isinstance(problem.domain, Ball))
-        u, rhs = fld.values, _radial_rhs(problem, r)
+        grid, nodes = _RadialGrid.for_field(f_op, fld, problem.domain)
+        if not np.allclose(fld.nodes, nodes, rtol=1e-12, atol=0.0):
+            raise ValueError(f"field nodes are not the {len(nodes) - 1}-cell "
+                             f"{grid.spacing} grid of the problem's domain")
+        u, rhs = fld.values, _radial_rhs(problem, fld.nodes)
     elif isinstance(fld, Field2D):
         grid = _Grid2D(h=fld.h, x0=fld.x0, y0=fld.y0, interior=fld.interior,
                        coef=_stencil_coefficients(_control_families(f_op), fld.h))
@@ -869,16 +863,19 @@ class _Grid2D(_HeldLU):
 
     def step(self, policy, u, rhs):
         sel = self.coef[policy]                                 # (nodes, 9)
-
-        def matrix():
-            i, k = np.nonzero((self.col >= 0) & (sel != 0.0))
-            return sparse.csr_matrix((sel[i, k], (i, self.col[i, k])),
-                                     shape=(self.nodes.size,) * 2)
-
         out = u.copy()
-        out[self.unknown] = self._solve(policy, matrix,
+        out[self.unknown] = self._solve(policy, sel,
                                         rhs - (sel * self.bterms).sum(axis=1))
         return out
+
+    def _factorize(self, sel):
+        """(LU, identity, identity) of the sweep's matrix with coefficient rows
+        ``sel``: its transpose, built in CSC from the unknowns' entries, with
+        SuperLU's COLAMD order."""
+        i, k = np.nonzero((self.col >= 0) & (sel != 0.0))
+        mat_t = sparse.csc_matrix((sel[i, k], (self.col[i, k], i)),
+                                  shape=(self.nodes.size,) * 2)
+        return spla.splu(mat_t), slice(None), slice(None)
 
     def field(self, u, meta):
         values = np.where(self.interior, u.reshape(self.shape), self.boundary_values)

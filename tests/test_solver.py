@@ -776,24 +776,30 @@ class TestResidualNormOfSolves:
         assert residual_norm(op, fld, prob) == fld.meta["residual"]
 
 
+def _matrix(grid, system):
+    """The CSR matrix of a sweep's system: a radial band's, or that of 2D
+    coefficient rows on the unknowns (a boundary neighbor's entry is data)."""
+    if isinstance(grid, _RadialGrid):
+        return grid.matrix(system)
+    i, k = np.nonzero((grid.col >= 0) & (system != 0.0))
+    return sparse.csr_matrix((system[i, k], (i, grid.col[i, k])),
+                             shape=(grid.nodes.size,) * 2)
+
+
 def _systems(monkeypatch, name):
     """(grid, policy, system, matrix, rhs) of every sweep of a cold solve; the
-    system is what the grid's ``_solve`` takes: a radial sweep's band, a 2D
-    sweep's matrix assembler."""
+    system is what ``_HeldLU._solve`` takes: a radial sweep's band, a 2D
+    sweep's coefficient rows."""
     seen = []
-    inner = {True: _RadialGrid._solve, False: _HeldLU._solve}
+    inner = _HeldLU._solve
 
     def spy(grid, policy, system, rhs):
-        radial = isinstance(grid, _RadialGrid)
-        mat = grid.matrix(system) if radial else system()
-        seen.append((grid, policy, system, mat, rhs.copy()))
-        return inner[radial](grid, policy, system, rhs)
+        seen.append((grid, policy, system, _matrix(grid, system), rhs.copy()))
+        return inner(grid, policy, system, rhs)
 
-    for cls in (_RadialGrid, _HeldLU):
-        monkeypatch.setattr(cls, "_solve", spy)
+    monkeypatch.setattr(_HeldLU, "_solve", spy)
     _solve_case(name)
-    monkeypatch.setattr(_RadialGrid, "_solve", inner[True])
-    monkeypatch.setattr(_HeldLU, "_solve", inner[False])
+    monkeypatch.setattr(_HeldLU, "_solve", inner)
     return seen
 
 
@@ -806,75 +812,45 @@ class TestFactorizationReuse:
     def test_matches_spsolve_bit_for_bit(self, monkeypatch, name):
         systems = _systems(monkeypatch, name)
         assert systems
+        others = [np.cos(np.arange(rhs.size, dtype=float)) for *_, rhs in systems]
+        wants = [(spla.spsolve(mat, rhs), spla.spsolve(mat, other))
+                 for (*_, mat, rhs), other in zip(systems, others)]
+        calls = counted_solves(monkeypatch)
         monkeypatch.setattr(solver, "_SKELETONS", {})
-        for grid, policy, system, mat, rhs in systems:
-            want = spla.spsolve(mat, rhs)
-            other = np.cos(np.arange(rhs.size, dtype=float))
-            other_want = spla.spsolve(mat, other)
-            grid._held = (None, None)
-            if isinstance(grid, _RadialGrid):
-                # SuperLU's first factorization at this size, then one in the
-                # order it left in the skeleton cache
-                solver._SKELETONS.pop(len(system), None)
-                for cached in (False, True):
-                    assert (len(system) in solver._SKELETONS) == cached
-                    grid._held = (None, None)
-                    assert np.array_equal(grid._solve(policy, system, rhs), want)
-                # the held LU reads no band and factorizes nothing
-                with monkeypatch.context() as m:
-                    m.setattr(spla, "splu", _forbidden)
-                    m.setattr(_RadialGrid, "matrix", _forbidden)
-                    for b, b_want in ((other, other_want), (rhs, want)):
-                        assert np.array_equal(grid._solve(policy, None, b), b_want)
-                continue
-            built = []
+        for (grid, policy, system, _, rhs), other, (want, other_want) in zip(
+                systems, others, wants):
+            radial = isinstance(grid, _RadialGrid)
+            # a new policy is factorized once; a radial one by SuperLU's first
+            # factorization at its size, then in the order it left in the
+            # skeleton cache
+            solver._SKELETONS.pop(len(system), None)
+            for cached in (False, True)[:1 + radial]:
+                assert (len(system) in solver._SKELETONS) == cached
+                grid._held = (None, None)
+                calls.clear()
+                assert np.array_equal(grid._solve(policy, system, rhs), want)
+                assert calls == ["factorize", "solve"]
+            # its repeats read no system and factorize nothing
+            with monkeypatch.context() as m:
+                m.setattr(type(grid), "_factorize", _forbidden)
+                m.setattr(spla, "splu", _forbidden)
+                for b, b_want in ((other, other_want), (rhs, want)):
+                    assert np.array_equal(grid._solve(policy, None, b), b_want)
 
-            def matrix(mat=mat):
-                built.append(1)
-                return mat
-
-            # spsolve, then splu on the repeat, then the held LU, which
-            # assembles no matrix
-            for _ in range(3):
-                assert np.array_equal(grid._solve(policy, matrix, rhs), want)
-            assert len(built) == 2
-            assert np.array_equal(grid._solve(policy, matrix, other), other_want)
-            assert len(built) == 2
-
-    def test_only_a_repeated_matrix_is_factorized(self, monkeypatch):
-        # the 2D rule: a new policy goes through spsolve, its first repeat is
-        # factorized by splu, later repeats solve with the held LU
-        (grid, p0, m0, mat0, rhs), (_, p1, m1, mat1, _) = \
-            _systems(monkeypatch, "pucci_2d")[:2]
-        assert (mat0 != mat1).nnz
-        steps = [(p0, m0, mat0, rhs, 1), (p0, m0, mat0, 2.0 * rhs, 2),
-                 (p0, m0, mat0, rhs + 1.0, 2), (p1, m1, mat1, rhs, 3),
-                 (p1, m1, mat1, rhs, 4), (p0, m0, mat0, rhs, 5)]
+    @pytest.mark.parametrize("name", ["log", "pucci_2d"])
+    def test_a_new_policy_is_factorized_once(self, monkeypatch, name):
+        # a new policy is factorized once and held; a repeat only solves
+        (grid, p0, s0, m0, rhs), (_, p1, s1, m1, _) = \
+            _systems(monkeypatch, name)[:2]
+        assert (m0 != m1).nnz
+        steps = [(p0, s0, m0, rhs, 1), (p0, s0, m0, 2.0 * rhs, 1),
+                 (p0, s0, m0, rhs + 1.0, 1), (p1, s1, m1, rhs, 2),
+                 (p1, s1, m1, rhs, 2), (p0, s0, m0, rhs, 3)]
         wants = [spla.spsolve(mat, b) for _, _, mat, b, _ in steps]
         calls = counted_solves(monkeypatch)
         grid._held = (None, None)
-        for (p, matrix, _, b, factorized), want in zip(steps, wants):
-            assert np.array_equal(grid._solve(p, matrix, b), want)
-            assert calls.count("factorize") == factorized
-        assert calls.count("solve") == len(steps)
-
-    def test_a_new_radial_policy_is_factorized_once(self, monkeypatch):
-        # the radial rule: a new policy is factorized once and held, a repeat
-        # is not factorized
-        grid, policy, band, mat, rhs = _systems(monkeypatch, "log")[-1]
-        wa, wb = policy
-        changed = (wa.copy(), wb)
-        changed[0][4] *= 1.0 + 1e-9
-        changed_band = grid.system(*changed, np.zeros(129), rhs)[0]
-        assert (grid.matrix(changed_band) != mat).nnz == 3
-        steps = [(policy, band, rhs, 1), (policy, band, 2.0 * rhs, 1),
-                 (policy, band, rhs + 1.0, 1), (changed, changed_band, rhs, 2),
-                 (changed, changed_band, rhs, 2), (policy, band, rhs, 3)]
-        wants = [spla.spsolve(grid.matrix(bd), b) for _, bd, b, _ in steps]
-        calls = counted_solves(monkeypatch)
-        grid._held = (None, None)
-        for (p, bd, b, factorized), want in zip(steps, wants):
-            assert np.array_equal(grid._solve(p, bd, b), want)
+        for (p, system, _, b, factorized), want in zip(steps, wants):
+            assert np.array_equal(grid._solve(p, system, b), want)
             assert calls.count("factorize") == factorized
         assert calls.count("solve") == len(steps)
 

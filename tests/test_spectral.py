@@ -87,15 +87,21 @@ class TestSolveCount:
         (laplacian(3), 512, 1),
         # a Pucci step repeats the previous step's last policy
         (pucci_max(1.0, 2.0, 3), 256, 6),
+        # the 2D grid: an operator of dimension 2 runs on the unit square
+        (laplacian(2), 16, 1),
+        (pucci_max(1.0, 2.0, 2), 8, 5),
     ])
     def test_warm_steps_reuse_the_factorization(self, monkeypatch, op, cells,
                                                 most):
+        if op.dim == 2:
+            grid, domain = solver._Grid2D, Rectangle(0.0, 1.0, 0.0, 1.0)
+        else:
+            grid, domain = solver._RadialGrid, Annulus(1.0, 2.0)
         sweeps = []
-        step = solver._RadialGrid.step
-        monkeypatch.setattr(solver._RadialGrid, "step",
-                            lambda *a: sweeps.append(1) or step(*a))
+        step = grid.step
+        monkeypatch.setattr(grid, "step", lambda *a: sweeps.append(1) or step(*a))
         calls = counted_solves(monkeypatch)
-        res = principal_eigenvalue(op, Annulus(1.0, 2.0), cells)
+        res = principal_eigenvalue(op, domain, cells)
         assert res.iterations >= 12
         assert calls.count("factorize") <= most
         assert calls.count("solve") == len(sweeps)
