@@ -39,15 +39,18 @@ check and the (rows, controls, 9) coefficients are array expressions.
 ``_evaluate_2d`` takes the (9, nodes) neighbor values of every interior node
 and returns F_h u with the policy (row, control) per node, looping over rows
 only.  A step's matrix is built transposed, in CSC, from the chosen
-coefficient rows, and factorized with SuperLU's COLAMD order.
+coefficient rows and factorized with SuperLU's COLAMD order; only the rows
+next to the boundary add boundary data to a step's rhs.
 
 A field-valued rhs is read in one call: a RadialField spanning the nodes is
 interpolated at all of them, a Field2D on the solve's grid is read at its
 interior nodes.  Callable data are called once per node, None data are zero.
 A grid is built once per solve, or once per ``principal_eigenvalue``, whose
-steps hand it over in an ``_OnGrid`` problem.  Its one-slot ``_HeldLU`` keeps
-the last sweep's policy and its matrix's LU: both grids factorize every new
-policy once and solve its repeats with the held LU.
+steps hand it over in an ``_OnGrid`` problem.  ``_HeldLU`` keeps its last
+sweep's policy with the LU of its ``system(policy)``, factorized once per new
+policy, and its last evaluation (u, F_h u, policy), which a solve starting at
+that u reuses: a warm step evaluates F_h once per sweep and builds only the
+sweep's rhs.
 
 ``fundamental_profile`` samples a solution at 128 points on each of 33
 spheres of radius s in [2, 8] in one pass (a sample off a 2D grid's domain
@@ -88,22 +91,23 @@ class NonMonotoneScheme(ValueError):
 # Howard policy iteration
 
 
-def _howard(evaluate, solve, u, tol, h_min):
-    """Policy iteration from u, stopped as the module docstring says (h_min is
-    the grid's smallest step); returns the solution and its residual.
-    ``evaluate(u)`` gives the residual sup-norm and the policy (a tuple of
-    arrays) at u, ``solve(policy)`` the iterate with that policy frozen."""
-    res, policy = evaluate(u)
+def _howard(evaluate, solve, first, rhs, tol, h_min):
+    """Policy iteration from the evaluation ``first`` = (u, F_h u, policy),
+    stopped as the module docstring says (h_min is the grid's smallest step);
+    returns the solution and its residual.  ``evaluate(u)`` gives the
+    evaluation at u, ``solve(policy)`` the iterate with that policy frozen."""
+    u, fu, policy = first
+    res = _misfit(fu, rhs)
     history = [res]
     while not res <= tol:                # a NaN residual never passes
         if len(history) > ITERATION_CAP:
             raise PolicyIterationDiverged(
                 f"policy iteration did not reach tolerance {tol:.2e} in "
                 f"{ITERATION_CAP} sweeps (last residual {res:.2e})", history)
-        u = solve(policy)
-        res, new = evaluate(u)
+        u, fu, new = evaluate(solve(policy))
+        res = _misfit(fu, rhs)
         history.append(res)
-        if not res <= tol and all(map(np.array_equal, new, policy)):
+        if not res <= tol and _same(new, policy):
             floor = 4.0 * np.finfo(float).eps * np.abs(u).max() / h_min ** 2
             raise PolicyIterationDiverged(
                 f"policy iteration reached its fixed point at residual "
@@ -113,16 +117,22 @@ def _howard(evaluate, solve, u, tol, h_min):
     return u, res
 
 
-def _residual(grid, u, rhs):
-    """Sup-norm of F_h u - f at a grid's rhs points, and the policy F_h picked."""
-    fu, policy = grid.apply(u)
-    return float(np.abs(fu - rhs).max(initial=0.0)), policy
+def _misfit(fu, rhs):
+    """Sup-norm of F_h u - f at a grid's rhs points."""
+    return float(np.abs(fu - rhs).max(initial=0.0))
+
+
+def _same(policy, other):
+    """Whether two policies, pairs of like-shaped arrays, are equal."""
+    (a, b), (c, d) = policy, other
+    return (a == c).all() and (b == d).all()
 
 
 def _solve_on(grid, rhs, start):
     """Howard's loop on a solve's grid (``for_solve`` of either grid class) for
     the rhs at its rhs points, from the grid's first iterate with ``start`` at
-    the unknowns; the grid's field of the solution."""
+    the unknowns; the grid's field of the solution.  A first iterate equal to
+    the iterate of the grid's held evaluation reuses its F_h u and policy."""
     tol = RESIDUAL_TOL * sum((1.0, np.abs(rhs).max(initial=0.0), *grid.tol_terms))
     u = grid.first.copy()
     if start is not None:
@@ -130,9 +140,12 @@ def _solve_on(grid, rhs, start):
         if start.shape != grid.shape:
             raise ValueError(f"start has shape {start.shape}, the grid {grid.shape}")
         u[grid.unknown] = start.ravel()[grid.unknown]
+    held = grid._evaluated
+    if held is None or not (held[0] == u).all():
+        held = grid.evaluate(u)
     # a step reads only the boundary data of the iterate it is given
-    u, res = _howard(lambda v: _residual(grid, v, rhs),
-                     lambda policy: grid.step(policy, u, rhs), u, tol, grid.h_min)
+    u, res = _howard(grid.evaluate, lambda policy: grid.step(policy, u, rhs),
+                     (u, *held[1:]), rhs, tol, grid.h_min)
     return grid.field(u, {**grid.meta, "residual": res})
 
 
@@ -141,25 +154,31 @@ def _solve_on(grid, rhs, start):
 
 
 class _HeldLU:
-    """A grid's one-slot cache ``_held = (policy, factors)`` of the last sweep;
-    on one grid the policy frozen for a sweep fixes its matrix.  A new policy
-    is factorized once, by the grid's ``_factorize(system)``, after the old
-    factors are dropped; its repeats only solve with the held LU.  Each grid
+    """A grid's one-slot caches: ``_held = (policy, factors)`` of the last
+    sweep, and ``_evaluated = (u, F_h u, policy)``, its last ``evaluate``.  On
+    one grid the policy frozen for a sweep fixes its matrix.  A new policy is
+    factorized once, by ``_factorize(system(policy))``, after the old factors
+    are dropped; its repeats only solve with the held LU.  Each grid
     factorizes the transpose of the sweep's matrix and solves with
     ``trans="T"``: the triangular solves spsolve runs on the matrix in CSR, so
     the bits are spsolve's."""
 
     _held = (None, None)
+    _evaluated = None
 
-    def _solve(self, policy, system, rhs):
-        """The sweep's solution for a frozen policy with this system (a radial
-        band, the 2D coefficient rows).  ``_factorize`` gives (LU, order,
-        perm_c): the LU solves for the rhs in that order and gives the solution
-        in the order perm_c."""
+    def evaluate(self, u):
+        """(u, F_h u, policy), held as the grid's last evaluation."""
+        self._evaluated = (u, *self.apply(u))
+        return self._evaluated
+
+    def _solve(self, policy, rhs):
+        """The sweep's solution for a frozen policy.  ``_factorize`` gives (LU,
+        order, perm_c): the LU solves for the rhs in that order and gives the
+        solution in the order perm_c."""
         last = self._held[0]
-        if last is None or not all(map(np.array_equal, policy, last)):
+        if last is None or not _same(policy, last):
             self._held = (None, None)
-            self._held = (policy, self._factorize(system))
+            self._held = (policy, self._factorize(self.system(policy)))
         lu, order, perm_c = self._held[1]
         return lu.solve(rhs[order], trans="T")[perm_c]
 
@@ -561,9 +580,17 @@ class _RadialGrid(_HeldLU):
         return -(wa * a + wb * b), (wa, wb)
 
     def step(self, policy, u, rhs):
-        band, rvec = self.system(*policy, u, rhs)
+        wa, wb = policy                      # two band entries reach u's boundary
+        m = len(u) - 2                       # a ball's centre weights come last
+        if self.is_ball:
+            rvec = np.roll(rhs, 1) + 0.0     # rhs[-1] holds f(0); + 0.0 maps -0.0 to 0.0
+        else:
+            rvec = rhs + 0.0
+            rvec[0] += (wa[0] * self.wa_rows[0, 0] + wb[0] * self.wb_rows[0, 0]) * u[0]
+        rvec[-1] += (wa[m - 1] * self.wa_rows[-1, 2]
+                     + wb[m - 1] * self.wb_rows[-1, 2]) * u[-1]
         out = u.copy()
-        out[self.unknown] = self._solve(policy, band, rvec)
+        out[self.unknown] = self._solve(policy, rvec)
         return out
 
     def _factorize(self, band):
@@ -582,23 +609,22 @@ class _RadialGrid(_HeldLU):
         return spla.splu(self._skel, permc_spec="NATURAL"), order, perm_c
 
     def field(self, u, meta):
-        return RadialField(n=self.n, nodes=self.r, values=u, spacing=self.spacing,
-                           meta=meta)
+        # no RadialField checks of the grid's own nodes; u, which it may hold, is copied
+        fld = object.__new__(RadialField)
+        fld.__dict__.update(n=self.n, nodes=self.r, values=u.copy(), spacing=self.spacing,
+                            meta=meta)
+        return fld
 
-    def system(self, wa, wb, u, rhs):
-        """(band, rhs) of a sweep with weights (wa, wb): band row k is on unknowns
-        k-1, k, k+1 (a ball's centre first); boundary values in u go into the rhs."""
-        m = len(u) - 2                       # a ball's centre weights come last
+    def system(self, policy):
+        """The band of a sweep with weights (wa, wb): row k is on unknowns k-1,
+        k, k+1 (a ball's centre first)."""
+        wa, wb = policy
+        m = len(self.r) - 2
         band = -(wa[:m, None] * self.wa_rows + wb[:m, None] * self.wb_rows)
         if self.is_ball:
             w, c0 = wa[m] + wb[m], 2.0 / self.h ** 2
             band = np.vstack([(0.0, w * c0, -w * c0), band])
-            rvec = np.roll(rhs, 1) + 0.0     # rhs[-1] holds f(0); + 0.0 maps -0.0 to 0.0
-        else:
-            rvec = rhs + 0.0
-            rvec[0] -= band[0, 0] * u[0]
-        rvec[-1] -= band[-1, 2] * u[-1]
-        return band, rvec
+        return band
 
     @staticmethod
     def matrix(band):
@@ -641,7 +667,7 @@ def residual_norm(f_op: EllipticOperator, fld, problem: DirichletProblem) -> flo
         u, rhs = fld.values.ravel(), grid.rhs(problem)
     else:
         raise TypeError("unknown field type")
-    return _residual(grid, u, rhs)[0]
+    return _misfit(grid.apply(u)[0], rhs)
 
 
 def convergence_order(f_op: EllipticOperator, problem: DirichletProblem,
@@ -790,6 +816,7 @@ class _Grid2D(_HeldLU):
         unknown = np.full(nx * ny, -1)
         unknown[self.nodes] = np.arange(self.nodes.size)
         self.col = unknown[self.nbr.T]       # (nodes, 9), -1 marks a boundary node
+        self.by_index = np.argsort(step)     # the 9 offsets in flat-index order
 
     @classmethod
     def build(cls, problem, h):
@@ -841,7 +868,9 @@ class _Grid2D(_HeldLU):
         grid.first = np.where(np.isnan(bvals), 0.0, bvals).ravel()
         if bscale > 0:
             grid.first[grid.nodes] = float(np.nanmean(bvals))
-        grid.bterms = np.where(grid.col < 0, grid.first[grid.nbr.T], 0.0)
+        # the rows next to the boundary and their stencils' boundary values
+        grid.brows = np.flatnonzero((grid.col < 0).any(axis=1))
+        grid.bterms = np.where(grid.col < 0, grid.first[grid.nbr.T], 0.0)[grid.brows]
         grid.unknown, grid.shape, grid.h_min = grid.nodes, grid.interior.shape, h
         grid.tol_terms, grid.meta = (bscale,), {"operator": f_op.kind, "h": h}
         return grid
@@ -862,18 +891,25 @@ class _Grid2D(_HeldLU):
         return fu, (row, ctl)
 
     def step(self, policy, u, rhs):
-        sel = self.coef[policy]                                 # (nodes, 9)
+        rows = self.brows                    # only they take boundary data
+        rvec = rhs.copy()
+        rvec[rows] -= (self.coef[policy[0][rows], policy[1][rows]]
+                       * self.bterms).sum(axis=1)
         out = u.copy()
-        out[self.unknown] = self._solve(policy, sel,
-                                        rhs - (sel * self.bterms).sum(axis=1))
+        out[self.unknown] = self._solve(policy, rvec)
         return out
+
+    def system(self, policy):
+        return self.coef[policy]             # the sweep's (nodes, 9) coefficient rows
 
     def _factorize(self, sel):
         """(LU, identity, identity) of the sweep's matrix with coefficient rows
-        ``sel``: its transpose, built in CSC from the unknowns' entries, with
-        SuperLU's COLAMD order."""
-        i, k = np.nonzero((self.col >= 0) & (sel != 0.0))
-        mat_t = sparse.csc_matrix((sel[i, k], (self.col[i, k], i)),
+        ``sel``: its transpose in CSC, each column the unknowns' entries of a
+        row in index order, with SuperLU's COLAMD order."""
+        sel, col = sel[:, self.by_index], self.col[:, self.by_index]
+        keep = (col >= 0) & (sel != 0.0)
+        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+        mat_t = sparse.csc_matrix((sel[keep], col[keep], indptr),
                                   shape=(self.nodes.size,) * 2)
         return spla.splu(mat_t), slice(None), slice(None)
 

@@ -11,13 +11,14 @@ The grid is built once per call and held: each step hands the solver u_k
 as an array at the grid's rhs points, and every step after the first is
 warm-started from the previous raw solution.  F is positively homogeneous,
 so that start is the next solution up to the drift: a step then takes one
-policy sweep with the previous policy, and the held grid's one-slot cache
-solves with the LU of that policy's matrix instead of assembling it again.
+policy sweep with the previous policy.  That start is the grid's last
+iterate, so the step reuses the grid's held F_h u and policy and solves with
+the held LU: one evaluation of F_h and one LU solve per sweep, no assembly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +73,7 @@ def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
         if lam_prev is not None:
             drift = abs(lam - lam_prev) / lam
             if drift <= tol:
-                field = replace(sol, values=start / sup,
-                                meta={**sol.meta, "lambda1": lam})
+                field = grid.field(start / sup, {**sol.meta, "lambda1": lam})
                 return EigenResult(lambda1=lam, eigenfield=field,
                                    iterations=it, drift=drift)
         lam_prev = lam

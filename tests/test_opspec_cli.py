@@ -224,12 +224,14 @@ class TestGoldenSamples:
     @pytest.mark.parametrize("spec,domain,cells,golden", [
         ("pucci_max_n3.json", "annulus:1:2", "256", "eigen_pucci_max_n3.csv"),
         ("laplacian_n4.json", "ball:1", "128", "eigen_laplacian_n4_ball.csv"),
+        ("pucci_max_n3.json", "ball:1", "256", "eigen_pucci_max_n3_ball.csv"),
         ("isaacs_2d.json", "rectangle:0:1:0:1", "8", "eigen_isaacs_2d.csv"),
         ("pucci_max_n2.json", "rectangle:0:1:0:1", "16", "eigen_pucci_max_2d.csv"),
     ])
     def test_eigen_stdout_is_the_golden(self, spec, domain, cells, golden, capsys):
-        # a log grid, a ball's centre row and the 2D grid (an Isaacs family,
-        # and a Pucci family whose steps change policy), as CI diffs them
+        # a log grid, a ball's centre row (under a fixed and a changing
+        # policy) and the 2D grid (an Isaacs family, and a Pucci family whose
+        # steps change policy), as CI diffs them
         assert main(["eigen", "--op", str(self.SAMPLES / spec), "--domain", domain,
                      "--cells", cells, "--format", "csv"]) == EXIT_OK
         assert capsys.readouterr().out == (self.SAMPLES / golden).read_text()

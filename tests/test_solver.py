@@ -678,7 +678,11 @@ class TestRadialKernel:
         is_ball = isinstance(domain, Ball)
         wa, wb = _pattern_weights(op, 3, *_radial_entries(u, h, r, sp, is_ball),
                                   _radial_controls(op))
-        band, rvec = grid.system(wa, wb, u, rhs)
+        # the sweep's rhs is what its step hands the linear solve
+        rvecs = []
+        grid._solve = lambda policy, rvec: rvecs.append(rvec) or rvec
+        grid.step((wa, wb), u, rhs)
+        band, (rvec,) = grid.system((wa, wb)), rvecs
         mat = grid.matrix(band)
         want_mat, want_rvec = _radial_system_reference(op, 3, u, h, r, sp, rhs,
                                                        is_ball)
@@ -788,14 +792,16 @@ def _matrix(grid, system):
 
 def _systems(monkeypatch, name):
     """(grid, policy, system, matrix, rhs) of every sweep of a cold solve; the
-    system is what ``_HeldLU._solve`` takes: a radial sweep's band, a 2D
-    sweep's coefficient rows."""
+    system is what ``_HeldLU._solve`` factorizes for a new policy, rebuilt
+    from the policy by ``grid.system``: a radial sweep's band, a 2D sweep's
+    coefficient rows."""
     seen = []
     inner = _HeldLU._solve
 
-    def spy(grid, policy, system, rhs):
+    def spy(grid, policy, rhs):
+        system = grid.system(policy)
         seen.append((grid, policy, system, _matrix(grid, system), rhs.copy()))
-        return inner(grid, policy, system, rhs)
+        return inner(grid, policy, rhs)
 
     monkeypatch.setattr(_HeldLU, "_solve", spy)
     _solve_case(name)
@@ -828,29 +834,30 @@ class TestFactorizationReuse:
                 assert (len(system) in solver._SKELETONS) == cached
                 grid._held = (None, None)
                 calls.clear()
-                assert np.array_equal(grid._solve(policy, system, rhs), want)
+                assert np.array_equal(grid._solve(policy, rhs), want)
                 assert calls == ["factorize", "solve"]
-            # its repeats read no system and factorize nothing
+            # its repeats build no system and factorize nothing
             with monkeypatch.context() as m:
-                m.setattr(type(grid), "_factorize", _forbidden)
-                m.setattr(spla, "splu", _forbidden)
+                for owner, attr in ((type(grid), "system"),
+                                    (type(grid), "_factorize"), (spla, "splu")):
+                    m.setattr(owner, attr, _forbidden)
                 for b, b_want in ((other, other_want), (rhs, want)):
-                    assert np.array_equal(grid._solve(policy, None, b), b_want)
+                    assert np.array_equal(grid._solve(policy, b), b_want)
 
     @pytest.mark.parametrize("name", ["log", "pucci_2d"])
     def test_a_new_policy_is_factorized_once(self, monkeypatch, name):
         # a new policy is factorized once and held; a repeat only solves
-        (grid, p0, s0, m0, rhs), (_, p1, s1, m1, _) = \
+        (grid, p0, _, m0, rhs), (_, p1, _, m1, _) = \
             _systems(monkeypatch, name)[:2]
         assert (m0 != m1).nnz
-        steps = [(p0, s0, m0, rhs, 1), (p0, s0, m0, 2.0 * rhs, 1),
-                 (p0, s0, m0, rhs + 1.0, 1), (p1, s1, m1, rhs, 2),
-                 (p1, s1, m1, rhs, 2), (p0, s0, m0, rhs, 3)]
-        wants = [spla.spsolve(mat, b) for _, _, mat, b, _ in steps]
+        steps = [(p0, m0, rhs, 1), (p0, m0, 2.0 * rhs, 1),
+                 (p0, m0, rhs + 1.0, 1), (p1, m1, rhs, 2),
+                 (p1, m1, rhs, 2), (p0, m0, rhs, 3)]
+        wants = [spla.spsolve(mat, b) for _, mat, b, _ in steps]
         calls = counted_solves(monkeypatch)
         grid._held = (None, None)
-        for (p, system, _, b, factorized), want in zip(steps, wants):
-            assert np.array_equal(grid._solve(p, system, b), want)
+        for (p, _, b, factorized), want in zip(steps, wants):
+            assert np.array_equal(grid._solve(p, b), want)
             assert calls.count("factorize") == factorized
         assert calls.count("solve") == len(steps)
 
@@ -866,9 +873,9 @@ class TestSkeletonCache:
         seen = []
         inner = _RadialGrid._solve
 
-        def spy(grid, policy, band, rvec):
-            seen.append((grid, band))
-            return inner(grid, policy, band, rvec)
+        def spy(grid, policy, rvec):
+            seen.append((grid, grid.system(policy)))
+            return inner(grid, policy, rvec)
 
         monkeypatch.setattr(_RadialGrid, "_solve", spy)
         op = _radial_ops(3)[name]
@@ -919,7 +926,8 @@ class TestSkeletonCache:
                     continue
                 rhs = rng.standard_normal(nun)
                 grid._held = (None, None)
-                assert np.array_equal(grid._solve((), band, rhs),
+                grid.system = lambda policy, band=band: band
+                assert np.array_equal(grid._solve((), rhs),
                                       spla.spsolve(mat, rhs))
 
     def test_cache_is_bounded(self, monkeypatch):
@@ -971,6 +979,63 @@ class TestWarmStart:
         cold = _solve_case(name)
         with pytest.raises(ValueError, match="start has shape"):
             _solve_case(name, cold.values[:-1])
+
+
+def _held_solves(name):
+    """A solve (start) -> field of ``_case(name)`` on one grid held across
+    its calls, as inverse iteration steps hand it over."""
+    op, prob, size = _case(name)
+    if isinstance(size, int):
+        grid = _RadialGrid.for_solve(op, 3, prob, size)
+        on = solver._OnGrid(domain=prob.domain, n=3, grid=grid,
+                            rhs=_radial_rhs(prob, grid.r))
+        return grid, lambda start=None: solve_dirichlet_radial(op, 3, on, size, start)
+    grid = _Grid2D.for_solve(op, prob, size)
+    on = solver._OnGrid(domain=prob.domain, n=2, grid=grid, rhs=grid.rhs(prob))
+    return grid, lambda start=None: solve_dirichlet_2d(op, on, size, start)
+
+
+class TestHeldEvaluation:
+    # a solve on a held grid reuses the grid's last evaluation only when its
+    # first iterate equals that evaluation's iterate; each solve below equals
+    # the same solve on a fresh grid bit for bit
+    def _assert_fresh(self, name, fld, start=None):
+        want = _held_solves(name)[1](start)
+        assert np.array_equal(fld.values, want.values, equal_nan=True)
+        assert fld.meta == want.meta
+
+    @pytest.mark.parametrize("name", SOLVE_CASES)
+    def test_a_start_off_the_held_iterate_is_evaluated(self, name):
+        solve = _held_solves(name)[1]
+        cold = solve()
+        start = cold.values.copy()
+        k = np.unravel_index(np.flatnonzero(~_boundary_entries(cold))[5],
+                             start.shape)
+        start[k] += 1e-3
+        self._assert_fresh(name, solve(start), start)
+
+    @pytest.mark.parametrize("name", SOLVE_CASES)
+    def test_a_field_changed_in_place_is_evaluated(self, monkeypatch, name):
+        grid, solve = _held_solves(name)
+        fld = solve()
+        # at the held iterate itself the evaluation is reused: a start at the
+        # solution evaluates nothing
+        with monkeypatch.context() as m:
+            m.setattr(type(grid), "apply", _forbidden)
+            again = solve(fld.values)
+        assert np.array_equal(again.values, fld.values, equal_nan=True)
+        assert again.meta == fld.meta
+        k = np.unravel_index(np.flatnonzero(~_boundary_entries(fld))[5],
+                             fld.values.shape)
+        fld.values[k] += 1e-3
+        start = fld.values.copy()
+        self._assert_fresh(name, solve(fld.values), start)
+
+    @pytest.mark.parametrize("name", SOLVE_CASES)
+    def test_a_cold_solve_after_a_warm_one(self, name):
+        solve = _held_solves(name)[1]
+        solve(solve().values * 1.2 + 0.1)
+        self._assert_fresh(name, solve())
 
 
 class TestFieldRhs:

@@ -83,6 +83,24 @@ class TestSolveCount:
         res = principal_eigenvalue(op, domain, cells)
         assert len(calls) == len(howards) == res.iterations
 
+    @pytest.mark.parametrize("domain,cells", [
+        (Annulus(1.0, 2.0), 128), (Ball(1.0), 128), (Rectangle(0.0, 1.0, 0.0, 1.0), 8),
+    ])
+    def test_one_apply_per_sweep(self, monkeypatch, domain, cells):
+        # a warm step starts at the iterate its grid's last solve ended on and
+        # reuses that evaluation: F_h runs once per sweep, and once more for
+        # the first step's first iterate
+        grid = solver._Grid2D if isinstance(domain, Rectangle) else solver._RadialGrid
+        calls = []
+        for name in ("apply", "step"):
+            method = getattr(grid, name)
+            monkeypatch.setattr(grid, name, lambda *a, name=name, method=method:
+                                calls.append(name) or method(*a))
+        op = pucci_max(1, 2, 2 if isinstance(domain, Rectangle) else 3)
+        res = principal_eigenvalue(op, domain, cells)
+        assert calls.count("step") >= res.iterations
+        assert calls.count("apply") == calls.count("step") + 1
+
     @pytest.mark.parametrize("op,cells,most", [
         (laplacian(3), 512, 1),
         # a Pucci step repeats the previous step's last policy
