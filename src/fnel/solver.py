@@ -44,7 +44,8 @@ next to the boundary add boundary data to a step's rhs.
 
 A field-valued rhs is read in one call: a RadialField spanning the nodes is
 interpolated at all of them, a Field2D on the solve's grid is read at its
-interior nodes.  Callable data are called once per node, None data are zero.
+interior nodes.  Callable data are called once per node, in node order, into
+one array; None data are zero.
 A grid is built once per solve, or once per ``principal_eigenvalue``, whose
 steps hand it over in an ``_OnGrid`` problem.  ``_HeldLU`` keeps its last
 sweep's policy with the LU of its ``system(policy)``, factorized once per new
@@ -54,10 +55,15 @@ sweep's rhs.
 
 ``fundamental_profile`` samples a solution at 128 points on each of 33
 spheres of radius s in [2, 8] in one pass (a sample off a 2D grid's domain
-raises) and fits A s^-a + B to the min and the max profile by a bounded
-Brent search over a, each step a closed-form least-squares line in s^-a; a
-max profile equal to the min one (always so when radial) reuses the min fit.
-log_case: the line A + B log s fits as well (to 1e-9) or a < 0.05.
+raises) and fits A s^-a + B to the min and the max profile by
+``_brent_min``, a bounded Brent search over a that takes scipy's steps, each
+one a closed-form least-squares line in s^-a; a max profile equal to the min
+one (always so when radial) reuses the min fit.  log_case: the line
+A + B log s fits as well (to 1e-9) or a < 0.05.
+
+scipy is imported where a sparse matrix is first built or factorized, so
+importing this module, and every call that builds no sparse matrix, loads none
+of it.
 """
 
 from __future__ import annotations
@@ -67,8 +73,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .matcore import ISAACS, LAPLACIAN, PUCCI_MAX, PUCCI_MIN, EllipticOperator
 from .scaling import alpha_bracket
@@ -188,7 +192,7 @@ def _data(fn, *coords):
     or ``boundary_at`` gives it, in one float array (zeros for fn None)."""
     if fn is None:
         return np.zeros(len(coords[0]))
-    return np.array([fn(*p) for p in zip(*coords)], dtype=float)
+    return np.fromiter(map(fn, *coords), dtype=float, count=len(coords[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +600,9 @@ class _RadialGrid(_HeldLU):
     def _factorize(self, band):
         """(LU, order, perm_c) of the band's matrix, both orders the identity
         for SuperLU's first factorization at this size."""
+        import scipy.sparse as sparse
+        import scipy.sparse.linalg as spla
+
         nun = len(band)
         if nun not in _SKELETONS:
             lu = spla.splu(self.matrix(band).T.tocsc())
@@ -630,6 +637,8 @@ class _RadialGrid(_HeldLU):
     def matrix(band):
         """The band as CSR with its explicit zeros: the sweep's matrix, whose
         transpose in CSC is what SuperLU factorizes."""
+        import scipy.sparse as sparse
+
         nun = len(band)
         cols = np.arange(nun)[:, None] + np.array([-1, 0, 1])
         indptr = np.clip(3 * np.arange(nun + 1) - 1, 0, 3 * nun - 2)
@@ -906,6 +915,9 @@ class _Grid2D(_HeldLU):
         """(LU, identity, identity) of the sweep's matrix with coefficient rows
         ``sel``: its transpose in CSC, each column the unknowns' entries of a
         row in index order, with SuperLU's COLAMD order."""
+        import scipy.sparse as sparse
+        import scipy.sparse.linalg as spla
+
         sel, col = sel[:, self.by_index], self.col[:, self.by_index]
         keep = (col >= 0) & (sel != 0.0)
         indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
@@ -967,6 +979,64 @@ def _line_fit(x, m):
     return (c0, mbar - c0 * xbar), math.sqrt((r * r).sum() / r.size)
 
 
+def _brent_min(fun, lo, hi, xatol):
+    """Brent's bounded minimization of ``fun`` on [lo, hi]: (x, fun(x), number
+    of calls).  Golden-section steps, with a parabola through the three best
+    points where it falls inside the bracket, until the bracket is within
+    about xatol of the best point or after 500 calls.  It takes the steps of
+    scipy's ``minimize_scalar(method="bounded")``: the same constants, tests,
+    ties and update order, in numpy scalars, so the bits are the same."""
+    sqrt_eps, golden = np.sqrt(2.2e-16), 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    xf = nfc = fulc = a + golden * (b - a)   # the best point, second and third
+    fx = fnfc = ffulc = fun(xf)
+    num, rat, e = 1, 0.0, 0.0
+    while num < 500:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not np.abs(xf - xm) > tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if np.abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r, e = e, rat
+            if np.abs(p) < np.abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                parabolic = True
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if not parabolic:
+            e = (a if xf >= xm else b) - xf
+            rat = golden * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = fun(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+    return xf, fx, num
+
+
 def fundamental_profile(f_op: EllipticOperator, n: int, cells: int = 512,
                         outer_radius: float = 16.0) -> FundamentalProfile:
     """Estimate the scaling exponent from a numerical fundamental solution.
@@ -993,24 +1063,22 @@ def fundamental_profile(f_op: EllipticOperator, n: int, cells: int = 512,
                          "grid; a fit needs whole spheres, so use more cells")
     mins, maxs = vals.min(axis=1), vals.max(axis=1)
     lo, hi = alpha_bracket(f_op, n)
-    from scipy.optimize import minimize_scalar
 
     def power_fit(m):
-        return minimize_scalar(lambda a: _line_fit(sig ** (-a), m)[1],
-                               bounds=(1e-3, max(hi, 0.5) + 2.0),
-                               method="bounded", options={"xatol": 1e-10})
+        x, rms, _ = _brent_min(lambda a: _line_fit(sig ** (-a), m)[1],
+                               1e-3, max(hi, 0.5) + 2.0, 1e-10)
+        return float(x), float(rms)
 
-    opt = power_fit(mins)
-    alpha_fit, rss_power = float(opt.x), float(opt.fun)
+    alpha_min, rss_power = power_fit(mins)
     rss_log = _line_fit(np.log(sig), mins)[1]
-    log_case = rss_log <= rss_power * (1.0 + 1e-9) or alpha_fit < 0.05
-    alpha_fit = 0.0 if alpha_fit < 0.05 else alpha_fit
+    log_case = rss_log <= rss_power * (1.0 + 1e-9) or alpha_min < 0.05
+    alpha_fit = 0.0 if alpha_min < 0.05 else alpha_min
 
     # the max-based fit reports the spread over each sphere
-    opt_max = opt if np.array_equal(maxs, mins) else power_fit(maxs)
+    alpha_max = alpha_min if np.array_equal(maxs, mins) else power_fit(maxs)[0]
     report = {
         "rss_power": rss_power, "rss_log": rss_log,
-        "alpha_min_fit": float(opt.x), "alpha_max_fit": float(opt_max.x),
+        "alpha_min_fit": alpha_min, "alpha_max_fit": alpha_max,
         "bracket": (lo, hi), "sigma_window": (2.0, 8.0),
     }
     return FundamentalProfile(field=fld, fitted_alpha=alpha_fit,

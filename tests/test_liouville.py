@@ -464,12 +464,20 @@ class TestHomogeneousProfile:
 
 class TestImport:
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # only the Newton solve and the profile fit need scipy.optimize, and
-        # both import it when they run
+        # import fnel loads no scipy: sparse LU comes in at the first
+        # factorization, and only the Newton solve needs scipy.optimize; a
+        # radial and a 2D profile fit run without it
         import fnel
 
         env = {**os.environ, "PYTHONPATH": str(Path(fnel.__file__).parents[1])}
-        code = "import sys, fnel; print('scipy.optimize' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        code = (
+            "import sys, fnel\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "fnel.fundamental_profile(fnel.pucci_max(1.0, 2.0, 3), 3, cells=64)\n"
+            "spec = open(sys.argv[1]).read()\n"
+            "fnel.fundamental_profile(fnel.parse_operator_spec(spec), 2, cells=128)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+        isaacs_2d = Path(__file__).resolve().parents[1] / "samples" / "isaacs_2d.json"
+        out = subprocess.run([sys.executable, "-c", code, str(isaacs_2d)], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.split("\n")[:2] == ["[]", "False"]

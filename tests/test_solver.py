@@ -19,7 +19,7 @@ from fnel.liouville import _signed_min_residual
 from fnel.matcore import LAPLACIAN, PUCCI_MAX, PUCCI_MIN
 from fnel.solver import (
     Field2D, NonMonotoneScheme, RadialField, _control_families, _evaluate_2d,
-    _Grid2D, _HeldLU, _line_fit, _pattern_weights,
+    _brent_min, _Grid2D, _HeldLU, _line_fit, _pattern_weights,
     _radial_controls, _radial_entries, _radial_grid, _radial_rhs, _RadialGrid,
     _stencil_coefficients,
 )
@@ -539,6 +539,58 @@ class TestFundamentalProfile:
     def test_outer_radius_guard(self, pm3):
         with pytest.raises(ValueError):
             fundamental_profile(pm3, 3, cells=64, outer_radius=8.0)
+
+
+class TestBrentMin:
+    """``_brent_min`` against scipy's bounded search, bit for bit."""
+
+    @staticmethod
+    def assert_as_scipy(fun, lo, hi, xatol):
+        from scipy.optimize import minimize_scalar
+
+        want = minimize_scalar(fun, bounds=(lo, hi), method="bounded",
+                               options={"xatol": xatol})
+        x, fx, nfev = _brent_min(fun, lo, hi, xatol)
+        assert float(x).hex() == float(want.x).hex()
+        assert float(fx).hex() == float(want.fun).hex()
+        assert nfev == want.nfev
+        return want
+
+    @pytest.mark.parametrize("make,n,cells,fits", [
+        (lambda: pucci_max(1.0, 2.0, 3), 3, 512, 1),
+        (lambda: laplacian(3), 3, 512, 1),
+        (lambda: parse_operator_spec((SAMPLES / "isaacs_2d.json").read_text()),
+         2, 128, 2),
+    ], ids=["pucci_max", "laplacian", "isaacs_2d"])
+    def test_profile_fits(self, monkeypatch, make, n, cells, fits):
+        # every objective a pinned profile fits: the min profile's, and the
+        # max profile's where it differs
+        seen = []
+
+        def record(fun, lo, hi, xatol):
+            seen.append((fun, lo, hi, xatol))
+            return _brent_min(fun, lo, hi, xatol)
+
+        monkeypatch.setattr(solver, "_brent_min", record)
+        fundamental_profile(make(), n, cells=cells)
+        assert len(seen) == fits
+        for args in seen:
+            self.assert_as_scipy(*args)
+
+    @pytest.mark.parametrize("fun,lo,hi", [
+        (lambda x: x, 0.0, 1.0),
+        (lambda x: -x * x, 0.0, 2.0),
+        (lambda x: 1.0, 1e-3, 3.0),
+        (lambda x: abs(x - 0.3), 0.0, 1.0),
+    ], ids=["lower_bound", "upper_bound", "constant", "vee"])
+    def test_objectives(self, fun, lo, hi):
+        assert self.assert_as_scipy(fun, lo, hi, 1e-10).status == 0
+
+    def test_stops_at_500_calls(self):
+        # with xatol 0 the bracket around |x|'s minimum 0 never gets narrow
+        # enough, relative to the best point, to stop
+        want = self.assert_as_scipy(abs, -1.0, 1.0, 0.0)
+        assert want.nfev == 500 and want.status == 1
 
 
 def _pattern_weights_reference(f_op, n, a, b):
