@@ -132,13 +132,13 @@ def sphere_min_curve(fld, radii):
     return list(zip(radii.tolist(), mins.tolist()))
 
 
-def hadamard_check(f_op: EllipticOperator, fld: RadialField,
-                   margin: float = 0.1) -> dict:
+def hadamard_check(f_op: EllipticOperator, fld: RadialField) -> dict:
     """Monotonicity of m(r) and r^{a*} m(r) for an F-superharmonic field.
 
     The field must be numerically superharmonic (discrete residual of
     F(D^2 u) >= 0 up to tolerance); the growth check runs on an interior
-    window to stay away from boundary layers.
+    window, a tenth of the nodes in from each end, to stay away from
+    boundary layers.
     """
     scale = 1.0 + float(np.abs(fld.values).max())
     res = _signed_min_residual(f_op, fld)
@@ -153,7 +153,7 @@ def hadamard_check(f_op: EllipticOperator, fld: RadialField,
     dec_viol = float(np.max(np.diff(m), initial=-np.inf))
     m_nonincreasing = dec_viol <= tol
 
-    k0 = int(margin * len(r))
+    k0 = int(0.1 * len(r))
     k1 = len(r) - k0
     rw, mw = r[k0:k1], m[k0:k1]
     grw = rw ** a_star * mw
@@ -457,15 +457,16 @@ def _angular_residual(f_op, psi_vals, beta, rhs_vals):
     return eval_operator(f_op, rot @ hmat @ rot.swapaxes(1, 2)) - rhs_vals
 
 
-def _newton_solve(residual_fn, x0, tol=1e-10, restarts=5):
-    """Solve residual_fn(x) = 0 for a positive vector x.
+def _newton_solve(residual_fn, x0):
+    """Solve residual_fn(x) = 0 for a positive vector x, to sup-norm 1e-10.
 
     Works in w = log(x), which enforces positivity without constraints.
     F is only piecewise smooth (eigenvalue crossings), so the Powell hybrid
     method can stall on a bad trust region; restarting from the stalled
-    iterate usually escapes, and Levenberg-Marquardt is the last resort.  A
-    trial point where exp(w) or the residual overflows ends its attempt, and
-    the next attempt starts from the best trial point seen so far.
+    iterate (up to five attempts) usually escapes, and Levenberg-Marquardt is
+    the last resort.  A trial point where exp(w) or the residual overflows
+    ends its attempt, and the next attempt starts from the best trial point
+    seen so far.
     """
     from scipy.optimize import root
     w = np.log(np.asarray(x0, dtype=float))
@@ -479,22 +480,27 @@ def _newton_solve(residual_fn, x0, tol=1e-10, restarts=5):
             best["nrm"], best["w"] = nrm, w.copy()
         return res
 
-    for method, opts in [("hybr", {"tol": 1e-12})] * restarts + [("lm", {})]:
+    for method, opts in [("hybr", {"tol": 1e-12})] * 5 + [("lm", {})]:
         try:
             w = root(wrapped, w, method=method, **opts).x
             nrm = float(np.abs(wrapped(w)).max())
         except FloatingPointError:
             w, nrm = best["w"], best["nrm"]
-        if nrm <= tol:
+        if nrm <= 1e-10:
             return np.exp(w)
     raise RuntimeError(f"Newton did not converge (residual {nrm:.2e})")
 
 
-def _angular_newton(f_op, beta, rhs_vals, psi0, tol=1e-10):
-    def residual_fn(vals):
-        return _angular_residual(f_op, vals, beta, rhs_vals)
-
-    return _newton_solve(residual_fn, psi0, tol=tol)
+def _existence_K(f_op, n, p, message):
+    """K(beta*(p)) if classify puts F in the existence regime, else WrongRegime
+    with message formatted by b = beta*, a = alpha*.  None, unchecked, for an
+    F that is not rotation-invariant (its regime needs an angular alpha*)."""
+    if not f_op.rot_invariant:
+        return None
+    verdict = classify(f_op, n, p)
+    if verdict.outcome != EXISTENCE_SUPERSOLUTION:
+        raise WrongRegime(message.format(b=verdict.beta_star, a=verdict.alpha_star))
+    return K_coefficient(f_op, n, verdict.beta_star)
 
 
 def cone_map_A(f_op: EllipticOperator, n: int, p: float,
@@ -502,15 +508,13 @@ def cone_map_A(f_op: EllipticOperator, n: int, p: float,
     """The solution map A(v) = u with F(D^2 u) = v^p, u in the same cone.
 
     Constant profiles reduce to the closed-form scalar c^p / K; angular
-    profiles (n = 2) are solved by damped Newton with periodic boundary.
+    profiles (n = 2) are solved on the periodic angular grid by
+    ``_newton_solve`` (Powell hybrid with restarts, Levenberg-Marquardt last).
     """
     b = beta_star(p, 0.0)
     if abs(v.beta - b) > 1e-12:
         raise ValueError(f"profile degree {v.beta} != beta*(p) = {b}")
-    a = alpha_star(f_op, n).alpha_star if f_op.rot_invariant else None
-    k = K_coefficient(f_op, n, b) if f_op.rot_invariant else None
-    if a is not None and b >= a:
-        raise WrongRegime(f"needs beta* < alpha*; got {b} >= {a}")
+    k = _existence_K(f_op, n, p, "needs beta* < alpha*; got {b} >= {a}")
     if v.is_constant:
         if k is None:
             raise ValueError("constant-profile path needs rotational invariance")
@@ -524,30 +528,10 @@ def cone_map_A(f_op: EllipticOperator, n: int, p: float,
         return HomogeneousProfile(beta=b, n=n,
                                   angular=np.zeros_like(v.angular))
     start = np.full(len(v.angular), max(v.norm(), 1e-3))
-    psi = _angular_newton(f_op, b, rhs_vals, start, tol=1e-10)
+    psi = _newton_solve(lambda vals: _angular_residual(f_op, vals, b, rhs_vals), start)
     if psi.min() <= 0 and rhs_vals.max() > 0:
         raise RuntimeError("cone map left the positive cone")
     return HomogeneousProfile(beta=b, n=n, angular=np.maximum(psi, 0.0))
-
-
-def scalar_fixed_point_newton(k: float, p: float, c0: float,
-                              tol: float = 1e-12, cap: int = 50) -> tuple:
-    """Newton for the nontrivial root of c = c^p / K.
-
-    Works on c^{p-1} - K (the equation divided by c), which removes the
-    trivial repelling root at 0 and keeps iterates positive.
-    """
-    if c0 <= 0:
-        raise ValueError("need a positive start")
-    c = c0
-    for it in range(1, cap + 1):
-        r = c ** (p - 1.0) - k
-        if abs(r) <= tol * max(1.0, k):
-            return c, it
-        c = c - r / ((p - 1.0) * c ** (p - 2.0))
-        if c <= 0:
-            c = 1e-12
-    raise RuntimeError("scalar Newton did not converge")
 
 
 def inner_validity_radius(k: float, p: float) -> float:
@@ -560,39 +544,38 @@ def fixed_point(f_op: EllipticOperator, n: int, p: float,
                 seed: int = 0) -> tuple:
     """Homogeneous positive solution of F(D^2 u) = u^p off the origin.
 
-    Returns (profile, r_bar, report).  The fixed point of the cone map is
-    repelling under naive iteration (scalar derivative p > 1), so Newton is
-    used.  With angular_points > 0 the n = 2 angular path is taken, starting
-    from a perturbed constant profile.
+    Returns (profile, r_bar, report).  The constant profile is the closed
+    form c* = K^{1/(p-1)} of ``explicit_constant``.  With angular_points > 0
+    (n = 2; the only path for an F that is not rotation-invariant) the
+    angular profile is solved by ``_newton_solve`` from a perturbed constant
+    profile, since naive iteration of the cone map is repelling (p > 1).
     """
     b = beta_star(p, 0.0)
-    if not f_op.rot_invariant and n != 2:
-        raise ValueError("non-rotationally-invariant path needs n = 2")
-    if f_op.rot_invariant:
-        a = alpha_star(f_op, n).alpha_star
-        if b >= a:
-            raise WrongRegime(f"needs beta*(p) = {b} < alpha* = {a}")
-    k = K_coefficient(f_op, n, b) if f_op.rot_invariant else None
+    if angular_points and n != 2:
+        raise ValueError("angular path only available for n = 2")
+    if not (angular_points or f_op.rot_invariant):
+        raise ValueError("an operator that is not rotation-invariant needs the "
+                         "angular path (angular_points > 0, n = 2)")
+    k = _existence_K(f_op, n, p, "needs beta*(p) = {b} < alpha* = {a}")
+    c_star = None if k is None else k ** (1.0 / (p - 1.0))
 
-    if angular_points and n == 2:
+    if angular_points:
         rng = np.random.default_rng(seed)
-        base = k ** (1.0 / (p - 1.0)) if k is not None else 1.0
-        psi0 = base * (1.0 + perturb * rng.uniform(-1, 1, angular_points))
-        psi = np.asarray(psi0, dtype=float)
+        base = 1.0 if c_star is None else c_star
+        psi = base * (1.0 + perturb * rng.uniform(-1, 1, angular_points))
 
         # Newton on the residual divided pointwise by psi: the trivial
         # solution psi = 0 also satisfies F(D^2 u) = u^p and its basin can
-        # capture perturbed starts, so it is removed the same way as in the
-        # scalar case (solving c^{p-1} = K instead of c = c^p / K).
+        # capture perturbed starts, so it is removed by solving the
+        # analogue of c^{p-1} = K instead of c = c^p / K.
         def full_residual(vals):
             raw = _angular_residual(f_op, vals, b, vals ** p)
             return raw / vals
 
-        psi = _newton_solve(full_residual, psi, tol=1e-10)
+        psi = _newton_solve(full_residual, psi)
         profile = HomogeneousProfile(beta=b, n=n, angular=psi)
         resid = float(np.abs(_angular_residual(f_op, psi, b, psi ** p)).max())
     else:
-        c_star, iters = scalar_fixed_point_newton(k, p, 1.0)
         profile = HomogeneousProfile(beta=b, n=n, constant=c_star)
         # symbolic radial residual of F(D^2(c r^{-b})) - (c r^{-b})^p
         resid = abs(c_star * k - c_star ** p)

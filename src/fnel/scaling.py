@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -216,7 +218,6 @@ class NonlinearitySpec:
     evaluator: Callable[[float, float], float]
     epsilon0: float = 1.0
     R0: float = 1.0
-    label: str = "sampled"
 
     def __post_init__(self):
         if self.epsilon0 <= 0 or self.R0 <= 0:
@@ -230,25 +231,7 @@ class NonlinearitySpec:
         return cls(
             evaluator=lambda r, s: c * r ** (-gamma) * s ** p,
             epsilon0=epsilon0, R0=R0,
-            label=f"{c}*|x|^(-{gamma})*s^{p}",
         )
-
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    R_max: float = 100.0
-    T_max: float = 10.0
-    num_x: int = 24
-    num_s: int = 48
-
-    def radii(self, R0):
-        return np.geomspace(R0, self.R_max, self.num_x)
-
-    def s_values(self, eps0):
-        return np.geomspace(1e-6 * eps0, eps0, self.num_s)
-
-    def t_values(self):
-        return np.geomspace(1e-6 * self.T_max, self.T_max, self.num_s)
 
 
 @dataclass
@@ -272,83 +255,65 @@ class HypothesisReport:
         return all(c.passed for c in self.conditions)
 
 
-def _trend_diverges(values_by_scale):
-    """True when the running sup keeps growing as the scale shrinks."""
-    sups = [max(v) for v in values_by_scale if v]
+def _trend_diverges(blocks):
+    """True when the running sup keeps growing as the scale shrinks; each
+    block holds (value, point...) samples of one scale, smallest first."""
+    sups = [max(w[0] for w in b) for b in blocks if b]
     if len(sups) < 2:
         return False
     return sups[0] > 10.0 * sups[-1]
 
 
-def hypothesis_check(spec: NonlinearitySpec, p: float, gamma: float,
-                     grid: SamplingPlan = SamplingPlan()) -> HypothesisReport:
+def hypothesis_check(spec: NonlinearitySpec, p: float, gamma: float) -> HypothesisReport:
     """Sample the three structural conditions on f against |x|^{-gamma} s^p.
 
     A sampler, never a certifier: the underlying conditions quantify over
-    continua, so PASS means "no violation found on the plan's grid".
+    continua, so PASS means "no violation found on the grid".  The grid is
+    log-spaced: 24 radii in [R0, 100], 48 values of s in [1e-6 eps0, eps0],
+    and for the ratio condition every fourth radius and 8 values of t in
+    [1e-5, 10].  f is evaluated once per grid point.  Each fitted constant
+    is the first extreme sample in scan order, and its point is the witness.
     """
-    radii = grid.radii(spec.R0)
-    svals = grid.s_values(spec.epsilon0)
-    tvals = grid.t_values()
+    radii = np.geomspace(spec.R0, 100.0, 24)
+    svals = np.geomspace(1e-6 * spec.epsilon0, spec.epsilon0, 48)
     f = spec.evaluator
+    fs = [[f(r, s) for s in svals] for r in radii]
+    q = [[(v * r ** gamma / s ** p, r, s) for v, s in zip(row, svals)]
+         for row, r in zip(fs, radii)]          # (f |x|^gamma / s^p, r, s)
+    decades = np.array_split(np.arange(len(svals)), 6)  # smallest s first
+    first = itemgetter(0)
 
     # lower bound f >= c0 |x|^{-gamma} s^p on small s
-    lower_vals, lower_wit = [], None
-    for r in radii:
-        for s in svals:
-            q = f(r, s) * r ** gamma / s ** p
-            if lower_wit is None or q < lower_wit[0]:
-                lower_wit = (q, r, s)
-            lower_vals.append(q)
-    c0 = min(lower_vals)
-    cond1 = ConditionReport("fx-nonexist1", c0, c0 > 1e-12,
-                            (lower_wit[1], lower_wit[2]))
+    c0, *lower_wit = min(chain(*q), key=first)
+    cond1 = ConditionReport("fx-nonexist1", c0, c0 > 1e-12, tuple(lower_wit))
 
-    # monotone ratio f(x,s)/s <= C0 f(x,t)/t for s <= min(t, eps0)
-    ratio_by_decade = []
-    ratio_wit = (0.0, None, None, None)
-    decades = np.array_split(svals, 6)  # smallest s first
-    for block in decades:
-        block_vals = []
-        for r in radii[:: max(1, len(radii) // 6)]:
-            for s in block:
-                for t in list(tvals[:: max(1, len(tvals) // 8)]) + [s]:
-                    if s > min(t, spec.epsilon0):
-                        continue
-                    q = (f(r, s) / s) / (f(r, t) / t)
-                    block_vals.append(q)
-                    if q > ratio_wit[0]:
-                        ratio_wit = (q, r, s, t)
-        ratio_by_decade.append(block_vals)
-    C0_ratio = ratio_wit[0]
-    cond2 = ConditionReport("fx-nonexist2", C0_ratio,
-                            not _trend_diverges(ratio_by_decade),
-                            ratio_wit[1:])
+    # monotone ratio f(x,s)/s <= C0 f(x,t)/t for s <= min(t, eps0); a t
+    # below every s is never compared, so f is not evaluated there
+    ts = [t for t in np.geomspace(1e-6 * 10.0, 10.0, 48)[::6] if t >= svals[0]]
+    rows = range(0, len(radii), 4)
+    ft = {i: [f(radii[i], t) for t in ts] for i in rows}
+    ratios = [[((fs[i][j] / s) / (g / t), radii[i], s, t)
+               for i in rows for j in block for s in [svals[j]]
+               for t, g in zip(ts + [s], ft[i] + [fs[i][j]])
+               if not s > min(t, spec.epsilon0)] for block in decades]
+    C0_ratio, *ratio_wit = max(chain([(0.0, None, None, None)], *ratios), key=first)
+    cond2 = ConditionReport("fx-nonexist2", C0_ratio, not _trend_diverges(ratios),
+                            tuple(ratio_wit))
 
     # upper bound f <= C0 |x|^{-gamma} s^p on small s
-    upper_by_decade, upper_wit = [], (0.0, None, None)
-    for block in decades:
-        block_vals = []
-        for r in radii:
-            for s in block:
-                q = f(r, s) * r ** gamma / s ** p
-                block_vals.append(q)
-                if q > upper_wit[0]:
-                    upper_wit = (q, r, s)
-        upper_by_decade.append(block_vals)
-    cond3 = ConditionReport("fx-exist", upper_wit[0],
-                            not _trend_diverges(upper_by_decade),
-                            upper_wit[1:])
+    uppers = [[row[j] for row in q for j in block] for block in decades]
+    C0_upper, *upper_wit = max(chain([(0.0, None, None)], *uppers), key=first)
+    cond3 = ConditionReport("fx-exist", C0_upper, not _trend_diverges(uppers),
+                            tuple(upper_wit))
 
     return HypothesisReport(conditions=[cond1, cond2, cond3])
 
 
 def sampled_verdict(f_op: EllipticOperator, n: int, spec: NonlinearitySpec,
-                    p: float, gamma: float,
-                    grid: SamplingPlan = SamplingPlan()) -> dict:
+                    p: float, gamma: float) -> dict:
     """Combine the exponent comparison with the sampled structural checks."""
     verdict = classify(f_op, n, p, gamma)
-    report = hypothesis_check(spec, p, gamma, grid)
+    report = hypothesis_check(spec, p, gamma)
     if verdict.outcome == NONEXISTENCE_EXTERIOR:
         needed = ["fx-nonexist1", "fx-nonexist2"]
     else:

@@ -17,9 +17,7 @@ from fnel import (
 )
 from fnel.matcore import SymMatrix, radial_hessian
 from fnel.scaling import alpha_star
-from fnel.liouville import (
-    _signed_min_residual, inner_validity_radius, scalar_fixed_point_newton,
-)
+from fnel.liouville import _signed_min_residual, inner_validity_radius
 from fnel.solver import RadialField, convergence_order, residual_norm
 from conftest import random_isaacs
 
@@ -194,22 +192,28 @@ def test_12_bend_and_truncate():
         assert patch.residual_report["tail_min_residual"] >= -1e-8
 
 
+FIXED_POINT_REGIMES = [
+    (pucci_max(1, 2, 3), 3, 2.0), (pucci_max(1, 2, 3), 3, 3.0),
+    (pucci_max(1, 2, 3), 3, 6.0), (laplacian(3), 3, 4.0),
+    (laplacian(3), 3, 5.0), (laplacian(3), 3, 8.0), (pucci_max(1, 3, 4), 4, 2.0),
+]
+
+
 def test_13_fixed_point():
-    op = pucci_max(1, 2, 3)
-    prof, r_bar, rep = fixed_point(op, 3, 2.0)
+    prof, r_bar, rep = fixed_point(pucci_max(1, 2, 3), 3, 2.0)
     assert prof.constant == pytest.approx(2.0, abs=1e-10)
     assert r_bar == pytest.approx(1.0)
     assert prof.norm() == pytest.approx(2.0) and r_bar < prof.norm()
-    for c0 in (0.5, 8.0):
-        c, iters = scalar_fixed_point_newton(2.0, 2.0, c0)
-        assert c == pytest.approx(2.0, abs=1e-12) and iters <= 8
     # the inner-radius bound holds on every shipped regime
-    shipped = [(op, 3, 2.0), (op, 3, 3.0), (op, 3, 6.0),
-               (laplacian(3), 3, 4.0), (laplacian(3), 3, 5.0),
-               (laplacian(3), 3, 8.0), (pucci_max(1, 3, 4), 4, 2.0)]
-    for f_op, n, p in shipped:
+    for f_op, n, p in FIXED_POINT_REGIMES:
         profile, rb, _ = fixed_point(f_op, n, p)
         assert profile.norm() > rb
+
+
+@pytest.mark.parametrize("f_op,n,p", FIXED_POINT_REGIMES)
+def test_13_fixed_point_is_the_explicit_constant(f_op, n, p):
+    # the constant profile is the closed form c* = K^{1/(p-1)}, bit for bit
+    assert fixed_point(f_op, n, p)[0].constant == explicit_constant(f_op, n, p)
 
 
 class TestPropertySuites1000:

@@ -20,7 +20,6 @@ from fnel import (
 from fnel.liouville import (
     NO_CROSSING, NotSuperharmonic, WrongRegime, _angular_residual,
     _signed_min_residual, angular_hessian_profile, inner_validity_radius,
-    scalar_fixed_point_newton,
 )
 from fnel.scaling import K_coefficient, beta_star
 from fnel.solver import Field2D, RadialField
@@ -375,20 +374,6 @@ class TestConeMap:
 
 
 class TestScalarNewton:
-    def test_converges_fast_from_both_seeds(self):
-        for c0 in (0.5, 8.0):
-            c, iters = scalar_fixed_point_newton(2.0, 2.0, c0)
-            assert c == pytest.approx(2.0, abs=1e-12)
-            assert iters <= 8
-
-    def test_general_k_p(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            k = float(rng.uniform(0.05, 10.0))
-            p = float(rng.uniform(1.2, 6.0))
-            c, _ = scalar_fixed_point_newton(k, p, 1.0)
-            assert c == pytest.approx(k ** (1.0 / (p - 1.0)), rel=1e-10)
-
     def test_inner_radius_example(self):
         assert inner_validity_radius(2.0, 2.0) == pytest.approx(1.0)
 
@@ -439,6 +424,15 @@ class TestFixedPoint:
     def test_wrong_regime(self, lap3):
         with pytest.raises(WrongRegime):
             fixed_point(lap3, 3, 2.0)
+
+    def test_not_rotation_invariant_needs_the_angular_path(self):
+        op = isaacs(1.0, 2.0, 2, [[np.diag([1.0, 2.0])], [np.diag([2.0, 1.0])]])
+        with pytest.raises(ValueError, match="angular path"):
+            fixed_point(op, 2, 2.0)
+
+    def test_angular_points_need_n2(self, pm3):
+        with pytest.raises(ValueError, match="n = 2"):
+            fixed_point(pm3, 3, 2.0, angular_points=16)
 
     def test_dichotomy_wording(self, pm3):
         _, _, rep = fixed_point(pm3, 3, 2.0)

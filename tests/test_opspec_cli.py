@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,6 +239,25 @@ class TestGoldenSamples:
         assert main(["eigen", "--op", str(self.SAMPLES / spec), "--domain", domain,
                      "--cells", cells, "--format", "csv"]) == EXIT_OK
         assert capsys.readouterr().out == (self.SAMPLES / golden).read_text()
+
+    def test_fixed_point_stdout_is_the_golden(self, capsys):
+        assert main(["fixed-point", "--op", str(self.SAMPLES / "pucci_max_n3.json"),
+                     "--p", "2.0"]) == EXIT_OK
+        assert capsys.readouterr().out == \
+            (self.SAMPLES / "fixed_point_output.json").read_text()
+
+    def test_fixed_point_without_rotation_invariance_is_usage(self):
+        # the constant profile needs a rotation-invariant F; the CLI has no
+        # angular path, so it reports a usage error instead of a traceback
+        import fnel
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(fnel.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "fnel.cli", "fixed-point", "--op",
+             str(self.SAMPLES / "isaacs_2d.json"), "--p", "2.0"],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == EXIT_USAGE
+        assert "usage error" in run.stderr and "angular path" in run.stderr
+        assert "Traceback" not in run.stderr + run.stdout
 
     def test_sweep_output_reproduces(self):
         config = json.loads((self.SAMPLES / "sweep_classify.json").read_text())

@@ -316,6 +316,29 @@ class TestHypothesisCheck:
         rep = hypothesis_check(spec, 2.0, 0.0)
         assert rep.wording == "sampled evidence, not certified"
 
+    def test_one_evaluation_per_sample_point(self):
+        # 24 radii x 48 values of s, plus f(r, t) at 6 radii x 8 values of t
+        calls = []
+
+        def counting(r, s):
+            calls.append((float(r), float(s)))
+            return r ** -1.0 * s ** 2
+
+        hypothesis_check(NonlinearitySpec(evaluator=counting), 2.0, 1.0)
+        assert len(calls) == len(set(calls)) == 1200
+
+    def test_power_case_constants_and_witnesses_pinned(self):
+        rep = hypothesis_check(NonlinearitySpec.power(1.0, 0.5, 2.0), 2.0, 0.5)
+        got = [(c.name, c.fitted_constant, c.passed, tuple(map(float, c.witness)))
+               for c in rep.conditions]
+        assert got == [
+            ("fx-nonexist1", 0.9999999999999998, True,
+             (2.7213387683753076, 0.00019855111964445807)),
+            ("fx-nonexist2", 1.0, True, (1.0, 1e-06, 1e-06)),
+            ("fx-exist", 1.0000000000000002, True,
+             (1.4924955450518294, 1.3417128354799116e-06)),
+        ]
+
     def test_sampled_verdict_combines(self, pm3):
         spec = NonlinearitySpec.power(1.0, 0.0, 1.4)
         rep = sampled_verdict(pm3, 3, spec, 1.4, 0.0)
