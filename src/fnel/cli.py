@@ -141,7 +141,7 @@ def build_parser():
 
 
 def _cmd_alpha_star(args, op, n):
-    rep = scaling.alpha_star(op, n, args.tol if args.tol else 1e-12)
+    rep = scaling.alpha_star(op, n)
     return {
         **_echo(args, op),
         "alpha_star": rep.alpha_star,
@@ -500,8 +500,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (solver.PolicyIterationDiverged, spectral.IterationFailure,
-            liouville.WrongRegime, scaling.OperatorInvalid,
-            RuntimeError) as exc:
+            liouville.WrongRegime, RuntimeError) as exc:
         report = {"error": f"{type(exc).__name__}: {exc}"}
         try:
             _emit(args, report)

@@ -255,6 +255,18 @@ def isaacs(lam, Lam, dim, families, rot_invariant=False) -> EllipticOperator:
     )
 
 
+def control_table(f: EllipticOperator):
+    """An Isaacs family's padded controls: the (rows, controls, n, n) matrices
+    A, and the radial table a11 = A[0, 0] and s = tr A - a11, each (rows,
+    controls).  A ragged row repeats its first control, which changes neither
+    a row minimum nor its first argmin."""
+    if f.kind != ISAACS:
+        raise InvalidOperator(f"a {f.kind} operator has no control table")
+    mats = f._controls.reshape(f._controls.shape[:2] + (f.dim, f.dim))
+    a11 = mats[:, :, 0, 0]
+    return mats, a11, np.trace(mats, axis1=2, axis2=3) - a11
+
+
 def pucci_max_value(lam, Lam, eigs):
     """-lam * (sum of eigs > 0) - Lam * (sum of eigs < 0) along the last axis.
 

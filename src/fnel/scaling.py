@@ -2,7 +2,8 @@
 
 The analytic path only applies to rotationally invariant operators: there the
 fundamental solution is radial and its homogeneity degree is the root of a
-one-dimensional strictly decreasing indicator.
+one-dimensional strictly decreasing indicator, which ``alpha_star`` gives in
+closed form.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .matcore import EllipticOperator, eval_diagonal
+from .matcore import ISAACS, PUCCI_MAX, EllipticOperator, control_table, eval_diagonal
 
 LOG_CASE_THRESHOLD = 1e-9
-DEFAULT_ALPHA_TOL = 1e-12
-_BISECT_LEVELS = 5  # bisection levels evaluated per indicator call
 
 NONEXISTENCE_EXTERIOR = "NONEXISTENCE_EXTERIOR"
 EXISTENCE_SUPERSOLUTION = "EXISTENCE_SUPERSOLUTION"
@@ -27,10 +26,6 @@ EXISTENCE_SUPERSOLUTION = "EXISTENCE_SUPERSOLUTION"
 
 class NotRotInvariant(ValueError):
     pass
-
-
-class OperatorInvalid(ValueError):
-    """Indicator has no sign change on the admissible bracket."""
 
 
 def xi_alpha(alpha: float, r: float) -> float:
@@ -84,41 +79,21 @@ class ScalingReport:
             raise ValueError("alpha_star must exceed -1")
 
 
-def alpha_star(f: EllipticOperator, n: int, tol: float = DEFAULT_ALPHA_TOL) -> ScalingReport:
-    """Scaling exponent of F in dimension n, by bisection on the indicator;
-    one indicator call evaluates the midpoints of several levels at once."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def alpha_star(f: EllipticOperator, n: int) -> ScalingReport:
+    """Scaling exponent of F in dimension n: the root of the indicator, in
+    closed form.  It is the bracket's lower end for the Laplacian and
+    pucci_min and its upper end for pucci_max (Cutri-Leoni); for an Isaacs
+    family psi(a) = max_r min_c (s - (a+1) a11) over the (a11, s) table,
+    each line falls with slope -a11 < 0, so a row minimum crosses zero at
+    the row's smallest line root and the maximum at the largest row root."""
     lo, hi = alpha_bracket(f, n)
-    scale = max(f.lam, 1.0)
     alphas = np.linspace(lo, hi, 9)           # the endpoints are exactly lo, hi
     psi = homogeneity_indicator(f, n, alphas)
-    psi_lo, psi_hi = float(psi[0]), float(psi[-1])
-    if lo == hi:
-        root = lo
-    elif abs(psi_lo) <= tol * scale:
-        root = lo
-    elif abs(psi_hi) <= tol * scale:
-        root = hi
-    elif psi_lo < 0 or psi_hi > 0:
-        raise OperatorInvalid(
-            f"indicator has no sign change on [{lo}, {hi}]: "
-            f"psi(lo)={psi_lo:.6g}, psi(hi)={psi_hi:.6g}"
-        )
+    if f.kind == ISAACS:
+        _, a11, s = control_table(f)
+        root = float((s / a11).min(axis=1).max()) - 1.0
     else:
-        a, b, up = lo, hi, {}
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if mid not in up:  # sign of psi at every midpoint of the next levels
-                pts = [a, b]
-                for _ in range(_BISECT_LEVELS):
-                    pts = [x for u, v in zip(pts, pts[1:]) for x in (u, 0.5 * (u + v))] + [b]
-                up = dict(zip(pts[1:-1], (homogeneity_indicator(f, n, pts[1:-1]) > 0).tolist()))
-            if up[mid]:
-                a = mid
-            else:
-                b = mid
-        root = 0.5 * (a + b)
+        root = hi if f.kind == PUCCI_MAX else lo
     log_case = abs(root) < LOG_CASE_THRESHOLD
     if log_case:
         root = 0.0
@@ -220,14 +195,14 @@ class NonlinearitySpec:
     R0: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon0 <= 0 or self.R0 <= 0:
-            raise ValueError("epsilon0 and R0 must be positive")
+        if not (0 < self.epsilon0 < math.inf and 0 < self.R0 < math.inf):
+            raise ValueError("epsilon0 and R0 must be positive and finite")
 
     @classmethod
     def power(cls, c: float, gamma: float, p: float, epsilon0: float = 1.0,
               R0: float = 1.0) -> "NonlinearitySpec":
-        if c <= 0 or p <= 1 or gamma >= 2:
-            raise ValueError("power form needs c > 0, p > 1, gamma < 2")
+        if not (0 < c < math.inf and 1 < p < math.inf and -math.inf < gamma < 2):
+            raise ValueError("power form needs finite c > 0, p > 1, gamma < 2")
         return cls(
             evaluator=lambda r, s: c * r ** (-gamma) * s ** p,
             epsilon0=epsilon0, R0=R0,

@@ -74,7 +74,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .matcore import ISAACS, LAPLACIAN, PUCCI_MAX, PUCCI_MIN, EllipticOperator
+from .matcore import (
+    ISAACS, LAPLACIAN, PUCCI_MAX, PUCCI_MIN, EllipticOperator, control_table,
+)
 from .scaling import alpha_bracket
 
 RESIDUAL_TOL = 1e-10
@@ -259,6 +261,11 @@ class DirichletProblem:
     exact: Optional[Callable] = None
     spacing: str = "auto"  # 'log' | 'linear' | 'auto'
 
+    def __post_init__(self):
+        if self.spacing not in ("log", "linear", "auto"):
+            raise ValueError(
+                f"spacing must be 'log', 'linear' or 'auto', got {self.spacing!r}")
+
     def rhs_at(self, *args):
         return 0.0 if self.rhs is None else float(self.rhs(*args))
 
@@ -384,31 +391,13 @@ def _radial_entries(u, h, r, spacing, is_ball):
     return a, b
 
 
-def _isaacs_controls(f_op):
-    """An Isaacs family's (rows, controls, n, n) padded control table."""
-    n = f_op.dim
-    return f_op._controls.reshape(f_op._controls.shape[:2] + (n, n))
-
-
-def _radial_controls(f_op):
-    """Per sup-row (a11, tr A - a11) arrays of an Isaacs family; () otherwise.
-
-    Read from the operator's padded control table: a ragged row repeats its
-    first control, which changes neither the row minimum nor its first argmin.
-    """
-    if f_op.kind != ISAACS:
-        return ()
-    dense = _isaacs_controls(f_op)                  # (rows, controls, n, n)
-    a11 = dense[:, :, 0, 0]
-    return tuple(zip(a11, np.trace(dense, axis1=2, axis2=3) - a11))
-
-
 def _pattern_weights(f_op, n, a, b, controls):
     """Frozen-control coefficients (wa, wb) with F(diag(a, b, ..., b)) =
     -(wa*a + wb*b), at every node of the arrays a, b at once.
 
-    ``controls`` is ``_radial_controls(f_op)``.  Isaacs ties go to the first
-    minimum within a row and to the first row that is strictly larger.
+    ``controls`` is the (a11, s) table of ``control_table(f_op)`` for an
+    Isaacs family (unread otherwise).  Isaacs ties go to the first minimum
+    within a row and to the first row that is strictly larger.
     """
     if f_op.kind == LAPLACIAN:
         return np.ones_like(a), np.full_like(b, n - 1.0)
@@ -419,7 +408,7 @@ def _pattern_weights(f_op, n, a, b, controls):
         return np.where(a > 0, pos, neg), (n - 1) * np.where(b > 0, pos, neg)
     best = np.full(a.shape, -np.inf)
     wa, wb = np.zeros(a.shape), np.zeros(b.shape)
-    for a11, s in controls:
+    for a11, s in zip(*controls):
         vals = -(a11[:, None] * a + s[:, None] * b)     # (controls, nodes)
         k = vals.argmin(axis=0)
         worst = vals.min(axis=0)
@@ -526,7 +515,7 @@ class _RadialGrid(_HeldLU):
     def __init__(self, f_op, n, r, h, spacing, is_ball):
         self.f_op, self.n, self.r, self.h = f_op, n, r, h
         self.spacing, self.is_ball = spacing, is_ball
-        self.controls = _radial_controls(f_op)
+        self.controls = control_table(f_op)[1:] if f_op.kind == ISAACS else None
 
     @classmethod
     def for_solve(cls, f_op, n, problem, cells):
@@ -727,7 +716,7 @@ def _control_families(f_op, angles=24):
     if f_op.kind == LAPLACIAN:
         return np.eye(2)[None, None]
     if f_op.kind == ISAACS:
-        return _isaacs_controls(f_op)
+        return control_table(f_op)[0]
     lam, Lam = f_op.lam, f_op.Lam
     th = [k * math.pi / (2 * angles) for k in range(angles)]
     c, s = (np.array([f(t) for t in th]) for f in (math.cos, math.sin))

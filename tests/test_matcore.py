@@ -15,7 +15,7 @@ from fnel import (
 from fnel import matcore
 from fnel.matcore import (
     ISAACS, LAPLACIAN, PUCCI_MAX, PUCCI_MIN, DimensionMismatch, InvalidOperator,
-    diag_matrices, pucci_max_value, pucci_min_value,
+    control_table, diag_matrices, pucci_max_value, pucci_min_value,
 )
 from fnel.opspec import SpecError, parse_operator_spec
 
@@ -268,6 +268,22 @@ class TestControlBounds:
             assert str(exc.value).startswith(message)
 
 
+class TestControlTable:
+    def test_padded_matrices_and_radial_table(self):
+        a, b, c = np.diag([1.0, 2.0, 1.5]), np.diag([2.0, 1.0, 1.0]), 1.5 * np.eye(3)
+        op = isaacs(1.0, 2.0, 3, [[a, b], [c]])
+        mats, a11, s = control_table(op)
+        assert mats.shape == (2, 2, 3, 3)        # the ragged row repeats c
+        assert np.array_equal(mats, np.array([[a, b], [c, c]]))
+        assert a11.tolist() == [[1.0, 2.0], [1.5, 1.5]]
+        assert s.tolist() == [[3.5, 2.0], [3.0, 3.0]]
+
+    @pytest.mark.parametrize("make", [laplacian, lambda n: pucci_max(1.0, 2.0, n)])
+    def test_only_isaacs_has_one(self, make):
+        with pytest.raises(InvalidOperator, match="no control table"):
+            control_table(make(3))
+
+
 class TestRotationSamples:
     """The rotation-invariance samples are drawn once per dimension."""
 
@@ -448,7 +464,7 @@ class TestEvalDiagonal:
         rng = np.random.default_rng(n)
         d = rng.standard_normal((4000, n)) * 3.0
         for op in self._ops(rng, n)[3:]:
-            assert op.kind == ISAACS and np.any(op._controls[..., 1] != 0.0)
+            assert op.kind == ISAACS and np.any(control_table(op)[0][..., 0, 1] != 0.0)
             got, want = eval_diagonal(op, d), eval_operator(op, diag_matrices(d))
             assert np.array_equal(got, want) and _same_bits(got, want)
 

@@ -208,7 +208,8 @@ class TestGoldenSamples:
     SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
     @pytest.mark.parametrize("name", ["pucci_max_n3.json", "laplacian_n4.json",
-                                      "isaacs_2d.json", "isaacs_rot_n3.json"])
+                                      "isaacs_2d.json", "isaacs_rot_n3.json",
+                                      "pucci_max_wide_n6.json"])
     def test_operator_specs_parse(self, name):
         load_operator(str(self.SAMPLES / name))
 
@@ -258,6 +259,20 @@ class TestGoldenSamples:
         assert run.returncode == EXIT_USAGE
         assert "usage error" in run.stderr and "angular path" in run.stderr
         assert "Traceback" not in run.stderr + run.stdout
+
+    def test_alpha_star_of_the_wide_spec_is_the_bracket_end(self):
+        # Lambda/lambda ~ 2600: one ulp of alpha* exceeds 1e-12, so a root
+        # search to that tolerance never ends; a child with a timeout fails
+        # instead of hanging the suite
+        import fnel
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(fnel.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "fnel.cli", "alpha-star", "--op",
+             str(self.SAMPLES / "pucci_max_wide_n6.json")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == EXIT_OK
+        out = json.loads(run.stdout)
+        assert out["alpha_star"] == out["bracket"][1]
 
     def test_sweep_output_reproduces(self):
         config = json.loads((self.SAMPLES / "sweep_classify.json").read_text())

@@ -1,6 +1,11 @@
 """Scaling exponents, critical exponents, verdicts, and hypothesis sampling."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,24 +118,22 @@ class TestAlphaStar:
 
 
 def sequential_root(f, n, tol):
-    """Reference root search of alpha_star, bisecting one scalar indicator
-    call per level.  Returns (root before the log-case snap, levels)."""
+    """Reference root search of the indicator, bisecting one scalar indicator
+    call per level.  Returns the root before the log-case snap."""
     a, b = scaling.alpha_bracket(f, n)
     scale = max(f.lam, 1.0)
     psi_lo, psi_hi = (homogeneity_indicator(f, n, x) for x in (a, b))
     if a == b or abs(psi_lo) <= tol * scale:
-        return a, 0
+        return a
     if abs(psi_hi) <= tol * scale:
-        return b, 0
-    levels = 0
+        return b
     while b - a > tol:
         mid = 0.5 * (a + b)
         if homogeneity_indicator(f, n, mid) > 0:
             a = mid
         else:
             b = mid
-        levels += 1
-    return 0.5 * (a + b), levels
+    return 0.5 * (a + b)
 
 
 def scalar_isaacs(rng, n):
@@ -143,31 +146,73 @@ def scalar_isaacs(rng, n):
     return isaacs(lam, Lam, n, fams, rot_invariant=True)
 
 
-class TestStackedBisection:
-    """alpha_star evaluates several bisection levels per indicator call; its
-    root must be the float the one-level-at-a-time loop finds."""
+def alpha_star_in_child(cases):
+    """alpha_star of each (kind, n, lam, Lam) Pucci case, computed in a child
+    process with a timeout: a search that never ends fails the test instead
+    of hanging the suite."""
+    import fnel
+    env = {**os.environ, "PYTHONPATH": str(Path(fnel.__file__).parents[1])}
+    code = ("import json, sys\n"
+            "from fnel import matcore, scaling\n"
+            "ops = [(getattr(matcore, k)(lam, Lam, n), n)\n"
+            "       for k, n, lam, Lam in json.load(sys.stdin)]\n"
+            "print(json.dumps([scaling.alpha_star(op, n).alpha_star for op, n in ops]))\n")
+    run = subprocess.run([sys.executable, "-c", code], input=json.dumps(cases), env=env,
+                         timeout=60, check=True, capture_output=True, text=True)
+    return json.loads(run.stdout)
 
-    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-3, 0.3])
-    def test_matches_sequential_loop_bit_for_bit(self, tol, monkeypatch):
+
+# Pucci specs on which a bisection to 1e-12 fails: one ulp of the root
+# exceeds 1e-12 (the loop never ends), or the rounding error of psi at the
+# exact root has the wrong sign (no sign change is found)
+WIDE_PUCCI = [("pucci_max", 6, 0.9075517090480139, 2382.2083523793704),
+              ("pucci_max", 7, 9.243477587791476, 12006.681285706358)]
+
+
+class TestClosedForm:
+    """alpha_star is the indicator's root in closed form: the exact bracket
+    end for Pucci kinds and the Laplacian, and max_r min_c s/a11 - 1 for an
+    Isaacs family; it calls the indicator once, for its samples."""
+
+    def test_isaacs_matches_sequential_search(self, monkeypatch):
         calls = []
         real = scaling.homogeneity_indicator
         monkeypatch.setattr(scaling, "homogeneity_indicator",
                             lambda *args: calls.append(1) or real(*args))
         rng = np.random.default_rng(2024)
-        bisected = 0
+        interior = 0
         for i in range(60):
             n = 2 + i % 5
             op = scalar_isaacs(rng, n)
             assert op.rot_invariant
-            root, levels = sequential_root(op, n, tol)
+            root = sequential_root(op, n, 1e-12)
             calls.clear()
-            rep = alpha_star(op, n, tol)
+            rep = alpha_star(op, n)
             want = 0.0 if abs(root) < LOG_CASE_THRESHOLD else root
-            assert rep.alpha_star.hex() == want.hex()
-            if levels:
-                bisected += 1
-                assert len(calls) <= 1 + math.ceil(levels / scaling._BISECT_LEVELS)
-        assert bisected >= 40
+            assert abs(rep.alpha_star - want) <= 1e-12
+            assert len(calls) == 1
+            lo, hi = rep.bracket
+            interior += lo < rep.alpha_star < hi
+        assert interior >= 40
+
+    def test_wide_ratio_pucci_is_the_exact_bracket_end(self):
+        rng = np.random.default_rng(3)
+        cases = list(WIDE_PUCCI)
+        for i in range(400):
+            lam = float(rng.uniform(0.01, 100.0))
+            cases.append(("pucci_max" if i % 2 else "pucci_min", int(rng.integers(2, 9)),
+                          lam, lam * float(10.0 ** rng.uniform(0.0, 5.0))))
+        for (kind, n, lam, Lam), got in zip(cases, alpha_star_in_child(cases)):
+            lo, hi = scaling.alpha_bracket(pucci_max(lam, Lam, n), n)
+            want = hi if kind == "pucci_max" else lo
+            want = 0.0 if abs(want) < LOG_CASE_THRESHOLD else want
+            assert got == want, (kind, n, lam, Lam)
+
+    def test_wide_ratio_classify(self):
+        kind, n, lam, Lam = WIDE_PUCCI[1]
+        v = classify(pucci_max(lam, Lam, n), n, 2.0)
+        assert v.alpha_star == scaling.alpha_bracket(pucci_max(lam, Lam, n), n)[1]
+        assert v.outcome == EXISTENCE_SUPERSOLUTION
 
 
 class TestCriticalExponent:
@@ -338,6 +383,21 @@ class TestHypothesisCheck:
             ("fx-exist", 1.0000000000000002, True,
              (1.4924955450518294, 1.3417128354799116e-06)),
         ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["epsilon0", "R0"])
+    def test_spec_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match="finite"):
+            NonlinearitySpec(evaluator=lambda r, s: s ** 2, **{name: bad})
+        with pytest.raises(ValueError, match="finite"):
+            NonlinearitySpec.power(1.0, 0.0, 2.0, **{name: bad})
+
+    @pytest.mark.parametrize("c,gamma,p", [
+        (math.nan, 0.0, 2.0), (math.inf, 0.0, 2.0), (1.0, math.nan, 2.0),
+        (1.0, -math.inf, 2.0), (1.0, 0.0, math.nan), (1.0, 0.0, math.inf)])
+    def test_power_rejects_non_finite(self, c, gamma, p):
+        with pytest.raises(ValueError, match="finite"):
+            NonlinearitySpec.power(c, gamma, p)
 
     def test_sampled_verdict_combines(self, pm3):
         spec = NonlinearitySpec.power(1.0, 0.0, 1.4)

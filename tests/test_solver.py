@@ -16,11 +16,11 @@ from fnel import (
 )
 from fnel import parse_operator_spec, solver
 from fnel.liouville import _signed_min_residual
-from fnel.matcore import LAPLACIAN, PUCCI_MAX, PUCCI_MIN
+from fnel.matcore import ISAACS, LAPLACIAN, PUCCI_MAX, PUCCI_MIN, control_table
 from fnel.solver import (
     Field2D, NonMonotoneScheme, RadialField, _control_families, _evaluate_2d,
     _brent_min, _Grid2D, _HeldLU, _line_fit, _pattern_weights,
-    _radial_controls, _radial_entries, _radial_grid, _radial_rhs, _RadialGrid,
+    _radial_entries, _radial_grid, _radial_rhs, _RadialGrid,
     _stencil_coefficients,
 )
 from conftest import counted_solves
@@ -96,6 +96,10 @@ class TestRadialSolver:
         u = solve_dirichlet_radial(pm3, 3, base, 256)
         v = solve_dirichlet_radial(pm3, 3, scaled, 256)
         assert np.abs(v.values - u.values).max() <= 1e-8
+
+    def test_rejects_unknown_spacing(self):
+        with pytest.raises(ValueError, match="spacing must be"):
+            DirichletProblem(domain=Annulus(1.0, 2.0), n=3, spacing="lgo")
 
     def test_dimension_guard(self, lap3):
         prob = radial_problem(Annulus(1.0, 2.0), 7, lambda r: 1.0)
@@ -687,6 +691,11 @@ def _radial_system_reference(f_op, n, u, h, r, spacing, rhs, is_ball):
     return sparse.csr_matrix((vals, (rows, cols)), shape=(nun, nun)), rvec
 
 
+def _radial_table(op):
+    """The (a11, s) table a radial grid hands ``_pattern_weights``."""
+    return control_table(op)[1:] if op.kind == ISAACS else None
+
+
 def _radial_ops(n):
     # ragged rotation-invariant Isaacs: rows of 2 and 1 multiples of I; the
     # 1.5 I in both rows makes the row minima tie exactly
@@ -708,7 +717,7 @@ class TestRadialKernel:
         a[::7] = 0.0
         b[::5] = 0.0
         a[3::11] = -(n - 1) * b[3::11]       # every control gives F = 0
-        wa, wb = _pattern_weights(op, n, a, b, _radial_controls(op))
+        wa, wb = _pattern_weights(op, n, a, b, _radial_table(op))
         value = -(wa * a + wb * b)           # F as _RadialGrid.apply forms it
         for i in range(a.size):
             assert (wa[i], wb[i]) == _pattern_weights_reference(op, n, a[i], b[i])
@@ -729,7 +738,7 @@ class TestRadialKernel:
         u = np.sin(3.0 * r) + 0.1 * rng.standard_normal(r.size)
         is_ball = isinstance(domain, Ball)
         wa, wb = _pattern_weights(op, 3, *_radial_entries(u, h, r, sp, is_ball),
-                                  _radial_controls(op))
+                                  _radial_table(op))
         # the sweep's rhs is what its step hands the linear solve
         rvecs = []
         grid._solve = lambda policy, rvec: rvecs.append(rvec) or rvec
