@@ -117,9 +117,13 @@ class TestAlphaStar:
         assert len(rep.indicator_samples) >= 2
 
 
-def sequential_root(f, n, tol):
+def sequential_root(f, n, tol, below_root=None):
     """Reference root search of the indicator, bisecting one scalar indicator
-    call per level.  Returns the root before the log-case snap."""
+    call per level.  Returns the root before the log-case snap.  Each level
+    keeps the upper half when ``below_root(mid)``, by default when the
+    indicator is positive at mid."""
+    if below_root is None:
+        below_root = lambda mid: homogeneity_indicator(f, n, mid) > 0
     a, b = scaling.alpha_bracket(f, n)
     scale = max(f.lam, 1.0)
     psi_lo, psi_hi = (homogeneity_indicator(f, n, x) for x in (a, b))
@@ -129,7 +133,7 @@ def sequential_root(f, n, tol):
         return b
     while b - a > tol:
         mid = 0.5 * (a + b)
-        if homogeneity_indicator(f, n, mid) > 0:
+        if below_root(mid):
             a = mid
         else:
             b = mid
@@ -167,6 +171,28 @@ def alpha_star_in_child(cases):
 # exact root has the wrong sign (no sign change is found)
 WIDE_PUCCI = [("pucci_max", 6, 0.9075517090480139, 2382.2083523793704),
               ("pucci_max", 7, 9.243477587791476, 12006.681285706358)]
+
+
+class TestStackedBisection:
+    """A one-level-at-a-time bisection of the indicator and one that takes
+    each level's side from the closed-form alpha_star make the same choices
+    at every level, so they end on the same float."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-3, 0.3])
+    def test_matches_sequential_loop_bit_for_bit(self, tol):
+        rng = np.random.default_rng(2024)
+        bisected = 0
+        for i in range(60):
+            n = 2 + i % 5
+            op = scalar_isaacs(rng, n)
+            assert op.rot_invariant
+            root = alpha_star(op, n).alpha_star
+            levels = []
+            closed = sequential_root(op, n, tol,
+                                     lambda mid: levels.append(mid) or mid < root)
+            assert closed.hex() == sequential_root(op, n, tol).hex()
+            bisected += bool(levels)
+        assert bisected >= 40
 
 
 class TestClosedForm:
