@@ -190,8 +190,7 @@ def _cmd_solve(args, op, n):
     else:
         problem = DirichletProblem(domain=dom, n=2, rhs=lambda x, y: rc,
                                    boundary=lambda x, y: g1)
-        h = min(dom.x1 - dom.x0, dom.y1 - dom.y0) / args.cells
-        fld = solver.solve_dirichlet_2d(op, problem, h)
+        fld = solver.solve_dirichlet_2d(op, problem, dom.grid_step(args.cells))
     fld.meta.update(_echo(args, op))
     payload = {**_echo(args, op), "residual": fld.meta.get("residual")}
     return payload, fld.to_csv()

@@ -39,8 +39,8 @@ check and the (rows, controls, 9) coefficients are array expressions.
 ``_evaluate_2d`` takes the (9, nodes) neighbor values of every interior node
 and returns F_h u with the policy (row, control) per node, looping over rows
 only.  A step's matrix is built transposed, in CSC, from the chosen
-coefficient rows and factorized with SuperLU's COLAMD order; only the rows
-next to the boundary add boundary data to a step's rhs.
+coefficient rows and factorized in SuperLU's COLAMD order for its sparsity
+pattern; only the rows next to the boundary add boundary data to a step's rhs.
 
 A field-valued rhs is read in one call: a RadialField spanning the nodes is
 interpolated at all of them, a Field2D on the solve's grid is read at its
@@ -51,7 +51,13 @@ steps hand it over in an ``_OnGrid`` problem.  ``_HeldLU`` keeps its last
 sweep's policy with the LU of its ``system(policy)``, factorized once per new
 policy, and its last evaluation (u, F_h u, policy), which a solve starting at
 that u reuses: a warm step evaluates F_h once per sweep and builds only the
-sweep's rhs.
+sweep's rhs.  COLAMD reads a matrix's sparsity pattern alone, so one cache,
+``_SKELETONS``, holds its order per pattern for both grids; a later matrix of
+a held pattern is built in that order and factorized in its natural order,
+with the bits of SuperLU's own COLAMD run.  A radial skeleton permutes rows
+and columns alike, which keeps SuperLU's preferred pivot on the diagonal of
+the tridiagonal bands' ties; a 2D matrix permutes its columns only, since
+moving its rows too moved solutions in the last bits, and checks its pivots.
 
 ``fundamental_profile`` samples a solution at 128 points on each of 33
 spheres of radius s in [2, 8] in one pass (a sample off a 2D grid's domain
@@ -68,6 +74,7 @@ of it.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -167,7 +174,9 @@ class _HeldLU:
     are dropped; its repeats only solve with the held LU.  Each grid
     factorizes the transpose of the sweep's matrix and solves with
     ``trans="T"``: the triangular solves spsolve runs on the matrix in CSR, so
-    the bits are spsolve's."""
+    the bits are spsolve's.  A factorization of a sparsity pattern held in
+    ``_SKELETONS`` skips COLAMD: the radial grid fills its skeleton, rows and
+    columns in the held order, and the 2D grid orders its columns alone."""
 
     _held = (None, None)
     _evaluated = None
@@ -240,6 +249,12 @@ class Rectangle:
     def scaled(self, sigma):
         return Rectangle(sigma * self.x0, sigma * self.x1,
                          sigma * self.y0, sigma * self.y1)
+
+    def grid_step(self, cells):
+        """The 2D grid step h with ``cells`` cells on the shorter side."""
+        if cells < 2:
+            raise ValueError("need at least 2 cells")
+        return min(self.x1 - self.x0, self.y1 - self.y0) / cells
 
 
 @dataclass(frozen=True)
@@ -472,10 +487,23 @@ def _radial_rhs(problem, r):
     return _data(f, pts.tolist())
 
 
-# a radial sweep's pattern depends on its number of unknowns alone; per number,
-# the read-only arrays of ``_skeleton`` (no values, no LU)
+# SuperLU's COLAMD orders per sparsity pattern, one cache for both grids (see
+# the module docstring): a radial entry, keyed by its number of unknowns, holds
+# the read-only arrays of ``_skeleton``; a 2D one, keyed by a digest of its
+# pattern, holds ``(order,)`` (see ``_Grid2D._factorize``).  No values, no LU.
 _SKELETONS = {}
-_SKELETON_CAP = 32                      # sizes held; the oldest goes first
+_SKELETON_CAP = 32                      # patterns held; the oldest goes first
+
+
+def _remember(key, arrays):
+    """Hold the tuple ``arrays``, made read-only, as the newest entry ``key``
+    of ``_SKELETONS``, dropping the oldest entries past the cap."""
+    for a in arrays:
+        a.setflags(write=False)
+    _SKELETONS.pop(key, None)
+    while len(_SKELETONS) >= _SKELETON_CAP:
+        del _SKELETONS[next(iter(_SKELETONS))]
+    _SKELETONS[key] = arrays
 
 
 def _skeleton(nun, perm_c):
@@ -488,13 +516,8 @@ def _skeleton(nun, perm_c):
     pos = _RadialGrid.matrix(np.arange(3.0 * nun).reshape(nun, 3))
     skel = pos.T.tocsc()[order][:, order].tocsc()
     skel.sort_indices()
-    arrays = (order, perm_c.copy(), skel.data.astype(np.intp),
-              skel.indices.astype(np.int32), skel.indptr.astype(np.int32))
-    for a in arrays:
-        a.setflags(write=False)
-    while len(_SKELETONS) >= _SKELETON_CAP:
-        del _SKELETONS[next(iter(_SKELETONS))]
-    _SKELETONS[nun] = arrays
+    _remember(nun, (order, perm_c.copy(), skel.data.astype(np.intp),
+                    skel.indices.astype(np.int32), skel.indptr.astype(np.int32)))
 
 
 class _RadialGrid(_HeldLU):
@@ -683,9 +706,7 @@ def convergence_order(f_op: EllipticOperator, problem: DirichletProblem,
     is_2d = isinstance(problem.domain, Rectangle)
     for cells in cell_counts:
         if is_2d:
-            dom = problem.domain
-            h = min(dom.x1 - dom.x0, dom.y1 - dom.y0) / cells
-            fld = solve_dirichlet_2d(f_op, problem, h)
+            fld = solve_dirichlet_2d(f_op, problem, problem.domain.grid_step(cells))
             errs.append(max(abs(fld.values[ij] - problem.exact(*fld.xy(*ij)))
                             for ij in np.ndindex(fld.values.shape)))
         else:
@@ -818,6 +839,8 @@ class _Grid2D(_HeldLU):
 
     @classmethod
     def build(cls, problem, h):
+        if not 0 < h < math.inf:
+            raise ValueError(f"h must be finite and positive, got {h!r}")
         dom = problem.domain
         if isinstance(dom, Rectangle):
             for name, side in (("x", dom.x1 - dom.x0), ("y", dom.y1 - dom.y0)):
@@ -901,18 +924,48 @@ class _Grid2D(_HeldLU):
         return self.coef[policy]             # the sweep's (nodes, 9) coefficient rows
 
     def _factorize(self, sel):
-        """(LU, identity, identity) of the sweep's matrix with coefficient rows
-        ``sel``: its transpose in CSC, each column the unknowns' entries of a
-        row in index order, with SuperLU's COLAMD order."""
+        """(LU, order, identity) of the sweep's matrix with coefficient rows
+        ``sel``, factorized transposed in CSC: each column the unknowns'
+        entries of a row in index order.
+
+        The first matrix of a sparsity pattern (the grid and its kept entries,
+        keyed by a 128-bit digest) gets SuperLU's COLAMD order, and
+        ``_SKELETONS`` holds that order as int32 if every pivot was on the
+        diagonal (perm_r == perm_c).  A later one is built with its columns
+        alone in that order, its row indices still the unknowns', and
+        factorized in its natural order: the elimination SuperLU runs after
+        its own COLAMD, so the same bits.  In natural order SuperLU prefers
+        row k as column k's pivot, which is not the true diagonal, so the LU
+        is kept only if every pivot is still the true diagonal and SuperLU's
+        postorder kept the order; otherwise the matrix gets COLAMD."""
         import scipy.sparse as sparse
         import scipy.sparse.linalg as spla
 
         sel, col = sel[:, self.by_index], self.col[:, self.by_index]
         keep = (col >= 0) & (sel != 0.0)
-        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-        mat_t = sparse.csc_matrix((sel[keep], col[keep], indptr),
-                                  shape=(self.nodes.size,) * 2)
-        return spla.splu(mat_t), slice(None), slice(None)
+        nun = self.nodes.size
+        key = hashlib.blake2b(digest_size=16)   # the pattern: grid and kept entries
+        for part in (np.array(self.interior.shape), self.interior, keep):
+            key.update(part.tobytes())
+        key = key.digest()
+
+        def factorize(rows, **options):
+            kept = keep[rows]
+            indptr = np.concatenate(([0], np.cumsum(kept.sum(axis=1))))
+            return spla.splu(sparse.csc_matrix(
+                (sel[rows][kept], col[rows][kept], indptr), shape=(nun, nun)), **options)
+
+        if key in _SKELETONS:
+            order, = _SKELETONS[key]
+            lu = factorize(order, permc_spec="NATURAL")
+            # every pivot the true diagonal, and SuperLU's postorder kept the order
+            every = np.arange(nun)
+            if (lu.perm_r[order] == every).all() and (lu.perm_c == every).all():
+                return lu, order, slice(None)
+        lu = factorize(slice(None))
+        if (lu.perm_r == lu.perm_c).all():
+            _remember(key, (np.argsort(lu.perm_c).astype(np.int32),))
+        return lu, slice(None), slice(None)
 
     def field(self, u, meta):
         values = np.where(self.interior, u.reshape(self.shape), self.boundary_values)

@@ -103,7 +103,7 @@ def _radial_steps(f_op, domain, cells):
 
 def _grid_steps(f_op, domain, cells):
     """The 2D grid, start vector and step (u, start) -> solution."""
-    h = min(domain.x1 - domain.x0, domain.y1 - domain.y0) / cells
+    h = domain.grid_step(cells)
     grid = _Grid2D.for_solve(f_op, DirichletProblem(domain=domain, n=2), h)
     nx, ny = grid.interior.shape
     x = grid.x0 + np.arange(nx)[:, None] * grid.h

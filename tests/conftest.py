@@ -49,7 +49,7 @@ def counted_solves(monkeypatch):
 
     class CountedLU:
         def __init__(self, lu):
-            self.lu, self.perm_c = lu, lu.perm_c
+            self.lu, self.perm_c, self.perm_r = lu, lu.perm_c, lu.perm_r
 
         def solve(self, *args, **kwargs):
             log.append("solve")

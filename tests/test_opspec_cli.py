@@ -260,6 +260,14 @@ class TestGoldenSamples:
         assert "usage error" in run.stderr and "angular path" in run.stderr
         assert "Traceback" not in run.stderr + run.stdout
 
+    @pytest.mark.parametrize("command", [["solve", "--rhs-const", "1.0"], ["eigen"]])
+    def test_rectangle_with_no_cells_is_usage(self, command, capsys):
+        # the rectangle's grid step h = side / cells needs cells >= 2
+        assert main([command[0], "--op", str(self.SAMPLES / "pucci_max_n2.json"),
+                     "--domain", "rectangle:0:1:0:1", *command[1:],
+                     "--cells", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: need at least 2 cells\n"
+
     def test_alpha_star_of_the_wide_spec_is_the_bracket_end(self):
         # Lambda/lambda ~ 2600: one ulp of alpha* exceeds 1e-12, so a root
         # search to that tolerance never ends; a child with a timeout fails

@@ -275,6 +275,20 @@ class TestSolver2D:
                 f"control matrix {label} = [[1,1.4],[1.4,2.5]] violates diagonal "
                 "dominance; anisotropy too strong for the 9-point stencil")
 
+    @pytest.mark.parametrize("domain", [Rectangle(0.0, 1.0, 0.0, 1.0),
+                                        Annulus(1.0, 2.0)])
+    @pytest.mark.parametrize("h", [-0.125, 0.0, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, pm2, domain, h):
+        prob = DirichletProblem(domain=domain, n=2, rhs=lambda x, y: 1.0)
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            solve_dirichlet_2d(pm2, prob, h)
+
+    @pytest.mark.parametrize("cells", [-2, 0, 1])
+    def test_rectangle_needs_two_cells(self, cells):
+        with pytest.raises(ValueError, match="need at least 2 cells"):
+            Rectangle(0.0, 2.0, 0.0, 1.0).grid_step(cells)
+        assert Rectangle(0.0, 2.0, 0.0, 1.0).grid_step(8) == 0.125
+
     def test_annulus_grid_path(self, lap3):
         lap2 = laplacian(2)
         # annulus boundary data lives on the two circles: g = g(r)
@@ -874,6 +888,30 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("a held LU needs no matrix and no factorization")
 
 
+def _permc_specs(monkeypatch, skew=None, on="NATURAL"):
+    """Log the ``permc_spec`` of every ``spla.splu`` call (None for COLAMD,
+    the default) and return the log.  ``skew`` names an LU permutation,
+    "perm_r" or "perm_c", to report rolled by one on the LUs of spec ``on``."""
+    log = []
+    splu = spla.splu
+
+    class SkewedLU:
+        def __init__(self, lu):
+            self.lu, self.perm_r, self.perm_c = lu, lu.perm_r, lu.perm_c
+            setattr(self, skew, np.roll(getattr(lu, skew), 1))
+
+        def solve(self, *args, **kwargs):
+            return self.lu.solve(*args, **kwargs)
+
+    def logged_splu(*args, **kwargs):
+        log.append(kwargs.get("permc_spec"))
+        lu = splu(*args, **kwargs)
+        return SkewedLU(lu) if skew and log[-1] == on else lu
+
+    monkeypatch.setattr(spla, "splu", logged_splu)
+    return log
+
+
 class TestFactorizationReuse:
     @pytest.mark.parametrize("name", SOLVE_CASES)
     def test_matches_spsolve_bit_for_bit(self, monkeypatch, name):
@@ -883,20 +921,22 @@ class TestFactorizationReuse:
         wants = [(spla.spsolve(mat, rhs), spla.spsolve(mat, other))
                  for (*_, mat, rhs), other in zip(systems, others)]
         calls = counted_solves(monkeypatch)
+        specs = _permc_specs(monkeypatch)
         monkeypatch.setattr(solver, "_SKELETONS", {})
         for (grid, policy, system, _, rhs), other, (want, other_want) in zip(
                 systems, others, wants):
-            radial = isinstance(grid, _RadialGrid)
-            # a new policy is factorized once; a radial one by SuperLU's first
-            # factorization at its size, then in the order it left in the
-            # skeleton cache
-            solver._SKELETONS.pop(len(system), None)
-            for cached in (False, True)[:1 + radial]:
-                assert (len(system) in solver._SKELETONS) == cached
+            # a new policy is factorized once, on either grid: by SuperLU's
+            # COLAMD for the first matrix of its pattern, then in the order
+            # that left in the one order cache
+            solver._SKELETONS.clear()
+            for cached in (False, True):
+                assert bool(solver._SKELETONS) == cached
                 grid._held = (None, None)
                 calls.clear()
+                specs.clear()
                 assert np.array_equal(grid._solve(policy, rhs), want)
                 assert calls == ["factorize", "solve"]
+                assert specs == ["NATURAL" if cached else None]
             # its repeats build no system and factorize nothing
             with monkeypatch.context() as m:
                 for owner, attr in ((type(grid), "system"),
@@ -990,6 +1030,65 @@ class TestSkeletonCache:
                 grid.system = lambda policy, band=band: band
                 assert np.array_equal(grid._solve((), rhs),
                                       spla.spsolve(mat, rhs))
+
+    @pytest.mark.parametrize("skew", ["perm_r", "perm_c"])
+    def test_guard_falls_back_to_colamd(self, monkeypatch, skew):
+        # a natural-order LU whose pivots left the diagonal, or whose
+        # postorder moved the columns, is dropped for SuperLU's own COLAMD
+        monkeypatch.setattr(solver, "_SKELETONS", {})
+        grid, policy, _, mat, rhs = _systems(monkeypatch, "pucci_2d")[0]
+        want = spla.spsolve(mat, rhs)
+        specs = _permc_specs(monkeypatch, skew)
+        grid._held = (None, None)
+        assert np.array_equal(grid._solve(policy, rhs), want)
+        assert specs == ["NATURAL", None]
+
+    def test_off_diagonal_colamd_pivots_leave_no_order(self, monkeypatch):
+        # the held order replays COLAMD's run only if its pivots were the
+        # diagonal, so a run that pivoted elsewhere is not remembered
+        monkeypatch.setattr(solver, "_SKELETONS", {})
+        specs = _permc_specs(monkeypatch, "perm_r", on=None)
+        for _ in range(2):
+            _solve_case("pucci_2d")
+        assert specs and set(specs) == {None}
+        assert not solver._SKELETONS
+
+    def test_2d_orders_are_keyed_by_the_grid(self, monkeypatch):
+        # two annuli on one grid shape with different interior masks: the
+        # second one's first matrix shares no order with the first's
+        monkeypatch.setattr(solver, "_SKELETONS", {})
+        specs = _permc_specs(monkeypatch)
+        interiors, keys = [], []
+        for dom in (Annulus(1.0, 2.0), Annulus(0.5, 2.0)):
+            held = set(solver._SKELETONS)
+            prob = DirichletProblem(domain=dom, n=2, rhs=lambda x, y: 1.0,
+                                    boundary=lambda r: 1.0 / r)
+            specs.clear()
+            interiors.append(solve_dirichlet_2d(laplacian(2), prob, 1.0 / 16).interior)
+            assert specs == [None]
+            keys.append(set(solver._SKELETONS) - held)
+        assert interiors[0].shape == interiors[1].shape
+        assert (interiors[0] != interiors[1]).any()
+        assert keys[0] and keys[1] and not keys[0] & keys[1]
+        for key in keys[0] | keys[1]:
+            order, = solver._SKELETONS[key]
+            assert order.dtype == np.int32 and not order.flags.writeable
+            assert np.array_equal(np.sort(order), np.arange(order.size))
+
+    def test_one_cache_for_both_grids_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(solver, "_SKELETONS", {})
+        radial = DirichletProblem(domain=Annulus(1.0, 2.0), n=3, rhs=lambda r: 1.0)
+        square = DirichletProblem(domain=Rectangle(0.0, 1.0, 0.0, 1.0), n=2,
+                                  rhs=lambda x, y: 1.0)
+        for cells in range(4, 4 + solver._SKELETON_CAP):
+            solve_dirichlet_radial(laplacian(3), 3, radial, cells)
+            solve_dirichlet_2d(laplacian(2), square, 1.0 / cells)
+            assert len(solver._SKELETONS) <= solver._SKELETON_CAP
+        assert len(solver._SKELETONS) == solver._SKELETON_CAP
+        # radial entries are keyed by their number of unknowns, 2D ones by a
+        # digest of their pattern, newest last
+        assert {type(key) for key in solver._SKELETONS} == {int, bytes}
+        assert list(solver._SKELETONS)[-2] == 2 + solver._SKELETON_CAP
 
     def test_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(solver, "_SKELETONS", {})

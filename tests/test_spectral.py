@@ -63,6 +63,11 @@ class TestRadialEigenvalue:
         with pytest.raises(ValueError):
             principal_eigenvalue(lap3, Annulus(1.0, 2.0), 128, tol=0.0)
 
+    @pytest.mark.parametrize("cells", [0, 1])
+    def test_rectangle_rejects_fewer_than_two_cells(self, cells):
+        with pytest.raises(ValueError, match="need at least 2 cells"):
+            principal_eigenvalue(laplacian(2), Rectangle(0.0, 1.0, 0.0, 1.0), cells)
+
 
 class TestSolveCount:
     @pytest.mark.parametrize("domain,cells", [
