@@ -40,6 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_domain(text):
+    if text.split() != [text]:  # the echo writes it into a CSV's space-separated '#' line
+        raise _UsageError(f"bad domain {text!r}: empty or with whitespace")
     parts = text.split(":")
     try:
         if parts[0] == "annulus":
@@ -64,7 +66,8 @@ def _json_default(obj):
 
 
 def _emit(args, payload, csv_text=None):
-    if args.format == "csv" and csv_text is not None:
+    """Write the report, or ``csv_text`` under ``--format csv``, to --out or stdout."""
+    if csv_text is not None and args.format == "csv":
         out = csv_text
     else:
         out = json.dumps(payload, indent=2, sort_keys=True,
@@ -77,62 +80,44 @@ def _emit(args, payload, csv_text=None):
 
 
 def _echo(args, op):
-    echo = {"operator_digest": operator_digest(op)}
-    for name in ("n", "p", "gamma", "cells", "tol", "seed"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            echo[name] = getattr(args, name)
-    return echo
+    """The operator's digest and every parsed input that played a part: a
+    subcommand declares only the options it reads (``COMMANDS``)."""
+    echo = {k: v for k, v in vars(args).items()
+            if k not in ("command", "op", "out", "format") and v is not None}
+    return {"operator_digest": operator_digest(op), **echo}
+
+
+# every option a subcommand may declare: name -> add_argument keywords
+_OPTIONS = {
+    "op": dict(required=True, help="operator spec JSON file"),
+    "n": dict(type=int, help="space dimension; must match the spec's"),
+    "p": dict(type=float, required=True),
+    "gamma": dict(type=float, default=0.0),
+    "domain": dict(required=True,
+                   help="annulus:r0:r1, ball:r or rectangle:x0:x1:y0:y1"),
+    "cells": dict(type=int, default=512),
+    "tol": dict(type=float, default=1e-12,
+                help="in (0, 0.01): stop when lambda1 moves by at most tol "
+                     "(relative) in a step"),
+    "rhs-const": dict(type=float, default=0.0),
+    "g0": dict(type=float, default=0.0),
+    "g1": dict(type=float, default=0.0),
+    "c": dict(type=float, default=1.0),
+    "sigma-max": dict(type=float, default=1e6),
+    "power": dict(required=True, help="c:gamma:p describing f = c |x|^-gamma s^p"),
+    "config": dict(required=True, help="sweep config JSON file"),
+    "out": dict(help="output file; stdout if absent"),
+    "format": dict(choices=("json", "csv"), default="json"),
+}
 
 
 def build_parser():
     parser = _Parser(prog="fnel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_op=True):
-        if need_op:
-            p.add_argument("--op", required=True, help="operator spec JSON file")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=0.0)
-        p.add_argument("--cells", type=int, default=512)
-        p.add_argument("--tol", type=float, default=1e-12)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        return p
-
-    common(sub.add_parser("alpha-star"))
-    common(sub.add_parser("critical-exponent"))
-    common(sub.add_parser("classify"))
-    common(sub.add_parser("constant"))
-
-    p_solve = common(sub.add_parser("solve"))
-    p_solve.add_argument("--domain", required=True)
-    p_solve.add_argument("--rhs-const", type=float, default=0.0)
-    p_solve.add_argument("--g0", type=float, default=0.0)
-    p_solve.add_argument("--g1", type=float, default=0.0)
-
-    p_eigen = common(sub.add_parser("eigen"))
-    p_eigen.add_argument("--domain", required=True)
-
-    common(sub.add_parser("fundamental"))
-    common(sub.add_parser("hadamard"))
-
-    p_cert = common(sub.add_parser("certificate"))
-    p_cert.add_argument("--c", type=float, default=1.0)
-    p_cert.add_argument("--sigma-max", type=float, default=1e6)
-
-    common(sub.add_parser("bend"))
-    common(sub.add_parser("truncate"))
-    common(sub.add_parser("fixed-point"))
-
-    p_hyp = common(sub.add_parser("hypothesis"))
-    p_hyp.add_argument("--power", required=True,
-                       help="c:gamma:p describing f = c |x|^-gamma s^p")
-
-    p_sweep = common(sub.add_parser("sweep"), need_op=False)
-    p_sweep.add_argument("--config", required=True)
-
+    for name, (_, options) in COMMANDS.items():
+        cmd = sub.add_parser(name)
+        for opt in options.split():
+            cmd.add_argument(f"--{opt}", **_OPTIONS[opt])
     return parser
 
 
@@ -197,9 +182,10 @@ def _cmd_solve(args, op, n):
 
 
 def _cmd_eigen(args, op, n):
+    if not 0.0 < args.tol < 1e-2:
+        raise _UsageError(f"--tol {args.tol} is not in (0, 0.01)")
     dom = _parse_domain(args.domain)
-    tol = args.tol if args.tol and args.tol < 1e-2 else 1e-8
-    res = spectral.principal_eigenvalue(op, dom, args.cells, max(tol, 1e-12))
+    res = spectral.principal_eigenvalue(op, dom, args.cells, args.tol)
     payload = {
         **_echo(args, op),
         "lambda1": res.lambda1,
@@ -292,25 +278,6 @@ def _cmd_hypothesis(args, op, n):
     payload = {k: v for k, v in rep.items() if k != "report"}
     payload["conditions"] = conditions
     return {**_echo(args, op), **payload}, None
-
-
-_HANDLERS = {
-    "alpha-star": _cmd_alpha_star,
-    "critical-exponent": _cmd_critical_exponent,
-    "classify": _cmd_classify,
-    "constant": _cmd_constant,
-    "solve": _cmd_solve,
-    "eigen": _cmd_eigen,
-    "fundamental": _cmd_fundamental,
-    "hadamard": _cmd_hadamard,
-    "certificate": _cmd_certificate,
-    "bend": _cmd_bend,
-    "truncate": _cmd_truncate,
-    "fixed-point": _cmd_fixed_point,
-    "hypothesis": _cmd_hypothesis,
-}
-
-_NEEDS_P = {"classify", "constant", "certificate", "bend", "truncate", "fixed-point", "hypothesis"}
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +437,31 @@ def _cmd_sweep(args):
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
+# subcommand -> (handler, the options it reads)
+COMMANDS = {
+    "alpha-star": (_cmd_alpha_star, "op n out"),
+    "critical-exponent": (_cmd_critical_exponent, "op n out"),
+    "classify": (_cmd_classify, "op n p gamma out"),
+    "constant": (_cmd_constant, "op n p gamma out"),
+    "solve": (_cmd_solve, "op n domain cells rhs-const g0 g1 out format"),
+    "eigen": (_cmd_eigen, "op n domain cells tol out format"),
+    "fundamental": (_cmd_fundamental, "op n cells out format"),
+    "hadamard": (_cmd_hadamard, "op n cells out format"),
+    "certificate": (_cmd_certificate, "op n p gamma c sigma-max cells out format"),
+    "bend": (_cmd_bend, "op n p gamma out"),
+    "truncate": (_cmd_truncate, "op n p gamma cells out"),
+    "fixed-point": (_cmd_fixed_point, "op n p out"),
+    "hypothesis": (_cmd_hypothesis, "op n p gamma power out"),
+    "sweep": (_cmd_sweep, "config out"),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
+        handler, _ = COMMANDS[args.command]
         if args.command == "sweep":
-            return _cmd_sweep(args)
+            return handler(args)
         try:
             op = load_operator(args.op)
         except (SpecError, OSError) as exc:
@@ -487,12 +469,8 @@ def main(argv=None) -> int:
             return EXIT_BAD_SPEC
         n = args.n if args.n is not None else op.dim
         if n != op.dim:
-            print(f"usage error: --n {n} does not match operator dim {op.dim}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        if args.command in _NEEDS_P and args.p is None:
-            raise _UsageError(f"{args.command} needs --p")
-        payload, csv_text = _HANDLERS[args.command](args, op, n)
+            raise _UsageError(f"--n {n} does not match operator dim {op.dim}")
+        payload, csv_text = handler(args, op, n)
         _emit(args, payload, csv_text)
         return EXIT_OK
     except _UsageError as exc:

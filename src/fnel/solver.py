@@ -411,8 +411,7 @@ def _pattern_weights(f_op, n, a, b, controls):
     -(wa*a + wb*b), at every node of the arrays a, b at once.
 
     ``controls`` is the (a11, s) table of ``control_table(f_op)`` for an
-    Isaacs family (unread otherwise).  Isaacs ties go to the first minimum
-    within a row and to the first row that is strictly larger.
+    Isaacs family (unread otherwise), whose policy ``_sup_inf`` picks.
     """
     if f_op.kind == LAPLACIAN:
         return np.ones_like(a), np.full_like(b, n - 1.0)
@@ -421,15 +420,29 @@ def _pattern_weights(f_op, n, a, b, controls):
         if f_op.kind == PUCCI_MIN:
             pos, neg = neg, pos
         return np.where(a > 0, pos, neg), (n - 1) * np.where(b > 0, pos, neg)
-    best = np.full(a.shape, -np.inf)
-    wa, wb = np.zeros(a.shape), np.zeros(b.shape)
-    for a11, s in zip(*controls):
-        vals = -(a11[:, None] * a + s[:, None] * b)     # (controls, nodes)
+    a11, s = controls
+    _, row, ctl = _sup_inf(-(a11_r[:, None] * a + s_r[:, None] * b)   # (controls, nodes)
+                           for a11_r, s_r in zip(a11, s))
+    return a11[row, ctl], s[row, ctl]
+
+
+def _sup_inf(rows):
+    """Sup over rows of the inf over controls, at every node at once.
+
+    ``rows`` yields one (controls, nodes) array of values per sup-row.
+    Returns the value and the chosen row and control per node.  Ties go to
+    the first minimum within a row and to the first row that is strictly
+    larger.
+    """
+    for r, vals in enumerate(rows):
         k = vals.argmin(axis=0)
-        worst = vals.min(axis=0)
-        up = worst > best
-        best[up], wa[up], wb[up] = worst[up], a11[k[up]], s[k[up]]
-    return wa, wb
+        worst = vals[k, np.arange(k.size)]
+        if r == 0:
+            best, row, ctl = worst, np.zeros_like(k), k
+        else:
+            up = worst > best
+            best[up], row[up], ctl[up] = worst[up], r, k[up]
+    return best, row, ctl
 
 
 def _check_radial_monotonicity(f_op, n, h, spacing):
@@ -788,20 +801,9 @@ def _evaluate_2d(coef, u9):
     """F_h u = sup over rows of inf over controls, at every node at once.
 
     ``u9`` is the (9, nodes) array of neighbor values.  Returns F_h u and the
-    chosen row and control per node.  Ties go to the first minimum within a
-    row and to the first row that is strictly larger.
+    chosen row and control per node, as ``_sup_inf`` picks them.
     """
-    nodes = np.arange(u9.shape[1])
-    best = np.full(nodes.size, -np.inf)
-    row = np.zeros(nodes.size, dtype=np.intp)
-    ctl = np.zeros(nodes.size, dtype=np.intp)
-    for r, block in enumerate(coef):
-        vals = block @ u9                  # (controls, nodes)
-        k = vals.argmin(axis=0)
-        worst = vals[k, nodes]
-        up = worst > best
-        best[up], row[up], ctl[up] = worst[up], r, k[up]
-    return best, row, ctl
+    return _sup_inf(block @ u9 for block in coef)
 
 
 def _window(mask):

@@ -50,7 +50,7 @@ class EigenResult:
 def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
                          tol: float = 1e-8) -> EigenResult:
     """First half-eigenvalue of F on a bounded annulus, ball, or rectangle."""
-    if tol <= 0:
+    if not tol > 0:                       # NaN too
         raise ValueError("tol must be positive")
     if isinstance(domain, (Annulus, Ball)):
         grid, u, step = _radial_steps(f_op, domain, cells)

@@ -1,5 +1,6 @@
 """Operator spec files and the command-line interface."""
 
+import argparse
 import json
 import math
 import os
@@ -10,8 +11,9 @@ import sys
 import numpy as np
 import pytest
 
+from fnel import cli, spectral
 from fnel.cli import (
-    EXIT_BAD_SPEC, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, run_sweep,
+    EXIT_BAD_SPEC, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main, run_sweep,
 )
 from fnel.matcore import ISAACS, eval_operator, pucci_max
 from fnel.matcore import SymMatrix
@@ -20,6 +22,8 @@ from fnel.opspec import (
     serialize_operator,
 )
 
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+PM3 = str(SAMPLES / "pucci_max_n3.json")
 PM_DOC = {"n": 3, "kind": "pucci_max", "lambda": 1.0, "Lambda": 2.0}
 ISAACS_DOC = {
     "n": 2, "kind": "isaacs", "lambda": 1.0, "Lambda": 2.0,
@@ -204,8 +208,7 @@ class TestCliCommands:
 class TestGoldenSamples:
     """The checked-in sample files stay parseable and reproducible."""
 
-    import pathlib
-    SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+    SAMPLES = SAMPLES
 
     @pytest.mark.parametrize("name", ["pucci_max_n3.json", "laplacian_n4.json",
                                       "isaacs_2d.json", "isaacs_rot_n3.json",
@@ -329,6 +332,86 @@ class TestGoldenSamples:
         assert code == EXIT_OK
         assert json.loads(out.read_text()) == json.loads(
             (self.SAMPLES / "classify_output.json").read_text())
+
+
+class TestCommandTable:
+    """Each subcommand declares only the options it reads, and its report
+    echoes exactly those."""
+
+    # subcommand -> (its arguments besides --op and --n, the inputs it echoes)
+    COMMANDS = {
+        "alpha-star": ([], {"n"}),
+        "critical-exponent": ([], {"n"}),
+        "classify": (["--p", "2.0"], {"n", "p", "gamma"}),
+        "constant": (["--p", "2.0"], {"n", "p", "gamma"}),
+        "solve": (["--domain", "annulus:1:2", "--cells", "16"],
+                  {"n", "domain", "cells", "rhs_const", "g0", "g1"}),
+        "eigen": (["--domain", "annulus:1:2", "--cells", "32"],
+                  {"n", "domain", "cells", "tol"}),
+        "fundamental": (["--cells", "64"], {"n", "cells"}),
+        "hadamard": (["--cells", "64"], {"n", "cells"}),
+        "certificate": (["--p", "1.4", "--cells", "64"],
+                        {"n", "p", "gamma", "c", "sigma_max", "cells"}),
+        "bend": (["--p", "2.0"], {"n", "p", "gamma"}),
+        "truncate": (["--p", "2.0", "--cells", "64"], {"n", "p", "gamma", "cells"}),
+        "fixed-point": (["--p", "2.0"], {"n", "p"}),
+        "hypothesis": (["--p", "1.4", "--power", "1:0:1.4"], {"n", "p", "gamma", "power"}),
+        "sweep": (["--config", str(SAMPLES / "sweep_classify.json")], {"config"}),
+    }
+
+    @classmethod
+    def argv(cls, command):
+        args = cls.COMMANDS[command][0]
+        return [command, *args] if command == "sweep" else [command, "--op", PM3, "--n", "3", *args]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_echo_is_the_declared_inputs(self, command, monkeypatch, capsys):
+        inputs = self.COMMANDS[command][1]
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[command]
+        assert {a.dest for a in sub._actions} - {"help", "op", "out", "format"} == inputs
+        echoes, echo = [], cli._echo
+        monkeypatch.setattr(cli, "_echo", lambda args, op: echoes.append(echo(args, op)) or echoes[-1])
+        assert main(self.argv(command)) == EXIT_OK
+        out = capsys.readouterr().out
+        if command == "sweep":                  # CSV rows, no report
+            assert not echoes
+        else:
+            assert set(echoes[0]) == inputs | {"operator_digest"}
+            assert json.loads(out).items() >= echoes[0].items()
+        assert main([*self.argv(command), "--seed", "0"]) == EXIT_USAGE
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        # gamma plays no part in the fixed point: it echoed gamma=1 beside beta*(p, 0)
+        ["fixed-point", "--op", PM3, "--p", "2.0", "--gamma", "1.0"],
+        # eigen ran each at 1e-8 and echoed the value given
+        ["eigen", "--op", PM3, "--domain", "ball:1", "--tol", "0.5"],
+        ["eigen", "--op", PM3, "--domain", "ball:1", "--tol", "0"],
+        ["eigen", "--op", PM3, "--domain", "ball:1", "--tol", "nan"],
+        # classify has no CSV form: it printed JSON
+        ["classify", "--op", PM3, "--p", "2.0", "--format", "csv"],
+        # the echo writes the domain into the '#' line of a CSV field, whose
+        # key=value pairs are separated by spaces
+        ["solve", "--op", PM3, "--domain", "ball: 1", "--format", "csv"],
+        # a sweep's settings all come from its config: both were ignored
+        ["sweep", "--config", str(SAMPLES / "sweep_classify.json"), "--p", "9", "--tol", "5"],
+    ])
+    def test_unread_or_bad_setting_is_usage(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.err.startswith("usage error: ") and "Traceback" not in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("tol", ["3e-9", "1e-13"])
+    def test_eigen_tol_reaches_the_iteration_as_given(self, tol, monkeypatch, capsys):
+        tols, real = [], spectral.principal_eigenvalue
+        monkeypatch.setattr(spectral, "principal_eigenvalue",
+                            lambda *a: tols.append(a[3]) or real(*a))
+        assert main(["eigen", "--op", PM3, "--domain", "ball:1", "--cells", "32",
+                     "--tol", tol]) == EXIT_OK
+        assert tols == [float(tol)]
+        assert json.loads(capsys.readouterr().out)["tol"] == float(tol)
 
 
 class TestSweep:

@@ -63,6 +63,13 @@ class TestRadialEigenvalue:
         with pytest.raises(ValueError):
             principal_eigenvalue(lap3, Annulus(1.0, 2.0), 128, tol=0.0)
 
+    def test_rejects_nan_tol_at_once(self, lap3, monkeypatch):
+        # NaN fails every comparison: the stop test `drift <= tol` would never
+        # hold, so the call must fail before it builds a grid or runs a step
+        monkeypatch.setattr(spectral, "_radial_steps", None)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            principal_eigenvalue(lap3, Annulus(1.0, 2.0), 64, tol=float("nan"))
+
     @pytest.mark.parametrize("cells", [0, 1])
     def test_rectangle_rejects_fewer_than_two_cells(self, cells):
         with pytest.raises(ValueError, match="need at least 2 cells"):
