@@ -100,7 +100,7 @@ _OPTIONS = {
                 help="in (0, 0.01): stop when lambda1 moves by at most tol "
                      "(relative) in a step"),
     "rhs-const": dict(type=float, default=0.0),
-    "g0": dict(type=float, default=0.0),
+    "g0": dict(type=float, help="inner boundary value of an annulus (default 0)"),
     "g1": dict(type=float, default=0.0),
     "c": dict(type=float, default=1.0),
     "sigma-max": dict(type=float, default=1e6),
@@ -164,6 +164,12 @@ def _cmd_constant(args, op, n):
 
 def _cmd_solve(args, op, n):
     dom = _parse_domain(args.domain)
+    if not isinstance(dom, Annulus):
+        if args.g0 is not None:
+            raise _UsageError("--g0 sets an annulus's inner boundary; "
+                              f"{args.domain} takes --g1 on its whole boundary")
+    elif args.g0 is None:
+        args.g0 = 0.0                    # filled in before the echo
     g0, g1, rc = args.g0, args.g1, args.rhs_const
     if isinstance(dom, (Annulus, Ball)):
         if isinstance(dom, Annulus):

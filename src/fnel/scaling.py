@@ -167,15 +167,14 @@ class Verdict:
         return self.alpha_star - self.beta_star
 
 
-def classify(f: EllipticOperator, n: int, p: float, gamma: float = 0.0,
-             alpha: Optional[float] = None) -> Verdict:
+def classify(f: EllipticOperator, n: int, p: float, gamma: float = 0.0) -> Verdict:
     """Existence/nonexistence dichotomy for F(D^2 u) = |x|^{-gamma} u^p.
 
     The comparison alpha* <= beta* is closed: equality classifies as
     nonexistence, with no tolerance band.
     """
     b = beta_star(p, gamma)
-    a = alpha if alpha is not None else alpha_star(f, n).alpha_star
+    a = alpha_star(f, n).alpha_star
     if a <= b:
         return Verdict(a, b, NONEXISTENCE_EXTERIOR,
                        "no nontrivial nonnegative supersolution in any exterior domain")

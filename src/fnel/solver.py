@@ -2,12 +2,11 @@
 
 Both public solvers build a grid (``_RadialGrid.for_solve`` or
 ``_Grid2D.for_solve``), read the rhs at its rhs points and call ``_solve_on``,
-the one driver: it alone sets the tolerance (1e-10 times the data scale),
-puts ``start`` into the first iterate and runs Howard's policy iteration,
-``_howard``.  Both grids offer it the same interface: the first iterate
-``first`` with the boundary data in place, the index ``unknown`` of its
-unknowns, the ``shape`` of ``start``, the boundary data terms ``tol_terms``
-of the tolerance, ``h_min``, the base ``meta``, and three methods.
+the one driver: it alone sets the tolerance (1e-10 times the data scale) and
+runs Howard's policy iteration, ``_howard``.  Both grids offer it the same
+interface: the first iterate ``first`` with the boundary data in place, the
+index ``unknown`` of its unknowns, the boundary data terms ``tol_terms`` of
+the tolerance, ``h_min``, the base ``meta``, and three methods.
 ``apply(u)`` gives F_h u at the rhs points and the policy (the controls
 chosen at every node); ``step(policy, u, rhs)`` solves the linear system
 with that policy frozen, reading only u's boundary data; ``field(u, meta)``
@@ -42,15 +41,14 @@ only.  A step's matrix is built transposed, in CSC, from the chosen
 coefficient rows and factorized in SuperLU's COLAMD order for its sparsity
 pattern; only the rows next to the boundary add boundary data to a step's rhs.
 
-A field-valued rhs is read in one call: a RadialField spanning the nodes is
-interpolated at all of them, a Field2D on the solve's grid is read at its
-interior nodes.  Callable data are called once per node, in node order, into
-one array; None data are zero.
-A grid is built once per solve, or once per ``principal_eigenvalue``, whose
-steps hand it over in an ``_OnGrid`` problem.  ``_HeldLU`` keeps its last
-sweep's policy with the LU of its ``system(policy)``, factorized once per new
-policy, and its last evaluation (u, F_h u, policy), which a solve starting at
-that u reuses: a warm step evaluates F_h once per sweep and builds only the
+Problem data are called once per node, in node order, into one array; None
+data are zero.  A grid is built once per solve, or once per
+``principal_eigenvalue``, whose steps hand it over in an ``_OnGrid`` problem
+with the rhs as an array.  ``_HeldLU`` keeps its last sweep's policy with the
+LU of its ``system(policy)``, factorized once per new policy, and its last
+evaluation (u, F_h u, policy).  A solve starts from that evaluation, or from
+``first`` on a fresh grid, so each step on a held grid continues from the
+previous step's solution: it evaluates F_h once per sweep and builds only the
 sweep's rhs.  COLAMD reads a matrix's sparsity pattern alone, so one cache,
 ``_SKELETONS``, holds its order per pattern for both grids; a later matrix of
 a held pattern is built in that order and factorized in its natural order,
@@ -141,24 +139,18 @@ def _same(policy, other):
     return (a == c).all() and (b == d).all()
 
 
-def _solve_on(grid, rhs, start):
+def _solve_on(grid, rhs):
     """Howard's loop on a solve's grid (``for_solve`` of either grid class) for
-    the rhs at its rhs points, from the grid's first iterate with ``start`` at
-    the unknowns; the grid's field of the solution.  A first iterate equal to
-    the iterate of the grid's held evaluation reuses its F_h u and policy."""
+    the rhs at its rhs points; the grid's field of the solution.  It starts
+    from the grid's held evaluation, or evaluates ``first`` on a fresh grid."""
     tol = RESIDUAL_TOL * sum((1.0, np.abs(rhs).max(initial=0.0), *grid.tol_terms))
-    u = grid.first.copy()
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != grid.shape:
-            raise ValueError(f"start has shape {start.shape}, the grid {grid.shape}")
-        u[grid.unknown] = start.ravel()[grid.unknown]
     held = grid._evaluated
-    if held is None or not (held[0] == u).all():
-        held = grid.evaluate(u)
-    # a step reads only the boundary data of the iterate it is given
-    u, res = _howard(grid.evaluate, lambda policy: grid.step(policy, u, rhs),
-                     (u, *held[1:]), rhs, tol, grid.h_min)
+    if held is None:
+        held = grid.evaluate(grid.first.copy())
+    # a step reads only the boundary data of the iterate it is given: those of
+    # ``first``, which every iterate on the grid keeps
+    u, res = _howard(grid.evaluate, lambda policy: grid.step(policy, held[0], rhs),
+                     held, rhs, tol, grid.h_min)
     return grid.field(u, {**grid.meta, "residual": res})
 
 
@@ -168,15 +160,16 @@ def _solve_on(grid, rhs, start):
 
 class _HeldLU:
     """A grid's one-slot caches: ``_held = (policy, factors)`` of the last
-    sweep, and ``_evaluated = (u, F_h u, policy)``, its last ``evaluate``.  On
-    one grid the policy frozen for a sweep fixes its matrix.  A new policy is
-    factorized once, by ``_factorize(system(policy))``, after the old factors
-    are dropped; its repeats only solve with the held LU.  Each grid
-    factorizes the transpose of the sweep's matrix and solves with
-    ``trans="T"``: the triangular solves spsolve runs on the matrix in CSR, so
-    the bits are spsolve's.  A factorization of a sparsity pattern held in
-    ``_SKELETONS`` skips COLAMD: the radial grid fills its skeleton, rows and
-    columns in the held order, and the 2D grid orders its columns alone."""
+    sweep, and ``_evaluated = (u, F_h u, policy)``, its last ``evaluate``,
+    where the grid's next solve starts.  On one grid the policy frozen for a
+    sweep fixes its matrix.  A new policy is factorized once, by
+    ``_factorize(system(policy))``, after the old factors are dropped; its
+    repeats only solve with the held LU.  Each grid factorizes the transpose
+    of the sweep's matrix and solves with ``trans="T"``: the triangular solves
+    spsolve runs on the matrix in CSR, so the bits are spsolve's.  A
+    factorization of a sparsity pattern held in ``_SKELETONS`` skips COLAMD:
+    the radial grid fills its skeleton, rows and columns in the held order,
+    and the 2D grid orders its columns alone."""
 
     _held = (None, None)
     _evaluated = None
@@ -263,10 +256,9 @@ class DirichletProblem:
 
     rhs and boundary take a radius for radial domains and (x, y) for 2D,
     except the boundary of a 2D annulus, which takes the radius of the
-    boundary circle nearest the node.  None means zero.  rhs may also be a
-    field: a RadialField spanning the solve's nodes, read by interpolation,
-    or a Field2D on the 2D solve's own grid, read at its nodes.  ``exact`` is
-    an optional oracle used by convergence studies only.
+    boundary circle nearest the node.  None means zero.  A RadialField is
+    callable and serves as a radial rhs.  ``exact`` is an optional oracle used
+    by convergence studies only.
     """
 
     domain: object
@@ -296,7 +288,8 @@ class DirichletProblem:
 @dataclass(frozen=True)
 class _OnGrid(DirichletProblem):
     """A step of inverse iteration: zero boundary data, the rhs an array at the
-    rhs points of a grid built once for the same solve arguments, and the grid."""
+    rhs points of a grid built once for the same solve arguments, and the grid,
+    whose held evaluation the step continues from."""
 
     grid: object = None
 
@@ -486,18 +479,9 @@ def _radial_points(r, is_ball):
 
 
 def _radial_rhs(problem, r):
-    """f at the rhs points of ``_radial_points``.  A RadialField rhs is
-    interpolated in one call; at its own nodes that gives the node values.  It
-    must span the points (to 1e-12 relative), since interpolation would hold
-    its end values beyond them."""
+    """f at the rhs points of ``_radial_points``."""
     pts = _radial_points(r, isinstance(problem.domain, Ball))
-    f = problem.rhs
-    if isinstance(f, RadialField):
-        lo, hi = f.nodes[[0, -1]] * (1.0 - 1e-12, 1.0 + 1e-12)
-        if pts.min() < lo or pts.max() > hi:
-            raise ValueError("rhs field is not on the solve's grid")
-        return f(pts)
-    return _data(f, pts.tolist())
+    return _data(problem.rhs, pts.tolist())
 
 
 # SuperLU's COLAMD orders per sparsity pattern, one cache for both grids (see
@@ -585,7 +569,6 @@ class _RadialGrid(_HeldLU):
                       else g0 + (g1 - g0) * (t - t[0]) / (t[-1] - t[0]))
         grid.unknown = slice(0 if grid.is_ball else 1, -1)
         grid.tol_terms = (abs(g1), 0.0 if grid.is_ball else abs(g0))
-        grid.shape = grid.first.shape
         grid.meta = {"operator": f_op.kind, "n": n, "cells": cells, "spacing": spacing}
         return grid
 
@@ -672,19 +655,16 @@ class _RadialGrid(_HeldLU):
 
 
 def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
-                           problem: DirichletProblem, cells: int,
-                           start=None) -> RadialField:
+                           problem: DirichletProblem, cells: int) -> RadialField:
     """Solve F(D^2 u) = f(r) on a radial annulus or ball.
 
     Deterministic for fixed inputs; returns when the interior residual
-    sup-norm is below 1e-10 relative to the data scale.  ``start``, an array
-    of the cells + 1 node values, is the first iterate at the unknown nodes;
-    its boundary entries are ignored.
+    sup-norm is below 1e-10 relative to the data scale.
     """
     if isinstance(problem, _OnGrid):
-        return _solve_on(problem.grid, problem.rhs, start)
+        return _solve_on(problem.grid, problem.rhs)
     grid = _RadialGrid.for_solve(f_op, n, problem, cells)
-    return _solve_on(grid, _radial_rhs(problem, grid.r), start)
+    return _solve_on(grid, _radial_rhs(problem, grid.r))
 
 
 def residual_norm(f_op: EllipticOperator, fld, problem: DirichletProblem) -> float:
@@ -894,19 +874,13 @@ class _Grid2D(_HeldLU):
         # the rows next to the boundary and their stencils' boundary values
         grid.brows = np.flatnonzero((grid.col < 0).any(axis=1))
         grid.bterms = np.where(grid.col < 0, grid.first[grid.nbr.T], 0.0)[grid.brows]
-        grid.unknown, grid.shape, grid.h_min = grid.nodes, grid.interior.shape, h
+        grid.unknown, grid.h_min = grid.nodes, h
         grid.tol_terms, grid.meta = (bscale,), {"operator": f_op.kind, "h": h}
         return grid
 
     def rhs(self, problem):
-        """f at the interior nodes; a Field2D rhs must lie on this grid."""
-        f = problem.rhs
-        if isinstance(f, Field2D):
-            if (f.h, f.x0, f.y0, f.values.shape) != (
-                    self.h, self.x0, self.y0, self.interior.shape):
-                raise ValueError("rhs field is not on the solve's grid")
-            return f.values[self.interior]
-        return _at_nodes(f, self.interior, self.x0, self.y0, self.h)
+        """f at the interior nodes."""
+        return _at_nodes(problem.rhs, self.interior, self.x0, self.y0, self.h)
 
     def apply(self, u):
         """F_h u at the interior nodes and the policy (row, control) per node."""
@@ -970,24 +944,23 @@ class _Grid2D(_HeldLU):
         return lu, slice(None), slice(None)
 
     def field(self, u, meta):
-        values = np.where(self.interior, u.reshape(self.shape), self.boundary_values)
+        values = np.where(self.interior, u.reshape(self.interior.shape),
+                          self.boundary_values)
         return Field2D(h=self.h, x0=self.x0, y0=self.y0, values=values,
                        interior=self.interior, meta=meta)
 
 
 def solve_dirichlet_2d(f_op: EllipticOperator, problem: DirichletProblem,
-                       h: float, start=None) -> Field2D:
+                       h: float) -> Field2D:
     """Solve F(D^2 u) = f on a 2D rectangle or annulus, 9-point stencil.
 
     Every control matrix is checked for diagonal dominance before assembly;
-    a violating matrix raises NonMonotoneScheme naming it.  ``start``, an
-    (nx, ny) array on the solve's grid, is the first iterate at the interior
-    nodes; its other entries are ignored.
+    a violating matrix raises NonMonotoneScheme naming it.
     """
     if isinstance(problem, _OnGrid):
-        return _solve_on(problem.grid, problem.rhs, start)
+        return _solve_on(problem.grid, problem.rhs)
     grid = _Grid2D.for_solve(f_op, problem, h)
-    return _solve_on(grid, grid.rhs(problem), start)
+    return _solve_on(grid, grid.rhs(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -1081,23 +1054,21 @@ def _brent_min(fun, lo, hi, xatol):
     return xf, fx, num
 
 
-def fundamental_profile(f_op: EllipticOperator, n: int, cells: int = 512,
-                        outer_radius: float = 16.0) -> FundamentalProfile:
+def fundamental_profile(f_op: EllipticOperator, n: int,
+                        cells: int = 512) -> FundamentalProfile:
     """Estimate the scaling exponent from a numerical fundamental solution.
 
-    Solves F(D^2 u) = 0 on annulus(1, R), boundary 1 inside and 0 outside,
+    Solves F(D^2 u) = 0 on annulus(1, 16), boundary 1 inside and 0 outside,
     then fits sphere minima m(s) over s in [2, 8] against A s^{-a} + B and
     against the logarithmic model A + B log s.
     """
-    if outer_radius < 16.0:
-        raise ValueError("outer radius must be at least 16")
     problem = DirichletProblem(
-        domain=Annulus(1.0, outer_radius), n=n,
-        boundary=lambda r: 1.0 if abs(r - 1.0) < abs(r - outer_radius) else 0.0)
+        domain=Annulus(1.0, 16.0), n=n,
+        boundary=lambda r: 1.0 if abs(r - 1.0) < abs(r - 16.0) else 0.0)
     if not f_op.rot_invariant and (n != 2 or f_op.dim != 2):
         raise ValueError("grid path only available for n = 2")
     fld = (solve_dirichlet_radial(f_op, n, problem, cells) if f_op.rot_invariant
-           else solve_dirichlet_2d(f_op, problem, h=outer_radius / (cells / 4)))
+           else solve_dirichlet_2d(f_op, problem, h=16.0 / (cells / 4)))
 
     sig = np.geomspace(2.0, 8.0, 33)
     vals = _sphere_samples(fld, sig)

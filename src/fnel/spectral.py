@@ -3,17 +3,17 @@
 Each step solves F(D^2 u_{k+1}) = u_k with zero boundary data and
 sup-normalizes; the reciprocal of the pre-normalization sup-norm converges
 to the first eigenvalue associated with a positive eigenfunction.  One loop
-in ``principal_eigenvalue`` serves both grids: each supplies its grid, start
-vector and step (u, start) -> solution, the iterate is read at the grid's
-unknowns, and the eigenfield is the last solution rescaled.
+in ``principal_eigenvalue`` serves both grids: each supplies its grid, first
+iterate and step u -> solution, the iterate is read at the grid's unknowns,
+and the eigenfield is the last solution rescaled.
 
-The grid is built once per call and held: each step hands the solver u_k
-as an array at the grid's rhs points, and every step after the first is
-warm-started from the previous raw solution.  F is positively homogeneous,
-so that start is the next solution up to the drift: a step then takes one
-policy sweep with the previous policy.  That start is the grid's last
-iterate, so the step reuses the grid's held F_h u and policy and solves with
-the held LU: one evaluation of F_h and one LU solve per sweep, no assembly.
+The grid is built once per call and held: each step hands the solver u_k as
+an array at the grid's rhs points in an ``_OnGrid`` problem, and the solve
+continues from the grid's held evaluation, the previous step's raw solution
+with its F_h u and policy.  F is positively homogeneous, so that solution is
+the next one up to the drift: a step then takes one policy sweep with the
+previous policy and solves with the held LU, one evaluation of F_h and one
+LU solve per sweep, no assembly.
 """
 
 from __future__ import annotations
@@ -59,21 +59,20 @@ def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
     else:
         raise TypeError("domain must be an annulus, ball, or rectangle")
     u = u / u.max()
-    start = lam_prev = None
+    lam_prev = None
     for it in range(1, EIGEN_ITERATION_CAP + 1):
-        sol = step(u, start)
+        sol = step(u)
         vin = sol.values.ravel()[grid.unknown]       # a ball's centre included
         if vin.min() <= 0:
             raise IterationFailure(
                 "iterate lost positivity; discretization failure")
-        start = sol.values
         sup = float(vin.max())
         lam = 1.0 / sup
-        u = np.where(np.isnan(start), 0.0, start / sup)  # NaN off a 2D domain
+        u = np.where(np.isnan(sol.values), 0.0, sol.values / sup)  # NaN off a 2D domain
         if lam_prev is not None:
             drift = abs(lam - lam_prev) / lam
             if drift <= tol:
-                field = grid.field(start / sup, {**sol.meta, "lambda1": lam})
+                field = grid.field(sol.values / sup, {**sol.meta, "lambda1": lam})
                 return EigenResult(lambda1=lam, eigenfield=field,
                                    iterations=it, drift=drift)
         lam_prev = lam
@@ -82,7 +81,7 @@ def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
 
 
 def _radial_steps(f_op, domain, cells):
-    """The radial grid, start vector and step (u, start) -> solution."""
+    """The radial grid, first iterate and step u -> solution."""
     n = f_op.dim
     grid = _RadialGrid.for_solve(f_op, n, DirichletProblem(domain=domain, n=n),
                                 cells)
@@ -93,25 +92,25 @@ def _radial_steps(f_op, domain, cells):
     else:
         bump = (domain.r1 - nodes) / domain.r1
 
-    def step(u, start):
+    def step(u):
         problem = _OnGrid(domain=domain, n=n, rhs=np.interp(grid.pts, nodes, u),
                           grid=grid)
-        return solve_dirichlet_radial(f_op, n, problem, cells, start)
+        return solve_dirichlet_radial(f_op, n, problem, cells)
 
     return grid, np.maximum(bump, 0.0), step
 
 
 def _grid_steps(f_op, domain, cells):
-    """The 2D grid, start vector and step (u, start) -> solution."""
+    """The 2D grid, first iterate and step u -> solution."""
     h = domain.grid_step(cells)
     grid = _Grid2D.for_solve(f_op, DirichletProblem(domain=domain, n=2), h)
     nx, ny = grid.interior.shape
     x = grid.x0 + np.arange(nx)[:, None] * grid.h
     y = grid.y0 + np.arange(ny)[None, :] * grid.h
 
-    def step(u, start):
+    def step(u):
         problem = _OnGrid(domain=domain, n=2, rhs=u[grid.interior], grid=grid)
-        return solve_dirichlet_2d(f_op, problem, h, start)
+        return solve_dirichlet_2d(f_op, problem, h)
 
     return grid, np.maximum(0.0, np.minimum(x - domain.x0, domain.x1 - x)
                             / (domain.x1 - domain.x0)

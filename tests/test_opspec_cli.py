@@ -394,6 +394,11 @@ class TestCommandTable:
         # the echo writes the domain into the '#' line of a CSV field, whose
         # key=value pairs are separated by spaces
         ["solve", "--op", PM3, "--domain", "ball: 1", "--format", "csv"],
+        # a ball and a rectangle take --g1 on their whole boundary: --g0 was
+        # echoed beside a solve it played no part in
+        ["solve", "--op", PM3, "--domain", "ball:1", "--g0", "1.0"],
+        ["solve", "--op", str(SAMPLES / "pucci_max_n2.json"),
+         "--domain", "rectangle:0:1:0:1", "--g0", "5", "--cells", "4"],
         # a sweep's settings all come from its config: both were ignored
         ["sweep", "--config", str(SAMPLES / "sweep_classify.json"), "--p", "9", "--tol", "5"],
     ])

@@ -554,10 +554,6 @@ class TestFundamentalProfile:
         assert np.allclose(coef, want, rtol=1e-12, atol=0.0)
         assert rss == pytest.approx(want_rss, rel=1e-12, abs=0.0)
 
-    def test_outer_radius_guard(self, pm3):
-        with pytest.raises(ValueError):
-            fundamental_profile(pm3, 3, cells=64, outer_radius=8.0)
-
 
 class TestBrentMin:
     """``_brent_min`` against scipy's bounded search, bit for bit."""
@@ -838,12 +834,12 @@ def _case(name):
     return op, prob, 1.0 / 8
 
 
-def _solve_case(name, start=None):
-    """The solve of ``_case(name)``, cold or warm."""
+def _solve_case(name):
+    """The solve of ``_case(name)`` on a grid of its own."""
     op, prob, size = _case(name)
     if isinstance(size, int):            # radial cells; a 2D step is a float
-        return solve_dirichlet_radial(op, 3, prob, size, start)
-    return solve_dirichlet_2d(op, prob, size, start)
+        return solve_dirichlet_radial(op, 3, prob, size)
+    return solve_dirichlet_2d(op, prob, size)
 
 
 class TestResidualNormOfSolves:
@@ -1104,98 +1100,86 @@ class TestSkeletonCache:
         assert fld.meta["residual"] <= 1e-9
 
 
-def _boundary_entries(fld):
-    """Mask of the entries a solve's ``start`` does not use."""
-    if isinstance(fld, Field2D):
-        return ~fld.interior
-    mask = np.zeros(fld.values.shape, dtype=bool)
-    mask[-1] = True
-    mask[0] = fld.nodes[0] > 0          # a ball solves for its centre
-    return mask
-
-
-class TestWarmStart:
-    @pytest.mark.parametrize("name", SOLVE_CASES)
-    def test_start_at_the_solution_returns_it(self, name):
-        cold = _solve_case(name)
-        warm = _solve_case(name, cold.values)
-        assert np.array_equal(warm.values, cold.values, equal_nan=True)
-        assert warm.meta == cold.meta
-        # the boundary data come from the problem, not from start
-        start = cold.values.copy()
-        start[_boundary_entries(cold)] = 7.0
-        other = _solve_case(name, start)
-        assert np.array_equal(other.values, cold.values, equal_nan=True)
-
-    @pytest.mark.parametrize("name", ["log", "ball", "pucci_2d"])
-    def test_perturbed_start_meets_the_tolerance(self, name):
-        cold = _solve_case(name)
-        start = cold.values * 1.2 + 0.1
-        warm = _solve_case(name, start)
-        assert np.nanmax(np.abs(warm.values - cold.values)) <= 1e-9
-
-    @pytest.mark.parametrize("name", ["log", "ball", "laplacian_2d"])
-    def test_wrong_shape_raises(self, name):
-        cold = _solve_case(name)
-        with pytest.raises(ValueError, match="start has shape"):
-            _solve_case(name, cold.values[:-1])
-
-
 def _held_solves(name):
-    """A solve (start) -> field of ``_case(name)`` on one grid held across
-    its calls, as inverse iteration steps hand it over."""
+    """The grid of ``_case(name)``, the case's rhs at its rhs points, and a
+    step rhs -> field on that grid, held across the calls as inverse
+    iteration steps hand it over."""
     op, prob, size = _case(name)
     if isinstance(size, int):
         grid = _RadialGrid.for_solve(op, 3, prob, size)
-        on = solver._OnGrid(domain=prob.domain, n=3, grid=grid,
-                            rhs=_radial_rhs(prob, grid.r))
-        return grid, lambda start=None: solve_dirichlet_radial(op, 3, on, size, start)
+        rhs = _radial_rhs(prob, grid.r)
+        return grid, rhs, lambda f: solve_dirichlet_radial(
+            op, 3, solver._OnGrid(domain=prob.domain, n=3, grid=grid, rhs=f), size)
     grid = _Grid2D.for_solve(op, prob, size)
-    on = solver._OnGrid(domain=prob.domain, n=2, grid=grid, rhs=grid.rhs(prob))
-    return grid, lambda start=None: solve_dirichlet_2d(op, on, size, start)
+    return grid, grid.rhs(prob), lambda f: solve_dirichlet_2d(
+        op, solver._OnGrid(domain=prob.domain, n=2, grid=grid, rhs=f), size)
+
+
+class TestWarmStart:
+    # a step on a held grid starts at the grid's last solution
+    @pytest.mark.parametrize("name", SOLVE_CASES)
+    def test_start_at_the_solution_returns_it(self, monkeypatch, name):
+        grid, rhs, solve = _held_solves(name)
+        cold = solve(rhs)
+        with monkeypatch.context() as m:
+            m.setattr(type(grid), "apply", _forbidden)
+            warm = solve(rhs)
+        assert np.array_equal(warm.values, cold.values, equal_nan=True)
+        assert warm.meta == cold.meta
+
+    @pytest.mark.parametrize("name", ["log", "ball", "pucci_2d"])
+    def test_perturbed_start_meets_the_tolerance(self, name):
+        # the held solution is another rhs's, as in inverse iteration
+        grid, rhs, solve = _held_solves(name)
+        solve(rhs * 1.2 + 0.1)
+        warm = solve(rhs)
+        cold = _solve_case(name)
+        assert warm.meta["residual"] <= 1e-10 * (1.0 + np.abs(rhs).max()
+                                                 + sum(grid.tol_terms))
+        assert np.nanmax(np.abs(warm.values - cold.values)) <= 1e-9
 
 
 class TestHeldEvaluation:
-    # a solve on a held grid reuses the grid's last evaluation only when its
-    # first iterate equals that evaluation's iterate; each solve below equals
-    # the same solve on a fresh grid bit for bit
-    def _assert_fresh(self, name, fld, start=None):
-        want = _held_solves(name)[1](start)
-        assert np.array_equal(fld.values, want.values, equal_nan=True)
-        assert fld.meta == want.meta
-
+    # a grid holds its last evaluation (u, F_h u, policy), where its next
+    # solve starts; a fresh grid evaluates its first iterate instead
     @pytest.mark.parametrize("name", SOLVE_CASES)
-    def test_a_start_off_the_held_iterate_is_evaluated(self, name):
-        solve = _held_solves(name)[1]
-        cold = solve()
-        start = cold.values.copy()
-        k = np.unravel_index(np.flatnonzero(~_boundary_entries(cold))[5],
-                             start.shape)
-        start[k] += 1e-3
-        self._assert_fresh(name, solve(start), start)
+    def test_a_start_off_the_held_iterate_is_evaluated(self, monkeypatch, name):
+        # a fresh grid holds nothing: its first step evaluates grid.first once
+        grid, rhs, solve = _held_solves(name)
+        assert grid._evaluated is None
+        seen, apply = [], type(grid).apply
+        monkeypatch.setattr(type(grid), "apply",
+                            lambda g, u: seen.append(u.copy()) or apply(g, u))
+        solve(rhs)
+        assert np.array_equal(seen[0], grid.first)
+        assert sum(np.array_equal(u, grid.first) for u in seen) == 1
 
     @pytest.mark.parametrize("name", SOLVE_CASES)
     def test_a_field_changed_in_place_is_evaluated(self, monkeypatch, name):
-        grid, solve = _held_solves(name)
-        fld = solve()
-        # at the held iterate itself the evaluation is reused: a start at the
-        # solution evaluates nothing
+        # a returned field is the caller's: changed in place, its residual
+        # moves, while the grid's held evaluation keeps the solution
+        grid, rhs, solve = _held_solves(name)
+        op, prob, _ = _case(name)
+        fld = solve(rhs)
+        want = fld.values.copy()
+        fld.values.flat[np.arange(want.size)[grid.unknown][5]] += 1e-3
+        assert residual_norm(op, fld, prob) > 1e-6
         with monkeypatch.context() as m:
             m.setattr(type(grid), "apply", _forbidden)
-            again = solve(fld.values)
-        assert np.array_equal(again.values, fld.values, equal_nan=True)
+            again = solve(rhs)
+        assert np.array_equal(again.values, want, equal_nan=True)
         assert again.meta == fld.meta
-        k = np.unravel_index(np.flatnonzero(~_boundary_entries(fld))[5],
-                             fld.values.shape)
-        fld.values[k] += 1e-3
-        start = fld.values.copy()
-        self._assert_fresh(name, solve(fld.values), start)
 
     @pytest.mark.parametrize("name", SOLVE_CASES)
     def test_a_cold_solve_after_a_warm_one(self, name):
-        solve = _held_solves(name)[1]
-        solve(solve().values * 1.2 + 0.1)
-        self._assert_fresh(name, solve())
+        # a public solve builds its own grid: after steps on a held grid it
+        # gives the bits of the held grid's first step
+        grid, rhs, solve = _held_solves(name)
+        first = solve(rhs)
+        solve(rhs * 1.2 + 0.1)
+        cold = _solve_case(name)
+        assert np.array_equal(cold.values, first.values, equal_nan=True)
+        assert cold.meta == first.meta
 
 
 class TestFieldRhs:
@@ -1226,49 +1210,13 @@ class TestFieldRhs:
         return prob, fld
 
     def test_field2d_on_the_grid_is_the_per_node_rhs(self):
+        # a Field2D's bilinear ``interp`` reads its node values on its grid
         prob, fld = self._square()
         op = pucci_max(1.0, 2.0, 2)
         want = solve_dirichlet_2d(op, prob, 1.0 / 8)
-        got = solve_dirichlet_2d(op, replace(prob, rhs=fld), 1.0 / 8)
+        got = solve_dirichlet_2d(op, replace(prob, rhs=fld.interp), 1.0 / 8)
         assert np.array_equal(got.values, want.values)
         assert got.meta == want.meta
-
-    @pytest.mark.parametrize("change", [
-        {"h": 1.0 / 16}, {"x0": 0.125}, {"y0": -0.125},
-        {"values": np.ones((9, 10)), "interior": np.zeros((9, 10), dtype=bool)},
-    ])
-    def test_field2d_on_another_grid_raises(self, change):
-        prob, fld = self._square()
-        with pytest.raises(ValueError, match="not on the solve's grid"):
-            solve_dirichlet_2d(laplacian(2), replace(prob, rhs=replace(fld, **change)),
-                               1.0 / 8)
-
-    @pytest.mark.parametrize("domain,span", [
-        (Annulus(1.0, 2.0), (1.0, 1.5)),      # short of the outer nodes
-        (Annulus(1.0, 2.0), (1.2, 2.0)),      # short of the inner nodes
-        (Ball(1.0), (0.0, 0.5)),
-        (Ball(1.0), (1e-3, 1.0)),             # misses the point near the centre
-    ])
-    def test_radial_field_short_of_the_nodes_raises(self, domain, span):
-        nodes = np.linspace(*span, 33)
-        fld = RadialField(n=3, nodes=nodes, values=nodes, spacing="linear")
-        prob = DirichletProblem(domain=domain, n=3, rhs=fld)
-        with pytest.raises(ValueError, match="not on the solve's grid"):
-            solve_dirichlet_radial(laplacian(3), 3, prob, 64)
-
-    @pytest.mark.parametrize("short,ok", [(1e-13, True), (1e-11, False)])
-    def test_radial_field_span_allows_rounding(self, short, ok):
-        # the field ends just below the last interior node of the solve
-        prob = DirichletProblem(domain=Annulus(1.0, 2.0), n=3)
-        r = _radial_grid(prob, 64)[0]
-        nodes = np.linspace(r[0], r[-2] * (1.0 - short), 40)
-        fld = RadialField(n=3, nodes=nodes, values=nodes, spacing="linear")
-        if ok:
-            assert np.array_equal(_radial_rhs(replace(prob, rhs=fld), r)[:-1],
-                                  r[1:-2])
-        else:
-            with pytest.raises(ValueError, match="not on the solve's grid"):
-                _radial_rhs(replace(prob, rhs=fld), r)
 
 
 def _per_node_rhs(problem, r):
