@@ -108,7 +108,6 @@ def rescale(obj, sigma: float, beta: float):
         return RadialField(
             n=obj.n, nodes=obj.nodes / sigma,
             values=sigma ** beta * obj.values,
-            spacing=obj.spacing,
             meta={**obj.meta, "rescaled_by": sigma},
         )
     if isinstance(obj, Field2D):
@@ -176,7 +175,7 @@ def _signed_min_residual(f_op, fld):
     a ball (r[0] = 0), its centre; h is the solver's step for the end radii."""
     r = fld.nodes
     domain = Ball(r[-1]) if r[0] == 0 else Annulus(r[0], r[-1])
-    grid = _RadialGrid.for_field(f_op, fld, domain)[0]
+    grid = _RadialGrid.for_field(f_op, fld, domain)
     return float(grid.apply(fld.values)[0].min())
 
 
@@ -377,8 +376,7 @@ def build_global_supersolution(f_op: EllipticOperator, n: int, p: float,
     if a_val is None:
         raise WrongRegime("no admissible truncation constant in 40 dyadic levels")
     w_vals = a_val * vals1
-    w_field = RadialField(n=n, nodes=nodes, values=w_vals, spacing=w1.spacing,
-                          meta={**w1.meta, "a": a_val})
+    w_field = RadialField(n=n, nodes=nodes, values=w_vals, meta={**w1.meta, "a": a_val})
 
     # tail scale s: supersolution needs s^{p-1} <= K; matching needs
     # s r^{-beta} < w on the shell [1/4, 1/2]

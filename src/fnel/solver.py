@@ -21,15 +21,16 @@ PolicyIterationDiverged at once, naming the floor 4 eps |u| / h_min^2.  No
 step is damped; ITERATION_CAP only stops a sup-inf family whose policies
 cycle.
 
-Radial path: any dimension n <= 6, annuli and balls, grid uniform in log r
-by default.  At every node the discrete Hessian has the eigenvalue pattern
-diag(a, b, ..., b), and a frozen control reduces F to -(wa*a + wb*b).
-``_pattern_weights`` picks the policy (wa, wb) at all interior nodes (and a
-ball's centre) at once: closed-form sign tests for the Laplacian and Pucci
-kinds, a loop over sup-rows of the (a11, tr A - a11) control table for
-Isaacs families.  A step solves the tridiagonal system (plus the centre row
-on a ball) from its (unknowns, 3) band; see ``_RadialGrid`` for the skeleton
-its factorizations share.
+Radial path: any dimension n <= 6, annuli and balls.  The domain fixes the
+grid: uniform in log r on an annulus, uniform in r on a ball, whose centre
+comes first in F_h u, the policy and the unknowns.  At every node the
+discrete Hessian has the eigenvalue pattern diag(a, b, ..., b), and a frozen
+control reduces F to -(wa*a + wb*b).  ``_pattern_weights`` picks the policy
+(wa, wb) at a ball's centre and all interior nodes at once: closed-form sign
+tests for the Laplacian and Pucci kinds, a loop over sup-rows of the
+(a11, tr A - a11) control table for Isaacs families.  A step solves the
+tridiagonal system (the centre row first on a ball) from its (unknowns, 3)
+band; see ``_RadialGrid`` for the skeleton its factorizations share.
 
 2D path: rectangles and annuli on a uniform Cartesian grid.  F is a sup over
 rows of an inf over the controls A of one (rows, controls, 2, 2) array, each
@@ -41,21 +42,22 @@ only.  A step's matrix is built transposed, in CSC, from the chosen
 coefficient rows and factorized in SuperLU's COLAMD order for its sparsity
 pattern; only the rows next to the boundary add boundary data to a step's rhs.
 
-Problem data are called once per node, in node order, into one array; None
-data are zero.  A grid is built once per solve, or once per
-``principal_eigenvalue``, whose steps hand it over in an ``_OnGrid`` problem
-with the rhs as an array.  ``_HeldLU`` keeps its last sweep's policy with the
-LU of its ``system(policy)``, factorized once per new policy, and its last
-evaluation (u, F_h u, policy).  A solve starts from that evaluation, or from
-``first`` on a fresh grid, so each step on a held grid continues from the
-previous step's solution: it evaluates F_h once per sweep and builds only the
-sweep's rhs.  COLAMD reads a matrix's sparsity pattern alone, so one cache,
-``_SKELETONS``, holds its order per pattern for both grids; a later matrix of
-a held pattern is built in that order and factorized in its natural order,
-with the bits of SuperLU's own COLAMD run.  A radial skeleton permutes rows
-and columns alike, which keeps SuperLU's preferred pivot on the diagonal of
-the tridiagonal bands' ties; a 2D matrix permutes its columns only, since
-moving its rows too moved solutions in the last bits, and checks its pivots.
+Problem data are None (zero) or callables, else ``DirichletProblem`` raises
+TypeError; they are called once per node, in node order, into one array.  A
+grid is built once per solve, or once per ``principal_eigenvalue``, whose
+steps hand it over in an ``_OnGrid`` problem with the rhs as an array.
+``_HeldLU`` keeps its last sweep's policy with the LU of its
+``system(policy)``, factorized once per new policy, and its last evaluation
+(u, F_h u, policy).  A solve starts from that evaluation, or from ``first`` on
+a fresh grid, so each step on a held grid continues from the previous step's
+solution: it evaluates F_h once per sweep and builds only the sweep's rhs.
+COLAMD reads a matrix's sparsity pattern alone, so one cache, ``_SKELETONS``,
+holds its order per pattern for both grids; a later matrix of a held pattern
+is built in that order and factorized in its natural order, with the bits of
+SuperLU's own COLAMD run.  A radial skeleton permutes rows and columns alike,
+which keeps SuperLU's preferred pivot on the diagonal of the tridiagonal
+bands' ties; a 2D matrix permutes its columns only, since moving its rows too
+moved solutions in the last bits, and checks its pivots.
 
 ``fundamental_profile`` samples a solution at 128 points on each of 33
 spheres of radius s in [2, 8] in one pass (a sample off a 2D grid's domain
@@ -256,9 +258,11 @@ class DirichletProblem:
 
     rhs and boundary take a radius for radial domains and (x, y) for 2D,
     except the boundary of a 2D annulus, which takes the radius of the
-    boundary circle nearest the node.  None means zero.  A RadialField is
-    callable and serves as a radial rhs.  ``exact`` is an optional oracle used
-    by convergence studies only.
+    boundary circle nearest the node.  None means zero; any other value that
+    is not callable (a constant, a Field2D) raises TypeError.  A RadialField
+    is callable and serves as a radial rhs.  ``exact`` is an optional oracle
+    used by convergence studies only.  The domain alone fixes a radial grid:
+    uniform in log r on an annulus, uniform in r on a ball.
     """
 
     domain: object
@@ -266,23 +270,19 @@ class DirichletProblem:
     rhs: Optional[Callable] = None
     boundary: Optional[Callable] = None
     exact: Optional[Callable] = None
-    spacing: str = "auto"  # 'log' | 'linear' | 'auto'
 
     def __post_init__(self):
-        if self.spacing not in ("log", "linear", "auto"):
-            raise ValueError(
-                f"spacing must be 'log', 'linear' or 'auto', got {self.spacing!r}")
+        for name in ("rhs", "boundary", "exact"):
+            value = getattr(self, name)
+            if value is not None and not callable(value):
+                raise TypeError(f"DirichletProblem.{name} must be None or callable, "
+                                f"got {type(value).__name__}")
 
     def rhs_at(self, *args):
         return 0.0 if self.rhs is None else float(self.rhs(*args))
 
     def boundary_at(self, *args):
         return 0.0 if self.boundary is None else float(self.boundary(*args))
-
-    def resolved_spacing(self):
-        if self.spacing != "auto":
-            return self.spacing
-        return "linear" if isinstance(self.domain, Ball) else "log"
 
 
 @dataclass(frozen=True)
@@ -292,6 +292,9 @@ class _OnGrid(DirichletProblem):
     whose held evaluation the step continues from."""
 
     grid: object = None
+
+    def __post_init__(self):
+        pass                                # the rhs is an array, not a callable
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +306,6 @@ class RadialField:
     n: int
     nodes: np.ndarray       # strictly increasing radii, boundaries included
     values: np.ndarray
-    spacing: str            # 'log' or 'linear'
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -375,13 +377,15 @@ def _csv(meta, header, *columns):
 # ---------------------------------------------------------------------------
 # radial kernel
 #
-# In log coordinates t = log r:  u'' = (U_tt - U_t)/r^2 and u'/r = U_t/r^2,
-# so the Hessian eigenvalue pattern at a node is diag(a, b, ..., b)/r^2 with
-# a = D2 U - D1 U and b = D1 U.  In linear coordinates a = D2 u, b = D1 u / r.
+# The domain fixes the grid: uniform in t = log r on an annulus, uniform in r
+# on a ball, which needs its centre.  In log coordinates u'' = (U_tt - U_t)/r^2
+# and u'/r = U_t/r^2, so the Hessian eigenvalue pattern at a node is
+# diag(a, b, ..., b)/r^2 with a = D2 U - D1 U and b = D1 U.  On a ball
+# a = D2 u, b = D1 u / r.
 
 
-def _radial_entries(u, h, r, spacing, is_ball):
-    """Pattern entries (a, b) at the interior nodes; a ball appends its centre.
+def _radial_entries(u, h, r, is_ball):
+    """Pattern entries (a, b) at the interior nodes, a ball's centre first.
 
     At the centre the Hessian is u''(0) I by symmetry; with the ghost value
     U[-1] = U[1] that is a = b = 2 (U[1] - U[0]) / h^2.
@@ -389,14 +393,10 @@ def _radial_entries(u, h, r, spacing, is_ball):
     d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
     d1 = (u[2:] - u[:-2]) / (2.0 * h)
     ri = r[1:-1]
-    if spacing == "log":
-        a, b = (d2 - d1) / ri ** 2, d1 / ri ** 2
-    else:
-        a, b = d2, d1 / ri
-    if is_ball:
-        a0 = 2.0 * (u[1] - u[0]) / h ** 2
-        a, b = np.append(a, a0), np.append(b, a0)
-    return a, b
+    if not is_ball:
+        return (d2 - d1) / ri ** 2, d1 / ri ** 2
+    a0 = 2.0 * (u[1] - u[0]) / h ** 2
+    return np.concatenate(([a0], d2)), np.concatenate(([a0], d1 / ri))
 
 
 def _pattern_weights(f_op, n, a, b, controls):
@@ -438,15 +438,13 @@ def _sup_inf(rows):
     return best, row, ctl
 
 
-def _check_radial_monotonicity(f_op, n, h, spacing):
-    """Sufficient condition for the log-grid scheme to be monotone.
+def _check_radial_monotonicity(f_op, n, h):
+    """Sufficient condition for the log-grid scheme of an annulus to be monotone.
 
     The first-derivative term couples neighbors with the opposite sign of the
     second difference; (H1) controls the net effect when
     lam*(1/h^2 + 1/(2h)) >= Lam*(n-1)/(2h) and h <= 2.
     """
-    if spacing != "log":
-        return
     if h > 2.0:
         raise NonMonotoneScheme(f"log-grid step {h:.3g} > 2")
     if f_op.lam * (1.0 / h ** 2 + 1.0 / (2 * h)) < f_op.Lam * (n - 1) / (2 * h):
@@ -456,26 +454,24 @@ def _check_radial_monotonicity(f_op, n, h, spacing):
         )
 
 
-def _radial_grid(problem, cells):
+def _radial_grid(domain, cells):
+    """The nodes r and step h of ``cells`` cells: uniform in log r on an
+    annulus (h in log r), uniform in r on a ball."""
     if cells < 2:
         raise ValueError("need at least 2 cells")
-    dom = problem.domain
-    spacing = problem.resolved_spacing()
-    if isinstance(dom, Annulus):
-        if spacing == "log":
-            t = np.linspace(math.log(dom.r0), math.log(dom.r1), cells + 1)
-            return np.exp(t), t[1] - t[0], spacing
-        r = np.linspace(dom.r0, dom.r1, cells + 1)
-        return r, r[1] - r[0], spacing
-    if isinstance(dom, Ball):
-        r = np.linspace(0.0, dom.r1, cells + 1)
-        return r, r[1] - r[0], "linear"
+    if isinstance(domain, Annulus):
+        t = np.linspace(math.log(domain.r0), math.log(domain.r1), cells + 1)
+        return np.exp(t), t[1] - t[0]
+    if isinstance(domain, Ball):
+        r = np.linspace(0.0, domain.r1, cells + 1)
+        return r, r[1] - r[0]
     raise ValueError("radial solver needs an annulus or ball domain")
 
 
 def _radial_points(r, is_ball):
-    """Interior nodes, then on a ball the centre just off r = 0 (f may be singular)."""
-    return np.append(r[1:-1], r[1] * 1e-8 if r[0] == 0 else r[0]) if is_ball else r[1:-1]
+    """On a ball the centre just off r = 0 (f may be singular), then the
+    interior nodes: the order of F_h u, the policy and the unknowns."""
+    return np.append(r[1] * 1e-8, r[1:-1]) if is_ball else r[1:-1]
 
 
 def _radial_rhs(problem, r):
@@ -518,8 +514,10 @@ def _skeleton(nun, perm_c):
 
 
 class _RadialGrid(_HeldLU):
-    """Radial nodes r with step h, spacing and the Isaacs control table: all
-    that ``apply`` needs.  ``for_solve`` adds the rest of the solve interface.
+    """Radial nodes r with step h, whether the domain is a ball, and the
+    Isaacs control table: all that ``apply`` needs.  ``for_solve`` adds the
+    rest of the solve interface.  A ball's centre comes first in F_h u, the
+    policy, the rhs points and the unknowns alike.
 
     The first factorization at a number of unknowns is SuperLU's own, with
     COLAMD, on ``matrix(band)``; it gives ``_SKELETONS`` that size's order.
@@ -532,9 +530,8 @@ class _RadialGrid(_HeldLU):
 
     _skel = None                        # the grid's CSC skeleton, made on first use
 
-    def __init__(self, f_op, n, r, h, spacing, is_ball):
-        self.f_op, self.n, self.r, self.h = f_op, n, r, h
-        self.spacing, self.is_ball = spacing, is_ball
+    def __init__(self, f_op, n, r, h, is_ball):
+        self.f_op, self.n, self.r, self.h, self.is_ball = f_op, n, r, h, is_ball
         self.controls = control_table(f_op)[1:] if f_op.kind == ISAACS else None
 
     @classmethod
@@ -547,60 +544,56 @@ class _RadialGrid(_HeldLU):
             raise ValueError(f"n={n} does not match operator dim {f_op.dim}")
         if not 2 <= n <= 6:
             raise ValueError("radial solver supports 2 <= n <= 6")
-        r, h, spacing = _radial_grid(problem, cells)
-        _check_radial_monotonicity(f_op, n, h, spacing)
-        grid = cls(f_op, n, r, h, spacing, isinstance(problem.domain, Ball))
-        grid.h_min, grid.pts = np.diff(r).min(), _radial_points(r, grid.is_ball)
+        r, h = _radial_grid(problem.domain, cells)
+        is_ball = isinstance(problem.domain, Ball)
+        if not is_ball:
+            _check_radial_monotonicity(f_op, n, h)
+        grid = cls(f_op, n, r, h, is_ball)
+        grid.h_min, grid.pts = np.diff(r).min(), _radial_points(r, is_ball)
         # row i of a sweep's matrix is -(wa_i wa_rows[i] + wb_i wb_rows[i]) on
         # U_{i-1}, U_i, U_{i+1} (log grid: a = d2 - d1, b = d1, over r^2)
-        ri = r[1:-1]
-        if spacing == "log":
-            ca, cb = 1.0 / (ri ** 2 * h ** 2), 1.0 / (ri ** 2 * 2.0 * h)
-            grid.wa_rows = np.stack([ca + cb, -2.0 * ca, ca - cb], axis=1)
-        else:
+        ri, g1 = r[1:-1], problem.boundary_at(r[-1])
+        if is_ball:                          # unknowns: nodes 0..cells-1, centre first
             ca, cb = np.full(ri.shape, 1.0 / h ** 2), 1.0 / (2.0 * h * ri)
             grid.wa_rows = np.stack([ca, -2.0 * ca, ca], axis=1)
+            grid.first, grid.tol_terms = np.full(cells + 1, g1), (abs(g1), 0.0)
+        else:
+            ca, cb = 1.0 / (ri ** 2 * h ** 2), 1.0 / (ri ** 2 * 2.0 * h)
+            grid.wa_rows = np.stack([ca + cb, -2.0 * ca, ca - cb], axis=1)
+            g0, t = problem.boundary_at(r[0]), np.log(r)
+            grid.first = g0 + (g1 - g0) * (t - t[0]) / (t[-1] - t[0])
+            grid.tol_terms = (abs(g1), abs(g0))
         grid.wb_rows = np.stack([-cb, 0.0 * cb, cb], axis=1)
-        g1 = problem.boundary_at(r[-1])
-        g0 = g1 if grid.is_ball else problem.boundary_at(r[0])
-        t = np.log(r) if spacing == "log" else r
-        # a ball's unknowns are nodes 0..cells-1, centre included
-        grid.first = (np.full(cells + 1, g1) if grid.is_ball
-                      else g0 + (g1 - g0) * (t - t[0]) / (t[-1] - t[0]))
-        grid.unknown = slice(0 if grid.is_ball else 1, -1)
-        grid.tol_terms = (abs(g1), 0.0 if grid.is_ball else abs(g0))
-        grid.meta = {"operator": f_op.kind, "n": n, "cells": cells, "spacing": spacing}
+        grid.unknown = slice(0 if is_ball else 1, -1)
+        grid.meta = {"operator": f_op.kind, "n": n, "cells": cells,
+                     "spacing": "linear" if is_ball else "log"}
         return grid
 
     @classmethod
     def for_field(cls, f_op, fld, domain):
         """The kernel grid of a RadialField on an annulus or ball ``domain``,
-        and the solver's nodes for the field's cells.  The grid holds the
-        field's nodes and the solver's step h (from its linspace, not from the
-        nodes), so on the solver's grid ``apply`` is the solver's up to
+        whose nodes must be the solver's for the field's cells (to 1e-12).
+        The grid holds the field's nodes and the solver's step h (from its
+        linspace, not from the nodes), so ``apply`` is the solver's up to
         rounding."""
-        nodes, h, spacing = _radial_grid(
-            DirichletProblem(domain=domain, n=fld.n, spacing=fld.spacing),
-            len(fld.nodes) - 1)
-        grid = cls(f_op, fld.n, fld.nodes, h, spacing, isinstance(domain, Ball))
-        return grid, nodes
+        nodes, h = _radial_grid(domain, len(fld.nodes) - 1)
+        if not np.allclose(fld.nodes, nodes, rtol=1e-12, atol=0.0):
+            raise ValueError(f"field nodes are not the {len(nodes) - 1}-cell grid "
+                             f"of the {type(domain).__name__.lower()}")
+        return cls(f_op, fld.n, fld.nodes, h, isinstance(domain, Ball))
 
     def apply(self, u):
-        """F_h u at the interior nodes (and a ball's centre) and the policy (wa, wb)."""
-        a, b = _radial_entries(u, self.h, self.r, self.spacing, self.is_ball)
+        """F_h u at a ball's centre and the interior nodes, and the policy (wa, wb)."""
+        a, b = _radial_entries(u, self.h, self.r, self.is_ball)
         wa, wb = _pattern_weights(self.f_op, self.n, a, b, self.controls)
         return -(wa * a + wb * b), (wa, wb)
 
     def step(self, policy, u, rhs):
         wa, wb = policy                      # two band entries reach u's boundary
-        m = len(u) - 2                       # a ball's centre weights come last
-        if self.is_ball:
-            rvec = np.roll(rhs, 1) + 0.0     # rhs[-1] holds f(0); + 0.0 maps -0.0 to 0.0
-        else:
-            rvec = rhs + 0.0
+        rvec = rhs + 0.0                     # + 0.0 maps -0.0 to 0.0
+        if not self.is_ball:
             rvec[0] += (wa[0] * self.wa_rows[0, 0] + wb[0] * self.wb_rows[0, 0]) * u[0]
-        rvec[-1] += (wa[m - 1] * self.wa_rows[-1, 2]
-                     + wb[m - 1] * self.wb_rows[-1, 2]) * u[-1]
+        rvec[-1] += (wa[-1] * self.wa_rows[-1, 2] + wb[-1] * self.wb_rows[-1, 2]) * u[-1]
         out = u.copy()
         out[self.unknown] = self._solve(policy, rvec)
         return out
@@ -626,18 +619,17 @@ class _RadialGrid(_HeldLU):
     def field(self, u, meta):
         # no RadialField checks of the grid's own nodes; u, which it may hold, is copied
         fld = object.__new__(RadialField)
-        fld.__dict__.update(n=self.n, nodes=self.r, values=u.copy(), spacing=self.spacing,
-                            meta=meta)
+        fld.__dict__.update(n=self.n, nodes=self.r, values=u.copy(), meta=meta)
         return fld
 
     def system(self, policy):
         """The band of a sweep with weights (wa, wb): row k is on unknowns k-1,
         k, k+1 (a ball's centre first)."""
         wa, wb = policy
-        m = len(self.r) - 2
-        band = -(wa[:m, None] * self.wa_rows + wb[:m, None] * self.wb_rows)
+        k = int(self.is_ball)
+        band = -(wa[k:, None] * self.wa_rows + wb[k:, None] * self.wb_rows)
         if self.is_ball:
-            w, c0 = wa[m] + wb[m], 2.0 / self.h ** 2
+            w, c0 = wa[0] + wb[0], 2.0 / self.h ** 2
             band = np.vstack([(0.0, w * c0, -w * c0), band])
         return band
 
@@ -670,10 +662,7 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
 def residual_norm(f_op: EllipticOperator, fld, problem: DirichletProblem) -> float:
     """Sup-norm of the discrete residual F(D^2_h u) - f at interior nodes."""
     if isinstance(fld, RadialField):
-        grid, nodes = _RadialGrid.for_field(f_op, fld, problem.domain)
-        if not np.allclose(fld.nodes, nodes, rtol=1e-12, atol=0.0):
-            raise ValueError(f"field nodes are not the {len(nodes) - 1}-cell "
-                             f"{grid.spacing} grid of the problem's domain")
+        grid = _RadialGrid.for_field(f_op, fld, problem.domain)
         u, rhs = fld.values, _radial_rhs(problem, fld.nodes)
     elif isinstance(fld, Field2D):
         grid = _Grid2D(h=fld.h, x0=fld.x0, y0=fld.y0, interior=fld.interior,

@@ -97,8 +97,7 @@ def test_05_explicit_solutions_residuals():
         errs = []
         for cells in (64, 128, 256):
             nodes = np.geomspace(1.0, 2.0, cells + 1)
-            fld = RadialField(n=n, nodes=nodes, values=c * nodes ** -b,
-                              spacing="log")
+            fld = RadialField(n=n, nodes=nodes, values=c * nodes ** -b)
             errs.append(residual_norm(op, fld, prob))
         assert errs[2] <= errs[0] * (64 / 256) ** 2 * 1.5  # ~ C h^2
 
@@ -290,7 +289,7 @@ class TestPropertySuites1000:
             b = float(rng.uniform(0.1, 3.0))
             fld = RadialField(n=3, nodes=nodes,
                               values=1.0 + rng.uniform(0.0, 1.0)
-                              * np.sin(nodes), spacing="log")
+                              * np.sin(nodes))
             once = rescale(rescale(fld, s1, b), s2, b)
             direct = rescale(fld, s1 * s2, b)
             assert np.allclose(once.nodes, direct.nodes, rtol=1e-10)

@@ -46,16 +46,14 @@ class TestRescale:
 
     def test_power_field_invariant(self, lap3):
         nodes = np.geomspace(1.0, 4.0, 65)
-        fld = RadialField(n=3, nodes=nodes, values=nodes ** -2.0,
-                          spacing="log")
+        fld = RadialField(n=3, nodes=nodes, values=nodes ** -2.0)
         out = rescale(fld, 2.0, 2.0)
         # same function sampled on the shrunken grid
         assert np.allclose(out.values, out.nodes ** -2.0)
 
     def test_action_property(self, lap3):
         nodes = np.geomspace(1.0, 4.0, 65)
-        fld = RadialField(n=3, nodes=nodes, values=1.0 / nodes,
-                          spacing="log")
+        fld = RadialField(n=3, nodes=nodes, values=1.0 / nodes)
         once = rescale(rescale(fld, 2.0, 1.0), 3.0, 1.0)
         direct = rescale(fld, 6.0, 1.0)
         assert np.allclose(once.nodes, direct.nodes)
@@ -93,9 +91,16 @@ class TestHadamard:
 
     def test_rejects_subharmonic_field(self, lap3):
         nodes = np.geomspace(1.0, 4.0, 65)
-        fld = RadialField(n=3, nodes=nodes, values=nodes.copy(),
-                          spacing="log")
+        fld = RadialField(n=3, nodes=nodes, values=nodes.copy())
         with pytest.raises(NotSuperharmonic):
+            hadamard_check(lap3, fld)
+
+    def test_rejects_field_off_the_solver_grid(self, lap3):
+        # an annulus grid is uniform in log r: the harmonic 1/r on nodes
+        # uniform in r is not read as a (wrongly) subharmonic log-grid field
+        nodes = np.linspace(1.0, 4.0, 65)
+        fld = RadialField(n=3, nodes=nodes, values=1.0 / nodes)
+        with pytest.raises(ValueError, match="64-cell grid of the annulus"):
             hadamard_check(lap3, fld)
 
 
@@ -122,13 +127,12 @@ class TestSphereMinCurve:
 class TestFitLowerBound:
     def test_exact_power(self):
         nodes = np.geomspace(1.0, 4.0, 65)
-        fld = RadialField(n=3, nodes=nodes, values=1.0 / nodes, spacing="log")
+        fld = RadialField(n=3, nodes=nodes, values=1.0 / nodes)
         assert fit_lower_bound(fld, 1.0) == pytest.approx(1.0)
 
     def test_slower_decay(self):
         nodes = np.geomspace(1.0, 2.0, 65)
-        fld = RadialField(n=3, nodes=nodes, values=nodes ** -0.5,
-                          spacing="log")
+        fld = RadialField(n=3, nodes=nodes, values=nodes ** -0.5)
         assert fit_lower_bound(fld, 1.0) == pytest.approx(1.0)
 
     def test_numeric_pucci_solve(self, pm3):
@@ -138,16 +142,14 @@ class TestFitLowerBound:
     def test_scale_equivariance(self):
         nodes = np.geomspace(1.0, 4.0, 65)
         fld = RadialField(n=3, nodes=nodes,
-                          values=nodes ** -1.3 * (1.1 + 0.1 * np.sin(nodes)),
-                          spacing="log")
+                          values=nodes ** -1.3 * (1.1 + 0.1 * np.sin(nodes)))
         c0 = fit_lower_bound(fld, 1.3)
         c1 = fit_lower_bound(rescale(fld, 2.0, 1.3), 1.3)
         assert c1 == pytest.approx(c0, rel=1e-9)
 
     def test_rejects_nonpositive(self):
         nodes = np.geomspace(1.0, 4.0, 65)
-        fld = RadialField(n=3, nodes=nodes, values=np.zeros_like(nodes),
-                          spacing="log")
+        fld = RadialField(n=3, nodes=nodes, values=np.zeros_like(nodes))
         with pytest.raises(ValueError):
             fit_lower_bound(fld, 1.0)
 

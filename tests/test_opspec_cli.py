@@ -324,6 +324,16 @@ class TestGoldenSamples:
         assert out.read_text() == (
             self.SAMPLES / "solve_pucci_max_annulus4.csv").read_text()
 
+    def test_solve_ball_output_reproduces(self, tmp_path):
+        # a ball's solve: the centre row first in the band, the rhs and the
+        # unknowns, as CI diffs it
+        out = tmp_path / "solve.csv"
+        code = main(["solve", "--op", str(self.SAMPLES / "pucci_max_n3.json"),
+                     "--domain", "ball:1", "--rhs-const", "1.0",
+                     "--cells", "64", "--format", "csv", "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text() == (self.SAMPLES / "solve_pucci_max_ball.csv").read_text()
+
     def test_classify_output_reproduces(self, tmp_path):
         out = tmp_path / "classify.json"
         code = main(["classify", "--op",

@@ -128,7 +128,7 @@ class TestRescaleAction:
     def test_group_action(self, s1, s2, b):
         nodes = np.geomspace(1.0, 4.0, 33)
         fld = RadialField(n=3, nodes=nodes,
-                          values=1.0 + 0.2 * np.sin(nodes), spacing="log")
+                          values=1.0 + 0.2 * np.sin(nodes))
         once = rescale(rescale(fld, s1, b), s2, b)
         direct = rescale(fld, s1 * s2, b)
         assert np.allclose(once.nodes, direct.nodes, rtol=1e-10)
@@ -140,8 +140,7 @@ class TestRescaleAction:
     def test_fit_lower_bound_equivariance(self, sigma, a):
         nodes = np.geomspace(1.0, 4.0, 33)
         fld = RadialField(n=3, nodes=nodes,
-                          values=nodes ** -a * (1.0 + 0.1 * np.cos(nodes)),
-                          spacing="log")
+                          values=nodes ** -a * (1.0 + 0.1 * np.cos(nodes)))
         c0 = fit_lower_bound(fld, a)
         c1 = fit_lower_bound(rescale(fld, sigma, a), a)
         assert c1 == pytest.approx(c0, rel=1e-8)

@@ -97,10 +97,6 @@ class TestRadialSolver:
         v = solve_dirichlet_radial(pm3, 3, scaled, 256)
         assert np.abs(v.values - u.values).max() <= 1e-8
 
-    def test_rejects_unknown_spacing(self):
-        with pytest.raises(ValueError, match="spacing must be"):
-            DirichletProblem(domain=Annulus(1.0, 2.0), n=3, spacing="lgo")
-
     def test_dimension_guard(self, lap3):
         prob = radial_problem(Annulus(1.0, 2.0), 7, lambda r: 1.0)
         with pytest.raises(ValueError):
@@ -111,11 +107,11 @@ class TestRadialField:
     def test_node_count_guard(self):
         with pytest.raises(ValueError):
             RadialField(n=3, nodes=np.array([1.0, 2.0]),
-                        values=np.array([0.0, 0.0]), spacing="log")
+                        values=np.array([0.0, 0.0]))
 
     def test_interpolation(self):
         fld = RadialField(n=3, nodes=np.array([1.0, 2.0, 3.0]),
-                          values=np.array([1.0, 2.0, 3.0]), spacing="linear")
+                          values=np.array([1.0, 2.0, 3.0]))
         assert fld(1.5) == pytest.approx(1.5)
 
     def test_csv_format(self, lap3):
@@ -135,8 +131,7 @@ class TestResidualNorm:
         values = fld.values.copy()
         delta = 1e-3
         values[30] += delta
-        bumped = RadialField(n=3, nodes=fld.nodes, values=values,
-                             spacing=fld.spacing)
+        bumped = RadialField(n=3, nodes=fld.nodes, values=values)
         h = math.log(fld.nodes[1] / fld.nodes[0])
         assert residual_norm(lap3, bumped, prob) >= 0.1 * delta / h ** 2
 
@@ -161,10 +156,10 @@ class TestResidualNorm:
         other = radial_problem(Annulus(1.0, 3.0), 3, lambda r: 1.0 / r)
         with pytest.raises(ValueError, match="grid"):
             residual_norm(lap3, fld, other)
-        linear = DirichletProblem(domain=Annulus(1.0, 2.0), n=3, spacing="linear")
+        # an annulus grid is uniform in log r: nodes uniform in r are not it
+        linear = RadialField(n=3, nodes=np.linspace(1.0, 2.0, 65), values=fld.values)
         with pytest.raises(ValueError, match="grid"):
-            residual_norm(lap3, RadialField(n=3, nodes=fld.nodes, values=fld.values,
-                                            spacing="linear"), linear)
+            residual_norm(lap3, linear, prob)
 
     def test_exact_solution_second_order(self, pm3):
         # residual of the sampled exact solution u = 2 r^{-2} decays like h^2
@@ -174,8 +169,7 @@ class TestResidualNorm:
         errs = []
         for cells in (32, 64, 128):
             nodes = np.geomspace(1.0, 2.0, cells + 1)
-            fld = RadialField(n=3, nodes=nodes, values=2.0 * nodes ** -2,
-                              spacing="log")
+            fld = RadialField(n=3, nodes=nodes, values=2.0 * nodes ** -2)
             errs.append(residual_norm(pm3, fld, prob))
         assert errs[1] <= 0.3 * errs[0] and errs[2] <= 0.3 * errs[1]
 
@@ -654,15 +648,17 @@ def _pattern_value_reference(f_op, n, a, b):
     return best
 
 
-def _radial_system_reference(f_op, n, u, h, r, spacing, rhs, is_ball):
-    """Per-node assembly of one policy-iteration sweep: (CSR matrix, rhs)."""
+def _radial_system_reference(f_op, n, u, h, r, rhs, is_ball):
+    """Per-node assembly of one policy-iteration sweep: (CSR matrix, rhs);
+    log grid on an annulus, uniform grid on a ball, whose centre comes first
+    in the rhs and the unknowns."""
     d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
     d1 = (u[2:] - u[:-2]) / (2.0 * h)
     ri_all = r[1:-1]
-    if spacing == "log":
-        a, b = (d2 - d1) / ri_all ** 2, d1 / ri_all ** 2
-    else:
+    if is_ball:
         a, b = d2, d1 / ri_all
+    else:
+        a, b = (d2 - d1) / ri_all ** 2, d1 / ri_all ** 2
     m = len(u) - 2
     nun = m + 1 if is_ball else m
     rows, cols, vals = [], [], []
@@ -670,21 +666,21 @@ def _radial_system_reference(f_op, n, u, h, r, spacing, rhs, is_ball):
     for i in range(m):
         wa, wb = _pattern_weights_reference(f_op, n, a[i], b[i])
         ri = r[1 + i]
-        if spacing == "log":
-            ca = 1.0 / (ri ** 2 * h ** 2)
-            cb = 1.0 / (ri ** 2 * 2.0 * h)
-            cm = -(wa * (ca + cb) + wb * (-cb))
-            cc = -(wa * (-2.0 * ca))
-            cp = -(wa * (ca - cb) + wb * cb)
-        else:
+        if is_ball:
             ca = 1.0 / h ** 2
             cb = 1.0 / (2.0 * h * ri)
             cm = -(wa * ca - wb * cb)
             cc = -(wa * (-2.0 * ca))
             cp = -(wa * ca + wb * cb)
+        else:
+            ca = 1.0 / (ri ** 2 * h ** 2)
+            cb = 1.0 / (ri ** 2 * 2.0 * h)
+            cm = -(wa * (ca + cb) + wb * (-cb))
+            cc = -(wa * (-2.0 * ca))
+            cp = -(wa * (ca - cb) + wb * cb)
         row = 1 + i if is_ball else i
         rows.append(row); cols.append(row); vals.append(cc)
-        rvec[row] += rhs[i]
+        rvec[row] += rhs[row]
         for node, coef in ((i, cm), (i + 2, cp)):
             if node == len(u) - 1 or (not is_ball and node == 0):
                 rvec[row] -= coef * u[node]
@@ -697,7 +693,7 @@ def _radial_system_reference(f_op, n, u, h, r, spacing, rhs, is_ball):
         w = wa + wb
         c0 = 2.0 / h ** 2
         rows += [0, 0]; cols += [0, 1]; vals += [w * c0, -w * c0]
-        rvec[0] += rhs[-1]
+        rvec[0] += rhs[0]
     return sparse.csr_matrix((vals, (rows, cols)), shape=(nun, nun)), rvec
 
 
@@ -734,20 +730,20 @@ class TestRadialKernel:
             assert value[i] == _pattern_value_reference(op, n, a[i], b[i])
 
     @pytest.mark.parametrize("name", ["pucci_max", "isaacs"])
-    @pytest.mark.parametrize("domain,spacing", [(Annulus(1.0, 16.0), "log"),
-                                                (Annulus(1.0, 3.0), "linear"),
-                                                (Ball(1.0), "auto")])
-    def test_system_matches_per_node_assembly(self, name, domain, spacing):
+    # the label is the grid the domain gives, as the solve's meta names it
+    @pytest.mark.parametrize("domain,label", [(Annulus(1.0, 16.0), "log"),
+                                              (Ball(1.0), "linear"),
+                                              (Annulus(1.0, 3.0), "log")])
+    def test_system_matches_per_node_assembly(self, name, domain, label):
         op = _radial_ops(3)[name]
-        prob = DirichletProblem(domain=domain, n=3, rhs=lambda r: math.cos(r),
-                                spacing=spacing)
+        prob = DirichletProblem(domain=domain, n=3, rhs=lambda r: math.cos(r))
         grid = _RadialGrid.for_solve(op, 3, prob, 64)
-        r, h, sp = grid.r, grid.h, grid.spacing
+        assert grid.meta["spacing"] == label
+        r, h, is_ball = grid.r, grid.h, grid.is_ball
         rhs = _radial_rhs(prob, r)
         rng = np.random.default_rng(5)
         u = np.sin(3.0 * r) + 0.1 * rng.standard_normal(r.size)
-        is_ball = isinstance(domain, Ball)
-        wa, wb = _pattern_weights(op, 3, *_radial_entries(u, h, r, sp, is_ball),
+        wa, wb = _pattern_weights(op, 3, *_radial_entries(u, h, r, is_ball),
                                   _radial_table(op))
         # the sweep's rhs is what its step hands the linear solve
         rvecs = []
@@ -755,8 +751,7 @@ class TestRadialKernel:
         grid.step((wa, wb), u, rhs)
         band, (rvec,) = grid.system((wa, wb)), rvecs
         mat = grid.matrix(band)
-        want_mat, want_rvec = _radial_system_reference(op, 3, u, h, r, sp, rhs,
-                                                       is_ball)
+        want_mat, want_rvec = _radial_system_reference(op, 3, u, h, r, rhs, is_ball)
         assert mat.nnz == want_mat.nnz
         dense, want = mat.toarray(), want_mat.toarray()
         assert np.abs(dense - want).max() <= 1e-15 * np.abs(want).max()
@@ -769,11 +764,10 @@ class TestRadialKernel:
         nodes = np.geomspace(1.0, 4.0, 65)
         rng = np.random.default_rng(3)
         fld = RadialField(n=3, nodes=nodes,
-                          values=nodes ** -1.0 + 0.01 * rng.standard_normal(65),
-                          spacing="log")
+                          values=nodes ** -1.0 + 0.01 * rng.standard_normal(65))
         # the solver's step: that of the linspace in log r, not log(r1 / r0)
         t = np.linspace(math.log(1.0), math.log(4.0), 65)
-        a, b = _radial_entries(fld.values, t[1] - t[0], nodes, "log", is_ball=False)
+        a, b = _radial_entries(fld.values, t[1] - t[0], nodes, is_ball=False)
         want = min(_pattern_value_reference(op, 3, a[i], b[i])
                    for i in range(a.size))
         assert _signed_min_residual(op, fld) == want
@@ -793,15 +787,15 @@ class TestRadialKernel:
         if isinstance(prob.domain, Annulus):
             assert _signed_min_residual(op, fld) == 0.9999999999984794
         else:
-            assert fu.argmin() == fu.size - 1        # the centre row
-            assert fu[:-1].min() > fu.min()
+            assert fu.argmin() == 0                  # the centre row, first
+            assert fu[1:].min() > fu.min()
 
 
 # ---------------------------------------------------------------------------
 # the linear solve, warm starts and field-valued rhs
 
 SQUARE = Rectangle(0.0, 1.0, 0.0, 1.0)
-SOLVE_CASES = ["log", "linear", "ball", "laplacian_2d", "pucci_2d", "isaacs_2d",
+SOLVE_CASES = ["log", "isaacs", "ball", "laplacian_2d", "pucci_2d", "isaacs_2d",
                "annulus_2d"]
 
 
@@ -813,10 +807,10 @@ def _case(name):
                                 rhs=lambda r: math.cos(r),
                                 boundary=lambda r: 1.0 / r)
         return pucci_max(1.0, 2.0, 3), prob, 128
-    if name == "linear":
+    if name == "isaacs":
         prob = DirichletProblem(domain=Annulus(1.0, 3.0), n=3,
                                 rhs=lambda r: math.sin(2.0 * r),
-                                boundary=lambda r: r, spacing="linear")
+                                boundary=lambda r: r)
         return _radial_ops(3)["isaacs"], prob, 128
     if name == "ball":
         prob = DirichletProblem(domain=Ball(1.0), n=3, rhs=lambda r: 1.0 + r,
@@ -962,10 +956,11 @@ class TestFactorizationReuse:
 class TestSkeletonCache:
     @pytest.mark.parametrize("name", ["laplacian", "pucci_max", "pucci_min",
                                       "isaacs"])
-    @pytest.mark.parametrize("domain,spacing", [(Annulus(1.0, 4.0), "log"),
-                                                (Annulus(1.0, 3.0), "linear"),
-                                                (Ball(1.0), "auto")])
-    def test_cached_order_is_superlus(self, monkeypatch, name, domain, spacing):
+    # the label is the grid the domain gives, as the solve's meta names it
+    @pytest.mark.parametrize("domain,label", [(Annulus(1.0, 4.0), "log"),
+                                              (Ball(1.0), "linear"),
+                                              (Annulus(1.0, 3.0), "log")])
+    def test_cached_order_is_superlus(self, monkeypatch, name, domain, label):
         monkeypatch.setattr(solver, "_SKELETONS", {})
         seen = []
         inner = _RadialGrid._solve
@@ -977,10 +972,10 @@ class TestSkeletonCache:
         monkeypatch.setattr(_RadialGrid, "_solve", spy)
         op = _radial_ops(3)[name]
         for cells in (8, 33, 128, 512):
-            prob = DirichletProblem(domain=domain, n=3, spacing=spacing,
+            prob = DirichletProblem(domain=domain, n=3,
                                     rhs=lambda r: math.cos(3.0 * r),
                                     boundary=lambda r: 1.0 / (1.0 + r))
-            solve_dirichlet_radial(op, 3, prob, cells)
+            assert solve_dirichlet_radial(op, 3, prob, cells).meta["spacing"] == label
         assert sorted(solver._SKELETONS) == sorted({len(b) for _, b in seen})
         for grid, band in seen:
             nun = len(band)
@@ -1008,7 +1003,7 @@ class TestSkeletonCache:
         # the skeleton
         monkeypatch.setattr(solver, "_SKELETONS", {})
         for nun in (7, 8, 16, 33):
-            grid = _RadialGrid(laplacian(3), 3, None, None, "log", False)
+            grid = _RadialGrid(laplacian(3), 3, None, None, False)
             for k in range(200):
                 off = -rng.choice([0.0, 0.5, 1.0, 2.0], size=(nun, 2))
                 diag = -off.sum(axis=1) + rng.choice([0.0, 0.0, 0.25, 1.0], size=nun)
@@ -1187,15 +1182,16 @@ class TestFieldRhs:
     @pytest.mark.parametrize("on_grid", [True, False])
     def test_radial_field_is_the_per_node_rhs(self, domain, on_grid):
         prob = DirichletProblem(domain=domain, n=3, boundary=lambda r: 0.25)
-        r = _radial_grid(prob, 64)[0]
+        r = _radial_grid(domain, 64)[0]
         nodes = r if on_grid else np.linspace(r[0], r[-1], 41)
-        fld = RadialField(n=3, nodes=nodes, values=2.0 + np.sin(3.0 * nodes),
-                          spacing="linear")
+        fld = RadialField(n=3, nodes=nodes, values=2.0 + np.sin(3.0 * nodes))
         per_node = replace(prob, rhs=lambda x: float(fld(x)))
         as_field = replace(prob, rhs=fld)
         assert np.array_equal(_radial_rhs(as_field, r), _radial_rhs(per_node, r))
         if on_grid:
-            assert np.array_equal(_radial_rhs(as_field, r)[:63], fld.values[1:-1])
+            # the interior nodes follow a ball's centre
+            start = int(isinstance(domain, Ball))
+            assert np.array_equal(_radial_rhs(as_field, r)[start:], fld.values[1:-1])
         op = pucci_max(1.0, 2.0, 3)
         assert np.array_equal(solve_dirichlet_radial(op, 3, as_field, 64).values,
                               solve_dirichlet_radial(op, 3, per_node, 64).values)
@@ -1220,10 +1216,10 @@ class TestFieldRhs:
 
 
 def _per_node_rhs(problem, r):
-    """The radial rhs as one ``rhs_at`` call per node (a ball's centre last)."""
+    """The radial rhs as one ``rhs_at`` call per node (a ball's centre first)."""
     pts = list(r[1:-1])
     if isinstance(problem.domain, Ball):
-        pts.append(r[1] * 1e-8)
+        pts.insert(0, r[1] * 1e-8)
     return np.array([problem.rhs_at(x) for x in pts])
 
 
@@ -1235,18 +1231,21 @@ def _per_node_2d(fn, mask, grid):
 class TestProblemData:
     """rhs and boundary values read in bulk equal the per-node wrappers."""
 
-    @pytest.mark.parametrize("domain,spacing", [
-        (Annulus(1.0, 16.0), "log"), (Annulus(0.5, 3.0), "linear"),
-        (Ball(2.0), "auto")])
-    def test_radial_rhs_is_the_per_node_rhs(self, domain, spacing):
+    # the label is the grid the domain gives: uniform in log r or in r
+    @pytest.mark.parametrize("domain,label", [(Annulus(1.0, 16.0), "log"),
+                                              (Ball(2.0), "linear"),
+                                              (Annulus(0.5, 3.0), "log")])
+    def test_radial_rhs_is_the_per_node_rhs(self, domain, label):
         seen = []
 
         def rhs(r):
             seen.append(type(r))
             return math.cos(3.0 * r) / (0.1 + r) + r ** 2
 
-        prob = DirichletProblem(domain=domain, n=3, rhs=rhs, spacing=spacing)
-        r = _radial_grid(prob, 97)[0]
+        prob = DirichletProblem(domain=domain, n=3, rhs=rhs)
+        r, h = _radial_grid(domain, 97)
+        steps = np.diff(np.log(r) if label == "log" else r)
+        assert np.allclose(steps, h, rtol=1e-12, atol=0.0)
         got = _radial_rhs(prob, r)
         assert set(seen) == {float}
         assert np.array_equal(got, _per_node_rhs(prob, r))
@@ -1275,6 +1274,20 @@ class TestProblemData:
         _, _, want = _annulus_reference(dom, 1.0 / 8, prob.boundary_at)
         assert np.array_equal(grid.boundary_values, want, equal_nan=True)
 
+    def test_data_must_be_none_or_callable(self):
+        # a constant or a Field2D fails at construction, naming the field and
+        # the type it got; a RadialField is callable and stays a valid rhs
+        fld = Field2D(h=0.5, x0=0.0, y0=0.0, values=np.ones((3, 3)),
+                      interior=np.zeros((3, 3), dtype=bool))
+        for kwargs, want in (({"rhs": 1.0}, "rhs must be None or callable, got float"),
+                             ({"boundary": 1.0}, "boundary must be None or callable"),
+                             ({"rhs": fld}, "rhs must be None or callable, got Field2D")):
+            with pytest.raises(TypeError, match=want):
+                DirichletProblem(domain=SQUARE, n=2, **kwargs)
+        nodes = np.linspace(1.0, 2.0, 5)
+        radial = RadialField(n=3, nodes=nodes, values=nodes)
+        assert DirichletProblem(domain=Annulus(1.0, 2.0), n=3, rhs=radial).rhs is radial
+
     @pytest.mark.parametrize("domain", [Annulus(1.0, 2.0), Ball(1.0),
                                         Rectangle(0.0, 1.0, 0.0, 1.0)])
     def test_none_data_are_zero_without_a_call(self, monkeypatch, domain):
@@ -1289,7 +1302,7 @@ class TestProblemData:
             assert np.array_equal(grid.rhs(prob), np.zeros(grid.nodes.size))
             assert not grid.boundary_values[~grid.interior].any()
             return
-        r = _radial_grid(prob, 64)[0]
+        r = _radial_grid(domain, 64)[0]
         got = _radial_rhs(prob, r)
         assert np.array_equal(got, np.zeros(r.size - 1 - (not isinstance(domain, Ball))))
         if isinstance(domain, Annulus):
@@ -1316,7 +1329,7 @@ class TestHowardStop:
         assert calls == ["factorize", "solve"]
         history = exc.value.history
         assert len(history) == 2
-        r, _, _ = _radial_grid(prob, cells)
+        r, _ = _radial_grid(prob.domain, cells)
         floor = 4.0 * np.finfo(float).eps / np.diff(r).min() ** 2  # |u| = 1
         msg = str(exc.value)
         assert f"residual {history[-1]:.2e} above tolerance 2.00e-10" in msg
