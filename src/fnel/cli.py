@@ -197,6 +197,7 @@ def _cmd_eigen(args, op, n):
         "lambda1": res.lambda1,
         "iterations": res.iterations,
         "drift": res.drift,
+        "bracket": list(res.bracket),
     }
     res.eigenfield.meta.update(_echo(args, op))
     return payload, res.eigenfield.to_csv()

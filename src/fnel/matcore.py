@@ -22,6 +22,7 @@ import numpy as np
 MAX_DIM = 8
 ROTATION_SAMPLES = 64  # random (M, rotated M) pairs behind an Isaacs rot_invariant claim
 ROTATION_SEED = 0
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 LAPLACIAN = "laplacian"
 PUCCI_MAX = "pucci_max"
@@ -142,9 +143,24 @@ class SymMatrix:
         return float(np.linalg.norm(self.entries))
 
 
+def _eigvalsh(a):
+    """Ascending eigenvalues of each matrix of the (..., n, n) stack a, from
+    LAPACK (``np.linalg.eigvalsh``), the module's one caller of it.  First each
+    nonzero entry below sqrt(tiny) times its matrix's largest is flushed to
+    zero: its square underflows and can cost LAPACK digits of the largest
+    eigenvalues, while flushing it moves each eigenvalue by less than its size
+    (Weyl).  A matrix with no such entry is passed on as it is."""
+    mag = np.abs(a)
+    # none below sqrt(tiny) times the stack's largest: none below its matrix's
+    if ((mag < _SQRT_TINY * mag.max(initial=0.0)) & (mag > 0)).any():
+        big = mag.max(axis=(-2, -1), keepdims=True)
+        a = np.where((mag < _SQRT_TINY * big) & (mag > 0), 0.0, a)
+    return np.linalg.eigvalsh(a)
+
+
 def eigenvalues_sym(m: SymMatrix) -> list:
-    """Ascending eigenvalues of m, from LAPACK (``np.linalg.eigvalsh``)."""
-    return np.linalg.eigvalsh(m.entries).tolist()
+    """Ascending eigenvalues of m, from ``_eigvalsh``."""
+    return _eigvalsh(m.entries).tolist()
 
 
 @dataclass(frozen=True)
@@ -185,10 +201,10 @@ class EllipticOperator:
             if not self.families:
                 raise InvalidOperator("isaacs kind needs a nonempty family")
             fams = tuple(tuple(row) for row in self.families)
-            # the bounds checks below read one eigvalsh of every well-formed control
+            # the bounds checks below read one _eigvalsh of every well-formed control
             ok = [a.entries for row in fams for a in row
                   if isinstance(a, SymMatrix) and a.dim == self.dim]
-            bounds = iter(np.linalg.eigvalsh(np.array(ok))[:, [0, -1]].tolist() if ok else ())
+            bounds = iter(_eigvalsh(np.array(ok))[:, [0, -1]].tolist() if ok else ())
             for i, row in enumerate(fams):
                 if not row:
                     raise InvalidOperator(f"sup family {i} is empty")
@@ -301,9 +317,9 @@ def eval_operator(f: EllipticOperator, m):
     if f.kind == LAPLACIAN:
         val = -np.trace(a, axis1=-2, axis2=-1)
     elif f.kind == PUCCI_MAX:
-        val = pucci_max_value(f.lam, f.Lam, np.linalg.eigvalsh(a))
+        val = pucci_max_value(f.lam, f.Lam, _eigvalsh(a))
     elif f.kind == PUCCI_MIN:
-        val = pucci_min_value(f.lam, f.Lam, np.linalg.eigvalsh(a))
+        val = pucci_min_value(f.lam, f.Lam, _eigvalsh(a))
     else:
         val = _isaacs_value(f, a.reshape(a.shape[:-2] + (1, 1, f.dim ** 2, 1)))
     return float(val) if single else val
@@ -408,7 +424,7 @@ def verify_ellipticity(f: EllipticOperator, samples: int, seed: int) -> Elliptic
     slack = 1e-9 * (1.0 + np.abs(fm) + trn)
     h1 = ~((lo - slack <= fmn - fm) & (fmn - fm <= hi + slack))
     h2 = np.abs(ftm - t * fm) > 1e-10 * (1.0 + np.abs(t * fm))
-    eigs = np.linalg.eigvalsh(m)
+    eigs = _eigvalsh(m)
     pmin = pucci_min_value(f.lam, f.Lam, eigs)
     pmax = pucci_max_value(f.lam, f.Lam, eigs)
     sandwich = ~((pmin - slack <= fm) & (fm <= pmax + slack))

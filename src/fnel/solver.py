@@ -45,15 +45,13 @@ pattern; only the rows next to the boundary add boundary data to a step's rhs.
 Problem data are None (zero) or callables, else ``DirichletProblem`` raises
 TypeError; they are called once per node, in node order, into one array.  A
 grid is built once per solve, or once per ``principal_eigenvalue``, whose
-steps hand it over in an ``_OnGrid`` problem with the rhs as an array.
-``_HeldLU`` keeps its last sweep's policy with the LU of its
-``system(policy)``, factorized once per new policy, and its last evaluation
-(u, F_h u, policy).  A solve starts from that evaluation, or from ``first`` on
-a fresh grid, so each step on a held grid continues from the previous step's
-solution: it evaluates F_h once per sweep and builds only the sweep's rhs.
-COLAMD reads a matrix's sparsity pattern alone, so one cache, ``_SKELETONS``,
-holds its order per pattern for both grids; a later matrix of a held pattern
-is built in that order and factorized in its natural order, with the bits of
+seed solve hands it over in an ``_OnGrid`` problem with the rhs as an array;
+every solve starts from the grid's ``first``.  ``_HeldLU`` keeps its last
+sweep's policy with the LU of its ``system(policy)``, factorized once per new
+policy; the eigen loop's linear steps solve with it too.  COLAMD reads a
+matrix's sparsity pattern alone, so one cache, ``_SKELETONS``, holds its
+order per pattern for both grids; a later matrix of a held pattern is built
+in that order and factorized in its natural order, with the bits of
 SuperLU's own COLAMD run.  A radial skeleton permutes rows and columns alike,
 which keeps SuperLU's preferred pivot on the diagonal of the tridiagonal
 bands' ties; a 2D matrix permutes its columns only, since moving its rows too
@@ -104,12 +102,12 @@ class NonMonotoneScheme(ValueError):
 # Howard policy iteration
 
 
-def _howard(evaluate, solve, first, rhs, tol, h_min):
-    """Policy iteration from the evaluation ``first`` = (u, F_h u, policy),
-    stopped as the module docstring says (h_min is the grid's smallest step);
-    returns the solution and its residual.  ``evaluate(u)`` gives the
-    evaluation at u, ``solve(policy)`` the iterate with that policy frozen."""
-    u, fu, policy = first
+def _howard(apply, solve, u, rhs, tol, h_min):
+    """Policy iteration from the iterate u, stopped as the module docstring
+    says (h_min is the grid's smallest step); returns the solution and its
+    residual.  ``apply(u)`` gives F_h u and the policy at u, ``solve(policy)``
+    the iterate with that policy frozen."""
+    fu, policy = apply(u)
     res = _misfit(fu, rhs)
     history = [res]
     while not res <= tol:                # a NaN residual never passes
@@ -117,7 +115,8 @@ def _howard(evaluate, solve, first, rhs, tol, h_min):
             raise PolicyIterationDiverged(
                 f"policy iteration did not reach tolerance {tol:.2e} in "
                 f"{ITERATION_CAP} sweeps (last residual {res:.2e})", history)
-        u, fu, new = evaluate(solve(policy))
+        u = solve(policy)
+        fu, new = apply(u)
         res = _misfit(fu, rhs)
         history.append(res)
         if not res <= tol and _same(new, policy):
@@ -143,16 +142,13 @@ def _same(policy, other):
 
 def _solve_on(grid, rhs):
     """Howard's loop on a solve's grid (``for_solve`` of either grid class) for
-    the rhs at its rhs points; the grid's field of the solution.  It starts
-    from the grid's held evaluation, or evaluates ``first`` on a fresh grid."""
+    the rhs at its rhs points, from the grid's ``first``; the grid's field of
+    the solution."""
     tol = RESIDUAL_TOL * sum((1.0, np.abs(rhs).max(initial=0.0), *grid.tol_terms))
-    held = grid._evaluated
-    if held is None:
-        held = grid.evaluate(grid.first.copy())
     # a step reads only the boundary data of the iterate it is given: those of
     # ``first``, which every iterate on the grid keeps
-    u, res = _howard(grid.evaluate, lambda policy: grid.step(policy, held[0], rhs),
-                     held, rhs, tol, grid.h_min)
+    u, res = _howard(grid.apply, lambda policy: grid.step(policy, grid.first, rhs),
+                     grid.first, rhs, tol, grid.h_min)
     return grid.field(u, {**grid.meta, "residual": res})
 
 
@@ -161,25 +157,17 @@ def _solve_on(grid, rhs):
 
 
 class _HeldLU:
-    """A grid's one-slot caches: ``_held = (policy, factors)`` of the last
-    sweep, and ``_evaluated = (u, F_h u, policy)``, its last ``evaluate``,
-    where the grid's next solve starts.  On one grid the policy frozen for a
-    sweep fixes its matrix.  A new policy is factorized once, by
-    ``_factorize(system(policy))``, after the old factors are dropped; its
-    repeats only solve with the held LU.  Each grid factorizes the transpose
-    of the sweep's matrix and solves with ``trans="T"``: the triangular solves
-    spsolve runs on the matrix in CSR, so the bits are spsolve's.  A
-    factorization of a sparsity pattern held in ``_SKELETONS`` skips COLAMD:
-    the radial grid fills its skeleton, rows and columns in the held order,
-    and the 2D grid orders its columns alone."""
+    """A grid's one-slot cache ``_held = (policy, factors)`` of the last sweep.
+    On one grid the policy frozen for a sweep fixes its matrix.  A new policy
+    is factorized once, by ``_factorize(system(policy))``, after the old
+    factors are dropped; its repeats only solve with the held LU.  Each grid
+    factorizes the transpose of the sweep's matrix and solves with
+    ``trans="T"``: the triangular solves spsolve runs on the matrix in CSR, so
+    the bits are spsolve's.  A factorization of a sparsity pattern held in
+    ``_SKELETONS`` skips COLAMD: the radial grid fills its skeleton, rows and
+    columns in the held order, and the 2D grid orders its columns alone."""
 
     _held = (None, None)
-    _evaluated = None
-
-    def evaluate(self, u):
-        """(u, F_h u, policy), held as the grid's last evaluation."""
-        self._evaluated = (u, *self.apply(u))
-        return self._evaluated
 
     def _solve(self, policy, rhs):
         """The sweep's solution for a frozen policy.  ``_factorize`` gives (LU,
@@ -287,9 +275,9 @@ class DirichletProblem:
 
 @dataclass(frozen=True)
 class _OnGrid(DirichletProblem):
-    """A step of inverse iteration: zero boundary data, the rhs an array at the
-    rhs points of a grid built once for the same solve arguments, and the grid,
-    whose held evaluation the step continues from."""
+    """The seed solve of ``principal_eigenvalue``: zero boundary data, the rhs
+    an array at the rhs points of the grid, built once for the same solve
+    arguments, that the eigen loop goes on to use."""
 
     grid: object = None
 
@@ -425,13 +413,16 @@ def _sup_inf(rows):
     ``rows`` yields one (controls, nodes) array of values per sup-row.
     Returns the value and the chosen row and control per node.  Ties go to
     the first minimum within a row and to the first row that is strictly
-    larger.
+    larger.  A row of one control takes it with no ``argmin`` or gather.
     """
     for r, vals in enumerate(rows):
-        k = vals.argmin(axis=0)
-        worst = vals[k, np.arange(k.size)]
-        if r == 0:
-            best, row, ctl = worst, np.zeros_like(k), k
+        if len(vals) == 1:
+            k, worst = np.zeros(vals.shape[1], dtype=np.intp), vals[0]
+        else:
+            k = vals.argmin(axis=0)
+            worst = vals[k, np.arange(k.size)]
+        if r == 0:                       # best is updated in place: no view of vals
+            best, row, ctl = worst.copy(), np.zeros_like(k), k
         else:
             up = worst > best
             best[up], row[up], ctl[up] = worst[up], r, k[up]

@@ -1,23 +1,31 @@
-"""Principal half-eigenvalue estimation by inverse power iteration.
+"""Principal half-eigenvalue by policy iteration on the eigenproblem.
 
-Each step solves F(D^2 u_{k+1}) = u_k with zero boundary data and
-sup-normalizes; the reciprocal of the pre-normalization sup-norm converges
-to the first eigenvalue associated with a positive eigenfunction.  One loop
-in ``principal_eigenvalue`` serves both grids: each supplies its grid, first
-iterate and step u -> solution, the iterate is read at the grid's unknowns,
-and the eigenfield is the last solution rescaled.
+``principal_eigenvalue`` runs Howard's loop on F_h u = lambda u with zero
+boundary data (Rothblum, Math. Oper. Res. 1984), on either grid's ``apply``,
+held LU ``_solve`` and ``unknown``, where the iterate x lives:
 
-The grid is built once per call and held: each step hands the solver u_k as
-an array at the grid's rhs points in an ``_OnGrid`` problem, and the solve
-continues from the grid's held evaluation, the previous step's raw solution
-with its F_h u and policy.  F is positively homogeneous, so that solution is
-the next one up to the drift: a step then takes one policy sweep with the
-previous policy and solves with the held LU, one evaluation of F_h and one
-LU solve per sweep, no assembly.
+- *Seed.* One nonlinear solve of F(D^2 w) = bump, handed the grid in an
+  ``_OnGrid`` problem; x = w / max w, and ``apply`` at x picks the policy.
+- *Phases.* With that policy frozen F_h is linear: inverse iteration solves
+  w = L^{-1} x with its held LU, lambda = 1 / max w, x = w / max w.  Zero
+  boundary data need no rhs fix-up; a ball's centre row reads x there.
+- *Stop.* ``apply`` is read at x once per policy when the drift
+  |lambda_k - lambda_{k-1}| / lambda first falls to sqrt(tol), and again at
+  tol.  A new policy starts a new phase.  The loop stops at drift <= tol once
+  F_h picks the frozen policy again, or when the step after a policy change
+  made at drift <= tol moves lambda by at most tol too: a sup-inf tie that
+  round-off breaks either way.  ``iterations`` counts the seed and the
+  linear solves, at most EIGEN_ITERATION_CAP.
+
+The bracket (min, max) of F_h u / u at the returned eigenvector u comes from
+the last evaluation.  For a monotone, positively homogeneous F_h it holds the
+discrete lambda1 (Collatz-Wielandt; Gaubert and Gunawardena, Trans. AMS
+2004), so lambda is moved into it where round-off left it outside.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +33,7 @@ import numpy as np
 from .matcore import EllipticOperator
 from .solver import (
     Annulus, Ball, DirichletProblem, Rectangle, _Grid2D, _OnGrid, _RadialGrid,
-    solve_dirichlet_2d, solve_dirichlet_radial,
+    _same, solve_dirichlet_2d, solve_dirichlet_radial,
 )
 
 EIGEN_ITERATION_CAP = 500
@@ -41,6 +49,7 @@ class EigenResult:
     eigenfield: object
     iterations: int
     drift: float
+    bracket: tuple          # (min, max) of F_h u / u at the eigenvector u
 
     def __post_init__(self):
         if self.lambda1 <= 0:
@@ -52,70 +61,65 @@ def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
     """First half-eigenvalue of F on a bounded annulus, ball, or rectangle."""
     if not tol > 0:                       # NaN too
         raise ValueError("tol must be positive")
+    n, problem = f_op.dim, DirichletProblem(domain=domain, n=f_op.dim)
     if isinstance(domain, (Annulus, Ball)):
-        grid, u, step = _radial_steps(f_op, domain, cells)
+        grid = _RadialGrid.for_solve(f_op, n, problem, cells)
     elif isinstance(domain, Rectangle):
-        grid, u, step = _grid_steps(f_op, domain, cells)
+        grid = _Grid2D.for_solve(f_op, problem, domain.grid_step(cells))
     else:
         raise TypeError("domain must be an annulus, ball, or rectangle")
-    u = u / u.max()
-    lam_prev = None
-    for it in range(1, EIGEN_ITERATION_CAP + 1):
-        sol = step(u)
-        vin = sol.values.ravel()[grid.unknown]       # a ball's centre included
-        if vin.min() <= 0:
-            raise IterationFailure(
-                "iterate lost positivity; discretization failure")
-        sup = float(vin.max())
-        lam = 1.0 / sup
-        u = np.where(np.isnan(sol.values), 0.0, sol.values / sup)  # NaN off a 2D domain
-        if lam_prev is not None:
-            drift = abs(lam - lam_prev) / lam
-            if drift <= tol:
-                field = grid.field(sol.values / sup, {**sol.meta, "lambda1": lam})
-                return EigenResult(lambda1=lam, eigenfield=field,
-                                   iterations=it, drift=drift)
+    bump = _bump(domain, grid)
+    problem = _OnGrid(domain=domain, n=n, rhs=bump / bump.max(), grid=grid)
+    seed = (solve_dirichlet_2d(f_op, problem, grid.h) if isinstance(domain, Rectangle)
+            else solve_dirichlet_radial(f_op, n, problem, cells))
+    u, known = grid.first.copy(), grid.unknown         # zero boundary data
+    lam, u[known] = _normalized(seed.values.ravel()[known])
+    policy = grid.apply(u)[1]
+    check, tie = math.sqrt(tol), False
+    for it in range(2, EIGEN_ITERATION_CAP + 1):
         lam_prev = lam
+        lam, u[known] = _normalized(grid._solve(policy, u[known]))
+        drift = abs(lam - lam_prev) / lam
+        if not drift <= check:
+            tie = False
+            continue
+        fu, new = grid.apply(u)
+        same = _same(new, policy)
+        if drift <= tol and (same or tie):
+            ratio = fu / u[known]
+            bracket = (float(ratio.min()), float(ratio.max()))
+            # the bracket holds lambda1: moved into it, lambda only nears it
+            lam = min(max(lam, bracket[0]), bracket[1])
+            field = grid.field(u, {**grid.meta, "lambda1": lam,
+                                   "lambda_lo": bracket[0], "lambda_hi": bracket[1]})
+            return EigenResult(lambda1=lam, eigenfield=field, iterations=it,
+                               drift=drift, bracket=bracket)
+        # a policy changed at drift <= tol is a tie broken by round-off if the
+        # next step moves lambda by at most tol too
+        policy, check, tie = new, tol if same else math.sqrt(tol), drift <= tol
     raise IterationFailure(
         f"eigenvalue iteration did not converge in {EIGEN_ITERATION_CAP} steps")
 
 
-def _radial_steps(f_op, domain, cells):
-    """The radial grid, first iterate and step u -> solution."""
-    n = f_op.dim
-    grid = _RadialGrid.for_solve(f_op, n, DirichletProblem(domain=domain, n=n),
-                                cells)
-    nodes = grid.r
+def _normalized(w):
+    """(1 / max w, w / max w) for an iterate w, which must stay positive."""
+    if not w.min() > 0:
+        raise IterationFailure("iterate lost positivity; discretization failure")
+    sup = float(w.max())
+    return 1.0 / sup, w / sup
+
+
+def _bump(domain, grid):
+    """A positive bump at the grid's unknowns, zero on the domain's boundary."""
+    if isinstance(domain, Rectangle):
+        i, j = np.nonzero(grid.interior)
+        x, y = grid.x0 + i * grid.h, grid.y0 + j * grid.h
+        return (np.minimum(x - domain.x0, domain.x1 - x) / (domain.x1 - domain.x0)
+                * np.minimum(y - domain.y0, domain.y1 - y) / (domain.y1 - domain.y0))
+    r = grid.r[grid.unknown]             # a ball's centre included
     if isinstance(domain, Annulus):
-        half = 0.5 * (domain.r1 - domain.r0)
-        bump = np.minimum(nodes - domain.r0, domain.r1 - nodes) / half
-    else:
-        bump = (domain.r1 - nodes) / domain.r1
-
-    def step(u):
-        problem = _OnGrid(domain=domain, n=n, rhs=np.interp(grid.pts, nodes, u),
-                          grid=grid)
-        return solve_dirichlet_radial(f_op, n, problem, cells)
-
-    return grid, np.maximum(bump, 0.0), step
-
-
-def _grid_steps(f_op, domain, cells):
-    """The 2D grid, first iterate and step u -> solution."""
-    h = domain.grid_step(cells)
-    grid = _Grid2D.for_solve(f_op, DirichletProblem(domain=domain, n=2), h)
-    nx, ny = grid.interior.shape
-    x = grid.x0 + np.arange(nx)[:, None] * grid.h
-    y = grid.y0 + np.arange(ny)[None, :] * grid.h
-
-    def step(u):
-        problem = _OnGrid(domain=domain, n=2, rhs=u[grid.interior], grid=grid)
-        return solve_dirichlet_2d(f_op, problem, h)
-
-    return grid, np.maximum(0.0, np.minimum(x - domain.x0, domain.x1 - x)
-                            / (domain.x1 - domain.x0)
-                            * np.minimum(y - domain.y0, domain.y1 - y)
-                            / (domain.y1 - domain.y0)), step
+        return np.minimum(r - domain.r0, domain.r1 - r) / (0.5 * (domain.r1 - domain.r0))
+    return (domain.r1 - r) / domain.r1
 
 
 def eigen_scaling_check(f_op: EllipticOperator, domain, sigma: float,

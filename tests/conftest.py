@@ -1,7 +1,23 @@
 import numpy as np
 import pytest
 
-from fnel import isaacs, laplacian, pucci_max, pucci_min
+from fnel import isaacs, laplacian, pucci_max, pucci_min, spectral
+
+
+@pytest.fixture(autouse=True, scope="session")
+def eigen_results_lie_in_their_bracket():
+    """Every EigenResult made in the suite has lambda1 inside its bracket, the
+    min and max of F_h u / u at its eigenvector."""
+    post = spectral.EigenResult.__post_init__
+
+    def checked(self):
+        post(self)
+        lo, hi = self.bracket
+        assert lo <= self.lambda1 <= hi, (self.lambda1, self.bracket)
+
+    spectral.EigenResult.__post_init__ = checked
+    yield
+    spectral.EigenResult.__post_init__ = post
 
 
 @pytest.fixture

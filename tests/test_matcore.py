@@ -198,6 +198,35 @@ class TestEigenvaluesSym:
             assert all(x <= y for x, y in zip(eigs, eigs[1:]))
 
 
+class TestTinyEntries:
+    # _eigvalsh, the one caller of LAPACK's eigvalsh, flushes each nonzero
+    # entry below sqrt(tiny) times its matrix's largest to zero first
+    E = 8.60565279e-162
+
+    def test_underflowing_entries_are_flushed(self):
+        # unflushed, LAPACK read the eigenvalues of 5m as +-4.99833
+        m = np.array([[self.E, 0.0, 1.0], [0.0, 0.0, self.E], [1.0, self.E, 0.0]])
+        assert eigenvalues_sym(SymMatrix.from_dense(5.0 * m)) == [-5.0, 0.0, 5.0]
+        assert eval_operator(pucci_max(1.0, 2.0, 3), SymMatrix.from_dense(5.0 * m)) == 5.0
+        assert eval_operator(pucci_max(1.0, 2.0, 3), (5.0 * m)[None]).tolist() == [5.0]
+
+    def test_other_inputs_keep_their_bits(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((200, 4, 4))
+        a = 0.5 * (a + a.swapaxes(1, 2))
+        a[::3, 0, 1] = a[::3, 1, 0] = -0.0
+        a[1::3] *= 1e-200               # tiny matrices are scaled by their own largest
+        assert np.array_equal(matcore._eigvalsh(a), np.linalg.eigvalsh(a))
+        assert np.array_equal(matcore._eigvalsh(a)[1], np.linalg.eigvalsh(a[1]))
+        assert matcore._eigvalsh(np.zeros((0, 3, 3))).shape == (0, 3)
+
+    def test_flushed_per_matrix(self):
+        m = np.array([[self.E, 1.0], [1.0, 0.0]])
+        got = matcore._eigvalsh(np.stack([m, m * 1e-200]))
+        assert np.array_equal(got[0], np.linalg.eigvalsh(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        assert np.array_equal(got[1], np.linalg.eigvalsh(m * 1e-200))
+
+
 class TestOperatorConstruction:
     def test_laplacian_forces_unit_constants(self):
         op = laplacian(3)

@@ -178,6 +178,8 @@ class TestCliCommands:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["lambda1"] == pytest.approx(math.pi ** 2, rel=0.02)
+        lo, hi = payload["bracket"]
+        assert lo <= payload["lambda1"] <= hi
 
     def test_certificate_csv_curve(self, tmp_path):
         path = write_spec(tmp_path, {"n": 3, "kind": "laplacian"})

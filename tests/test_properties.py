@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fnel import (
     Annulus, DirichletProblem, HomogeneousProfile, beta_star, cone_map_A,
@@ -65,6 +65,12 @@ class TestOperatorAlgebra:
 
     @given(sym_matrices(), ellipticity_pairs(),
            st.floats(min_value=0.01, max_value=50.0))
+    # entries whose squares underflow: F(5m) read 4.99833 before they were
+    # flushed to zero ahead of LAPACK
+    @example(SymMatrix.from_dense(np.array([[8.60565279e-162, 0.0, 1.0],
+                                            [0.0, 0.0, 8.60565279e-162],
+                                            [1.0, 8.60565279e-162, 0.0]])),
+             (1.0, 2.0), 5.0)
     @settings(max_examples=150, deadline=None)
     def test_positive_homogeneity(self, m, pair, t):
         lam, Lam = pair

@@ -399,6 +399,31 @@ class TestKernel2D:
             want_coef = np.array([[c[o] for o in order] for c in chosen])
             assert np.array_equal(coef[row, ctl], want_coef)
 
+    @pytest.mark.parametrize("make", [laplacian, pucci_max, pucci_min])
+    def test_one_control_rows_keep_the_bits(self, make):
+        # a row of one control (every row of pucci_max and the Laplacian)
+        # skips argmin and the gather, with the bits of the generic path; the
+        # caller's rows are left as they were
+        op = make(2) if make is laplacian else make(1.0, 2.0, 2)
+        coef = _stencil_coefficients(_control_families(op), 1.0 / 32)
+        grid = _Grid2D.build(DirichletProblem(domain=Rectangle(0.0, 1.0, 0.0, 1.0),
+                                              n=2), 1.0 / 32)
+        u9 = np.random.default_rng(1).standard_normal(grid.interior.size)[grid.nbr]
+        rows = [block @ u9 for block in coef]
+        kept = [r.copy() for r in rows]
+        got = solver._sup_inf(iter(rows))
+        for r, vals in enumerate(kept):            # the generic path
+            k = vals.argmin(axis=0)
+            worst = vals[k, np.arange(k.size)]
+            if r == 0:
+                best, row, ctl = worst.copy(), np.zeros_like(k), k
+            else:
+                up = worst > best
+                best[up], row[up], ctl[up] = worst[up], r, k[up]
+        for a, b in zip(got, (best, row, ctl)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, kept))
+
     @pytest.mark.parametrize("sign,want_ctl,want_f", [(1.0, 0, -8.0),
                                                       (-1.0, 1, 4.0)])
     def test_tie_breaks(self, sign, want_ctl, want_f):
@@ -1097,8 +1122,8 @@ class TestSkeletonCache:
 
 def _held_solves(name):
     """The grid of ``_case(name)``, the case's rhs at its rhs points, and a
-    step rhs -> field on that grid, held across the calls as inverse
-    iteration steps hand it over."""
+    solve rhs -> field on that grid, held across the calls as the seed solve
+    of ``principal_eigenvalue`` hands it over."""
     op, prob, size = _case(name)
     if isinstance(size, int):
         grid = _RadialGrid.for_solve(op, 3, prob, size)
@@ -1110,21 +1135,32 @@ def _held_solves(name):
         op, solver._OnGrid(domain=prob.domain, n=2, grid=grid, rhs=f), size)
 
 
+def _seen_iterates(monkeypatch, grid):
+    """Log a copy of every iterate the grid's ``apply`` is given."""
+    seen, apply = [], type(grid).apply
+    monkeypatch.setattr(type(grid), "apply",
+                        lambda g, u: seen.append(u.copy()) or apply(g, u))
+    return seen
+
+
 class TestWarmStart:
-    # a step on a held grid starts at the grid's last solution
+    # a solve on a held grid starts at the grid's first iterate, not at its
+    # last solution: it keeps only the last sweep's LU
     @pytest.mark.parametrize("name", SOLVE_CASES)
     def test_start_at_the_solution_returns_it(self, monkeypatch, name):
+        # a second solve of the same rhs on the held grid starts over at
+        # ``first`` and returns the first solve's bits
         grid, rhs, solve = _held_solves(name)
         cold = solve(rhs)
-        with monkeypatch.context() as m:
-            m.setattr(type(grid), "apply", _forbidden)
-            warm = solve(rhs)
+        seen = _seen_iterates(monkeypatch, grid)
+        warm = solve(rhs)
+        assert np.array_equal(seen[0], grid.first)
         assert np.array_equal(warm.values, cold.values, equal_nan=True)
         assert warm.meta == cold.meta
 
     @pytest.mark.parametrize("name", ["log", "ball", "pucci_2d"])
     def test_perturbed_start_meets_the_tolerance(self, name):
-        # the held solution is another rhs's, as in inverse iteration
+        # the held LU is another rhs's last sweep
         grid, rhs, solve = _held_solves(name)
         solve(rhs * 1.2 + 0.1)
         warm = solve(rhs)
@@ -1135,16 +1171,15 @@ class TestWarmStart:
 
 
 class TestHeldEvaluation:
-    # a grid holds its last evaluation (u, F_h u, policy), where its next
-    # solve starts; a fresh grid evaluates its first iterate instead
+    # a grid holds no evaluation between solves: each solve evaluates the
+    # grid's first iterate, once, before its first sweep
     @pytest.mark.parametrize("name", SOLVE_CASES)
     def test_a_start_off_the_held_iterate_is_evaluated(self, monkeypatch, name):
-        # a fresh grid holds nothing: its first step evaluates grid.first once
+        # after another rhs's solve, the next one still starts at grid.first
         grid, rhs, solve = _held_solves(name)
-        assert grid._evaluated is None
-        seen, apply = [], type(grid).apply
-        monkeypatch.setattr(type(grid), "apply",
-                            lambda g, u: seen.append(u.copy()) or apply(g, u))
+        assert not hasattr(grid, "_evaluated")
+        solve(rhs * 1.2 + 0.1)
+        seen = _seen_iterates(monkeypatch, grid)
         solve(rhs)
         assert np.array_equal(seen[0], grid.first)
         assert sum(np.array_equal(u, grid.first) for u in seen) == 1
@@ -1152,23 +1187,21 @@ class TestHeldEvaluation:
     @pytest.mark.parametrize("name", SOLVE_CASES)
     def test_a_field_changed_in_place_is_evaluated(self, monkeypatch, name):
         # a returned field is the caller's: changed in place, its residual
-        # moves, while the grid's held evaluation keeps the solution
+        # moves, while the grid's next solve gives the solution's bits again
         grid, rhs, solve = _held_solves(name)
         op, prob, _ = _case(name)
         fld = solve(rhs)
         want = fld.values.copy()
         fld.values.flat[np.arange(want.size)[grid.unknown][5]] += 1e-3
         assert residual_norm(op, fld, prob) > 1e-6
-        with monkeypatch.context() as m:
-            m.setattr(type(grid), "apply", _forbidden)
-            again = solve(rhs)
+        again = solve(rhs)
         assert np.array_equal(again.values, want, equal_nan=True)
         assert again.meta == fld.meta
 
     @pytest.mark.parametrize("name", SOLVE_CASES)
     def test_a_cold_solve_after_a_warm_one(self, name):
-        # a public solve builds its own grid: after steps on a held grid it
-        # gives the bits of the held grid's first step
+        # a public solve builds its own grid: after solves on a held grid it
+        # gives the bits of the held grid's first solve
         grid, rhs, solve = _held_solves(name)
         first = solve(rhs)
         solve(rhs * 1.2 + 0.1)
