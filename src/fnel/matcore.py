@@ -149,13 +149,10 @@ def _eigvalsh(a):
     nonzero entry below sqrt(tiny) times its matrix's largest is flushed to
     zero: its square underflows and can cost LAPACK digits of the largest
     eigenvalues, while flushing it moves each eigenvalue by less than its size
-    (Weyl).  A matrix with no such entry is passed on as it is."""
+    (Weyl).  Every other entry, -0.0 and NaN included, keeps its bits."""
     mag = np.abs(a)
-    # none below sqrt(tiny) times the stack's largest: none below its matrix's
-    if ((mag < _SQRT_TINY * mag.max(initial=0.0)) & (mag > 0)).any():
-        big = mag.max(axis=(-2, -1), keepdims=True)
-        a = np.where((mag < _SQRT_TINY * big) & (mag > 0), 0.0, a)
-    return np.linalg.eigvalsh(a)
+    big = mag.max(axis=(-2, -1), keepdims=True, initial=0.0)
+    return np.linalg.eigvalsh(np.where((mag < _SQRT_TINY * big) & (mag > 0), 0.0, a))
 
 
 def eigenvalues_sym(m: SymMatrix) -> list:

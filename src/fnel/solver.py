@@ -2,11 +2,12 @@
 
 Both public solvers build a grid (``_RadialGrid.for_solve`` or
 ``_Grid2D.for_solve``), read the rhs at its rhs points and call ``_solve_on``,
-the one driver: it alone sets the tolerance (1e-10 times the data scale) and
-runs Howard's policy iteration, ``_howard``.  Both grids offer it the same
-interface: the first iterate ``first`` with the boundary data in place, the
-index ``unknown`` of its unknowns, the boundary data terms ``tol_terms`` of
-the tolerance, ``h_min``, the base ``meta``, and three methods.
+the one driver: it alone sets the tolerance (1e-10 times the data scale, or
+SEED_TOL for an eigen seed) and runs Howard's policy iteration, ``_howard``.
+Both grids offer it the same interface: the first iterate ``first`` with the
+boundary data in place, the index ``unknown`` of its unknowns, the boundary
+data terms ``tol_terms`` of the tolerance, ``h_min``, the base ``meta``, and
+three methods.
 ``apply(u)`` gives F_h u at the rhs points and the policy (the controls
 chosen at every node); ``step(policy, u, rhs)`` solves the linear system
 with that policy frozen, reading only u's boundary data; ``field(u, meta)``
@@ -85,6 +86,7 @@ from .matcore import (
 from .scaling import alpha_bracket
 
 RESIDUAL_TOL = 1e-10
+SEED_TOL = 1e-5                         # RESIDUAL_TOL of an ``_OnGrid`` solve
 ITERATION_CAP = 200
 
 
@@ -140,11 +142,11 @@ def _same(policy, other):
     return (a == c).all() and (b == d).all()
 
 
-def _solve_on(grid, rhs):
+def _solve_on(grid, rhs, rel_tol=RESIDUAL_TOL):
     """Howard's loop on a solve's grid (``for_solve`` of either grid class) for
-    the rhs at its rhs points, from the grid's ``first``; the grid's field of
-    the solution."""
-    tol = RESIDUAL_TOL * sum((1.0, np.abs(rhs).max(initial=0.0), *grid.tol_terms))
+    the rhs at its rhs points, from the grid's ``first``, to rel_tol times the
+    data scale; the grid's field of the solution."""
+    tol = rel_tol * sum((1.0, np.abs(rhs).max(initial=0.0), *grid.tol_terms))
     # a step reads only the boundary data of the iterate it is given: those of
     # ``first``, which every iterate on the grid keeps
     u, res = _howard(grid.apply, lambda policy: grid.step(policy, grid.first, rhs),
@@ -277,7 +279,9 @@ class DirichletProblem:
 class _OnGrid(DirichletProblem):
     """The seed solve of ``principal_eigenvalue``: zero boundary data, the rhs
     an array at the rhs points of the grid, built once for the same solve
-    arguments, that the eigen loop goes on to use."""
+    arguments, that the eigen loop goes on to use.  It stops at SEED_TOL in
+    place of RESIDUAL_TOL: it gives the loop only a positive start and a
+    policy, which the loop's linear steps refine."""
 
     grid: object = None
 
@@ -413,16 +417,13 @@ def _sup_inf(rows):
     ``rows`` yields one (controls, nodes) array of values per sup-row.
     Returns the value and the chosen row and control per node.  Ties go to
     the first minimum within a row and to the first row that is strictly
-    larger.  A row of one control takes it with no ``argmin`` or gather.
+    larger.
     """
     for r, vals in enumerate(rows):
-        if len(vals) == 1:
-            k, worst = np.zeros(vals.shape[1], dtype=np.intp), vals[0]
-        else:
-            k = vals.argmin(axis=0)
-            worst = vals[k, np.arange(k.size)]
-        if r == 0:                       # best is updated in place: no view of vals
-            best, row, ctl = worst.copy(), np.zeros_like(k), k
+        k = vals.argmin(axis=0)
+        worst = vals[k, np.arange(k.size)]
+        if r == 0:
+            best, row, ctl = worst, np.zeros_like(k), k
         else:
             up = worst > best
             best[up], row[up], ctl[up] = worst[up], r, k[up]
@@ -645,7 +646,7 @@ def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
     sup-norm is below 1e-10 relative to the data scale.
     """
     if isinstance(problem, _OnGrid):
-        return _solve_on(problem.grid, problem.rhs)
+        return _solve_on(problem.grid, problem.rhs, SEED_TOL)
     grid = _RadialGrid.for_solve(f_op, n, problem, cells)
     return _solve_on(grid, _radial_rhs(problem, grid.r))
 
@@ -938,7 +939,7 @@ def solve_dirichlet_2d(f_op: EllipticOperator, problem: DirichletProblem,
     a violating matrix raises NonMonotoneScheme naming it.
     """
     if isinstance(problem, _OnGrid):
-        return _solve_on(problem.grid, problem.rhs)
+        return _solve_on(problem.grid, problem.rhs, SEED_TOL)
     grid = _Grid2D.for_solve(f_op, problem, h)
     return _solve_on(grid, grid.rhs(problem))
 

@@ -6,6 +6,9 @@ held LU ``_solve`` and ``unknown``, where the iterate x lives:
 
 - *Seed.* One nonlinear solve of F(D^2 w) = bump, handed the grid in an
   ``_OnGrid`` problem; x = w / max w, and ``apply`` at x picks the policy.
+  It needs only a positive x and a policy near the last one, so it stops
+  at the solver's SEED_TOL of the data scale, far off the round-off floor
+  that RESIDUAL_TOL meets on fine grids.
 - *Phases.* With that policy frozen F_h is linear: inverse iteration solves
   w = L^{-1} x with its held LU, lambda = 1 / max w, x = w / max w.  Zero
   boundary data need no rhs fix-up; a ball's centre row reads x there.
@@ -20,7 +23,9 @@ held LU ``_solve`` and ``unknown``, where the iterate x lives:
 The bracket (min, max) of F_h u / u at the returned eigenvector u comes from
 the last evaluation.  For a monotone, positively homogeneous F_h it holds the
 discrete lambda1 (Collatz-Wielandt; Gaubert and Gunawardena, Trans. AMS
-2004), so lambda is moved into it where round-off left it outside.
+2004), and it holds lambda as well: F_h u = lambda x with max x = max u = 1.
+Both hold in exact arithmetic; computed, F_h u / u at node i carries a
+rounding error of a few eps (|A| u)_i / u_i, A the frozen policy's matrix.
 """
 
 from __future__ import annotations
@@ -88,8 +93,6 @@ def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
         if drift <= tol and (same or tie):
             ratio = fu / u[known]
             bracket = (float(ratio.min()), float(ratio.max()))
-            # the bracket holds lambda1: moved into it, lambda only nears it
-            lam = min(max(lam, bracket[0]), bracket[1])
             field = grid.field(u, {**grid.meta, "lambda1": lam,
                                    "lambda_lo": bracket[0], "lambda_hi": bracket[1]})
             return EigenResult(lambda1=lam, eigenfield=field, iterations=it,

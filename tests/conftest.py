@@ -1,23 +1,44 @@
 import numpy as np
 import pytest
 
-from fnel import isaacs, laplacian, pucci_max, pucci_min, spectral
+from fnel import isaacs, laplacian, pucci_max, pucci_min, solver
 
 
 @pytest.fixture(autouse=True, scope="session")
 def eigen_results_lie_in_their_bracket():
-    """Every EigenResult made in the suite has lambda1 inside its bracket, the
-    min and max of F_h u / u at its eigenvector."""
-    post = spectral.EigenResult.__post_init__
+    """Every eigenfield made in the suite has lambda1 inside its bracket, the
+    min and max of F_h u / u at its eigenvector u, up to the rounding of the
+    computed ratios: F_h u is a sum of k stencil terms (k = 3 radial, 9 in
+    2D) and u an LU solve's, so each ratio is within about k eps (|A| u)_i /
+    u_i for each of the two, A the matrix of the policy F_h picks at u."""
+    fields = {cls: cls.field for cls in (solver._RadialGrid, solver._Grid2D)}
 
-    def checked(self):
-        post(self)
-        lo, hi = self.bracket
-        assert lo <= self.lambda1 <= hi, (self.lambda1, self.bracket)
+    def checked(field):
+        def check(grid, u, meta):
+            if "lambda_lo" in meta:
+                pol = grid.apply(u)[1]
+                a, nbr = np.abs(grid.system(pol)), _neighbours(grid, u)
+                slack = (2 * a.shape[1] * np.finfo(float).eps
+                         * ((a * nbr).sum(axis=1) / u[grid.unknown]).max())
+                assert (meta["lambda_lo"] - slack <= meta["lambda1"]
+                        <= meta["lambda_hi"] + slack), (meta, slack)
+            return field(grid, u, meta)
+        return check
 
-    spectral.EigenResult.__post_init__ = checked
+    for cls, field in fields.items():
+        cls.field = checked(field)
     yield
-    spectral.EigenResult.__post_init__ = post
+    for cls, field in fields.items():
+        cls.field = field
+
+
+def _neighbours(grid, u):
+    """|u| at each row's stencil, aligned with ``grid.system``'s columns; the
+    boundary data of an eigenproblem are zero."""
+    if isinstance(grid, solver._Grid2D):
+        return np.abs(u[grid.nbr]).T
+    p = np.concatenate(([0.0], np.abs(u[grid.unknown]), [0.0]))
+    return np.stack([p[:-2], p[1:-1], p[2:]], axis=1)
 
 
 @pytest.fixture

@@ -179,7 +179,8 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["lambda1"] == pytest.approx(math.pi ** 2, rel=0.02)
         lo, hi = payload["bracket"]
-        assert lo <= payload["lambda1"] <= hi
+        assert lo <= hi
+        assert (lo, hi) == pytest.approx((payload["lambda1"],) * 2, rel=1e-9)
 
     def test_certificate_csv_curve(self, tmp_path):
         path = write_spec(tmp_path, {"n": 3, "kind": "laplacian"})

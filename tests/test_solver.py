@@ -399,31 +399,6 @@ class TestKernel2D:
             want_coef = np.array([[c[o] for o in order] for c in chosen])
             assert np.array_equal(coef[row, ctl], want_coef)
 
-    @pytest.mark.parametrize("make", [laplacian, pucci_max, pucci_min])
-    def test_one_control_rows_keep_the_bits(self, make):
-        # a row of one control (every row of pucci_max and the Laplacian)
-        # skips argmin and the gather, with the bits of the generic path; the
-        # caller's rows are left as they were
-        op = make(2) if make is laplacian else make(1.0, 2.0, 2)
-        coef = _stencil_coefficients(_control_families(op), 1.0 / 32)
-        grid = _Grid2D.build(DirichletProblem(domain=Rectangle(0.0, 1.0, 0.0, 1.0),
-                                              n=2), 1.0 / 32)
-        u9 = np.random.default_rng(1).standard_normal(grid.interior.size)[grid.nbr]
-        rows = [block @ u9 for block in coef]
-        kept = [r.copy() for r in rows]
-        got = solver._sup_inf(iter(rows))
-        for r, vals in enumerate(kept):            # the generic path
-            k = vals.argmin(axis=0)
-            worst = vals[k, np.arange(k.size)]
-            if r == 0:
-                best, row, ctl = worst.copy(), np.zeros_like(k), k
-            else:
-                up = worst > best
-                best[up], row[up], ctl[up] = worst[up], r, k[up]
-        for a, b in zip(got, (best, row, ctl)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert all(np.array_equal(a, b) for a, b in zip(rows, kept))
-
     @pytest.mark.parametrize("sign,want_ctl,want_f", [(1.0, 0, -8.0),
                                                       (-1.0, 1, 4.0)])
     def test_tie_breaks(self, sign, want_ctl, want_f):
@@ -1143,20 +1118,27 @@ def _seen_iterates(monkeypatch, grid):
     return seen
 
 
+def _no_sweep(policy):
+    raise AssertionError("a sweep ran")
+
+
 class TestWarmStart:
-    # a solve on a held grid starts at the grid's first iterate, not at its
-    # last solution: it keeps only the last sweep's LU
+    # Howard's loop started at a solution returns it; a solve on a held grid
+    # still starts at the grid's first iterate, since the grid keeps only its
+    # last sweep's LU
     @pytest.mark.parametrize("name", SOLVE_CASES)
     def test_start_at_the_solution_returns_it(self, monkeypatch, name):
-        # a second solve of the same rhs on the held grid starts over at
-        # ``first`` and returns the first solve's bits
+        # started at a solve's solution, the loop evaluates it once, finds it
+        # within tolerance and returns it with its residual and no sweep
         grid, rhs, solve = _held_solves(name)
-        cold = solve(rhs)
+        fld = solve(rhs)
+        u = grid.first.copy()
+        u[grid.unknown] = fld.values.ravel()[grid.unknown]
         seen = _seen_iterates(monkeypatch, grid)
-        warm = solve(rhs)
-        assert np.array_equal(seen[0], grid.first)
-        assert np.array_equal(warm.values, cold.values, equal_nan=True)
-        assert warm.meta == cold.meta
+        tol = solver.SEED_TOL * (1.0 + np.abs(rhs).max() + sum(grid.tol_terms))
+        got, res = solver._howard(grid.apply, _no_sweep, u, rhs, tol, grid.h_min)
+        assert got is u and res == fld.meta["residual"]
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("name", ["log", "ball", "pucci_2d"])
     def test_perturbed_start_meets_the_tolerance(self, name):
@@ -1175,7 +1157,8 @@ class TestHeldEvaluation:
     # grid's first iterate, once, before its first sweep
     @pytest.mark.parametrize("name", SOLVE_CASES)
     def test_a_start_off_the_held_iterate_is_evaluated(self, monkeypatch, name):
-        # after another rhs's solve, the next one still starts at grid.first
+        # the held LU is another rhs's last sweep; the next solve starts off
+        # that sweep's iterate, at grid.first, and evaluates it once
         grid, rhs, solve = _held_solves(name)
         assert not hasattr(grid, "_evaluated")
         solve(rhs * 1.2 + 0.1)

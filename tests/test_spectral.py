@@ -288,9 +288,11 @@ class TestBracket:
         assert res.bracket[0] <= want <= res.bracket[1]
 
 
-class TestFineBall:
-    # at 2048 cells on the unit ball the seed is the one nonlinear solve, and
-    # the linear steps take no residual stop that round-off could miss
+class TestFineGrids:
+    # at 2048 cells on the unit ball a solve to RESIDUAL_TOL met its 2.0e-10
+    # tolerance at 1.65e-10, by round-off, and at 4096 cells on A(1, 2) it
+    # stalled at 6e-10 to 8e-10; the seed solve stops at SEED_TOL, far above
+    # that floor, and the linear steps take no residual stop
     def test_laplacian_is_pi_squared(self, lap3):
         # lambda1 of the unit 3-ball is pi^2: u = sin(pi r) / r
         res = principal_eigenvalue(lap3, Ball(1.0), 2048)
@@ -298,5 +300,16 @@ class TestFineBall:
 
     @pytest.mark.parametrize("make", [pucci_max, pucci_min])
     def test_pucci_returns(self, make):
+        # and agrees with 1024 cells to the O(h^2) of the scheme
         res = principal_eigenvalue(make(1.0, 2.0, 3), Ball(1.0), 2048)
-        assert res.bracket[0] <= res.lambda1 <= res.bracket[1]
+        coarse = principal_eigenvalue(make(1.0, 2.0, 3), Ball(1.0), 1024)
+        assert res.lambda1 == pytest.approx(coarse.lambda1, rel=2e-6)
+
+    @pytest.mark.parametrize("make", [laplacian, pucci_max, pucci_min])
+    def test_annulus_at_4096_cells_returns(self, make):
+        op = make(3) if make is laplacian else make(1.0, 2.0, 3)
+        res = principal_eigenvalue(op, Annulus(1.0, 2.0), 4096)
+        coarse = principal_eigenvalue(op, Annulus(1.0, 2.0), 2048)
+        assert res.lambda1 == pytest.approx(coarse.lambda1, rel=1e-6)
+        if make is laplacian:                # u = sin(pi (r - 1)) / r
+            assert res.lambda1 == pytest.approx(PI2, rel=1e-6)
