@@ -16,7 +16,7 @@ from fnel import laplacian, nonexistence_certificate, pucci_min
 CASES = [
     ("laplacian-n3-p2-strict", laplacian(3), 3, 2.0),
     ("laplacian-n4-p2-critical", laplacian(4), 4, 2.0),
-    ("pucci_min-n3-p3-critical", pucci_min(1.0, 2.0, 3), 3, 3.0),
+    ("pucci_min-n3-p3", pucci_min(1.0, 2.0, 3), 3, 3.0),
 ]
 
 

@@ -1,7 +1,8 @@
 """Command-line interface: subcommand dispatch, serialization, sweeps.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (report still
-written when possible), 3 invalid operator spec.
+Exit codes: 0 success, 1 usage error (an unwritable --out included),
+2 numerical failure (the error report, with the echo, is still written),
+3 invalid operator spec.
 """
 
 from __future__ import annotations
@@ -65,23 +66,23 @@ def _json_default(obj):
     return str(obj)
 
 
-def _emit(args, payload, csv_text=None):
-    """Write the report, or ``csv_text`` under ``--format csv``, to --out or stdout."""
-    if csv_text is not None and args.format == "csv":
-        out = csv_text
-    else:
-        out = json.dumps(payload, indent=2, sort_keys=True,
-                         default=_json_default) + "\n"
-    if args.out:
+def _emit(args, text):
+    """Write ``text`` to --out or stdout; an unwritable --out is a usage error."""
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out: {exc}")
 
 
 def _echo(args, op):
     """The operator's digest and every parsed input that played a part: a
-    subcommand declares only the options it reads (``COMMANDS``)."""
+    subcommand declares only the options it reads (``COMMANDS``).  ``main``
+    puts it in every report: under the JSON payload, in a field's ``meta``,
+    in a curve's '#' line, and beside the error of an exit-2 report."""
     echo = {k: v for k, v in vars(args).items()
             if k not in ("command", "op", "out", "format") and v is not None}
     return {"operator_digest": operator_digest(op), **echo}
@@ -128,7 +129,6 @@ def build_parser():
 def _cmd_alpha_star(args, op, n):
     rep = scaling.alpha_star(op, n)
     return {
-        **_echo(args, op),
         "alpha_star": rep.alpha_star,
         "log_case": rep.log_case,
         "bracket": list(rep.bracket),
@@ -138,13 +138,12 @@ def _cmd_alpha_star(args, op, n):
 
 def _cmd_critical_exponent(args, op, n):
     rep = scaling.alpha_star(op, n)
-    return {**_echo(args, op), "critical_exponent": rep.critical_exponent}, None
+    return {"critical_exponent": rep.critical_exponent}, None
 
 
 def _cmd_classify(args, op, n):
     v = scaling.classify(op, n, args.p, args.gamma)
     return {
-        **_echo(args, op),
         "outcome": v.outcome,
         "alpha_star": v.alpha_star,
         "beta_star": v.beta_star,
@@ -156,7 +155,6 @@ def _cmd_classify(args, op, n):
 def _cmd_constant(args, op, n):
     c = scaling.explicit_constant(op, n, args.p, args.gamma)
     return {
-        **_echo(args, op),
         "constant": c if c is not None else "NONE",
         "beta_star": scaling.beta_star(args.p, args.gamma),
     }, None
@@ -182,9 +180,7 @@ def _cmd_solve(args, op, n):
         problem = DirichletProblem(domain=dom, n=2, rhs=lambda x, y: rc,
                                    boundary=lambda x, y: g1)
         fld = solver.solve_dirichlet_2d(op, problem, dom.grid_step(args.cells))
-    fld.meta.update(_echo(args, op))
-    payload = {**_echo(args, op), "residual": fld.meta.get("residual")}
-    return payload, fld.to_csv()
+    return {"residual": fld.meta.get("residual")}, fld
 
 
 def _cmd_eigen(args, op, n):
@@ -192,31 +188,21 @@ def _cmd_eigen(args, op, n):
         raise _UsageError(f"--tol {args.tol} is not in (0, 0.01)")
     dom = _parse_domain(args.domain)
     res = spectral.principal_eigenvalue(op, dom, args.cells, args.tol)
-    payload = {
-        **_echo(args, op),
+    return {
         "lambda1": res.lambda1,
         "iterations": res.iterations,
         "drift": res.drift,
         "bracket": list(res.bracket),
-    }
-    res.eigenfield.meta.update(_echo(args, op))
-    return payload, res.eigenfield.to_csv()
+    }, res.eigenfield
 
 
 def _cmd_fundamental(args, op, n):
     prof = solver.fundamental_profile(op, n, args.cells)
-    payload = {
-        **_echo(args, op),
+    return {
         "fitted_alpha": prof.fitted_alpha,
         "log_case": prof.log_case,
         "fit_report": prof.fit_report,
-    }
-    return payload, prof.field.to_csv()
-
-
-def _curve_csv(comment, header, curve):
-    """A '# ...' comment line, the header and one ``repr`` row per (x, y) pair."""
-    return f"# {comment}\n{header}\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in curve)
+    }, prof.field
 
 
 def _cmd_hadamard(args, op, n):
@@ -224,30 +210,26 @@ def _cmd_hadamard(args, op, n):
     problem = DirichletProblem(domain=Annulus(1.0, 2.0), n=n,
                                boundary=lambda r: scaling.xi_alpha(a, r))
     fld = solver.solve_dirichlet_radial(op, n, problem, args.cells)
-    report = liouville.hadamard_check(op, fld)
     curve = liouville.sphere_min_curve(fld, fld.nodes[:: max(1, args.cells // 64)])
-    return {**_echo(args, op), **report}, _curve_csv(
-        f"operator_digest={operator_digest(op)} alpha_star={a!r}", "r,m", curve)
+    return liouville.hadamard_check(op, fld), ("r,m", curve)
 
 
 def _cmd_certificate(args, op, n):
     rep = liouville.nonexistence_certificate(
         op, n, args.p, args.gamma, args.c, args.sigma_max, cells=args.cells)
     curve = rep.pop("curve")
-    return {**_echo(args, op), **rep}, _curve_csv(
-        f"operator_digest={operator_digest(op)}", "sigma,mu", curve)
+    return rep, ("sigma,mu", curve)
 
 
 def _cmd_bend(args, op, n):
     tau, c, rep = liouville.bend_fundamental(op, n, args.p, args.gamma)
-    return {**_echo(args, op), "tau": tau, "c": c, **rep}, None
+    return {"tau": tau, "c": c, **rep}, None
 
 
 def _cmd_truncate(args, op, n):
     patch = liouville.build_global_supersolution(op, n, args.p, args.gamma,
                                                  cells=args.cells)
     return {
-        **_echo(args, op),
         "a": patch.a,
         "delta": patch.delta,
         "match_radius": patch.match_radius,
@@ -261,7 +243,6 @@ def _cmd_truncate(args, op, n):
 def _cmd_fixed_point(args, op, n):
     profile, r_bar, rep = liouville.fixed_point(op, n, args.p)
     return {
-        **_echo(args, op),
         "beta": profile.beta,
         "norm": profile.norm(),
         "constant": profile.constant,
@@ -284,7 +265,7 @@ def _cmd_hypothesis(args, op, n):
     ]
     payload = {k: v for k, v in rep.items() if k != "report"}
     payload["conditions"] = conditions
-    return {**_echo(args, op), **payload}, None
+    return payload, None
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +331,7 @@ def _operator_rows(command, op, exps):
         rows = []
         for _, p, gamma, b, b_text in exps:
             if b in ks:
-                c = ks[b] ** (1.0 / (p - 1.0)) if ks[b] > 0 else None
+                c = scaling._c_star(ks[b], p)
             else:
                 c = _attempt(scaling.explicit_constant, op, op.dim, p, gamma)
             rows.append(c if isinstance(c, _RowError) else f"{'NONE' if c is None else c},{b_text}")
@@ -434,13 +415,11 @@ def _cmd_sweep(args):
         raise _UsageError(f"cannot read sweep config: {exc}")
     except json.JSONDecodeError as exc:
         raise _UsageError(f"malformed sweep config: {exc}")
+    if isinstance(config, dict) and "output" in config:
+        raise _UsageError("sweep config key 'output' is not read: write the CSV "
+                          "to a file with --out")
     csv_text, failed = run_sweep(config)
-    out_path = args.out or config.get("output")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _emit(args, csv_text)
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
@@ -477,21 +456,26 @@ def main(argv=None) -> int:
         n = args.n if args.n is not None else op.dim
         if n != op.dim:
             raise _UsageError(f"--n {n} does not match operator dim {op.dim}")
-        payload, csv_text = handler(args, op, n)
-        _emit(args, payload, csv_text)
-        return EXIT_OK
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (solver.PolicyIterationDiverged, spectral.IterationFailure,
-            liouville.WrongRegime, RuntimeError) as exc:
-        report = {"error": f"{type(exc).__name__}: {exc}"}
-        try:
-            _emit(args, report)
-        except Exception:
-            pass
-        return EXIT_NUMERICAL
-    except ValueError as exc:
+        try:  # a handler returns its payload and None, a field or a (header, curve)
+            payload, result = handler(args, op, n)
+            code = EXIT_OK
+        except (solver.PolicyIterationDiverged, spectral.IterationFailure,
+                liouville.WrongRegime, RuntimeError) as exc:
+            payload, result = {"error": f"{type(exc).__name__}: {exc}"}, None
+            code = EXIT_NUMERICAL
+        echo = _echo(args, op)  # after the handler, which may fill in a default
+        if result is None or args.format == "json":
+            text = json.dumps({**echo, **payload}, indent=2, sort_keys=True,
+                              default=_json_default) + "\n"
+        elif isinstance(result, tuple):
+            header, curve = result
+            text = solver._csv(echo, header, *zip(*curve))
+        else:
+            result.meta.update(echo)
+            text = result.to_csv()
+        _emit(args, text)
+        return code
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,7 +17,7 @@ import numpy as np
 from .matcore import EllipticOperator, eval_diagonal, eval_operator, radial_diagonal
 from .scaling import (
     EXISTENCE_SUPERSOLUTION, NONEXISTENCE_EXTERIOR,
-    K_coefficient, alpha_star, beta_star, classify,
+    K_coefficient, _c_star, alpha_star, beta_star, classify,
 )
 from .solver import (
     Annulus, Ball, DirichletProblem, Field2D, RadialField, _RadialGrid,
@@ -555,7 +555,7 @@ def fixed_point(f_op: EllipticOperator, n: int, p: float,
         raise ValueError("an operator that is not rotation-invariant needs the "
                          "angular path (angular_points > 0, n = 2)")
     k = _existence_K(f_op, n, p, "needs beta*(p) = {b} < alpha* = {a}")
-    c_star = None if k is None else k ** (1.0 / (p - 1.0))
+    c_star = None if k is None else _c_star(k, p)
 
     if angular_points:
         rng = np.random.default_rng(seed)

@@ -135,6 +135,11 @@ def K_coefficient(f: EllipticOperator, n: int, beta):
     return k if beta.ndim else float(k)
 
 
+def _c_star(k, p):
+    """c* = K^{1/(p-1)} of ``explicit_constant``, or None for K <= 0."""
+    return k ** (1.0 / (p - 1.0)) if k > 0 else None
+
+
 def explicit_constant(f: EllipticOperator, n: int, p: float, gamma: float = 0.0) -> Optional[float]:
     """Constant c making u = c r^{-beta*} an exact solution of F(D^2u) = |x|^{-gamma} u^p.
 
@@ -143,10 +148,7 @@ def explicit_constant(f: EllipticOperator, n: int, p: float, gamma: float = 0.0)
     b = beta_star(p, gamma)
     if not f.rot_invariant:
         raise NotRotInvariant("explicit constants need a rotationally invariant operator")
-    k = K_coefficient(f, n, b)
-    if k <= 0:
-        return None
-    return k ** (1.0 / (p - 1.0))
+    return _c_star(K_coefficient(f, n, b), p)
 
 
 @dataclass(frozen=True)

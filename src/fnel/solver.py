@@ -460,15 +460,11 @@ def _radial_grid(domain, cells):
     raise ValueError("radial solver needs an annulus or ball domain")
 
 
-def _radial_points(r, is_ball):
-    """On a ball the centre just off r = 0 (f may be singular), then the
-    interior nodes: the order of F_h u, the policy and the unknowns."""
-    return np.append(r[1] * 1e-8, r[1:-1]) if is_ball else r[1:-1]
-
-
 def _radial_rhs(problem, r):
-    """f at the rhs points of ``_radial_points``."""
-    pts = _radial_points(r, isinstance(problem.domain, Ball))
+    """f at the rhs points: on a ball the centre just off r = 0 (f may be
+    singular), then the interior nodes; the order of F_h u, the policy and
+    the unknowns."""
+    pts = np.append(r[1] * 1e-8, r[1:-1]) if isinstance(problem.domain, Ball) else r[1:-1]
     return _data(problem.rhs, pts.tolist())
 
 
@@ -528,8 +524,8 @@ class _RadialGrid(_HeldLU):
 
     @classmethod
     def for_solve(cls, f_op, n, problem, cells):
-        """A radial solve's grid after the solver's checks, with the rhs points,
-        the first iterate, the matrix rows' factors and the solve interface."""
+        """A radial solve's grid after the solver's checks, with the first
+        iterate, the matrix rows' factors and the solve interface."""
         if not f_op.rot_invariant:
             raise ValueError("radial solver needs a rotationally invariant operator")
         if n != f_op.dim:
@@ -541,7 +537,7 @@ class _RadialGrid(_HeldLU):
         if not is_ball:
             _check_radial_monotonicity(f_op, n, h)
         grid = cls(f_op, n, r, h, is_ball)
-        grid.h_min, grid.pts = np.diff(r).min(), _radial_points(r, is_ball)
+        grid.h_min = np.diff(r).min()
         # row i of a sweep's matrix is -(wa_i wa_rows[i] + wb_i wb_rows[i]) on
         # U_{i-1}, U_i, U_{i+1} (log grid: a = d2 - d1, b = d1, over r^2)
         ri, g1 = r[1:-1], problem.boundary_at(r[-1])

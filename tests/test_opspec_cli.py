@@ -421,6 +421,43 @@ class TestCommandTable:
         assert out.err.startswith("usage error: ") and "Traceback" not in out.err
         assert out.out == ""
 
+    @pytest.mark.parametrize("command", ["solve", "eigen", "fundamental", "hadamard",
+                                         "certificate"])
+    def test_csv_header_holds_the_echo(self, command, capsys):
+        # the '#' line of a field or a curve names every input the JSON report
+        # echoes, with the same values: a curve carried only the digest, and a
+        # fundamental field no digest
+        assert main(self.argv(command)) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert main([*self.argv(command), "--format", "csv"]) == EXIT_OK
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("# ")
+        header = dict(kv.split("=", 1) for kv in first[2:].split(" "))
+        echo = self.COMMANDS[command][1] | {"operator_digest"}
+        assert {k: header.get(k) for k in echo} == {k: str(report[k]) for k in echo}
+
+    def test_error_report_echoes_the_inputs(self, capsys):
+        # the round-off failure of a 4096-cell solve: exit 2, and the report
+        # names its inputs, the filled-in g0 included, beside the error
+        argv = ["solve", "--op", PM3, "--domain", "annulus:1:2", "--g0", "1.0",
+                "--cells", "4096"]
+        assert main(argv) == EXIT_NUMERICAL
+        report = json.loads(capsys.readouterr().out)
+        assert "round-off floor" in report.pop("error")
+        assert report == {"operator_digest": operator_digest(load_operator(PM3)),
+                          "domain": "annulus:1:2", "cells": 4096, "rhs_const": 0.0,
+                          "g0": 1.0, "g1": 0.0}
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--op", PM3, "--p", "2.0"],
+        ["sweep", "--config", str(SAMPLES / "sweep_classify.json")],
+    ], ids=["classify", "sweep"])
+    def test_unwritable_out_is_usage(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "missing" / "x")]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.err.startswith("usage error: ") and "Traceback" not in out.err
+        assert out.out == ""
+
     @pytest.mark.parametrize("tol", ["3e-9", "1e-13"])
     def test_eigen_tol_reaches_the_iteration_as_given(self, tol, monkeypatch, capsys):
         tols, real = [], spectral.principal_eigenvalue
@@ -487,6 +524,15 @@ class TestSweep:
             bad.write_text(json.dumps(cfg))
             assert main(["sweep", "--config", str(bad)]) == EXIT_USAGE
             assert msg in capsys.readouterr().err
+
+    def test_output_key_is_gone(self, tmp_path, capsys):
+        # --out alone sets where a sweep's CSV goes
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({**self.CONFIG, "output": str(tmp_path / "x.csv")}))
+        assert main(["sweep", "--config", str(cfg_path)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.err.startswith("usage error: ") and "--out" in out.err
+        assert out.out == "" and not (tmp_path / "x.csv").exists()
 
     def test_jobs_option_is_gone(self, tmp_path, capsys):
         cfg_path = tmp_path / "sweep.json"

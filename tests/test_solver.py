@@ -1141,7 +1141,7 @@ class TestWarmStart:
         assert len(seen) == 1
 
     @pytest.mark.parametrize("name", ["log", "ball", "pucci_2d"])
-    def test_perturbed_start_meets_the_tolerance(self, name):
+    def test_a_solve_after_another_rhs_meets_the_tolerance(self, name):
         # the held LU is another rhs's last sweep
         grid, rhs, solve = _held_solves(name)
         solve(rhs * 1.2 + 0.1)
@@ -1156,7 +1156,7 @@ class TestHeldEvaluation:
     # a grid holds no evaluation between solves: each solve evaluates the
     # grid's first iterate, once, before its first sweep
     @pytest.mark.parametrize("name", SOLVE_CASES)
-    def test_a_start_off_the_held_iterate_is_evaluated(self, monkeypatch, name):
+    def test_each_solve_evaluates_the_first_iterate_once(self, monkeypatch, name):
         # the held LU is another rhs's last sweep; the next solve starts off
         # that sweep's iterate, at grid.first, and evaluates it once
         grid, rhs, solve = _held_solves(name)
