@@ -10,8 +10,10 @@ strict and critical model cases and writes the sampled curves to CSV.
 import argparse
 import sys
 
-from fnel import laplacian, nonexistence_certificate, pucci_min
+from fnel import laplacian, nonexistence_certificate, operator_digest, pucci_min
+from fnel.solver import _csv
 
+CELLS = 1024
 
 CASES = [
     ("laplacian-n3-p2-strict", laplacian(3), 3, 2.0),
@@ -29,17 +31,17 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     for name, op, n, p in CASES:
-        rep = nonexistence_certificate(op, n, p, 0.0, c=args.c)
+        rep = nonexistence_certificate(op, n, p, 0.0, c=args.c, cells=CELLS)
         growth = rep.get("growth_exponent")
         growth_txt = f"{growth:.4f}" if growth is not None else "log"
         print(f"{name}: mode={rep['mode']} lambda1={rep['lambda1']:.6f} "
               f"growth_exponent={growth_txt} sigma*={rep['sigma_star']}")
         if args.out_prefix:
             path = f"{args.out_prefix}-{name}.csv"
+            meta = {"case": name, "operator_digest": operator_digest(op), "p": p,
+                    "c": args.c, "cells": CELLS}
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write("sigma,mu\n")
-                for s, m in rep["curve"]:
-                    fh.write(f"{float(s)!r},{float(m)!r}\n")
+                fh.write(_csv(meta, "sigma,mu", *zip(*rep["curve"])))
             print(f"  curve -> {path}")
     return 0
 

@@ -91,7 +91,6 @@ def _echo(args, op):
 # every option a subcommand may declare: name -> add_argument keywords
 _OPTIONS = {
     "op": dict(required=True, help="operator spec JSON file"),
-    "n": dict(type=int, help="space dimension; must match the spec's"),
     "p": dict(type=float, required=True),
     "gamma": dict(type=float, default=0.0),
     "domain": dict(required=True,
@@ -126,8 +125,8 @@ def build_parser():
 # subcommand handlers
 
 
-def _cmd_alpha_star(args, op, n):
-    rep = scaling.alpha_star(op, n)
+def _cmd_alpha_star(args, op):
+    rep = scaling.alpha_star(op, op.dim)
     return {
         "alpha_star": rep.alpha_star,
         "log_case": rep.log_case,
@@ -136,13 +135,13 @@ def _cmd_alpha_star(args, op, n):
     }, None
 
 
-def _cmd_critical_exponent(args, op, n):
-    rep = scaling.alpha_star(op, n)
+def _cmd_critical_exponent(args, op):
+    rep = scaling.alpha_star(op, op.dim)
     return {"critical_exponent": rep.critical_exponent}, None
 
 
-def _cmd_classify(args, op, n):
-    v = scaling.classify(op, n, args.p, args.gamma)
+def _cmd_classify(args, op):
+    v = scaling.classify(op, op.dim, args.p, args.gamma)
     return {
         "outcome": v.outcome,
         "alpha_star": v.alpha_star,
@@ -152,15 +151,15 @@ def _cmd_classify(args, op, n):
     }, None
 
 
-def _cmd_constant(args, op, n):
-    c = scaling.explicit_constant(op, n, args.p, args.gamma)
+def _cmd_constant(args, op):
+    c = scaling.explicit_constant(op, op.dim, args.p, args.gamma)
     return {
         "constant": c if c is not None else "NONE",
         "beta_star": scaling.beta_star(args.p, args.gamma),
     }, None
 
 
-def _cmd_solve(args, op, n):
+def _cmd_solve(args, op):
     dom = _parse_domain(args.domain)
     if not isinstance(dom, Annulus):
         if args.g0 is not None:
@@ -174,8 +173,8 @@ def _cmd_solve(args, op, n):
             bc = lambda r: g0 if abs(r - dom.r0) < abs(r - dom.r1) else g1
         else:
             bc = lambda r: g1
-        problem = DirichletProblem(domain=dom, n=n, rhs=lambda r: rc, boundary=bc)
-        fld = solver.solve_dirichlet_radial(op, n, problem, args.cells)
+        problem = DirichletProblem(domain=dom, n=op.dim, rhs=lambda r: rc, boundary=bc)
+        fld = solver.solve_dirichlet_radial(op, op.dim, problem, args.cells)
     else:
         problem = DirichletProblem(domain=dom, n=2, rhs=lambda x, y: rc,
                                    boundary=lambda x, y: g1)
@@ -183,7 +182,7 @@ def _cmd_solve(args, op, n):
     return {"residual": fld.meta.get("residual")}, fld
 
 
-def _cmd_eigen(args, op, n):
+def _cmd_eigen(args, op):
     if not 0.0 < args.tol < 1e-2:
         raise _UsageError(f"--tol {args.tol} is not in (0, 0.01)")
     dom = _parse_domain(args.domain)
@@ -196,8 +195,8 @@ def _cmd_eigen(args, op, n):
     }, res.eigenfield
 
 
-def _cmd_fundamental(args, op, n):
-    prof = solver.fundamental_profile(op, n, args.cells)
+def _cmd_fundamental(args, op):
+    prof = solver.fundamental_profile(op, op.dim, args.cells)
     return {
         "fitted_alpha": prof.fitted_alpha,
         "log_case": prof.log_case,
@@ -205,29 +204,29 @@ def _cmd_fundamental(args, op, n):
     }, prof.field
 
 
-def _cmd_hadamard(args, op, n):
-    a = scaling.alpha_star(op, n).alpha_star
-    problem = DirichletProblem(domain=Annulus(1.0, 2.0), n=n,
+def _cmd_hadamard(args, op):
+    a = scaling.alpha_star(op, op.dim).alpha_star
+    problem = DirichletProblem(domain=Annulus(1.0, 2.0), n=op.dim,
                                boundary=lambda r: scaling.xi_alpha(a, r))
-    fld = solver.solve_dirichlet_radial(op, n, problem, args.cells)
+    fld = solver.solve_dirichlet_radial(op, op.dim, problem, args.cells)
     curve = liouville.sphere_min_curve(fld, fld.nodes[:: max(1, args.cells // 64)])
     return liouville.hadamard_check(op, fld), ("r,m", curve)
 
 
-def _cmd_certificate(args, op, n):
+def _cmd_certificate(args, op):
     rep = liouville.nonexistence_certificate(
-        op, n, args.p, args.gamma, args.c, args.sigma_max, cells=args.cells)
+        op, op.dim, args.p, args.gamma, args.c, args.sigma_max, cells=args.cells)
     curve = rep.pop("curve")
     return rep, ("sigma,mu", curve)
 
 
-def _cmd_bend(args, op, n):
-    tau, c, rep = liouville.bend_fundamental(op, n, args.p, args.gamma)
+def _cmd_bend(args, op):
+    tau, c, rep = liouville.bend_fundamental(op, op.dim, args.p, args.gamma)
     return {"tau": tau, "c": c, **rep}, None
 
 
-def _cmd_truncate(args, op, n):
-    patch = liouville.build_global_supersolution(op, n, args.p, args.gamma,
+def _cmd_truncate(args, op):
+    patch = liouville.build_global_supersolution(op, op.dim, args.p, args.gamma,
                                                  cells=args.cells)
     return {
         "a": patch.a,
@@ -240,8 +239,8 @@ def _cmd_truncate(args, op, n):
     }, None
 
 
-def _cmd_fixed_point(args, op, n):
-    profile, r_bar, rep = liouville.fixed_point(op, n, args.p)
+def _cmd_fixed_point(args, op):
+    profile, r_bar, rep = liouville.fixed_point(op, op.dim, args.p)
     return {
         "beta": profile.beta,
         "norm": profile.norm(),
@@ -251,13 +250,13 @@ def _cmd_fixed_point(args, op, n):
     }, None
 
 
-def _cmd_hypothesis(args, op, n):
+def _cmd_hypothesis(args, op):
     try:
         c0, g, pw = (float(v) for v in args.power.split(":"))
     except ValueError as exc:
         raise _UsageError(f"bad --power {args.power!r}: {exc}")
     spec = NonlinearitySpec.power(c0, g, pw)
-    rep = scaling.sampled_verdict(op, n, spec, args.p, args.gamma)
+    rep = scaling.sampled_verdict(op, op.dim, spec, args.p, args.gamma)
     conditions = [
         {"name": c.name, "fitted_constant": c.fitted_constant,
          "passed": c.passed}
@@ -425,19 +424,19 @@ def _cmd_sweep(args):
 
 # subcommand -> (handler, the options it reads)
 COMMANDS = {
-    "alpha-star": (_cmd_alpha_star, "op n out"),
-    "critical-exponent": (_cmd_critical_exponent, "op n out"),
-    "classify": (_cmd_classify, "op n p gamma out"),
-    "constant": (_cmd_constant, "op n p gamma out"),
-    "solve": (_cmd_solve, "op n domain cells rhs-const g0 g1 out format"),
-    "eigen": (_cmd_eigen, "op n domain cells tol out format"),
-    "fundamental": (_cmd_fundamental, "op n cells out format"),
-    "hadamard": (_cmd_hadamard, "op n cells out format"),
-    "certificate": (_cmd_certificate, "op n p gamma c sigma-max cells out format"),
-    "bend": (_cmd_bend, "op n p gamma out"),
-    "truncate": (_cmd_truncate, "op n p gamma cells out"),
-    "fixed-point": (_cmd_fixed_point, "op n p out"),
-    "hypothesis": (_cmd_hypothesis, "op n p gamma power out"),
+    "alpha-star": (_cmd_alpha_star, "op out"),
+    "critical-exponent": (_cmd_critical_exponent, "op out"),
+    "classify": (_cmd_classify, "op p gamma out"),
+    "constant": (_cmd_constant, "op p gamma out"),
+    "solve": (_cmd_solve, "op domain cells rhs-const g0 g1 out format"),
+    "eigen": (_cmd_eigen, "op domain cells tol out format"),
+    "fundamental": (_cmd_fundamental, "op cells out format"),
+    "hadamard": (_cmd_hadamard, "op cells out format"),
+    "certificate": (_cmd_certificate, "op p gamma c sigma-max cells out format"),
+    "bend": (_cmd_bend, "op p gamma out"),
+    "truncate": (_cmd_truncate, "op p gamma cells out"),
+    "fixed-point": (_cmd_fixed_point, "op p out"),
+    "hypothesis": (_cmd_hypothesis, "op p gamma power out"),
     "sweep": (_cmd_sweep, "config out"),
 }
 
@@ -453,11 +452,8 @@ def main(argv=None) -> int:
         except (SpecError, OSError) as exc:
             print(f"invalid operator spec: {exc}", file=sys.stderr)
             return EXIT_BAD_SPEC
-        n = args.n if args.n is not None else op.dim
-        if n != op.dim:
-            raise _UsageError(f"--n {n} does not match operator dim {op.dim}")
         try:  # a handler returns its payload and None, a field or a (header, curve)
-            payload, result = handler(args, op, n)
+            payload, result = handler(args, op)
             code = EXIT_OK
         except (solver.PolicyIterationDiverged, spectral.IterationFailure,
                 liouville.WrongRegime, RuntimeError) as exc:

@@ -207,7 +207,7 @@ def nonexistence_certificate(f_op: EllipticOperator, n: int, p: float,
     lambda1.  c plays the lower-bound constant and is an input, not derived
     (it aggregates unnamed ellipticity constants).
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     verdict = classify(f_op, n, p, gamma)
     if verdict.outcome != NONEXISTENCE_EXTERIOR:

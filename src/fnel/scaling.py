@@ -44,6 +44,14 @@ def alpha_bracket(f: EllipticOperator, n: int) -> tuple:
     return ((f.lam / f.Lam) * (n - 1) - 1.0, (f.Lam / f.lam) * (n - 1) - 1.0)
 
 
+def _check_radial(f: EllipticOperator, n: int):
+    """The radial exponents need a rotationally invariant F in its own dimension."""
+    if not f.rot_invariant:
+        raise NotRotInvariant("indicator requires a rotationally invariant operator")
+    if n != f.dim:
+        raise ValueError(f"n={n} does not match operator dim {f.dim}")
+
+
 def homogeneity_indicator(f: EllipticOperator, n: int, alpha):
     """Normalized radial residual psi(a) = F(diag(a+1, -1, ..., -1)).
 
@@ -52,10 +60,7 @@ def homogeneity_indicator(f: EllipticOperator, n: int, alpha):
     alpha gives a float; an array of alpha gives psi at each entry, from one
     ``eval_diagonal`` call on the diagonals.
     """
-    if not f.rot_invariant:
-        raise NotRotInvariant("indicator requires a rotationally invariant operator")
-    if n != f.dim:
-        raise ValueError(f"n={n} does not match operator dim {f.dim}")
+    _check_radial(f, n)
     alpha = np.asarray(alpha, dtype=float)
     diag = np.full(alpha.shape + (n,), -1.0)
     diag[..., 0] = alpha + 1.0
@@ -68,7 +73,6 @@ class ScalingReport:
     alpha_star: float
     log_case: bool
     bracket: tuple
-    indicator_samples: tuple
     critical_exponent: float  # math.inf when alpha_star <= 0
 
     def __post_init__(self):
@@ -86,9 +90,8 @@ def alpha_star(f: EllipticOperator, n: int) -> ScalingReport:
     family psi(a) = max_r min_c (s - (a+1) a11) over the (a11, s) table,
     each line falls with slope -a11 < 0, so a row minimum crosses zero at
     the row's smallest line root and the maximum at the largest row root."""
+    _check_radial(f, n)
     lo, hi = alpha_bracket(f, n)
-    alphas = np.linspace(lo, hi, 9)           # the endpoints are exactly lo, hi
-    psi = homogeneity_indicator(f, n, alphas)
     if f.kind == ISAACS:
         _, a11, s = control_table(f)
         root = float((s / a11).min(axis=1).max()) - 1.0
@@ -97,12 +100,9 @@ def alpha_star(f: EllipticOperator, n: int) -> ScalingReport:
     log_case = abs(root) < LOG_CASE_THRESHOLD
     if log_case:
         root = 0.0
-    samples = tuple(zip(alphas.tolist(), psi.tolist()))
     crit = (root + 2.0) / root if root > 0 else math.inf
-    return ScalingReport(
-        alpha_star=root, log_case=log_case, bracket=(lo, hi),
-        indicator_samples=samples, critical_exponent=crit,
-    )
+    return ScalingReport(alpha_star=root, log_case=log_case, bracket=(lo, hi),
+                         critical_exponent=crit)
 
 
 def critical_exponent(f: EllipticOperator, n: int) -> float:
@@ -112,9 +112,9 @@ def critical_exponent(f: EllipticOperator, n: int) -> float:
 
 def beta_star(p: float, gamma: float = 0.0) -> float:
     """Scaling exponent (2 - gamma)/(p - 1) of F(D^2 u) = |x|^{-gamma} u^p."""
-    if p <= 1:
+    if not p > 1:
         raise ValueError("p must exceed 1 (standing assumption p > 1)")
-    if gamma >= 2:
+    if not gamma < 2:
         raise ValueError("gamma must be below 2 (standing assumption gamma < 2)")
     return (2.0 - gamma) / (p - 1.0)
 

@@ -88,6 +88,7 @@ from .scaling import alpha_bracket
 RESIDUAL_TOL = 1e-10
 SEED_TOL = 1e-5                         # RESIDUAL_TOL of an ``_OnGrid`` solve
 ITERATION_CAP = 200
+_PUCCI_ANGLES = 24                      # rotations in [0, pi/2) of a 2D Pucci family
 
 
 class PolicyIterationDiverged(RuntimeError):
@@ -530,6 +531,8 @@ class _RadialGrid(_HeldLU):
             raise ValueError("radial solver needs a rotationally invariant operator")
         if n != f_op.dim:
             raise ValueError(f"n={n} does not match operator dim {f_op.dim}")
+        if problem.n != n:
+            raise ValueError(f"problem n={problem.n} does not match n={n}")
         if not 2 <= n <= 6:
             raise ValueError("radial solver supports 2 <= n <= 6")
         r, h = _radial_grid(problem.domain, cells)
@@ -695,7 +698,7 @@ def convergence_order(f_op: EllipticOperator, problem: DirichletProblem,
 # 2D kernel
 
 
-def _control_families(f_op, angles=24):
+def _control_families(f_op):
     """The (rows, controls, 2, 2) sup-inf control family realizing F on 2D grids.
 
     Pucci kinds are approximated by rotated extremal diagonal controls; the
@@ -709,7 +712,7 @@ def _control_families(f_op, angles=24):
     if f_op.kind == ISAACS:
         return control_table(f_op)[0]
     lam, Lam = f_op.lam, f_op.Lam
-    th = [k * math.pi / (2 * angles) for k in range(angles)]
+    th = [k * math.pi / (2 * _PUCCI_ANGLES) for k in range(_PUCCI_ANGLES)]
     c, s = (np.array([f(t) for t in th]) for f in (math.cos, math.sin))
     rot = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)[:, None]  # (angles, 1, 2, 2)
     w = np.array([(lam, lam), (lam, Lam), (Lam, lam), (Lam, Lam)])
@@ -838,6 +841,8 @@ class _Grid2D(_HeldLU):
         stencils' boundary terms and the solve interface."""
         fams = _control_families(f_op)
         _check_stencil_monotone(fams)
+        if problem.n != 2:
+            raise ValueError(f"2D solver needs problem n=2, got n={problem.n}")
         grid = cls.build(problem, h)
         if grid.nodes.size == 0:
             raise ValueError("no interior nodes at this resolution")
@@ -1039,6 +1044,8 @@ def fundamental_profile(f_op: EllipticOperator, n: int,
     then fits sphere minima m(s) over s in [2, 8] against A s^{-a} + B and
     against the logarithmic model A + B log s.
     """
+    if cells < 2:
+        raise ValueError("need at least 2 cells")
     problem = DirichletProblem(
         domain=Annulus(1.0, 16.0), n=n,
         boundary=lambda r: 1.0 if abs(r - 1.0) < abs(r - 16.0) else 0.0)

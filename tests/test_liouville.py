@@ -3,6 +3,7 @@ and the homogeneous-cone fixed point."""
 
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from fnel import (
     Annulus, DirichletProblem, HomogeneousProfile, bend_fundamental,
     build_global_supersolution, cone_map_A, critical_log_check,
     fit_lower_bound, fixed_point, hadamard_check, isaacs, laplacian,
-    nonexistence_certificate, pucci_max, pucci_min, rescale,
+    nonexistence_certificate, operator_digest, pucci_max, pucci_min, rescale,
     solve_dirichlet_radial, sphere_min_curve,
 )
 from fnel.liouville import (
@@ -179,6 +180,23 @@ class TestCertificate:
     def test_existence_regime_rejected(self, pm3):
         with pytest.raises(WrongRegime):
             nonexistence_certificate(pm3, 3, 2.0, 0.0, c=1.0)
+
+    def test_nan_c_is_refused(self, lap3):
+        with pytest.raises(ValueError, match="c must be positive"):
+            nonexistence_certificate(lap3, 3, 2.0, 0.0, c=math.nan, cells=64)
+
+    def test_curves_script_writes_the_inputs_and_the_curve(self, tmp_path):
+        # --out-prefix wrote each curve with no '#' line naming its inputs
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_certificate_curves.py"
+        mod = runpy.run_path(str(script))
+        assert mod["main"](["--out-prefix", str(tmp_path / "cert")]) == 0
+        for name, op, n, p in mod["CASES"]:
+            rep = nonexistence_certificate(op, n, p, 0.0, c=1.0, cells=mod["CELLS"])
+            lines = (tmp_path / f"cert-{name}.csv").read_text().splitlines()
+            assert lines[0] == (f"# c=1.0 case={name} cells={mod['CELLS']} "
+                                f"operator_digest={operator_digest(op)} p={p}")
+            assert lines[1] == "sigma,mu"
+            assert lines[2:] == [f"{float(s)!r},{float(m)!r}" for s, m in rep["curve"]]
 
     def test_c_flagged_as_input(self, lap3):
         rep = nonexistence_certificate(lap3, 3, 2.0, 0.0, c=1.0)

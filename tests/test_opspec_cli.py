@@ -351,31 +351,31 @@ class TestCommandTable:
     """Each subcommand declares only the options it reads, and its report
     echoes exactly those."""
 
-    # subcommand -> (its arguments besides --op and --n, the inputs it echoes)
+    # subcommand -> (its arguments besides --op, the inputs it echoes)
     COMMANDS = {
-        "alpha-star": ([], {"n"}),
-        "critical-exponent": ([], {"n"}),
-        "classify": (["--p", "2.0"], {"n", "p", "gamma"}),
-        "constant": (["--p", "2.0"], {"n", "p", "gamma"}),
+        "alpha-star": ([], set()),
+        "critical-exponent": ([], set()),
+        "classify": (["--p", "2.0"], {"p", "gamma"}),
+        "constant": (["--p", "2.0"], {"p", "gamma"}),
         "solve": (["--domain", "annulus:1:2", "--cells", "16"],
-                  {"n", "domain", "cells", "rhs_const", "g0", "g1"}),
+                  {"domain", "cells", "rhs_const", "g0", "g1"}),
         "eigen": (["--domain", "annulus:1:2", "--cells", "32"],
-                  {"n", "domain", "cells", "tol"}),
-        "fundamental": (["--cells", "64"], {"n", "cells"}),
-        "hadamard": (["--cells", "64"], {"n", "cells"}),
+                  {"domain", "cells", "tol"}),
+        "fundamental": (["--cells", "64"], {"cells"}),
+        "hadamard": (["--cells", "64"], {"cells"}),
         "certificate": (["--p", "1.4", "--cells", "64"],
-                        {"n", "p", "gamma", "c", "sigma_max", "cells"}),
-        "bend": (["--p", "2.0"], {"n", "p", "gamma"}),
-        "truncate": (["--p", "2.0", "--cells", "64"], {"n", "p", "gamma", "cells"}),
-        "fixed-point": (["--p", "2.0"], {"n", "p"}),
-        "hypothesis": (["--p", "1.4", "--power", "1:0:1.4"], {"n", "p", "gamma", "power"}),
+                        {"p", "gamma", "c", "sigma_max", "cells"}),
+        "bend": (["--p", "2.0"], {"p", "gamma"}),
+        "truncate": (["--p", "2.0", "--cells", "64"], {"p", "gamma", "cells"}),
+        "fixed-point": (["--p", "2.0"], {"p"}),
+        "hypothesis": (["--p", "1.4", "--power", "1:0:1.4"], {"p", "gamma", "power"}),
         "sweep": (["--config", str(SAMPLES / "sweep_classify.json")], {"config"}),
     }
 
     @classmethod
     def argv(cls, command):
         args = cls.COMMANDS[command][0]
-        return [command, *args] if command == "sweep" else [command, "--op", PM3, "--n", "3", *args]
+        return [command, *args] if command == "sweep" else [command, "--op", PM3, *args]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_echo_is_the_declared_inputs(self, command, monkeypatch, capsys):
@@ -414,6 +414,15 @@ class TestCommandTable:
          "--domain", "rectangle:0:1:0:1", "--g0", "5", "--cells", "4"],
         # a sweep's settings all come from its config: both were ignored
         ["sweep", "--config", str(SAMPLES / "sweep_classify.json"), "--p", "9", "--tol", "5"],
+        # the spec fixes the dimension: a matching --n was accepted
+        ["classify", "--op", PM3, "--p", "2.0", "--n", "3"],
+        # NaN passed p <= 1, gamma >= 2 and c <= 0: an existence verdict, a NaN sigma*
+        ["classify", "--op", PM3, "--p", "nan"],
+        ["classify", "--op", PM3, "--p", "2.0", "--gamma", "nan"],
+        ["certificate", "--op", str(SAMPLES / "laplacian_n4.json"), "--p", "1.5",
+         "--c", "nan", "--cells", "64"],
+        # 0 cells ended in a ZeroDivisionError traceback on the 2D path
+        ["fundamental", "--op", str(SAMPLES / "isaacs_2d.json"), "--cells", "0"],
     ])
     def test_unread_or_bad_setting_is_usage(self, argv, capsys):
         assert main(argv) == EXIT_USAGE

@@ -112,9 +112,15 @@ class TestAlphaStar:
             assert lo - 1e-9 <= rep.alpha_star <= hi + 1e-9
             assert rep.alpha_star == pytest.approx(hi, abs=1e-8)
 
-    def test_indicator_samples_recorded(self, pm3):
-        rep = alpha_star(pm3, 3)
-        assert len(rep.indicator_samples) >= 2
+    def test_indicator_samples_recorded(self, monkeypatch, lap3, pm3, pmin3):
+        # alpha* is a closed form: it samples the indicator nowhere
+        calls = []
+        real = scaling.homogeneity_indicator
+        monkeypatch.setattr(scaling, "homogeneity_indicator",
+                            lambda *args: calls.append(1) or real(*args))
+        for op in (lap3, pm3, pmin3):
+            alpha_star(op, 3)
+        assert calls == []
 
 
 def sequential_root(f, n, tol, below_root=None):
@@ -198,7 +204,7 @@ class TestStackedBisection:
 class TestClosedForm:
     """alpha_star is the indicator's root in closed form: the exact bracket
     end for Pucci kinds and the Laplacian, and max_r min_c s/a11 - 1 for an
-    Isaacs family; it calls the indicator once, for its samples."""
+    Isaacs family; it calls the indicator nowhere."""
 
     def test_isaacs_matches_sequential_search(self, monkeypatch):
         calls = []
@@ -216,7 +222,7 @@ class TestClosedForm:
             rep = alpha_star(op, n)
             want = 0.0 if abs(root) < LOG_CASE_THRESHOLD else root
             assert abs(rep.alpha_star - want) <= 1e-12
-            assert len(calls) == 1
+            assert len(calls) == 0
             lo, hi = rep.bracket
             interior += lo < rep.alpha_star < hi
         assert interior >= 40
@@ -337,6 +343,13 @@ class TestClassify:
         v = classify(laplacian(4), 4, 2.0)
         assert v.alpha_star == pytest.approx(v.beta_star)
         assert v.outcome == NONEXISTENCE_EXTERIOR
+
+    def test_nan_exponents_are_refused(self, pm3):
+        # NaN passed p <= 1 and gamma >= 2 and classified as existence
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            classify(pm3, 3, math.nan)
+        with pytest.raises(ValueError, match="gamma must be below 2"):
+            classify(pm3, 3, 2.0, math.nan)
 
     def test_margin_sign(self, lap3, pm3):
         assert classify(lap3, 3, 2.0).margin < 0

@@ -102,6 +102,12 @@ class TestRadialSolver:
         with pytest.raises(ValueError):
             solve_dirichlet_radial(laplacian(7), 7, prob, 32)
 
+    def test_problem_dimension_must_match(self, lap3):
+        # a problem posed in n = 5 was solved in n = 3
+        prob = radial_problem(Annulus(1.0, 2.0), 5, lambda r: 1.0)
+        with pytest.raises(ValueError, match="problem n=5 does not match n=3"):
+            solve_dirichlet_radial(lap3, 3, prob, 64)
+
 
 class TestRadialField:
     def test_node_count_guard(self):
@@ -276,6 +282,12 @@ class TestSolver2D:
         prob = DirichletProblem(domain=domain, n=2, rhs=lambda x, y: 1.0)
         with pytest.raises(ValueError, match="h must be finite and positive"):
             solve_dirichlet_2d(pm2, prob, h)
+
+    def test_problem_must_be_2d(self, pm2):
+        prob = DirichletProblem(domain=Rectangle(0.0, 1.0, 0.0, 1.0), n=7,
+                                rhs=lambda x, y: 1.0)
+        with pytest.raises(ValueError, match="2D solver needs problem n=2, got n=7"):
+            solve_dirichlet_2d(pm2, prob, 0.125)
 
     @pytest.mark.parametrize("cells", [-2, 0, 1])
     def test_rectangle_needs_two_cells(self, cells):
@@ -534,6 +546,13 @@ class TestFundamentalProfile:
         with pytest.raises(ValueError, match="130 of the 4224 sphere samples "
                                              "fell off the grid"):
             fundamental_profile(op, 2, cells=64)
+
+    @pytest.mark.parametrize("cells", [-4, 0, 1])
+    def test_isaacs_2d_needs_two_cells(self, cells):
+        # 0 cells ended in a ZeroDivisionError on the 2D path
+        op = parse_operator_spec((SAMPLES / "isaacs_2d.json").read_text())
+        with pytest.raises(ValueError, match="need at least 2 cells"):
+            fundamental_profile(op, 2, cells=cells)
 
     @pytest.mark.parametrize("alpha", [None, 0.3, 1.7])
     def test_line_fit_matches_lstsq(self, alpha):

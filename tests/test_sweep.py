@@ -237,15 +237,18 @@ class TestBendBlocks:
 
     @pytest.mark.parametrize("kind", ["laplacian", "pucci_max", "pucci_min"])
     def test_all_out_of_regime_sweep_matches_reference(self, kind):
-        # 2000 rows, every one outside 0 < beta* < alpha*: beta* >= 2 > alpha*,
-        # beta* = 0 at p = inf and a NaN beta* at gamma = nan
+        # 2000 rows, none in 0 < beta* < alpha*: at gamma = 0, beta* >= 2 > alpha*
+        # or beta* = 0 at p = inf; at gamma = nan, beta* refuses the NaN
         config = {"command": "bend", "kind": kind,
                   "axes": {"p": list(np.linspace(1.05, 1.9, 497)) + [math.inf] * 3,
                            "gamma": [0.0, math.nan], "Lambda": [1.0, 1.2], "n": [3]}}
         csv_text, failed = run_sweep(config)
         rows = csv_text.splitlines()[1:]
         assert failed and len(rows) == 2000
-        assert all(",WrongRegime: requires 0 < beta*=" in row for row in rows)
+        by_gamma = {g: [row for row in rows if row.split(",")[1] == g] for g in ("0.0", "nan")}
+        assert len(by_gamma["0.0"]) == len(by_gamma["nan"]) == 1000
+        assert all(",WrongRegime: requires 0 < beta*=" in row for row in by_gamma["0.0"])
+        assert all(",ValueError: gamma must be below 2" in row for row in by_gamma["nan"])
         assert (csv_text, failed) == reference_sweep(config)
 
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
