@@ -27,6 +27,7 @@ from .spectral import principal_eigenvalue
 
 LOG_GRID = np.geomspace(1.5, 100.0, 256)
 NO_CROSSING = "NO_CROSSING"
+SIGMA_START = 1.0 + 1e-9                 # the first scale of a certificate's curve
 
 
 class WrongRegime(ValueError):
@@ -209,6 +210,8 @@ def nonexistence_certificate(f_op: EllipticOperator, n: int, p: float,
     """
     if not c > 0:
         raise ValueError("c must be positive")
+    if not SIGMA_START < sigma_max < math.inf:
+        raise ValueError(f"sigma_max must be finite and above {SIGMA_START!r}")
     verdict = classify(f_op, n, p, gamma)
     if verdict.outcome != NONEXISTENCE_EXTERIOR:
         raise WrongRegime("certificate only applies in the nonexistence regime")
@@ -218,7 +221,7 @@ def nonexistence_certificate(f_op: EllipticOperator, n: int, p: float,
     prefactor = min(1.0, 2.0 ** (-gamma)) * c ** (p - 1.0)
     critical = abs(alpha - b_star) < 1e-12
 
-    sigmas = np.geomspace(1.0 + 1e-9, sigma_max, 64)
+    sigmas = np.geomspace(SIGMA_START, sigma_max, 64)
     if critical and use_log_improvement:
         mu = c * np.log(sigmas) ** (p - 1.0)
         lg = (lam1 / c) ** (1.0 / (p - 1.0))

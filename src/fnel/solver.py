@@ -13,6 +13,9 @@ chosen at every node); ``step(policy, u, rhs)`` solves the linear system
 with that policy frozen, reading only u's boundary data; ``field(u, meta)``
 gives the RadialField or Field2D.  ``apply`` is each grid's one kernel: the
 stopping residual, ``residual_norm`` and every sweep's policy come from it.
+It reads the grid's one stencil table, every row's coefficients on its nodes
+``u[grid.nbr]``, as ``system`` (a policy's matrix rows) and ``step`` (their
+boundary terms) do: the residual measures the matrix a sweep factorizes.
 
 The loop succeeds once the residual sup-norm is at most the tolerance.  An
 iterate that selects the very policy that produced it is the scheme's fixed
@@ -31,7 +34,8 @@ control reduces F to -(wa*a + wb*b).  ``_pattern_weights`` picks the policy
 tests for the Laplacian and Pucci kinds, a loop over sup-rows of the
 (a11, tr A - a11) control table for Isaacs families.  A step solves the
 tridiagonal system (the centre row first on a ball) from its (unknowns, 3)
-band; see ``_RadialGrid`` for the skeleton its factorizations share.
+band; see ``_RadialGrid`` for its stencil table and for the skeleton its
+factorizations share.
 
 2D path: rectangles and annuli on a uniform Cartesian grid.  F is a sup over
 rows of an inf over the controls A of one (rows, controls, 2, 2) array, each
@@ -184,12 +188,19 @@ class _HeldLU:
         return lu.solve(rhs[order], trans="T")[perm_c]
 
 
-def _data(fn, *coords):
-    """fn at the points of the coordinate lists, as the problem's ``rhs_at``
-    or ``boundary_at`` gives it, in one float array (zeros for fn None)."""
+def _data(problem, name, *coords):
+    """The problem's ``name`` data, "rhs" or "boundary", at the points of the
+    coordinate lists, as ``rhs_at`` or ``boundary_at`` gives it, in one float
+    array (zeros for None); a value that is not finite raises ValueError."""
+    fn = getattr(problem, name)
     if fn is None:
         return np.zeros(len(coords[0]))
-    return np.fromiter(map(fn, *coords), dtype=float, count=len(coords[0]))
+    vals = np.fromiter(map(fn, *coords), dtype=float, count=len(coords[0]))
+    if not np.isfinite(vals).all():
+        k = np.isfinite(vals).argmin()
+        raise ValueError(f"the {name} is {vals[k].item()} at "
+                         f"{tuple(c[k] for c in coords)}; problem data must be finite")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +261,8 @@ class DirichletProblem:
     rhs and boundary take a radius for radial domains and (x, y) for 2D,
     except the boundary of a 2D annulus, which takes the radius of the
     boundary circle nearest the node.  None means zero; any other value that
-    is not callable (a constant, a Field2D) raises TypeError.  A RadialField
+    is not callable (a constant, a Field2D) raises TypeError, and a solve
+    raises ValueError at a value that is not finite.  A RadialField
     is callable and serves as a radial rhs.  ``exact`` is an optional oracle
     used by convergence studies only.  The domain alone fixes a radial grid:
     uniform in log r on an annulus, uniform in r on a ball.
@@ -374,22 +386,8 @@ def _csv(meta, header, *columns):
 # on a ball, which needs its centre.  In log coordinates u'' = (U_tt - U_t)/r^2
 # and u'/r = U_t/r^2, so the Hessian eigenvalue pattern at a node is
 # diag(a, b, ..., b)/r^2 with a = D2 U - D1 U and b = D1 U.  On a ball
-# a = D2 u, b = D1 u / r.
-
-
-def _radial_entries(u, h, r, is_ball):
-    """Pattern entries (a, b) at the interior nodes, a ball's centre first.
-
-    At the centre the Hessian is u''(0) I by symmetry; with the ghost value
-    U[-1] = U[1] that is a = b = 2 (U[1] - U[0]) / h^2.
-    """
-    d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
-    d1 = (u[2:] - u[:-2]) / (2.0 * h)
-    ri = r[1:-1]
-    if not is_ball:
-        return (d2 - d1) / ri ** 2, d1 / ri ** 2
-    a0 = 2.0 * (u[1] - u[0]) / h ** 2
-    return np.concatenate(([a0], d2)), np.concatenate(([a0], d1 / ri))
+# a = D2 u, b = D1 u / r; at the centre the Hessian is u''(0) I by symmetry,
+# and with the ghost value U[-1] = U[1] that is a = b = 2 (U[1] - U[0]) / h^2.
 
 
 def _pattern_weights(f_op, n, a, b, controls):
@@ -466,7 +464,7 @@ def _radial_rhs(problem, r):
     singular), then the interior nodes; the order of F_h u, the policy and
     the unknowns."""
     pts = np.append(r[1] * 1e-8, r[1:-1]) if isinstance(problem.domain, Ball) else r[1:-1]
-    return _data(problem.rhs, pts.tolist())
+    return _data(problem, "rhs", pts.tolist())
 
 
 # SuperLU's COLAMD orders per sparsity pattern, one cache for both grids (see
@@ -503,10 +501,12 @@ def _skeleton(nun, perm_c):
 
 
 class _RadialGrid(_HeldLU):
-    """Radial nodes r with step h, whether the domain is a ball, and the
-    Isaacs control table: all that ``apply`` needs.  ``for_solve`` adds the
-    rest of the solve interface.  A ball's centre comes first in F_h u, the
-    policy, the rhs points and the unknowns alike.
+    """Radial nodes r, the Isaacs control table and the stencil table of r
+    and the step h: all that ``apply`` needs.  ``for_solve`` adds the rest
+    of the solve interface.  Row i of the table holds the coefficients of a
+    (``stencil[0, :, i]``) and of b (``stencil[1, :, i]``) on the nodes
+    ``nbr[:, i]``.  A ball's centre row comes first in it, as in F_h u, the
+    policy, the rhs points and the unknowns, and reads (U0, U0, U1).
 
     The first factorization at a number of unknowns is SuperLU's own, with
     COLAMD, on ``matrix(band)``; it gives ``_SKELETONS`` that size's order.
@@ -520,8 +520,22 @@ class _RadialGrid(_HeldLU):
     _skel = None                        # the grid's CSC skeleton, made on first use
 
     def __init__(self, f_op, n, r, h, is_ball):
-        self.f_op, self.n, self.r, self.h, self.is_ball = f_op, n, r, h, is_ball
+        self.f_op, self.n, self.r = f_op, n, r
         self.controls = control_table(f_op)[1:] if f_op.kind == ISAACS else None
+        ri = r[1:-1]
+        if is_ball:
+            ca, cb = np.full(ri.shape, 1.0 / h ** 2), 1.0 / (2.0 * h * ri)
+            a = [ca, -2.0 * ca, ca]
+        else:
+            ca, cb = 1.0 / (ri ** 2 * h ** 2), 1.0 / (ri ** 2 * 2.0 * h)
+            a = [ca + cb, -2.0 * ca, ca - cb]
+        self.stencil = np.array([a, [-cb, 0.0 * cb, cb]])       # (2, 3, rows)
+        self.nbr = np.arange(ri.size) + np.arange(3)[:, None]   # (3, rows)
+        if is_ball:                          # the centre row first
+            centre = [[0.0], [-2.0 / h ** 2], [2.0 / h ** 2]]
+            self.stencil = np.concatenate([[centre, centre], self.stencil], axis=2)
+            self.nbr = np.hstack([[[0], [0], [1]], self.nbr])
+        self.unknown = slice(0 if is_ball else 1, -1)
 
     @classmethod
     def for_solve(cls, f_op, n, problem, cells):
@@ -541,21 +555,13 @@ class _RadialGrid(_HeldLU):
             _check_radial_monotonicity(f_op, n, h)
         grid = cls(f_op, n, r, h, is_ball)
         grid.h_min = np.diff(r).min()
-        # row i of a sweep's matrix is -(wa_i wa_rows[i] + wb_i wb_rows[i]) on
-        # U_{i-1}, U_i, U_{i+1} (log grid: a = d2 - d1, b = d1, over r^2)
-        ri, g1 = r[1:-1], problem.boundary_at(r[-1])
         if is_ball:                          # unknowns: nodes 0..cells-1, centre first
-            ca, cb = np.full(ri.shape, 1.0 / h ** 2), 1.0 / (2.0 * h * ri)
-            grid.wa_rows = np.stack([ca, -2.0 * ca, ca], axis=1)
+            g1, = _data(problem, "boundary", r[-1:].tolist())
             grid.first, grid.tol_terms = np.full(cells + 1, g1), (abs(g1), 0.0)
         else:
-            ca, cb = 1.0 / (ri ** 2 * h ** 2), 1.0 / (ri ** 2 * 2.0 * h)
-            grid.wa_rows = np.stack([ca + cb, -2.0 * ca, ca - cb], axis=1)
-            g0, t = problem.boundary_at(r[0]), np.log(r)
+            (g0, g1), t = _data(problem, "boundary", r[[0, -1]].tolist()), np.log(r)
             grid.first = g0 + (g1 - g0) * (t - t[0]) / (t[-1] - t[0])
             grid.tol_terms = (abs(g1), abs(g0))
-        grid.wb_rows = np.stack([-cb, 0.0 * cb, cb], axis=1)
-        grid.unknown = slice(0 if is_ball else 1, -1)
         grid.meta = {"operator": f_op.kind, "n": n, "cells": cells,
                      "spacing": "linear" if is_ball else "log"}
         return grid
@@ -564,9 +570,9 @@ class _RadialGrid(_HeldLU):
     def for_field(cls, f_op, fld, domain):
         """The kernel grid of a RadialField on an annulus or ball ``domain``,
         whose nodes must be the solver's for the field's cells (to 1e-12).
-        The grid holds the field's nodes and the solver's step h (from its
-        linspace, not from the nodes), so ``apply`` is the solver's up to
-        rounding."""
+        Its stencil table is built from the field's nodes and the solver's
+        step h (from its linspace, not from the nodes): on a solve's own field
+        it is the solve's table."""
         nodes, h = _radial_grid(domain, len(fld.nodes) - 1)
         if not np.allclose(fld.nodes, nodes, rtol=1e-12, atol=0.0):
             raise ValueError(f"field nodes are not the {len(nodes) - 1}-cell grid "
@@ -575,16 +581,17 @@ class _RadialGrid(_HeldLU):
 
     def apply(self, u):
         """F_h u at a ball's centre and the interior nodes, and the policy (wa, wb)."""
-        a, b = _radial_entries(u, self.h, self.r, self.is_ball)
+        a, b = (self.stencil * u[self.nbr]).sum(axis=1)
         wa, wb = _pattern_weights(self.f_op, self.n, a, b, self.controls)
         return -(wa * a + wb * b), (wa, wb)
 
     def step(self, policy, u, rhs):
-        wa, wb = policy                      # two band entries reach u's boundary
+        # only the first row's first column and the last row's last one reach
+        # u's boundary nodes (a ball's centre row has 0 there)
+        (wa, wb), (a, b) = policy, self.stencil
         rvec = rhs + 0.0                     # + 0.0 maps -0.0 to 0.0
-        if not self.is_ball:
-            rvec[0] += (wa[0] * self.wa_rows[0, 0] + wb[0] * self.wb_rows[0, 0]) * u[0]
-        rvec[-1] += (wa[-1] * self.wa_rows[-1, 2] + wb[-1] * self.wb_rows[-1, 2]) * u[-1]
+        rvec[0] += (wa[0] * a[0, 0] + wb[0] * b[0, 0]) * u[0]
+        rvec[-1] += (wa[-1] * a[2, -1] + wb[-1] * b[2, -1]) * u[-1]
         out = u.copy()
         out[self.unknown] = self._solve(policy, rvec)
         return out
@@ -614,15 +621,9 @@ class _RadialGrid(_HeldLU):
         return fld
 
     def system(self, policy):
-        """The band of a sweep with weights (wa, wb): row k is on unknowns k-1,
-        k, k+1 (a ball's centre first)."""
-        wa, wb = policy
-        k = int(self.is_ball)
-        band = -(wa[k:, None] * self.wa_rows + wb[k:, None] * self.wb_rows)
-        if self.is_ball:
-            w, c0 = wa[0] + wb[0], 2.0 / self.h ** 2
-            band = np.vstack([(0.0, w * c0, -w * c0), band])
-        return band
+        """The (rows, 3) band of a sweep with weights (wa, wb): row k is on
+        unknowns k-1, k, k+1 (a ball's centre first)."""
+        return -(policy[0] * self.stencil[0] + policy[1] * self.stencil[1]).T
 
     @staticmethod
     def matrix(band):
@@ -772,10 +773,10 @@ def _window(mask):
     return [mask[1 + di:nx - 1 + di, 1 + dj:ny - 1 + dj] for di, dj in _OFFSETS]
 
 
-def _at_nodes(fn, mask, x0, y0, h):
-    """fn(x, y) at every node of ``mask``, in row-major order (see _data)."""
+def _at_nodes(problem, name, mask, x0, y0, h):
+    """The problem's ``name`` data at every node of ``mask``, row-major (see _data)."""
     i, j = np.nonzero(mask)
-    return _data(fn, (x0 + i * h).tolist(), (y0 + j * h).tolist())
+    return _data(problem, name, (x0 + i * h).tolist(), (y0 + j * h).tolist())
 
 
 @dataclass
@@ -817,7 +818,7 @@ class _Grid2D(_HeldLU):
             interior = np.zeros((nx, ny), dtype=bool)
             interior[1:-1, 1:-1] = True
             bvals = np.full((nx, ny), np.nan)
-            bvals[~interior] = _at_nodes(problem.boundary, ~interior, x0, y0, h)
+            bvals[~interior] = _at_nodes(problem, "boundary", ~interior, x0, y0, h)
         elif isinstance(dom, Annulus):
             half = int(math.ceil(dom.r1 / h)) + 2
             x0 = y0 = -half * h
@@ -830,7 +831,7 @@ class _Grid2D(_HeldLU):
             # project to the nearest circle of the annulus boundary
             rb = np.where(np.abs(rad - dom.r0) < np.abs(rad - dom.r1), dom.r0, dom.r1)
             bvals = np.full(interior.shape, np.nan)
-            bvals[ring] = _data(problem.boundary, rb[ring].tolist())
+            bvals[ring] = _data(problem, "boundary", rb[ring].tolist())
         else:
             raise ValueError("2D solver needs a rectangle or annulus domain")
         return cls(h=h, x0=x0, y0=y0, interior=interior, boundary_values=bvals)
@@ -862,7 +863,7 @@ class _Grid2D(_HeldLU):
 
     def rhs(self, problem):
         """f at the interior nodes."""
-        return _at_nodes(problem.rhs, self.interior, self.x0, self.y0, self.h)
+        return _at_nodes(problem, "rhs", self.interior, self.x0, self.y0, self.h)
 
     def apply(self, u):
         """F_h u at the interior nodes and the policy (row, control) per node."""

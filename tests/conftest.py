@@ -17,7 +17,9 @@ def eigen_results_lie_in_their_bracket():
         def check(grid, u, meta):
             if "lambda_lo" in meta:
                 pol = grid.apply(u)[1]
-                a, nbr = np.abs(grid.system(pol)), _neighbours(grid, u)
+                # |u| at each row's stencil nodes, aligned with the system's
+                # columns; the boundary data of an eigenproblem are zero
+                a, nbr = np.abs(grid.system(pol)), np.abs(u[grid.nbr]).T
                 slack = (2 * a.shape[1] * np.finfo(float).eps
                          * ((a * nbr).sum(axis=1) / u[grid.unknown]).max())
                 assert (meta["lambda_lo"] - slack <= meta["lambda1"]
@@ -30,15 +32,6 @@ def eigen_results_lie_in_their_bracket():
     yield
     for cls, field in fields.items():
         cls.field = field
-
-
-def _neighbours(grid, u):
-    """|u| at each row's stencil, aligned with ``grid.system``'s columns; the
-    boundary data of an eigenproblem are zero."""
-    if isinstance(grid, solver._Grid2D):
-        return np.abs(u[grid.nbr]).T
-    p = np.concatenate(([0.0], np.abs(u[grid.unknown]), [0.0]))
-    return np.stack([p[:-2], p[1:-1], p[2:]], axis=1)
 
 
 @pytest.fixture

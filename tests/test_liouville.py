@@ -185,6 +185,14 @@ class TestCertificate:
         with pytest.raises(ValueError, match="c must be positive"):
             nonexistence_certificate(lap3, 3, 2.0, 0.0, c=math.nan, cells=64)
 
+    # NaN gave nan,nan curve rows, inf an inf,inf row and 0.5 a curve that
+    # ran backwards from its first point 1 + 1e-9
+    @pytest.mark.parametrize("sigma_max", [math.nan, math.inf, 0.5, 1.0 + 1e-9])
+    def test_sigma_max_must_be_finite_and_past_the_first_point(self, lap3, sigma_max):
+        with pytest.raises(ValueError, match="sigma_max must be finite and above"):
+            nonexistence_certificate(lap3, 3, 2.0, 0.0, c=1.0, sigma_max=sigma_max,
+                                     cells=64)
+
     def test_curves_script_writes_the_inputs_and_the_curve(self, tmp_path):
         # --out-prefix wrote each curve with no '#' line naming its inputs
         script = Path(__file__).resolve().parents[1] / "scripts" / "run_certificate_curves.py"

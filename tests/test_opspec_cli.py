@@ -421,6 +421,18 @@ class TestCommandTable:
         ["classify", "--op", PM3, "--p", "2.0", "--gamma", "nan"],
         ["certificate", "--op", str(SAMPLES / "laplacian_n4.json"), "--p", "1.5",
          "--c", "nan", "--cells", "64"],
+        # a NaN or infinite sigma_max wrote nan or inf curve rows
+        ["certificate", "--op", str(SAMPLES / "laplacian_n4.json"), "--p", "1.5",
+         "--sigma-max", "nan", "--cells", "64"],
+        ["certificate", "--op", str(SAMPLES / "laplacian_n4.json"), "--p", "1.5",
+         "--sigma-max", "inf", "--cells", "64"],
+        # NaN solve data: a NaN rhs iterated to a NaN residual (exit 2), and
+        # NaN boundary data on a rectangle solved with zero data (exit 0)
+        ["solve", "--op", PM3, "--domain", "annulus:1:2", "--rhs-const", "nan",
+         "--cells", "16"],
+        ["solve", "--op", str(SAMPLES / "pucci_max_n2.json"),
+         "--domain", "rectangle:0:1:0:1", "--g1", "nan", "--rhs-const", "1.0",
+         "--cells", "4"],
         # 0 cells ended in a ZeroDivisionError traceback on the 2D path
         ["fundamental", "--op", str(SAMPLES / "isaacs_2d.json"), "--cells", "0"],
     ])

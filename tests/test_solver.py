@@ -20,7 +20,7 @@ from fnel.matcore import ISAACS, LAPLACIAN, PUCCI_MAX, PUCCI_MIN, control_table
 from fnel.solver import (
     Field2D, NonMonotoneScheme, RadialField, _control_families, _evaluate_2d,
     _brent_min, _Grid2D, _HeldLU, _line_fit, _pattern_weights,
-    _radial_entries, _radial_grid, _radial_rhs, _RadialGrid,
+    _radial_grid, _radial_rhs, _RadialGrid,
     _stencil_coefficients,
 )
 from conftest import counted_solves
@@ -667,6 +667,15 @@ def _pattern_value_reference(f_op, n, a, b):
     return best
 
 
+def _radial_coefficients(h, ri, is_ball):
+    """The second- and first-difference coefficients (ca, cb) of the stencil
+    at the interior radius ri: a = D2 u, b = D1 u / r on a ball, and
+    a = D2 U - D1 U, b = D1 U, each over r^2, on the log grid of an annulus."""
+    if is_ball:
+        return 1.0 / h ** 2, 1.0 / (2.0 * h * ri)
+    return 1.0 / (ri ** 2 * h ** 2), 1.0 / (ri ** 2 * 2.0 * h)
+
+
 def _radial_system_reference(f_op, n, u, h, r, rhs, is_ball):
     """Per-node assembly of one policy-iteration sweep: (CSR matrix, rhs);
     log grid on an annulus, uniform grid on a ball, whose centre comes first
@@ -684,16 +693,12 @@ def _radial_system_reference(f_op, n, u, h, r, rhs, is_ball):
     rvec = np.zeros(nun)
     for i in range(m):
         wa, wb = _pattern_weights_reference(f_op, n, a[i], b[i])
-        ri = r[1 + i]
+        ca, cb = _radial_coefficients(h, r[1 + i], is_ball)
         if is_ball:
-            ca = 1.0 / h ** 2
-            cb = 1.0 / (2.0 * h * ri)
             cm = -(wa * ca - wb * cb)
             cc = -(wa * (-2.0 * ca))
             cp = -(wa * ca + wb * cb)
         else:
-            ca = 1.0 / (ri ** 2 * h ** 2)
-            cb = 1.0 / (ri ** 2 * 2.0 * h)
             cm = -(wa * (ca + cb) + wb * (-cb))
             cc = -(wa * (-2.0 * ca))
             cp = -(wa * (ca - cb) + wb * cb)
@@ -758,12 +763,11 @@ class TestRadialKernel:
         prob = DirichletProblem(domain=domain, n=3, rhs=lambda r: math.cos(r))
         grid = _RadialGrid.for_solve(op, 3, prob, 64)
         assert grid.meta["spacing"] == label
-        r, h, is_ball = grid.r, grid.h, grid.is_ball
+        r, h, is_ball = grid.r, _radial_grid(domain, 64)[1], isinstance(domain, Ball)
         rhs = _radial_rhs(prob, r)
         rng = np.random.default_rng(5)
         u = np.sin(3.0 * r) + 0.1 * rng.standard_normal(r.size)
-        wa, wb = _pattern_weights(op, 3, *_radial_entries(u, h, r, is_ball),
-                                  _radial_table(op))
+        wa, wb = grid.apply(u)[1]
         # the sweep's rhs is what its step hands the linear solve
         rvecs = []
         grid._solve = lambda policy, rvec: rvecs.append(rvec) or rvec
@@ -786,9 +790,13 @@ class TestRadialKernel:
                           values=nodes ** -1.0 + 0.01 * rng.standard_normal(65))
         # the solver's step: that of the linspace in log r, not log(r1 / r0)
         t = np.linspace(math.log(1.0), math.log(4.0), 65)
-        a, b = _radial_entries(fld.values, t[1] - t[0], nodes, is_ball=False)
-        want = min(_pattern_value_reference(op, 3, a[i], b[i])
-                   for i in range(a.size))
+        u, want = fld.values, math.inf
+        for i in range(1, 64):
+            # the stencil's terms, summed left to right as the kernel sums them
+            ca, cb = _radial_coefficients(t[1] - t[0], nodes[i], False)
+            a = (ca + cb) * u[i - 1] + -2.0 * ca * u[i] + (ca - cb) * u[i + 1]
+            b = -cb * u[i - 1] + 0.0 * cb * u[i] + cb * u[i + 1]
+            want = min(want, _pattern_value_reference(op, 3, a, b))
         assert _signed_min_residual(op, fld) == want
 
     @pytest.mark.parametrize("prob,cells", [
@@ -804,7 +812,9 @@ class TestRadialKernel:
         fu = _RadialGrid.for_solve(op, 3, prob, cells).apply(fld.values)[0]
         assert _signed_min_residual(op, fld) == fu.min()
         if isinstance(prob.domain, Annulus):
-            assert _signed_min_residual(op, fld) == 0.9999999999984794
+            # 0.9999999999984794 from difference quotients, which the
+            # kernel's stencil table replaced
+            assert _signed_min_residual(op, fld) == 0.9999999999981952
         else:
             assert fu.argmin() == 0                  # the centre row, first
             assert fu[1:].min() > fu.min()
@@ -1022,7 +1032,8 @@ class TestSkeletonCache:
         # the skeleton
         monkeypatch.setattr(solver, "_SKELETONS", {})
         for nun in (7, 8, 16, 33):
-            grid = _RadialGrid(laplacian(3), 3, None, None, False)
+            grid = _RadialGrid(laplacian(3), 3, *_radial_grid(Annulus(1.0, 2.0), nun + 1),
+                               False)
             for k in range(200):
                 off = -rng.choice([0.0, 0.5, 1.0, 2.0], size=(nun, 2))
                 diag = -off.sum(axis=1) + rng.choice([0.0, 0.0, 0.25, 1.0], size=nun)
@@ -1322,6 +1333,24 @@ class TestProblemData:
         nodes = np.linspace(1.0, 2.0, 5)
         radial = RadialField(n=3, nodes=nodes, values=nodes)
         assert DirichletProblem(domain=Annulus(1.0, 2.0), n=3, rhs=radial).rhs is radial
+
+    # a NaN rhs iterated to a NaN residual, and NaN boundary data on the 2D
+    # grid read as "not a boundary node": a solve with zero data, exit 0
+    @pytest.mark.parametrize("data,name", [
+        ({"rhs": lambda *x: math.nan}, "rhs"),
+        ({"boundary": lambda *x: math.inf}, "boundary"),
+        ({"boundary": lambda *x: math.nan}, "boundary"),
+    ], ids=["nan_rhs", "inf_boundary", "nan_boundary"])
+    @pytest.mark.parametrize("domain", [Annulus(1.0, 2.0), Ball(1.0),
+                                        Rectangle(0.0, 1.0, 0.0, 1.0)],
+                             ids=["annulus", "ball", "rectangle"])
+    def test_data_that_are_not_finite_are_refused(self, domain, data, name):
+        prob = DirichletProblem(domain=domain, n=2, **data)
+        with pytest.raises(ValueError, match=f"the {name} is (nan|inf) at"):
+            if isinstance(domain, Rectangle):
+                solve_dirichlet_2d(pucci_max(1.0, 2.0, 2), prob, 1.0 / 4)
+            else:
+                solve_dirichlet_radial(pucci_max(1.0, 2.0, 2), 2, prob, 16)
 
     @pytest.mark.parametrize("domain", [Annulus(1.0, 2.0), Ball(1.0),
                                         Rectangle(0.0, 1.0, 0.0, 1.0)])
