@@ -208,8 +208,8 @@ def nonexistence_certificate(f_op: EllipticOperator, n: int, p: float,
     lambda1.  c plays the lower-bound constant and is an input, not derived
     (it aggregates unnamed ellipticity constants).
     """
-    if not c > 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     if not SIGMA_START < sigma_max < math.inf:
         raise ValueError(f"sigma_max must be finite and above {SIGMA_START!r}")
     verdict = classify(f_op, n, p, gamma)

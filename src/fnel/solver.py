@@ -2,28 +2,30 @@
 
 Both public solvers build a grid (``_RadialGrid.for_solve`` or
 ``_Grid2D.for_solve``), read the rhs at its rhs points and call ``_solve_on``,
-the one driver: it alone sets the tolerance (1e-10 times the data scale, or
-SEED_TOL for an eigen seed) and runs Howard's policy iteration, ``_howard``.
-Both grids offer it the same interface: the first iterate ``first`` with the
-boundary data in place, the index ``unknown`` of its unknowns, the boundary
-data terms ``tol_terms`` of the tolerance, ``h_min``, the base ``meta``, and
-three methods.
+the one driver of Howard's policy iteration: it sets the tolerance (1e-10
+times the data scale, or SEED_TOL for an eigen seed), starts at the grid's
+``first`` and builds the result.  Both grids offer it the same interface: the
+first iterate ``first`` with the boundary data in place, the index
+``unknown`` of its unknowns, the boundary data terms ``tol_terms`` of the
+tolerance, the base ``meta``, the nodes ``nbr`` and four methods.
 ``apply(u)`` gives F_h u at the rhs points and the policy (the controls
-chosen at every node); ``step(policy, u, rhs)`` solves the linear system
-with that policy frozen, reading only u's boundary data; ``field(u, meta)``
-gives the RadialField or Field2D.  ``apply`` is each grid's one kernel: the
-stopping residual, ``residual_norm`` and every sweep's policy come from it.
-It reads the grid's one stencil table, every row's coefficients on its nodes
-``u[grid.nbr]``, as ``system`` (a policy's matrix rows) and ``step`` (their
+chosen at every node); ``step(policy, rhs)`` solves the linear system with
+that policy frozen and the boundary data of ``first``; ``system(policy)``
+gives that system's rows, row i on the nodes ``u[nbr[:, i]]``; ``field(u,
+meta)`` gives the RadialField or Field2D.  ``apply`` is each grid's one
+kernel: the stopping residual, ``residual_norm`` and every sweep's policy
+come from it.  It reads the grid's one stencil table, every row's
+coefficients on its nodes ``u[grid.nbr]``, as ``system`` and ``step`` (its
 boundary terms) do: the residual measures the matrix a sweep factorizes.
 
 The loop succeeds once the residual sup-norm is at most the tolerance.  An
 iterate that selects the very policy that produced it is the scheme's fixed
 point: the same policy gives the same system and the same iterate again.  A
 residual still above tolerance there is round-off, and the solve raises
-PolicyIterationDiverged at once, naming the floor 4 eps |u| / h_min^2.  No
-step is damped; ITERATION_CAP only stops a sup-inf family whose policies
-cycle.
+PolicyIterationDiverged at once, naming the round-off floor: the largest
+``_rounding`` of the factorized rows at the iterate, k eps sum_j |a_ij| |u_j|
+for a row's k = len(nbr) terms, boundary terms included.  No step is
+damped; ITERATION_CAP only stops a sup-inf family whose policies cycle.
 
 Radial path: any dimension n <= 6, annuli and balls.  The domain fixes the
 grid: uniform in log r on an annulus, uniform in r on a ball, whose centre
@@ -109,33 +111,6 @@ class NonMonotoneScheme(ValueError):
 # Howard policy iteration
 
 
-def _howard(apply, solve, u, rhs, tol, h_min):
-    """Policy iteration from the iterate u, stopped as the module docstring
-    says (h_min is the grid's smallest step); returns the solution and its
-    residual.  ``apply(u)`` gives F_h u and the policy at u, ``solve(policy)``
-    the iterate with that policy frozen."""
-    fu, policy = apply(u)
-    res = _misfit(fu, rhs)
-    history = [res]
-    while not res <= tol:                # a NaN residual never passes
-        if len(history) > ITERATION_CAP:
-            raise PolicyIterationDiverged(
-                f"policy iteration did not reach tolerance {tol:.2e} in "
-                f"{ITERATION_CAP} sweeps (last residual {res:.2e})", history)
-        u = solve(policy)
-        fu, new = apply(u)
-        res = _misfit(fu, rhs)
-        history.append(res)
-        if not res <= tol and _same(new, policy):
-            floor = 4.0 * np.finfo(float).eps * np.abs(u).max() / h_min ** 2
-            raise PolicyIterationDiverged(
-                f"policy iteration reached its fixed point at residual "
-                f"{res:.2e} above tolerance {tol:.2e}; the round-off floor "
-                f"4*eps*|u|/h_min^2 is {floor:.2e}", history)
-        policy = new
-    return u, res
-
-
 def _misfit(fu, rhs):
     """Sup-norm of F_h u - f at a grid's rhs points."""
     return float(np.abs(fu - rhs).max(initial=0.0))
@@ -148,15 +123,40 @@ def _same(policy, other):
 
 
 def _solve_on(grid, rhs, rel_tol=RESIDUAL_TOL):
-    """Howard's loop on a solve's grid (``for_solve`` of either grid class) for
-    the rhs at its rhs points, from the grid's ``first``, to rel_tol times the
-    data scale; the grid's field of the solution."""
+    """Howard's loop on a solve's grid (``for_solve`` of either grid class)
+    for the rhs at its rhs points, from the grid's ``first``, to rel_tol
+    times the data scale and stopped as the module docstring says; the
+    grid's field of the solution."""
     tol = rel_tol * sum((1.0, np.abs(rhs).max(initial=0.0), *grid.tol_terms))
-    # a step reads only the boundary data of the iterate it is given: those of
-    # ``first``, which every iterate on the grid keeps
-    u, res = _howard(grid.apply, lambda policy: grid.step(policy, grid.first, rhs),
-                     grid.first, rhs, tol, grid.h_min)
+    u = grid.first
+    fu, policy = grid.apply(u)
+    res = _misfit(fu, rhs)
+    history = [res]
+    while not res <= tol:                # a NaN residual never passes
+        if len(history) > ITERATION_CAP:
+            raise PolicyIterationDiverged(
+                f"policy iteration did not reach tolerance {tol:.2e} in "
+                f"{ITERATION_CAP} sweeps (last residual {res:.2e})", history)
+        u = grid.step(policy, rhs)
+        fu, new = grid.apply(u)
+        res = _misfit(fu, rhs)
+        history.append(res)
+        if not res <= tol and _same(new, policy):
+            raise PolicyIterationDiverged(
+                f"policy iteration reached its fixed point at residual "
+                f"{res:.2e} above tolerance {tol:.2e}; the round-off floor "
+                f"k*eps*max(|A||u|) is {_rounding(grid, policy, u).max():.2e}",
+                history)
+        policy = new
     return grid.field(u, {**grid.meta, "residual": res})
+
+
+def _rounding(grid, policy, u):
+    """k eps sum_j |a_ij| |u_j| for every row i of the policy's system at u:
+    the rounding of a row's k = len(grid.nbr) stencil terms (3 radial, 9 in
+    2D), boundary terms included."""
+    terms = np.abs(grid.system(policy)) * np.abs(u[grid.nbr]).T
+    return len(grid.nbr) * np.finfo(float).eps * terms.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +213,8 @@ class Annulus:
     r1: float
 
     def __post_init__(self):
-        if not (0 < self.r0 < self.r1):
-            raise ValueError("annulus needs 0 < r0 < r1")
+        if not 0 < self.r0 < self.r1 < math.inf:
+            raise ValueError("annulus needs 0 < r0 < r1 < inf")
 
     def scaled(self, sigma):
         return Annulus(sigma * self.r0, sigma * self.r1)
@@ -225,8 +225,8 @@ class Ball:
     r1: float
 
     def __post_init__(self):
-        if self.r1 <= 0:
-            raise ValueError("ball needs r1 > 0")
+        if not 0 < self.r1 < math.inf:
+            raise ValueError("ball needs 0 < r1 < inf")
 
     def scaled(self, sigma):
         return Ball(sigma * self.r1)
@@ -240,8 +240,9 @@ class Rectangle:
     y1: float
 
     def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise ValueError("rectangle needs x0 < x1, y0 < y1")
+        if not (-math.inf < self.x0 < self.x1 < math.inf
+                and -math.inf < self.y0 < self.y1 < math.inf):
+            raise ValueError("rectangle needs finite x0 < x1, y0 < y1")
 
     def scaled(self, sigma):
         return Rectangle(sigma * self.x0, sigma * self.x1,
@@ -554,7 +555,6 @@ class _RadialGrid(_HeldLU):
         if not is_ball:
             _check_radial_monotonicity(f_op, n, h)
         grid = cls(f_op, n, r, h, is_ball)
-        grid.h_min = np.diff(r).min()
         if is_ball:                          # unknowns: nodes 0..cells-1, centre first
             g1, = _data(problem, "boundary", r[-1:].tolist())
             grid.first, grid.tol_terms = np.full(cells + 1, g1), (abs(g1), 0.0)
@@ -585,10 +585,10 @@ class _RadialGrid(_HeldLU):
         wa, wb = _pattern_weights(self.f_op, self.n, a, b, self.controls)
         return -(wa * a + wb * b), (wa, wb)
 
-    def step(self, policy, u, rhs):
+    def step(self, policy, rhs):
         # only the first row's first column and the last row's last one reach
-        # u's boundary nodes (a ball's centre row has 0 there)
-        (wa, wb), (a, b) = policy, self.stencil
+        # the boundary nodes of ``first`` (a ball's centre row has 0 there)
+        (wa, wb), (a, b), u = policy, self.stencil, self.first
         rvec = rhs + 0.0                     # + 0.0 maps -0.0 to 0.0
         rvec[0] += (wa[0] * a[0, 0] + wb[0] * b[0, 0]) * u[0]
         rvec[-1] += (wa[-1] * a[2, -1] + wb[-1] * b[2, -1]) * u[-1]
@@ -857,8 +857,8 @@ class _Grid2D(_HeldLU):
         # the rows next to the boundary and their stencils' boundary values
         grid.brows = np.flatnonzero((grid.col < 0).any(axis=1))
         grid.bterms = np.where(grid.col < 0, grid.first[grid.nbr.T], 0.0)[grid.brows]
-        grid.unknown, grid.h_min = grid.nodes, h
-        grid.tol_terms, grid.meta = (bscale,), {"operator": f_op.kind, "h": h}
+        grid.unknown, grid.tol_terms = grid.nodes, (bscale,)
+        grid.meta = {"operator": f_op.kind, "h": h}
         return grid
 
     def rhs(self, problem):
@@ -870,12 +870,12 @@ class _Grid2D(_HeldLU):
         fu, row, ctl = _evaluate_2d(self.coef, u[self.nbr])
         return fu, (row, ctl)
 
-    def step(self, policy, u, rhs):
+    def step(self, policy, rhs):
         rows = self.brows                    # only they take boundary data
         rvec = rhs.copy()
         rvec[rows] -= (self.coef[policy[0][rows], policy[1][rows]]
                        * self.bterms).sum(axis=1)
-        out = u.copy()
+        out = self.first.copy()
         out[self.unknown] = self._solve(policy, rvec)
         return out
 

@@ -20,12 +20,16 @@ held LU ``_solve`` and ``unknown``, where the iterate x lives:
   round-off breaks either way.  ``iterations`` counts the seed and the
   linear solves, at most EIGEN_ITERATION_CAP.
 
-The bracket (min, max) of F_h u / u at the returned eigenvector u comes from
-the last evaluation.  For a monotone, positively homogeneous F_h it holds the
-discrete lambda1 (Collatz-Wielandt; Gaubert and Gunawardena, Trans. AMS
-2004), and it holds lambda as well: F_h u = lambda x with max x = max u = 1.
-Both hold in exact arithmetic; computed, F_h u / u at node i carries a
-rounding error of a few eps (|A| u)_i / u_i, A the frozen policy's matrix.
+The bracket is the (min, max) of F_h u / u at the returned eigenvector u,
+from the last evaluation, widened on both sides by the rounding of the
+computed ratios.  For a monotone, positively homogeneous F_h the exact
+(min, max) holds the discrete lambda1 (Collatz-Wielandt; Gaubert and
+Gunawardena, Trans. AMS 2004), and it holds lambda as well: F_h u = lambda
+x with max x = max u = 1.  Computed, F_h u at node i is a sum of k stencil
+terms and u an LU solve's, so each ratio is off by at most about the
+solver's ``_rounding`` of row i, k eps sum_j |a_ij| |u_j|, over u_i for
+each of the two, A the matrix of the policy F_h picks at u: the widening is
+twice its largest value.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 from .matcore import EllipticOperator
 from .solver import (
     Annulus, Ball, DirichletProblem, Rectangle, _Grid2D, _OnGrid, _RadialGrid,
-    _same, solve_dirichlet_2d, solve_dirichlet_radial,
+    _rounding, _same, solve_dirichlet_2d, solve_dirichlet_radial,
 )
 
 EIGEN_ITERATION_CAP = 500
@@ -54,7 +58,7 @@ class EigenResult:
     eigenfield: object
     iterations: int
     drift: float
-    bracket: tuple          # (min, max) of F_h u / u at the eigenvector u
+    bracket: tuple          # (min, max) of F_h u / u at the eigenvector u, widened
 
     def __post_init__(self):
         if self.lambda1 <= 0:
@@ -92,7 +96,8 @@ def principal_eigenvalue(f_op: EllipticOperator, domain, cells: int,
         same = _same(new, policy)
         if drift <= tol and (same or tie):
             ratio = fu / u[known]
-            bracket = (float(ratio.min()), float(ratio.max()))
+            widen = 2.0 * (_rounding(grid, new, u) / u[known]).max()
+            bracket = (float(ratio.min() - widen), float(ratio.max() + widen))
             field = grid.field(u, {**grid.meta, "lambda1": lam,
                                    "lambda_lo": bracket[0], "lambda_hi": bracket[1]})
             return EigenResult(lambda1=lam, eigenfield=field, iterations=it,

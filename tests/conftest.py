@@ -7,23 +7,14 @@ from fnel import isaacs, laplacian, pucci_max, pucci_min, solver
 @pytest.fixture(autouse=True, scope="session")
 def eigen_results_lie_in_their_bracket():
     """Every eigenfield made in the suite has lambda1 inside its bracket, the
-    min and max of F_h u / u at its eigenvector u, up to the rounding of the
-    computed ratios: F_h u is a sum of k stencil terms (k = 3 radial, 9 in
-    2D) and u an LU solve's, so each ratio is within about k eps (|A| u)_i /
-    u_i for each of the two, A the matrix of the policy F_h picks at u."""
+    min and max of F_h u / u at its eigenvector u, which the eigen loop
+    widens by the rounding of the computed ratios."""
     fields = {cls: cls.field for cls in (solver._RadialGrid, solver._Grid2D)}
 
     def checked(field):
         def check(grid, u, meta):
             if "lambda_lo" in meta:
-                pol = grid.apply(u)[1]
-                # |u| at each row's stencil nodes, aligned with the system's
-                # columns; the boundary data of an eigenproblem are zero
-                a, nbr = np.abs(grid.system(pol)), np.abs(u[grid.nbr]).T
-                slack = (2 * a.shape[1] * np.finfo(float).eps
-                         * ((a * nbr).sum(axis=1) / u[grid.unknown]).max())
-                assert (meta["lambda_lo"] - slack <= meta["lambda1"]
-                        <= meta["lambda_hi"] + slack), (meta, slack)
+                assert meta["lambda_lo"] <= meta["lambda1"] <= meta["lambda_hi"], meta
             return field(grid, u, meta)
         return check
 

@@ -182,8 +182,10 @@ class TestCertificate:
             nonexistence_certificate(pm3, 3, 2.0, 0.0, c=1.0)
 
     def test_nan_c_is_refused(self, lap3):
-        with pytest.raises(ValueError, match="c must be positive"):
-            nonexistence_certificate(lap3, 3, 2.0, 0.0, c=math.nan, cells=64)
+        # an infinite c gave sigma* 0.0
+        for c in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="c must be positive and finite"):
+                nonexistence_certificate(lap3, 3, 2.0, 0.0, c=c, cells=64)
 
     # NaN gave nan,nan curve rows, inf an inf,inf row and 0.5 a curve that
     # ran backwards from its first point 1 + 1e-9

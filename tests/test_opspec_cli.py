@@ -435,6 +435,22 @@ class TestCommandTable:
          "--cells", "4"],
         # 0 cells ended in a ZeroDivisionError traceback on the 2D path
         ["fundamental", "--op", str(SAMPLES / "isaacs_2d.json"), "--cells", "0"],
+        # non-finite domain bounds: a NaN or infinite radius ended in a
+        # singular factor (exit 2), an infinite side in an OverflowError
+        # traceback
+        ["solve", "--op", PM3, "--domain", "ball:nan"],
+        ["eigen", "--op", PM3, "--domain", "ball:inf"],
+        ["solve", "--op", PM3, "--domain", "annulus:1:inf"],
+        ["eigen", "--op", str(SAMPLES / "pucci_max_n2.json"),
+         "--domain", "rectangle:0:inf:0:1"],
+        # an infinite c gave sigma* 0.0 (exit 0)
+        ["certificate", "--op", str(SAMPLES / "laplacian_n4.json"), "--p", "1.5",
+         "--c", "inf", "--cells", "64"],
+        # gamma = -inf made beta* infinite: classify printed Infinity, bend
+        # and truncate exited 2
+        ["classify", "--op", PM3, "--p", "2.0", "--gamma=-inf"],
+        ["bend", "--op", PM3, "--p", "2.0", "--gamma=-inf"],
+        ["truncate", "--op", PM3, "--p", "2.0", "--gamma=-inf"],
     ])
     def test_unread_or_bad_setting_is_usage(self, argv, capsys):
         assert main(argv) == EXIT_USAGE

@@ -350,6 +350,9 @@ class TestClassify:
             classify(pm3, 3, math.nan)
         with pytest.raises(ValueError, match="gamma must be below 2"):
             classify(pm3, 3, 2.0, math.nan)
+        # -inf made beta* infinite
+        with pytest.raises(ValueError, match="gamma must be below 2 and finite"):
+            classify(pm3, 3, 2.0, -math.inf)
 
     def test_margin_sign(self, lap3, pm3):
         assert classify(lap3, 3, 2.0).margin < 0

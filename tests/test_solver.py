@@ -1,6 +1,7 @@
 """Monotone finite-difference Dirichlet solvers and the profile fit."""
 
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -768,10 +769,12 @@ class TestRadialKernel:
         rng = np.random.default_rng(5)
         u = np.sin(3.0 * r) + 0.1 * rng.standard_normal(r.size)
         wa, wb = grid.apply(u)[1]
-        # the sweep's rhs is what its step hands the linear solve
+        # the sweep's rhs is what its step hands the linear solve; the step
+        # reads the boundary data of ``first``, here u's
         rvecs = []
         grid._solve = lambda policy, rvec: rvecs.append(rvec) or rvec
-        grid.step((wa, wb), u, rhs)
+        grid.first = u
+        grid.step((wa, wb), rhs)
         band, (rvec,) = grid.system((wa, wb)), rvecs
         mat = grid.matrix(band)
         want_mat, want_rvec = _radial_system_reference(op, 3, u, h, r, rhs, is_ball)
@@ -1148,7 +1151,7 @@ def _seen_iterates(monkeypatch, grid):
     return seen
 
 
-def _no_sweep(policy):
+def _no_sweep(*args):
     raise AssertionError("a sweep ran")
 
 
@@ -1158,16 +1161,18 @@ class TestWarmStart:
     # last sweep's LU
     @pytest.mark.parametrize("name", SOLVE_CASES)
     def test_start_at_the_solution_returns_it(self, monkeypatch, name):
-        # started at a solve's solution, the loop evaluates it once, finds it
-        # within tolerance and returns it with its residual and no sweep
+        # on a grid whose first iterate is a solve's solution, the driver
+        # evaluates it once, finds it within tolerance and returns it with its
+        # residual and no sweep
         grid, rhs, solve = _held_solves(name)
         fld = solve(rhs)
-        u = grid.first.copy()
-        u[grid.unknown] = fld.values.ravel()[grid.unknown]
+        grid.first = grid.first.copy()
+        grid.first[grid.unknown] = fld.values.ravel()[grid.unknown]
         seen = _seen_iterates(monkeypatch, grid)
-        tol = solver.SEED_TOL * (1.0 + np.abs(rhs).max() + sum(grid.tol_terms))
-        got, res = solver._howard(grid.apply, _no_sweep, u, rhs, tol, grid.h_min)
-        assert got is u and res == fld.meta["residual"]
+        monkeypatch.setattr(grid, "step", _no_sweep)
+        got = solver._solve_on(grid, rhs, solver.SEED_TOL)
+        assert np.array_equal(got.values, fld.values, equal_nan=True)
+        assert got.meta == fld.meta
         assert len(seen) == 1
 
     @pytest.mark.parametrize("name", ["log", "ball", "pucci_2d"])
@@ -1376,6 +1381,27 @@ class TestProblemData:
             assert ring.any() and not grid.boundary_values[ring].any()
 
 
+class TestDomains:
+    # an infinite or NaN bound passed the order checks: a radial solve then
+    # met an exactly singular factor, a rectangle's grid an OverflowError
+    @pytest.mark.parametrize("r0,r1", [(1.0, math.inf), (0.5, math.inf)])
+    def test_annulus_bounds_must_be_finite(self, r0, r1):
+        with pytest.raises(ValueError, match=r"annulus needs 0 < r0 < r1 < inf"):
+            Annulus(r0, r1)
+
+    @pytest.mark.parametrize("r1", [math.nan, math.inf])
+    def test_ball_radius_must_be_finite(self, r1):
+        with pytest.raises(ValueError, match=r"ball needs 0 < r1 < inf"):
+            Ball(r1)
+
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf, 0.0, 1.0),
+                                        (0.0, 1.0, -math.inf, 1.0),
+                                        (-math.inf, math.inf, -math.inf, math.inf)])
+    def test_rectangle_bounds_must_be_finite(self, bounds):
+        with pytest.raises(ValueError, match=r"rectangle needs finite x0 < x1, y0 < y1"):
+            Rectangle(*bounds)
+
+
 class TestHowardStop:
     # boundary data 1 inside, 0 outside: at these grids the round-off floor
     # of the residual lies above the 2e-10 tolerance
@@ -1393,11 +1419,10 @@ class TestHowardStop:
         assert calls == ["factorize", "solve"]
         history = exc.value.history
         assert len(history) == 2
-        r, _ = _radial_grid(prob.domain, cells)
-        floor = 4.0 * np.finfo(float).eps / np.diff(r).min() ** 2  # |u| = 1
         msg = str(exc.value)
         assert f"residual {history[-1]:.2e} above tolerance 2.00e-10" in msg
-        assert f"round-off floor 4*eps*|u|/h_min^2 is {floor:.2e}" in msg
+        floor = re.search(r"round-off floor k\*eps\*max\(\|A\|\|u\|\) is (\S+)$", msg)
+        assert float(floor.group(1)) >= history[-1], msg
 
     @pytest.mark.parametrize("case", ["radial", "2d"])
     def test_cycle_guard(self, monkeypatch, case):

@@ -114,15 +114,15 @@ class TestSolveCount:
         # one solver call, the seed, with one policy iteration and no
         # throwaway solve to find the grid; after it one LU solve per linear
         # step, and the seed and the linear steps are the iterations
-        log, howards = [], []
+        log, drivers = [], []
         calls = _seed_marked(monkeypatch, log)
         _held_policies(monkeypatch, log)
-        howard = solver._howard
-        monkeypatch.setattr(solver, "_howard",
-                            lambda *a: howards.append(1) or howard(*a))
+        solve_on = solver._solve_on
+        monkeypatch.setattr(solver, "_solve_on",
+                            lambda *a: drivers.append(1) or solve_on(*a))
         op = pucci_max(1, 2, 2 if isinstance(domain, Rectangle) else 3)
         res = principal_eigenvalue(op, domain, cells)
-        assert len(calls) == len(howards) == log.count("seed") == 1
+        assert len(calls) == len(drivers) == log.count("seed") == 1
         assert len(log) - log.index("seed") - 1 == res.iterations - 1
 
     @pytest.mark.parametrize("domain,cells", [
