@@ -112,8 +112,8 @@ def critical_exponent(f: EllipticOperator, n: int) -> float:
 
 def beta_star(p: float, gamma: float = 0.0) -> float:
     """Scaling exponent (2 - gamma)/(p - 1) of F(D^2 u) = |x|^{-gamma} u^p."""
-    if not p > 1:
-        raise ValueError("p must exceed 1 (standing assumption p > 1)")
+    if not 1 < p < math.inf:
+        raise ValueError("p must exceed 1 and be finite (standing assumption 1 < p < inf)")
     if not -math.inf < gamma < 2:
         raise ValueError("gamma must be below 2 and finite (standing assumption gamma < 2)")
     return (2.0 - gamma) / (p - 1.0)

@@ -36,8 +36,8 @@ control reduces F to -(wa*a + wb*b).  ``_pattern_weights`` picks the policy
 tests for the Laplacian and Pucci kinds, a loop over sup-rows of the
 (a11, tr A - a11) control table for Isaacs families.  A step solves the
 tridiagonal system (the centre row first on a ball) from its (unknowns, 3)
-band; see ``_RadialGrid`` for its stencil table and for the skeleton its
-factorizations share.
+band with LAPACK's tridiagonal LU of its transpose; see ``_RadialGrid`` for
+its stencil table and for why the transpose.
 
 2D path: rectangles and annuli on a uniform Cartesian grid.  F is a sup over
 rows of an inf over the controls A of one (rows, controls, 2, 2) array, each
@@ -56,13 +56,10 @@ seed solve hands it over in an ``_OnGrid`` problem with the rhs as an array;
 every solve starts from the grid's ``first``.  ``_HeldLU`` keeps its last
 sweep's policy with the LU of its ``system(policy)``, factorized once per new
 policy; the eigen loop's linear steps solve with it too.  COLAMD reads a
-matrix's sparsity pattern alone, so one cache, ``_SKELETONS``, holds its
-order per pattern for both grids; a later matrix of a held pattern is built
-in that order and factorized in its natural order, with the bits of
-SuperLU's own COLAMD run.  A radial skeleton permutes rows and columns alike,
-which keeps SuperLU's preferred pivot on the diagonal of the tridiagonal
-bands' ties; a 2D matrix permutes its columns only, since moving its rows too
-moved solutions in the last bits, and checks its pivots.
+2D matrix's sparsity pattern alone, so ``_SKELETONS`` holds its order per
+pattern; a later matrix of a held pattern is built with its columns in that
+order and factorized in its natural order, with the bits of SuperLU's own
+COLAMD run, and checks its pivots.
 
 ``fundamental_profile`` samples a solution at 128 points on each of 33
 spheres of radius s in [2, 8] in one pass (a sample off a 2D grid's domain
@@ -72,9 +69,9 @@ one a closed-form least-squares line in s^-a; a max profile equal to the min
 one (always so when radial) reuses the min fit.  log_case: the line
 A + B log s fits as well (to 1e-9) or a < 0.05.
 
-scipy is imported where a sparse matrix is first built or factorized, so
-importing this module, and every call that builds no sparse matrix, loads none
-of it.
+scipy is imported where a matrix is first factorized: scipy.linalg's LAPACK
+by the radial grid, scipy.sparse and its SuperLU by the 2D grid.  Importing
+this module loads none of it, and no radial call runs SuperLU.
 """
 
 from __future__ import annotations
@@ -164,28 +161,25 @@ def _rounding(grid, policy, u):
 
 
 class _HeldLU:
-    """A grid's one-slot cache ``_held = (policy, factors)`` of the last sweep.
+    """A grid's one-slot cache ``_held = (policy, solve)`` of the last sweep.
     On one grid the policy frozen for a sweep fixes its matrix.  A new policy
     is factorized once, by ``_factorize(system(policy))``, after the old
     factors are dropped; its repeats only solve with the held LU.  Each grid
     factorizes the transpose of the sweep's matrix and solves with
-    ``trans="T"``: the triangular solves spsolve runs on the matrix in CSR, so
-    the bits are spsolve's.  A factorization of a sparsity pattern held in
-    ``_SKELETONS`` skips COLAMD: the radial grid fills its skeleton, rows and
-    columns in the held order, and the 2D grid orders its columns alone."""
+    ``trans="T"``: the radial grid its tridiagonal band by LAPACK's
+    ``gttrf``/``gttrs``, the 2D grid its CSC matrix by SuperLU, whose
+    triangular solves are the ones spsolve runs on the matrix in CSR."""
 
     _held = (None, None)
 
     def _solve(self, policy, rhs):
-        """The sweep's solution for a frozen policy.  ``_factorize`` gives (LU,
-        order, perm_c): the LU solves for the rhs in that order and gives the
-        solution in the order perm_c."""
+        """The sweep's solution for a frozen policy, by the held solve rhs ->
+        x that ``_factorize`` gave."""
         last = self._held[0]
         if last is None or not _same(policy, last):
             self._held = (None, None)
             self._held = (policy, self._factorize(self.system(policy)))
-        lu, order, perm_c = self._held[1]
-        return lu.solve(rhs[order], trans="T")[perm_c]
+        return self._held[1](rhs)
 
 
 def _data(problem, name, *coords):
@@ -468,37 +462,21 @@ def _radial_rhs(problem, r):
     return _data(problem, "rhs", pts.tolist())
 
 
-# SuperLU's COLAMD orders per sparsity pattern, one cache for both grids (see
-# the module docstring): a radial entry, keyed by its number of unknowns, holds
-# the read-only arrays of ``_skeleton``; a 2D one, keyed by a digest of its
-# pattern, holds ``(order,)`` (see ``_Grid2D._factorize``).  No values, no LU.
+# SuperLU's COLAMD orders of the 2D grid's sparsity patterns (see the module
+# docstring), keyed by a digest of the pattern: each entry is one int32 order
+# (see ``_Grid2D._factorize``).  No values, no LU.
 _SKELETONS = {}
 _SKELETON_CAP = 32                      # patterns held; the oldest goes first
 
 
-def _remember(key, arrays):
-    """Hold the tuple ``arrays``, made read-only, as the newest entry ``key``
-    of ``_SKELETONS``, dropping the oldest entries past the cap."""
-    for a in arrays:
-        a.setflags(write=False)
+def _remember(key, order):
+    """Hold ``order``, made read-only, as the newest entry ``key`` of
+    ``_SKELETONS``, dropping the oldest entries past the cap."""
+    order.setflags(write=False)
     _SKELETONS.pop(key, None)
     while len(_SKELETONS) >= _SKELETON_CAP:
         del _SKELETONS[next(iter(_SKELETONS))]
-    _SKELETONS[key] = arrays
-
-
-def _skeleton(nun, perm_c):
-    """Remember, for SuperLU's COLAMD order perm_c of the transposed matrix B
-    of nun unknowns (B Pc = B[:, order]), ``(order, perm_c, take, indices,
-    indptr)``: the gather index from ``band.ravel()`` into the CSC skeleton
-    B[order][:, order] and that skeleton's int32 index arrays."""
-    order = np.argsort(perm_c)
-    # the positions of the matrix entries in band.ravel() stand in for values
-    pos = _RadialGrid.matrix(np.arange(3.0 * nun).reshape(nun, 3))
-    skel = pos.T.tocsc()[order][:, order].tocsc()
-    skel.sort_indices()
-    _remember(nun, (order, perm_c.copy(), skel.data.astype(np.intp),
-                    skel.indices.astype(np.int32), skel.indptr.astype(np.int32)))
+    _SKELETONS[key] = order
 
 
 class _RadialGrid(_HeldLU):
@@ -509,16 +487,14 @@ class _RadialGrid(_HeldLU):
     ``nbr[:, i]``.  A ball's centre row comes first in it, as in F_h u, the
     policy, the rhs points and the unknowns, and reads (U0, U0, U1).
 
-    The first factorization at a number of unknowns is SuperLU's own, with
-    COLAMD, on ``matrix(band)``; it gives ``_SKELETONS`` that size's order.
-    Every later one fills the grid's one CSC skeleton with the band by one
-    ``np.take`` and factorizes it in its natural order, without assembly,
-    COLAMD or a transpose.  The skeleton's rows follow the order as its
-    columns do, so the diagonal SuperLU prefers as pivot stays the matrix
-    diagonal: on the scheme's M-matrices the bits are those of
-    ``spsolve(matrix(band), rhs)``."""
-
-    _skel = None                        # the grid's CSC skeleton, made on first use
+    A sweep's matrix is tridiagonal, its (unknowns, 3) band from ``system``.
+    ``_factorize`` runs LAPACK's tridiagonal LU on its transpose, as SuperLU
+    did on the CSC transpose, with no sparse matrix, order or cache.  The
+    scheme's M-matrices make the transpose diagonally dominant by columns,
+    so partial pivoting keeps the diagonal on an annulus; a ball's centre
+    row starts a chain of ties, which rounding may break with a row swap.
+    The LU of the band itself (``gtsv``, ``solve_banded``) rounds
+    differently and left two accept solves at 512 cells over tolerance."""
 
     def __init__(self, f_op, n, r, h, is_ball):
         self.f_op, self.n, self.r = f_op, n, r
@@ -597,22 +573,23 @@ class _RadialGrid(_HeldLU):
         return out
 
     def _factorize(self, band):
-        """(LU, order, perm_c) of the band's matrix, both orders the identity
-        for SuperLU's first factorization at this size."""
-        import scipy.sparse as sparse
-        import scipy.sparse.linalg as spla
+        """The solve rhs -> x of the band's matrix: ``gttrf`` factorizes its
+        transpose, whose sub-diagonal is the band's super-diagonal, and
+        ``gttrs`` solves with trans="T".  scipy's ``gttrf`` takes 3 unknowns
+        or more, so a smaller system gets identity rows after its own.  A
+        zero pivot raises RuntimeError, where ``gttrs`` would give inf or NaN."""
+        from scipy.linalg import lapack
 
-        nun = len(band)
-        if nun not in _SKELETONS:
-            lu = spla.splu(self.matrix(band).T.tocsc())
-            _skeleton(nun, lu.perm_c)
-            return lu, slice(None), slice(None)
-        order, perm_c, take, indices, indptr = _SKELETONS[nun]
-        if self._skel is None:
-            self._skel = sparse.csc_matrix((np.empty(take.size), indices, indptr),
-                                           shape=(nun, nun))
-        np.take(band, take, out=self._skel.data)
-        return spla.splu(self._skel, permc_spec="NATURAL"), order, perm_c
+        nun, pad = len(band), max(3 - len(band), 0)
+        if pad:
+            band = np.vstack([band, np.tile((0.0, 1.0, 0.0), (pad, 1))])
+            band[nun - 1, 2] = 0.0           # the last row's boundary term
+        *lu, info = lapack.dgttrf(band[:-1, 2], band[:, 1], band[1:, 0])
+        if info > 0:
+            raise RuntimeError(f"tridiagonal factor is exactly singular: pivot "
+                               f"{info} of {nun} is zero")
+        return lambda rhs: lapack.dgttrs(*lu, np.append(rhs, np.zeros(pad)) if pad
+                                         else rhs, trans="T")[0][:nun]
 
     def field(self, u, meta):
         # no RadialField checks of the grid's own nodes; u, which it may hold, is copied
@@ -624,18 +601,6 @@ class _RadialGrid(_HeldLU):
         """The (rows, 3) band of a sweep with weights (wa, wb): row k is on
         unknowns k-1, k, k+1 (a ball's centre first)."""
         return -(policy[0] * self.stencil[0] + policy[1] * self.stencil[1]).T
-
-    @staticmethod
-    def matrix(band):
-        """The band as CSR with its explicit zeros: the sweep's matrix, whose
-        transpose in CSC is what SuperLU factorizes."""
-        import scipy.sparse as sparse
-
-        nun = len(band)
-        cols = np.arange(nun)[:, None] + np.array([-1, 0, 1])
-        indptr = np.clip(3 * np.arange(nun + 1) - 1, 0, 3 * nun - 2)
-        return sparse.csr_matrix((band.ravel()[1:-1], cols.ravel()[1:-1], indptr),
-                                 shape=(nun, nun))
 
 
 def solve_dirichlet_radial(f_op: EllipticOperator, n: int,
@@ -883,7 +848,7 @@ class _Grid2D(_HeldLU):
         return self.coef[policy]             # the sweep's (nodes, 9) coefficient rows
 
     def _factorize(self, sel):
-        """(LU, order, identity) of the sweep's matrix with coefficient rows
+        """The solve rhs -> x of the sweep's matrix with coefficient rows
         ``sel``, factorized transposed in CSC: each column the unknowns'
         entries of a row in index order.
 
@@ -915,16 +880,16 @@ class _Grid2D(_HeldLU):
                 (sel[rows][kept], col[rows][kept], indptr), shape=(nun, nun)), **options)
 
         if key in _SKELETONS:
-            order, = _SKELETONS[key]
+            order = _SKELETONS[key]
             lu = factorize(order, permc_spec="NATURAL")
             # every pivot the true diagonal, and SuperLU's postorder kept the order
             every = np.arange(nun)
             if (lu.perm_r[order] == every).all() and (lu.perm_c == every).all():
-                return lu, order, slice(None)
+                return lambda rhs: lu.solve(rhs[order], trans="T")
         lu = factorize(slice(None))
         if (lu.perm_r == lu.perm_c).all():
-            _remember(key, (np.argsort(lu.perm_c).astype(np.int32),))
-        return lu, slice(None), slice(None)
+            _remember(key, np.argsort(lu.perm_c).astype(np.int32))
+        return lambda rhs: lu.solve(rhs, trans="T")
 
     def field(self, u, meta):
         values = np.where(self.interior, u.reshape(self.interior.shape),

@@ -60,13 +60,15 @@ def random_isaacs(rng, n, lam=1.0, Lam=2.0, n_sup=2, n_inf=2):
 
 
 def counted_solves(monkeypatch):
-    """Log the sparse LU work: ``spla.splu`` appends "factorize", a solve
-    with its LU appends "solve", and ``spla.spsolve``, which does both,
+    """Log the LU work of both grids: ``spla.splu`` and LAPACK's tridiagonal
+    ``dgttrf`` append "factorize", a solve with a SuperLU LU or by
+    ``dgttrs`` appends "solve", and ``spla.spsolve``, which does both,
     appends both; returns the log."""
     import scipy.sparse.linalg as spla
+    from scipy.linalg import lapack
 
     log = []
-    spsolve, splu = spla.spsolve, spla.splu
+    splu = spla.splu
 
     class CountedLU:
         def __init__(self, lu):
@@ -76,14 +78,15 @@ def counted_solves(monkeypatch):
             log.append("solve")
             return self.lu.solve(*args, **kwargs)
 
-    def counted_spsolve(*args, **kwargs):
-        log.extend(("factorize", "solve"))
-        return spsolve(*args, **kwargs)
+    def counted(fn, *entries):
+        def wrapped(*args, **kwargs):
+            log.extend(entries)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    def counted_splu(*args, **kwargs):
-        log.append("factorize")
-        return CountedLU(splu(*args, **kwargs))
-
-    monkeypatch.setattr(spla, "spsolve", counted_spsolve)
-    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(spla, "spsolve", counted(spla.spsolve, "factorize", "solve"))
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: log.append("factorize")
+                        or CountedLU(splu(*a, **k)))
+    monkeypatch.setattr(lapack, "dgttrf", counted(lapack.dgttrf, "factorize"))
+    monkeypatch.setattr(lapack, "dgttrs", counted(lapack.dgttrs, "solve"))
     return log

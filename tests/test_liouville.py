@@ -488,7 +488,7 @@ class TestHomogeneousProfile:
 
 class TestImport:
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # import fnel loads no scipy: sparse LU comes in at the first
+        # import fnel loads no scipy: an LU comes in at the first
         # factorization, and only the Newton solve needs scipy.optimize; a
         # radial and a 2D profile fit run without it
         import fnel

@@ -318,7 +318,7 @@ class TestGoldenSamples:
         assert out.read_text() == (self.SAMPLES / "solve_pucci_max_2d.csv").read_text()
 
     def test_solve_annulus4_output_reproduces(self, tmp_path):
-        # four sweeps on 511 unknowns, whose COLAMD order is not the identity
+        # four sweeps on 511 unknowns, each a new tridiagonal LU
         out = tmp_path / "solve.csv"
         code = main(["solve", "--op", str(self.SAMPLES / "pucci_max_n3.json"),
                      "--domain", "annulus:1:4", "--rhs-const", "1.0",
@@ -418,6 +418,8 @@ class TestCommandTable:
         ["classify", "--op", PM3, "--p", "2.0", "--n", "3"],
         # NaN passed p <= 1, gamma >= 2 and c <= 0: an existence verdict, a NaN sigma*
         ["classify", "--op", PM3, "--p", "nan"],
+        # p = inf gave beta* 0: an existence verdict (exit 0)
+        ["classify", "--op", PM3, "--p", "inf"],
         ["classify", "--op", PM3, "--p", "2.0", "--gamma", "nan"],
         ["certificate", "--op", str(SAMPLES / "laplacian_n4.json"), "--p", "1.5",
          "--c", "nan", "--cells", "64"],
@@ -504,6 +506,29 @@ class TestCommandTable:
                      "--tol", tol]) == EXIT_OK
         assert tols == [float(tol)]
         assert json.loads(capsys.readouterr().out)["tol"] == float(tol)
+
+
+    def test_radial_commands_run_no_superlu(self, monkeypatch, capsys):
+        # a radial sweep factorizes its tridiagonal band with LAPACK alone:
+        # the radial commands call gttrf and neither splu nor spsolve
+        import scipy.sparse.linalg as spla
+        from scipy.linalg import lapack
+
+        calls, gttrf = [], lapack.dgttrf
+        for name in ("splu", "spsolve"):
+            monkeypatch.setattr(spla, name, lambda *a, name=name, **k: calls.append(name))
+        monkeypatch.setattr(lapack, "dgttrf",
+                            lambda *a, **k: calls.append("gttrf") or gttrf(*a, **k))
+        for argv in (["solve", "--domain", "annulus:1:4", "--rhs-const", "1.0",
+                      "--cells", "64"],
+                     ["eigen", "--domain", "annulus:1:2", "--cells", "64"],
+                     ["eigen", "--domain", "ball:1", "--cells", "64"],
+                     ["fundamental", "--cells", "64"],
+                     ["hadamard", "--cells", "64"]):
+            calls.clear()
+            assert main([*argv, "--op", PM3]) == EXIT_OK, argv
+            assert set(calls) == {"gttrf"}, (argv, calls)
+        capsys.readouterr()
 
 
 class TestSweep:

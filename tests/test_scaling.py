@@ -276,6 +276,12 @@ class TestBetaStar:
         with pytest.raises(ValueError):
             beta_star(2.0, 2.0)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_p_must_be_finite(self, p):
+        # p = inf gave beta* = 0, which every alpha* exceeds: an existence verdict
+        with pytest.raises(ValueError, match="1 < p < inf"):
+            beta_star(p, 0.0)
+
 
 class TestKCoefficient:
     def test_laplacian_formula(self, lap3):

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from fnel import (
     Annulus, Ball, DirichletProblem, Rectangle, convergence_order,
     fundamental_profile, isaacs, laplacian, pucci_max, pucci_min,
-    residual_norm, solve_dirichlet_2d, solve_dirichlet_radial,
+    principal_eigenvalue, residual_norm, solve_dirichlet_2d, solve_dirichlet_radial,
 )
 from fnel import parse_operator_spec, solver
 from fnel.liouville import _signed_min_residual
@@ -776,10 +777,9 @@ class TestRadialKernel:
         grid.first = u
         grid.step((wa, wb), rhs)
         band, (rvec,) = grid.system((wa, wb)), rvecs
-        mat = grid.matrix(band)
         want_mat, want_rvec = _radial_system_reference(op, 3, u, h, r, rhs, is_ball)
-        assert mat.nnz == want_mat.nnz
-        dense, want = mat.toarray(), want_mat.toarray()
+        assert want_mat.nnz == 3 * len(band) - 2            # tridiagonal
+        dense, want = _band_matrix(band), want_mat.toarray()
         assert np.abs(dense - want).max() <= 1e-15 * np.abs(want).max()
         assert np.abs(rvec - want_rvec).max() <= 1e-15 * np.abs(want_rvec).max()
 
@@ -815,9 +815,8 @@ class TestRadialKernel:
         fu = _RadialGrid.for_solve(op, 3, prob, cells).apply(fld.values)[0]
         assert _signed_min_residual(op, fld) == fu.min()
         if isinstance(prob.domain, Annulus):
-            # 0.9999999999984794 from difference quotients, which the
-            # kernel's stencil table replaced
-            assert _signed_min_residual(op, fld) == 0.9999999999981952
+            # pinned to the bit: a change to the kernel or the solve moves it
+            assert _signed_min_residual(op, fld) == 0.9999999999979963
         else:
             assert fu.argmin() == 0                  # the centre row, first
             assert fu[1:].min() > fu.min()
@@ -877,11 +876,33 @@ class TestResidualNormOfSolves:
         assert residual_norm(op, fld, prob) == fld.meta["residual"]
 
 
+def _band_matrix(band):
+    """The dense matrix of a radial (unknowns, 3) band: row k on unknowns
+    k-1, k, k+1."""
+    return np.diag(band[1:, 0], -1) + np.diag(band[:, 1]) + np.diag(band[:-1, 2], 1)
+
+
+def _tridiagonal_solve(band, rhs):
+    """A fresh LAPACK solve with the band's matrix A by the LU of A^T: the
+    radial grid's arithmetic, run here outside it."""
+    *lu, info = lapack.dgttrf(band[:-1, 2], band[:, 1], band[1:, 0])
+    assert info == 0
+    return lapack.dgttrs(*lu, rhs, trans="T")[0]
+
+
+def _fresh_solve(grid, system, mat, rhs):
+    """The solution a sweep's solve must give bit for bit: a fresh LAPACK
+    solve of a radial band, spsolve of a 2D matrix."""
+    if isinstance(grid, _RadialGrid):
+        return _tridiagonal_solve(system, rhs)
+    return spla.spsolve(mat, rhs)
+
+
 def _matrix(grid, system):
     """The CSR matrix of a sweep's system: a radial band's, or that of 2D
     coefficient rows on the unknowns (a boundary neighbor's entry is data)."""
     if isinstance(grid, _RadialGrid):
-        return grid.matrix(system)
+        return sparse.csr_matrix(_band_matrix(system))
     i, k = np.nonzero((grid.col >= 0) & (system != 0.0))
     return sparse.csr_matrix((system[i, k], (i, grid.col[i, k])),
                              shape=(grid.nodes.size,) * 2)
@@ -937,32 +958,42 @@ def _permc_specs(monkeypatch, skew=None, on="NATURAL"):
 class TestFactorizationReuse:
     @pytest.mark.parametrize("name", SOLVE_CASES)
     def test_matches_spsolve_bit_for_bit(self, monkeypatch, name):
+        # a 2D sweep's solution has spsolve's bits; a radial one has those
+        # of a fresh LAPACK solve by the LU of the band's transpose, and
+        # lies within rounding of spsolve's
         systems = _systems(monkeypatch, name)
         assert systems
+        radial = isinstance(systems[0][0], _RadialGrid)
         others = [np.cos(np.arange(rhs.size, dtype=float)) for *_, rhs in systems]
-        wants = [(spla.spsolve(mat, rhs), spla.spsolve(mat, other))
-                 for (*_, mat, rhs), other in zip(systems, others)]
+        wants = [(_fresh_solve(grid, system, mat, rhs),
+                  _fresh_solve(grid, system, mat, other))
+                 for (grid, _, system, mat, rhs), other in zip(systems, others)]
         calls = counted_solves(monkeypatch)
         specs = _permc_specs(monkeypatch)
         monkeypatch.setattr(solver, "_SKELETONS", {})
-        for (grid, policy, system, _, rhs), other, (want, other_want) in zip(
+        for (grid, policy, system, mat, rhs), other, (want, other_want) in zip(
                 systems, others, wants):
-            # a new policy is factorized once, on either grid: by SuperLU's
+            # a new policy is factorized once, on either grid: a radial band
+            # by LAPACK, with no order cached; a 2D matrix by SuperLU's
             # COLAMD for the first matrix of its pattern, then in the order
-            # that left in the one order cache
+            # that left in the order cache
             solver._SKELETONS.clear()
-            for cached in (False, True):
+            for cached in (False,) if radial else (False, True):
                 assert bool(solver._SKELETONS) == cached
                 grid._held = (None, None)
                 calls.clear()
                 specs.clear()
                 assert np.array_equal(grid._solve(policy, rhs), want)
                 assert calls == ["factorize", "solve"]
-                assert specs == ["NATURAL" if cached else None]
+                assert specs == ([] if radial else ["NATURAL" if cached else None])
+            if radial:
+                assert not solver._SKELETONS
+                sp = spla.spsolve(mat, rhs)
+                assert np.abs(want - sp).max() <= 1e-12 * np.abs(sp).max()
             # its repeats build no system and factorize nothing
             with monkeypatch.context() as m:
-                for owner, attr in ((type(grid), "system"),
-                                    (type(grid), "_factorize"), (spla, "splu")):
+                for owner, attr in ((type(grid), "system"), (type(grid), "_factorize"),
+                                    (spla, "splu"), (lapack, "dgttrf")):
                     m.setattr(owner, attr, _forbidden)
                 for b, b_want in ((other, other_want), (rhs, want)):
                     assert np.array_equal(grid._solve(policy, b), b_want)
@@ -970,19 +1001,38 @@ class TestFactorizationReuse:
     @pytest.mark.parametrize("name", ["log", "pucci_2d"])
     def test_a_new_policy_is_factorized_once(self, monkeypatch, name):
         # a new policy is factorized once and held; a repeat only solves
-        (grid, p0, _, m0, rhs), (_, p1, _, m1, _) = \
+        (grid, p0, s0, m0, rhs), (_, p1, s1, m1, _) = \
             _systems(monkeypatch, name)[:2]
         assert (m0 != m1).nnz
-        steps = [(p0, m0, rhs, 1), (p0, m0, 2.0 * rhs, 1),
-                 (p0, m0, rhs + 1.0, 1), (p1, m1, rhs, 2),
-                 (p1, m1, rhs, 2), (p0, m0, rhs, 3)]
-        wants = [spla.spsolve(mat, b) for _, mat, b, _ in steps]
+        steps = [(p0, s0, m0, rhs, 1), (p0, s0, m0, 2.0 * rhs, 1),
+                 (p0, s0, m0, rhs + 1.0, 1), (p1, s1, m1, rhs, 2),
+                 (p1, s1, m1, rhs, 2), (p0, s0, m0, rhs, 3)]
+        wants = [_fresh_solve(grid, system, mat, b) for _, system, mat, b, _ in steps]
         calls = counted_solves(monkeypatch)
         grid._held = (None, None)
-        for (p, _, b, factorized), want in zip(steps, wants):
+        for (p, *_, b, factorized), want in zip(steps, wants):
             assert np.array_equal(grid._solve(p, b), want)
             assert calls.count("factorize") == factorized
         assert calls.count("solve") == len(steps)
+
+
+# c of the bound |b - A x| <= c eps (|A| |x| + |b|) on every radial solve.  For
+# a tridiagonal M-matrix, Gaussian elimination without pivoting gives
+# (A + dA) x = b with |dA| <= f(u) |A|, f(u) ~ 4u = 2 eps (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., Thm 9.12); the transposed LU
+# is that elimination on A^T.  Where rounding breaks a tie of a ball's band
+# and LAPACK swaps rows, the bound for diagonally dominant bands is at most 3
+# times that, 6 eps; forming b - A x adds at most 2 eps more.
+BACKWARD_C = 8.0
+
+
+def _backward_error(band, rhs, x):
+    """max_i |b - A x|_i / (|A| |x| + |b|)_i in units of eps, for the band's
+    matrix A: the componentwise backward error of x (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 7.1)."""
+    mat = _band_matrix(band)
+    err = np.abs(rhs - mat @ x) / (np.abs(mat) @ np.abs(x) + np.abs(rhs))
+    return err.max() / np.finfo(float).eps
 
 
 class TestSkeletonCache:
@@ -993,6 +1043,11 @@ class TestSkeletonCache:
                                               (Ball(1.0), "linear"),
                                               (Annulus(1.0, 3.0), "log")])
     def test_cached_order_is_superlus(self, monkeypatch, name, domain, label):
+        # a radial sweep caches no order: LAPACK factorizes the band's
+        # transpose in its natural order.  On an annulus it pivots on the
+        # diagonal, as SuperLU's COLAMD run does; a ball's centre row starts
+        # a chain of ties that rounding breaks, for either one, so there the
+        # solution lies within rounding of spsolve's
         monkeypatch.setattr(solver, "_SKELETONS", {})
         seen = []
         inner = _RadialGrid._solve
@@ -1008,32 +1063,25 @@ class TestSkeletonCache:
                                     rhs=lambda r: math.cos(3.0 * r),
                                     boundary=lambda r: 1.0 / (1.0 + r))
             assert solve_dirichlet_radial(op, 3, prob, cells).meta["spacing"] == label
-        assert sorted(solver._SKELETONS) == sorted({len(b) for _, b in seen})
+        assert seen and not solver._SKELETONS
         for grid, band in seen:
-            nun = len(band)
-            mat = grid.matrix(band).T.tocsc()
-            skel = solver._SKELETONS[nun]
-            order, perm_c, take, indices, indptr = skel
-            assert np.array_equal(perm_c, spla.splu(mat).perm_c)
-            assert np.array_equal(order[perm_c], np.arange(nun))
-            assert not any(a.flags.writeable for a in skel)
-            assert indices.dtype == indptr.dtype == np.int32
-            # the filled skeleton is the transposed matrix, rows and columns
-            # in that order, its explicit zeros kept
-            filled = sparse.csc_matrix((np.take(band, take), indices, indptr),
-                                       shape=(nun, nun))
-            assert filled.nnz == 3 * nun - 2
-            assert np.array_equal(filled.toarray(),
-                                  mat.toarray()[order][:, order])
+            mat = sparse.csc_matrix(_band_matrix(band))
+            if label == "log":
+                ipiv = lapack.dgttrf(band[:-1, 2], band[:, 1], band[1:, 0])[4]
+                lu = spla.splu(mat.T.tocsc())
+                assert np.array_equal(ipiv, np.arange(1, len(band) + 1))
+                assert np.array_equal(lu.perm_r, lu.perm_c)
+            rhs = np.cos(np.arange(len(band), dtype=float))
+            want = spla.spsolve(mat, rhs)
+            got = grid._factorize(band)(rhs)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_ties_pivot_as_spsolve_does(self, monkeypatch):
+    def test_ties_pivot_as_spsolve_does(self):
         # tridiagonal M-matrices whose entries tie in size, a ball's centre
-        # row among them: the skeleton keeps the diagonal on the diagonal, so
-        # SuperLU prefers the same pivots and gives the same bits
+        # row among them: rounding breaks the ties, so LAPACK and SuperLU may
+        # pivot apart, but the grid's solution is LAPACK's, backward stable,
+        # and within rounding of spsolve's
         rng = np.random.default_rng(7)
-        # the first band of a size is factorized with COLAMD, the rest on
-        # the skeleton
-        monkeypatch.setattr(solver, "_SKELETONS", {})
         for nun in (7, 8, 16, 33):
             grid = _RadialGrid(laplacian(3), 3, *_radial_grid(Annulus(1.0, 2.0), nun + 1),
                                False)
@@ -1044,7 +1092,7 @@ class TestSkeletonCache:
                 band = np.stack([off[:, 0], diag, off[:, 1]], axis=1)
                 if k % 2:
                     band[0] = (0.0, 2.0, -2.0)
-                mat = grid.matrix(band)
+                mat = sparse.csr_matrix(_band_matrix(band))
                 try:
                     spla.splu(mat.T.tocsc())
                 except RuntimeError:            # exactly singular
@@ -1052,8 +1100,10 @@ class TestSkeletonCache:
                 rhs = rng.standard_normal(nun)
                 grid._held = (None, None)
                 grid.system = lambda policy, band=band: band
-                assert np.array_equal(grid._solve((), rhs),
-                                      spla.spsolve(mat, rhs))
+                got, want = grid._solve((), rhs), spla.spsolve(mat, rhs)
+                assert np.array_equal(got, _tridiagonal_solve(band, rhs))
+                assert _backward_error(band, rhs, got) <= BACKWARD_C
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("skew", ["perm_r", "perm_c"])
     def test_guard_falls_back_to_colamd(self, monkeypatch, skew):
@@ -1095,37 +1145,133 @@ class TestSkeletonCache:
         assert (interiors[0] != interiors[1]).any()
         assert keys[0] and keys[1] and not keys[0] & keys[1]
         for key in keys[0] | keys[1]:
-            order, = solver._SKELETONS[key]
+            order = solver._SKELETONS[key]
             assert order.dtype == np.int32 and not order.flags.writeable
             assert np.array_equal(np.sort(order), np.arange(order.size))
 
     def test_one_cache_for_both_grids_is_bounded(self, monkeypatch):
+        # the one order cache holds 2D patterns alone: a radial solve leaves
+        # it as it was, and the 2D solves keep it bounded
         monkeypatch.setattr(solver, "_SKELETONS", {})
         radial = DirichletProblem(domain=Annulus(1.0, 2.0), n=3, rhs=lambda r: 1.0)
         square = DirichletProblem(domain=Rectangle(0.0, 1.0, 0.0, 1.0), n=2,
                                   rhs=lambda x, y: 1.0)
         for cells in range(4, 4 + solver._SKELETON_CAP):
+            held = list(solver._SKELETONS)
             solve_dirichlet_radial(laplacian(3), 3, radial, cells)
+            assert list(solver._SKELETONS) == held
             solve_dirichlet_2d(laplacian(2), square, 1.0 / cells)
             assert len(solver._SKELETONS) <= solver._SKELETON_CAP
         assert len(solver._SKELETONS) == solver._SKELETON_CAP
-        # radial entries are keyed by their number of unknowns, 2D ones by a
-        # digest of their pattern, newest last
-        assert {type(key) for key in solver._SKELETONS} == {int, bytes}
-        assert list(solver._SKELETONS)[-2] == 2 + solver._SKELETON_CAP
+        # keyed by a digest of the 2D pattern
+        assert {type(key) for key in solver._SKELETONS} == {bytes}
 
     def test_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(solver, "_SKELETONS", {})
-        prob = DirichletProblem(domain=Annulus(1.0, 2.0), n=3, rhs=lambda r: 1.0)
-        sizes = range(4, 12 + solver._SKELETON_CAP)
+        prob = DirichletProblem(domain=Rectangle(0.0, 1.0, 0.0, 1.0), n=2,
+                                rhs=lambda x, y: 1.0)
+        sizes, keys = range(4, 12 + solver._SKELETON_CAP), []
         for cells in sizes:
-            solve_dirichlet_radial(laplacian(3), 3, prob, cells)
+            held = set(solver._SKELETONS)
+            solve_dirichlet_2d(laplacian(2), prob, 1.0 / cells)
+            key, = set(solver._SKELETONS) - held
+            keys.append(key)
             assert len(solver._SKELETONS) <= solver._SKELETON_CAP
-        # the oldest sizes went first; an evicted size is factorized afresh
-        assert list(solver._SKELETONS) == [c - 1 for c in sizes[-solver._SKELETON_CAP:]]
-        fld = solve_dirichlet_radial(laplacian(3), 3, prob, 4)
-        assert 3 in solver._SKELETONS
+        # the oldest patterns went first; an evicted one is factorized afresh
+        assert list(solver._SKELETONS) == keys[-solver._SKELETON_CAP:]
+        fld = solve_dirichlet_2d(laplacian(2), prob, 1.0 / 4)
+        assert list(solver._SKELETONS)[-1] == keys[0]
         assert fld.meta["residual"] <= 1e-9
+
+
+def _sweep_solves(monkeypatch, call):
+    """(band, rhs, solution) of every radial ``_HeldLU._solve`` that ``call``
+    makes: each sweep's, and each linear step's of the eigen loop."""
+    seen, inner = [], _HeldLU._solve
+
+    def spy(grid, policy, rhs):
+        x = inner(grid, policy, rhs)
+        seen.append((grid.system(policy), rhs.copy(), x.copy()))
+        return x
+
+    monkeypatch.setattr(_HeldLU, "_solve", spy)
+    call()
+    monkeypatch.setattr(_HeldLU, "_solve", inner)
+    return seen
+
+
+class TestTridiagonalSolve:
+    @pytest.mark.parametrize("name", ["laplacian", "pucci_max", "pucci_min",
+                                      "isaacs"])
+    @pytest.mark.parametrize("domain", [Annulus(1.0, 16.0), Annulus(1.0, 2.0),
+                                        Ball(1.0)], ids=["annulus16", "annulus2", "ball"])
+    def test_every_sweep_is_backward_stable(self, monkeypatch, name, domain):
+        # each solve's x meets |b - A x| <= BACKWARD_C eps (|A| |x| + |b|), A
+        # the sweep's matrix, at every node; the eigen loop's steps as well
+        op = _radial_ops(3)[name]
+        prob = DirichletProblem(domain=domain, n=3, rhs=lambda r: 1.0 + math.cos(3.0 * r),
+                                boundary=lambda r: 1.0 / (1.0 + r))
+        seen = []
+        for cells in (16, 128, 512):
+            seen += _sweep_solves(monkeypatch, lambda: solve_dirichlet_radial(
+                op, 3, prob, cells))
+        seen += _sweep_solves(monkeypatch, lambda: principal_eigenvalue(op, domain, 256))
+        assert len(seen) > 10
+        for band, rhs, x in seen:
+            assert _backward_error(band, rhs, x) <= BACKWARD_C
+
+    @pytest.mark.parametrize("domain", [Annulus(1.0, 2.0), Ball(1.0)],
+                             ids=["annulus", "ball"])
+    @pytest.mark.parametrize("cells", [2, 3, 4])
+    def test_fewer_than_three_unknowns(self, monkeypatch, domain, cells):
+        # 1 or 2 unknowns, which scipy's gttrf does not take, solve as a
+        # dense LU does, backward stable
+        prob = DirichletProblem(domain=domain, n=3, rhs=lambda r: 1.0 + r,
+                                boundary=lambda r: 0.5)
+        seen = _sweep_solves(monkeypatch, lambda: solve_dirichlet_radial(
+            pucci_max(1.0, 2.0, 3), 3, prob, cells))
+        assert seen
+        for band, rhs, x in seen:
+            assert _backward_error(band, rhs, x) <= BACKWARD_C
+            want = np.linalg.solve(_band_matrix(band), rhs)
+            assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("rows,pivot", [
+        ([(0.0, 1.0, 1.0), (1.0, 1.0, 0.0)], 2),      # 1 - 1 * 1 = 0 exactly
+        ([(0.0, 0.0, 0.0)] + [(-1.0, 3.0, -1.0)] * 7, 1),
+        ([(-1.0, 3.0, -1.0)] * 3 + [(0.0, 0.0, 0.0)] + [(-1.0, 3.0, -1.0)] * 4, 4),
+        ([(-1.0, 3.0, -1.0)] * 7 + [(0.0, 0.0, 0.0)], 8),
+    ], ids=["cancelled", "first", "middle", "last"])
+    def test_a_zero_pivot_raises(self, rows, pivot):
+        # a singular band whose transposed LU meets an exactly zero pivot
+        # raises, where the triangular solve would give inf or NaN
+        band = np.array(rows)
+        grid = _RadialGrid(laplacian(3), 3,
+                           *_radial_grid(Annulus(1.0, 2.0), len(band) + 1), False)
+        grid.system = lambda policy: band
+        with pytest.raises(RuntimeError,
+                           match=f"exactly singular: pivot {pivot} of {len(band)} is zero"):
+            grid._solve((), np.ones(len(band)))
+
+    # the benchmark's four pinned cases: at these grids the round-off floor
+    # of the residual lies above the tolerance 1e-10 * (1 + |f| + |g|)
+    @pytest.mark.parametrize("make,domain,cells", [
+        (lambda: pucci_min(1.0, 2.0, 3), Annulus(1.0, 2.0), 512),
+        (lambda: pucci_max(1.0, 2.0, 3), Annulus(1.0, 2.0), 1024),
+        (lambda: pucci_min(1.0, 2.0, 3), Ball(1.0), 2048),
+        (lambda: laplacian(3), Annulus(1.0, 16.0), 4096),
+    ], ids=["pucci_min_512", "pucci_max_1024", "pucci_min_ball_2048",
+            "laplacian_4096"])
+    def test_pinned_round_off_cases_still_raise(self, make, domain, cells):
+        if isinstance(domain, Ball):
+            prob = DirichletProblem(domain=domain, n=3, rhs=lambda r: 1.0)
+        else:                                # 1 inside, 0 outside
+            prob = DirichletProblem(domain=domain, n=3,
+                                    boundary=lambda r: float(r == domain.r0))
+        with pytest.raises(solver.PolicyIterationDiverged,
+                           match="above tolerance 2.00e-10") as exc:
+            solve_dirichlet_radial(make(), 3, prob, cells)
+        assert exc.value.history[-1] > 2e-10
 
 
 def _held_solves(name):

@@ -110,11 +110,14 @@ def test_missing_axes_match_reference(command, axes):
 
 
 def test_constant_edge_betas_match_reference():
-    # beta* = 0 at p = inf, and beta*(beta*+1) overflowing, take the scalar path
+    # p = inf refused, beta* = 0 by underflow at p = 1e308, and beta*(beta*+1)
+    # overflowing, take the scalar path
     config = {"command": "constant", "kind": "pucci_max",
-              "axes": {"p": [math.inf, 2.0, 1 + 1e-12], "gamma": [-1e300, 0.0, 1.9]}}
+              "axes": {"p": [math.inf, 1e308, 2.0, 1 + 1e-12],
+                       "gamma": [-1e300, 0.0, 1.9, 2.0 - 2.0 ** -52]}}
     csv_text, failed = run_sweep(config)
-    assert failed and "ValueError: beta must be positive" in csv_text
+    assert failed and "ValueError: p must exceed 1 and be finite" in csv_text
+    assert "ValueError: beta must be positive" in csv_text
     assert "ValueError: entries must be finite" in csv_text
     assert (csv_text, failed) == reference_sweep(config)
 
@@ -237,16 +240,20 @@ class TestBendBlocks:
 
     @pytest.mark.parametrize("kind", ["laplacian", "pucci_max", "pucci_min"])
     def test_all_out_of_regime_sweep_matches_reference(self, kind):
-        # 2000 rows, none in 0 < beta* < alpha*: at gamma = 0, beta* >= 2 > alpha*
-        # or beta* = 0 at p = inf; at gamma = nan, beta* refuses the NaN
+        # 2000 rows, none in 0 < beta* < alpha*: at gamma = 0, beta* >= 2 > alpha*;
+        # at gamma = nan, beta* refuses the NaN, and at p = inf the p
         config = {"command": "bend", "kind": kind,
                   "axes": {"p": list(np.linspace(1.05, 1.9, 497)) + [math.inf] * 3,
                            "gamma": [0.0, math.nan], "Lambda": [1.0, 1.2], "n": [3]}}
         csv_text, failed = run_sweep(config)
         rows = csv_text.splitlines()[1:]
         assert failed and len(rows) == 2000
-        by_gamma = {g: [row for row in rows if row.split(",")[1] == g] for g in ("0.0", "nan")}
-        assert len(by_gamma["0.0"]) == len(by_gamma["nan"]) == 1000
+        infinite = [row for row in rows if row.startswith("inf,")]
+        assert len(infinite) == 12
+        assert all(",ValueError: p must exceed 1 and be finite" in row for row in infinite)
+        by_gamma = {g: [row for row in rows if row.split(",")[1] == g and row not in infinite]
+                    for g in ("0.0", "nan")}
+        assert len(by_gamma["0.0"]) == len(by_gamma["nan"]) == 994
         assert all(",WrongRegime: requires 0 < beta*=" in row for row in by_gamma["0.0"])
         assert all(",ValueError: gamma must be below 2" in row for row in by_gamma["nan"])
         assert (csv_text, failed) == reference_sweep(config)
