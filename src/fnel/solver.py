@@ -46,8 +46,10 @@ check and the (rows, controls, 9) coefficients are array expressions.
 ``_evaluate_2d`` takes the (9, nodes) neighbor values of every interior node
 and returns F_h u with the policy (row, control) per node, looping over rows
 only.  A step's matrix is built transposed, in CSC, from the chosen
-coefficient rows and factorized in SuperLU's COLAMD order for its sparsity
-pattern; only the rows next to the boundary add boundary data to a step's rhs.
+coefficient rows and factorized by SuperLU in its symmetric mode: the minimum
+degree order of A^T + A and the diagonal as pivots, which the M-matrix's
+diagonal dominance allows; only the rows next to the boundary add boundary
+data to a step's rhs.
 
 Problem data are None (zero) or callables, else ``DirichletProblem`` raises
 TypeError; they are called once per node, in node order, into one array.  A
@@ -55,11 +57,8 @@ grid is built once per solve, or once per ``principal_eigenvalue``, whose
 seed solve hands it over in an ``_OnGrid`` problem with the rhs as an array;
 every solve starts from the grid's ``first``.  ``_HeldLU`` keeps its last
 sweep's policy with the LU of its ``system(policy)``, factorized once per new
-policy; the eigen loop's linear steps solve with it too.  COLAMD reads a
-2D matrix's sparsity pattern alone, so ``_SKELETONS`` holds its order per
-pattern; a later matrix of a held pattern is built with its columns in that
-order and factorized in its natural order, with the bits of SuperLU's own
-COLAMD run, and checks its pivots.
+policy; the eigen loop's linear steps solve with it too.  No order or
+factorization outlives its grid.
 
 ``fundamental_profile`` samples a solution at 128 points on each of 33
 spheres of radius s in [2, 8] in one pass (a sample off a 2D grid's domain
@@ -76,7 +75,6 @@ this module loads none of it, and no radial call runs SuperLU.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -167,8 +165,8 @@ class _HeldLU:
     factors are dropped; its repeats only solve with the held LU.  Each grid
     factorizes the transpose of the sweep's matrix and solves with
     ``trans="T"``: the radial grid its tridiagonal band by LAPACK's
-    ``gttrf``/``gttrs``, the 2D grid its CSC matrix by SuperLU, whose
-    triangular solves are the ones spsolve runs on the matrix in CSR."""
+    ``gttrf``/``gttrs``, the 2D grid its CSC matrix by SuperLU in symmetric
+    mode, with diagonal pivots."""
 
     _held = (None, None)
 
@@ -460,23 +458,6 @@ def _radial_rhs(problem, r):
     the unknowns."""
     pts = np.append(r[1] * 1e-8, r[1:-1]) if isinstance(problem.domain, Ball) else r[1:-1]
     return _data(problem, "rhs", pts.tolist())
-
-
-# SuperLU's COLAMD orders of the 2D grid's sparsity patterns (see the module
-# docstring), keyed by a digest of the pattern: each entry is one int32 order
-# (see ``_Grid2D._factorize``).  No values, no LU.
-_SKELETONS = {}
-_SKELETON_CAP = 32                      # patterns held; the oldest goes first
-
-
-def _remember(key, order):
-    """Hold ``order``, made read-only, as the newest entry ``key`` of
-    ``_SKELETONS``, dropping the oldest entries past the cap."""
-    order.setflags(write=False)
-    _SKELETONS.pop(key, None)
-    while len(_SKELETONS) >= _SKELETON_CAP:
-        del _SKELETONS[next(iter(_SKELETONS))]
-    _SKELETONS[key] = order
 
 
 class _RadialGrid(_HeldLU):
@@ -849,46 +830,29 @@ class _Grid2D(_HeldLU):
 
     def _factorize(self, sel):
         """The solve rhs -> x of the sweep's matrix with coefficient rows
-        ``sel``, factorized transposed in CSC: each column the unknowns'
-        entries of a row in index order.
-
-        The first matrix of a sparsity pattern (the grid and its kept entries,
-        keyed by a 128-bit digest) gets SuperLU's COLAMD order, and
-        ``_SKELETONS`` holds that order as int32 if every pivot was on the
-        diagonal (perm_r == perm_c).  A later one is built with its columns
-        alone in that order, its row indices still the unknowns', and
-        factorized in its natural order: the elimination SuperLU runs after
-        its own COLAMD, so the same bits.  In natural order SuperLU prefers
-        row k as column k's pivot, which is not the true diagonal, so the LU
-        is kept only if every pivot is still the true diagonal and SuperLU's
-        postorder kept the order; otherwise the matrix gets COLAMD."""
+        ``sel``, factorized transposed in CSC (each column the unknowns'
+        entries of a row in index order) by SuperLU in its symmetric mode:
+        the minimum degree order of A^T + A, the diagonal as pivot, one-column
+        panels and supernodes.  A^T of the scheme's M-matrix is diagonally
+        dominant by columns, so elimination needs no interchange (Higham,
+        Accuracy and Stability of Numerical Algorithms, ch. 9); a pivot off
+        the diagonal (perm_r != perm_c) raises RuntimeError."""
         import scipy.sparse as sparse
         import scipy.sparse.linalg as spla
 
         sel, col = sel[:, self.by_index], self.col[:, self.by_index]
         keep = (col >= 0) & (sel != 0.0)
         nun = self.nodes.size
-        key = hashlib.blake2b(digest_size=16)   # the pattern: grid and kept entries
-        for part in (np.array(self.interior.shape), self.interior, keep):
-            key.update(part.tobytes())
-        key = key.digest()
-
-        def factorize(rows, **options):
-            kept = keep[rows]
-            indptr = np.concatenate(([0], np.cumsum(kept.sum(axis=1))))
-            return spla.splu(sparse.csc_matrix(
-                (sel[rows][kept], col[rows][kept], indptr), shape=(nun, nun)), **options)
-
-        if key in _SKELETONS:
-            order = _SKELETONS[key]
-            lu = factorize(order, permc_spec="NATURAL")
-            # every pivot the true diagonal, and SuperLU's postorder kept the order
-            every = np.arange(nun)
-            if (lu.perm_r[order] == every).all() and (lu.perm_c == every).all():
-                return lambda rhs: lu.solve(rhs[order], trans="T")
-        lu = factorize(slice(None))
-        if (lu.perm_r == lu.perm_c).all():
-            _remember(key, np.argsort(lu.perm_c).astype(np.int32))
+        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+        lu = spla.splu(sparse.csc_matrix((sel[keep], col[keep], indptr), shape=(nun, nun)),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
+                       panel_size=1, options=dict(SymmetricMode=True))
+        off = np.flatnonzero(lu.perm_r != lu.perm_c)
+        if off.size:
+            k = off[0]
+            raise RuntimeError(f"SuperLU pivoted off the diagonal: unknown {k} of "
+                               f"{nun} has row position {lu.perm_r[k]} but column "
+                               f"position {lu.perm_c[k]}")
         return lambda rhs: lu.solve(rhs, trans="T")
 
     def field(self, u, meta):

@@ -538,8 +538,8 @@ class TestFundamentalProfile:
     def test_isaacs_2d_fits_pinned(self):
         op = parse_operator_spec((SAMPLES / "isaacs_2d.json").read_text())
         rep = fundamental_profile(op, 2, cells=128).fit_report
-        assert rep["alpha_min_fit"] == pytest.approx(0.3454815476584815, abs=1e-9)
-        assert rep["alpha_max_fit"] == pytest.approx(0.16232212519357656, abs=1e-9)
+        assert rep["alpha_min_fit"] == pytest.approx(0.3454815476585385, abs=1e-9)
+        assert rep["alpha_max_fit"] == pytest.approx(0.16232212275009078, abs=1e-9)
 
     def test_isaacs_2d_partial_spheres_rejected(self):
         # at 64 cells 130 samples on 3 of the 33 spheres lie off the annulus
@@ -890,12 +890,18 @@ def _tridiagonal_solve(band, rhs):
     return lapack.dgttrs(*lu, rhs, trans="T")[0]
 
 
+# SuperLU's arguments for the LU of a 2D sweep's transposed matrix
+SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
+                 panel_size=1, options=dict(SymmetricMode=True))
+
+
 def _fresh_solve(grid, system, mat, rhs):
     """The solution a sweep's solve must give bit for bit: a fresh LAPACK
-    solve of a radial band, spsolve of a 2D matrix."""
+    solve of a radial band, a fresh SuperLU solve in symmetric mode of a 2D
+    matrix's transpose."""
     if isinstance(grid, _RadialGrid):
         return _tridiagonal_solve(system, rhs)
-    return spla.spsolve(mat, rhs)
+    return spla.splu(sparse.csc_matrix(mat.T), **SYMMETRIC).solve(rhs, trans="T")
 
 
 def _matrix(grid, system):
@@ -931,25 +937,24 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("a held LU needs no matrix and no factorization")
 
 
-def _permc_specs(monkeypatch, skew=None, on="NATURAL"):
-    """Log the ``permc_spec`` of every ``spla.splu`` call (None for COLAMD,
-    the default) and return the log.  ``skew`` names an LU permutation,
-    "perm_r" or "perm_c", to report rolled by one on the LUs of spec ``on``."""
+def _splu_options(monkeypatch, skew=False):
+    """Log the keyword arguments of every ``spla.splu`` call and return the
+    log.  With ``skew`` each LU reports its row permutation rolled by one, as
+    if its pivots had left the diagonal."""
     log = []
     splu = spla.splu
 
     class SkewedLU:
         def __init__(self, lu):
-            self.lu, self.perm_r, self.perm_c = lu, lu.perm_r, lu.perm_c
-            setattr(self, skew, np.roll(getattr(lu, skew), 1))
+            self.lu, self.perm_c, self.perm_r = lu, lu.perm_c, np.roll(lu.perm_r, 1)
 
         def solve(self, *args, **kwargs):
             return self.lu.solve(*args, **kwargs)
 
     def logged_splu(*args, **kwargs):
-        log.append(kwargs.get("permc_spec"))
+        log.append(kwargs)
         lu = splu(*args, **kwargs)
-        return SkewedLU(lu) if skew and log[-1] == on else lu
+        return SkewedLU(lu) if skew else lu
 
     monkeypatch.setattr(spla, "splu", logged_splu)
     return log
@@ -958,9 +963,9 @@ def _permc_specs(monkeypatch, skew=None, on="NATURAL"):
 class TestFactorizationReuse:
     @pytest.mark.parametrize("name", SOLVE_CASES)
     def test_matches_spsolve_bit_for_bit(self, monkeypatch, name):
-        # a 2D sweep's solution has spsolve's bits; a radial one has those
-        # of a fresh LAPACK solve by the LU of the band's transpose, and
-        # lies within rounding of spsolve's
+        # a sweep's solution has the bits of a fresh factorization of its
+        # matrix's transpose, a radial one LAPACK's, a 2D one SuperLU's in
+        # symmetric mode, and lies within rounding of spsolve's
         systems = _systems(monkeypatch, name)
         assert systems
         radial = isinstance(systems[0][0], _RadialGrid)
@@ -969,27 +974,19 @@ class TestFactorizationReuse:
                   _fresh_solve(grid, system, mat, other))
                  for (grid, _, system, mat, rhs), other in zip(systems, others)]
         calls = counted_solves(monkeypatch)
-        specs = _permc_specs(monkeypatch)
-        monkeypatch.setattr(solver, "_SKELETONS", {})
+        options = _splu_options(monkeypatch)
         for (grid, policy, system, mat, rhs), other, (want, other_want) in zip(
                 systems, others, wants):
             # a new policy is factorized once, on either grid: a radial band
-            # by LAPACK, with no order cached; a 2D matrix by SuperLU's
-            # COLAMD for the first matrix of its pattern, then in the order
-            # that left in the order cache
-            solver._SKELETONS.clear()
-            for cached in (False,) if radial else (False, True):
-                assert bool(solver._SKELETONS) == cached
-                grid._held = (None, None)
-                calls.clear()
-                specs.clear()
-                assert np.array_equal(grid._solve(policy, rhs), want)
-                assert calls == ["factorize", "solve"]
-                assert specs == ([] if radial else ["NATURAL" if cached else None])
-            if radial:
-                assert not solver._SKELETONS
-                sp = spla.spsolve(mat, rhs)
-                assert np.abs(want - sp).max() <= 1e-12 * np.abs(sp).max()
+            # by LAPACK, a 2D matrix by SuperLU with the arguments above
+            grid._held = (None, None)
+            calls.clear()
+            options.clear()
+            assert np.array_equal(grid._solve(policy, rhs), want)
+            assert calls == ["factorize", "solve"]
+            assert options == ([] if radial else [SYMMETRIC])
+            sp = spla.spsolve(mat, rhs)
+            assert np.abs(want - sp).max() <= 1e-12 * np.abs(sp).max()
             # its repeats build no system and factorize nothing
             with monkeypatch.context() as m:
                 for owner, attr in ((type(grid), "system"), (type(grid), "_factorize"),
@@ -1015,6 +1012,18 @@ class TestFactorizationReuse:
             assert calls.count("factorize") == factorized
         assert calls.count("solve") == len(steps)
 
+    def test_an_off_diagonal_pivot_raises(self, monkeypatch):
+        # the 2D LU pivots on the diagonal: an LU that reports a pivot off it
+        # raises, naming the first, and holds nothing
+        grid, policy, _, _, rhs = _systems(monkeypatch, "pucci_2d")[0]
+        _splu_options(monkeypatch, skew=True)
+        grid._held = (None, None)
+        with pytest.raises(RuntimeError, match=r"SuperLU pivoted off the diagonal: "
+                                               r"unknown 0 of 49 has row position \d+ but "
+                                               r"column position \d+$"):
+            grid._solve(policy, rhs)
+        assert grid._held == (None, None)
+
 
 # c of the bound |b - A x| <= c eps (|A| |x| + |b|) on every radial solve.  For
 # a tridiagonal M-matrix, Gaussian elimination without pivoting gives
@@ -1026,172 +1035,22 @@ class TestFactorizationReuse:
 BACKWARD_C = 8.0
 
 
-def _backward_error(band, rhs, x):
-    """max_i |b - A x|_i / (|A| |x| + |b|)_i in units of eps, for the band's
-    matrix A: the componentwise backward error of x (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 7.1)."""
-    mat = _band_matrix(band)
-    err = np.abs(rhs - mat @ x) / (np.abs(mat) @ np.abs(x) + np.abs(rhs))
+def _backward_error(mat, rhs, x):
+    """max_i |b - A x|_i / (|A| |x| + |b|)_i in units of eps, for a dense or
+    sparse matrix A: the componentwise backward error of x (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., section 7.1)."""
+    err = np.abs(rhs - mat @ x) / (abs(mat) @ np.abs(x) + np.abs(rhs))
     return err.max() / np.finfo(float).eps
 
 
-class TestSkeletonCache:
-    @pytest.mark.parametrize("name", ["laplacian", "pucci_max", "pucci_min",
-                                      "isaacs"])
-    # the label is the grid the domain gives, as the solve's meta names it
-    @pytest.mark.parametrize("domain,label", [(Annulus(1.0, 4.0), "log"),
-                                              (Ball(1.0), "linear"),
-                                              (Annulus(1.0, 3.0), "log")])
-    def test_cached_order_is_superlus(self, monkeypatch, name, domain, label):
-        # a radial sweep caches no order: LAPACK factorizes the band's
-        # transpose in its natural order.  On an annulus it pivots on the
-        # diagonal, as SuperLU's COLAMD run does; a ball's centre row starts
-        # a chain of ties that rounding breaks, for either one, so there the
-        # solution lies within rounding of spsolve's
-        monkeypatch.setattr(solver, "_SKELETONS", {})
-        seen = []
-        inner = _RadialGrid._solve
-
-        def spy(grid, policy, rvec):
-            seen.append((grid, grid.system(policy)))
-            return inner(grid, policy, rvec)
-
-        monkeypatch.setattr(_RadialGrid, "_solve", spy)
-        op = _radial_ops(3)[name]
-        for cells in (8, 33, 128, 512):
-            prob = DirichletProblem(domain=domain, n=3,
-                                    rhs=lambda r: math.cos(3.0 * r),
-                                    boundary=lambda r: 1.0 / (1.0 + r))
-            assert solve_dirichlet_radial(op, 3, prob, cells).meta["spacing"] == label
-        assert seen and not solver._SKELETONS
-        for grid, band in seen:
-            mat = sparse.csc_matrix(_band_matrix(band))
-            if label == "log":
-                ipiv = lapack.dgttrf(band[:-1, 2], band[:, 1], band[1:, 0])[4]
-                lu = spla.splu(mat.T.tocsc())
-                assert np.array_equal(ipiv, np.arange(1, len(band) + 1))
-                assert np.array_equal(lu.perm_r, lu.perm_c)
-            rhs = np.cos(np.arange(len(band), dtype=float))
-            want = spla.spsolve(mat, rhs)
-            got = grid._factorize(band)(rhs)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-    def test_ties_pivot_as_spsolve_does(self):
-        # tridiagonal M-matrices whose entries tie in size, a ball's centre
-        # row among them: rounding breaks the ties, so LAPACK and SuperLU may
-        # pivot apart, but the grid's solution is LAPACK's, backward stable,
-        # and within rounding of spsolve's
-        rng = np.random.default_rng(7)
-        for nun in (7, 8, 16, 33):
-            grid = _RadialGrid(laplacian(3), 3, *_radial_grid(Annulus(1.0, 2.0), nun + 1),
-                               False)
-            for k in range(200):
-                off = -rng.choice([0.0, 0.5, 1.0, 2.0], size=(nun, 2))
-                diag = -off.sum(axis=1) + rng.choice([0.0, 0.0, 0.25, 1.0], size=nun)
-                diag[diag == 0.0] = 1.0
-                band = np.stack([off[:, 0], diag, off[:, 1]], axis=1)
-                if k % 2:
-                    band[0] = (0.0, 2.0, -2.0)
-                mat = sparse.csr_matrix(_band_matrix(band))
-                try:
-                    spla.splu(mat.T.tocsc())
-                except RuntimeError:            # exactly singular
-                    continue
-                rhs = rng.standard_normal(nun)
-                grid._held = (None, None)
-                grid.system = lambda policy, band=band: band
-                got, want = grid._solve((), rhs), spla.spsolve(mat, rhs)
-                assert np.array_equal(got, _tridiagonal_solve(band, rhs))
-                assert _backward_error(band, rhs, got) <= BACKWARD_C
-                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-
-    @pytest.mark.parametrize("skew", ["perm_r", "perm_c"])
-    def test_guard_falls_back_to_colamd(self, monkeypatch, skew):
-        # a natural-order LU whose pivots left the diagonal, or whose
-        # postorder moved the columns, is dropped for SuperLU's own COLAMD
-        monkeypatch.setattr(solver, "_SKELETONS", {})
-        grid, policy, _, mat, rhs = _systems(monkeypatch, "pucci_2d")[0]
-        want = spla.spsolve(mat, rhs)
-        specs = _permc_specs(monkeypatch, skew)
-        grid._held = (None, None)
-        assert np.array_equal(grid._solve(policy, rhs), want)
-        assert specs == ["NATURAL", None]
-
-    def test_off_diagonal_colamd_pivots_leave_no_order(self, monkeypatch):
-        # the held order replays COLAMD's run only if its pivots were the
-        # diagonal, so a run that pivoted elsewhere is not remembered
-        monkeypatch.setattr(solver, "_SKELETONS", {})
-        specs = _permc_specs(monkeypatch, "perm_r", on=None)
-        for _ in range(2):
-            _solve_case("pucci_2d")
-        assert specs and set(specs) == {None}
-        assert not solver._SKELETONS
-
-    def test_2d_orders_are_keyed_by_the_grid(self, monkeypatch):
-        # two annuli on one grid shape with different interior masks: the
-        # second one's first matrix shares no order with the first's
-        monkeypatch.setattr(solver, "_SKELETONS", {})
-        specs = _permc_specs(monkeypatch)
-        interiors, keys = [], []
-        for dom in (Annulus(1.0, 2.0), Annulus(0.5, 2.0)):
-            held = set(solver._SKELETONS)
-            prob = DirichletProblem(domain=dom, n=2, rhs=lambda x, y: 1.0,
-                                    boundary=lambda r: 1.0 / r)
-            specs.clear()
-            interiors.append(solve_dirichlet_2d(laplacian(2), prob, 1.0 / 16).interior)
-            assert specs == [None]
-            keys.append(set(solver._SKELETONS) - held)
-        assert interiors[0].shape == interiors[1].shape
-        assert (interiors[0] != interiors[1]).any()
-        assert keys[0] and keys[1] and not keys[0] & keys[1]
-        for key in keys[0] | keys[1]:
-            order = solver._SKELETONS[key]
-            assert order.dtype == np.int32 and not order.flags.writeable
-            assert np.array_equal(np.sort(order), np.arange(order.size))
-
-    def test_one_cache_for_both_grids_is_bounded(self, monkeypatch):
-        # the one order cache holds 2D patterns alone: a radial solve leaves
-        # it as it was, and the 2D solves keep it bounded
-        monkeypatch.setattr(solver, "_SKELETONS", {})
-        radial = DirichletProblem(domain=Annulus(1.0, 2.0), n=3, rhs=lambda r: 1.0)
-        square = DirichletProblem(domain=Rectangle(0.0, 1.0, 0.0, 1.0), n=2,
-                                  rhs=lambda x, y: 1.0)
-        for cells in range(4, 4 + solver._SKELETON_CAP):
-            held = list(solver._SKELETONS)
-            solve_dirichlet_radial(laplacian(3), 3, radial, cells)
-            assert list(solver._SKELETONS) == held
-            solve_dirichlet_2d(laplacian(2), square, 1.0 / cells)
-            assert len(solver._SKELETONS) <= solver._SKELETON_CAP
-        assert len(solver._SKELETONS) == solver._SKELETON_CAP
-        # keyed by a digest of the 2D pattern
-        assert {type(key) for key in solver._SKELETONS} == {bytes}
-
-    def test_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(solver, "_SKELETONS", {})
-        prob = DirichletProblem(domain=Rectangle(0.0, 1.0, 0.0, 1.0), n=2,
-                                rhs=lambda x, y: 1.0)
-        sizes, keys = range(4, 12 + solver._SKELETON_CAP), []
-        for cells in sizes:
-            held = set(solver._SKELETONS)
-            solve_dirichlet_2d(laplacian(2), prob, 1.0 / cells)
-            key, = set(solver._SKELETONS) - held
-            keys.append(key)
-            assert len(solver._SKELETONS) <= solver._SKELETON_CAP
-        # the oldest patterns went first; an evicted one is factorized afresh
-        assert list(solver._SKELETONS) == keys[-solver._SKELETON_CAP:]
-        fld = solve_dirichlet_2d(laplacian(2), prob, 1.0 / 4)
-        assert list(solver._SKELETONS)[-1] == keys[0]
-        assert fld.meta["residual"] <= 1e-9
-
-
 def _sweep_solves(monkeypatch, call):
-    """(band, rhs, solution) of every radial ``_HeldLU._solve`` that ``call``
+    """(matrix, rhs, solution) of every ``_HeldLU._solve`` that ``call``
     makes: each sweep's, and each linear step's of the eigen loop."""
     seen, inner = [], _HeldLU._solve
 
     def spy(grid, policy, rhs):
         x = inner(grid, policy, rhs)
-        seen.append((grid.system(policy), rhs.copy(), x.copy()))
+        seen.append((_matrix(grid, grid.system(policy)), rhs.copy(), x.copy()))
         return x
 
     monkeypatch.setattr(_HeldLU, "_solve", spy)
@@ -1217,8 +1076,8 @@ class TestTridiagonalSolve:
                 op, 3, prob, cells))
         seen += _sweep_solves(monkeypatch, lambda: principal_eigenvalue(op, domain, 256))
         assert len(seen) > 10
-        for band, rhs, x in seen:
-            assert _backward_error(band, rhs, x) <= BACKWARD_C
+        for mat, rhs, x in seen:
+            assert _backward_error(mat, rhs, x) <= BACKWARD_C
 
     @pytest.mark.parametrize("domain", [Annulus(1.0, 2.0), Ball(1.0)],
                              ids=["annulus", "ball"])
@@ -1231,9 +1090,9 @@ class TestTridiagonalSolve:
         seen = _sweep_solves(monkeypatch, lambda: solve_dirichlet_radial(
             pucci_max(1.0, 2.0, 3), 3, prob, cells))
         assert seen
-        for band, rhs, x in seen:
-            assert _backward_error(band, rhs, x) <= BACKWARD_C
-            want = np.linalg.solve(_band_matrix(band), rhs)
+        for mat, rhs, x in seen:
+            assert _backward_error(mat, rhs, x) <= BACKWARD_C
+            want = np.linalg.solve(mat.toarray(), rhs)
             assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("rows,pivot", [
@@ -1252,6 +1111,74 @@ class TestTridiagonalSolve:
         with pytest.raises(RuntimeError,
                            match=f"exactly singular: pivot {pivot} of {len(band)} is zero"):
             grid._solve((), np.ones(len(band)))
+
+    @pytest.mark.parametrize("name", ["laplacian", "pucci_max", "pucci_min",
+                                      "isaacs"])
+    # the label is the grid the domain gives, as the solve's meta names it
+    @pytest.mark.parametrize("domain,label", [(Annulus(1.0, 4.0), "log"),
+                                              (Ball(1.0), "linear"),
+                                              (Annulus(1.0, 3.0), "log")])
+    def test_annulus_lu_keeps_the_diagonal(self, monkeypatch, name, domain, label):
+        # LAPACK factorizes the band's transpose in its natural order.  On an
+        # annulus it pivots on the diagonal, as SuperLU's COLAMD run does; a
+        # ball's centre row starts a chain of ties that rounding breaks, for
+        # either one.  Either way the solution lies within rounding of
+        # spsolve's
+        seen = []
+        inner = _RadialGrid._solve
+
+        def spy(grid, policy, rvec):
+            seen.append((grid, grid.system(policy)))
+            return inner(grid, policy, rvec)
+
+        monkeypatch.setattr(_RadialGrid, "_solve", spy)
+        op = _radial_ops(3)[name]
+        for cells in (8, 33, 128, 512):
+            prob = DirichletProblem(domain=domain, n=3,
+                                    rhs=lambda r: math.cos(3.0 * r),
+                                    boundary=lambda r: 1.0 / (1.0 + r))
+            assert solve_dirichlet_radial(op, 3, prob, cells).meta["spacing"] == label
+        assert seen
+        for grid, band in seen:
+            mat = sparse.csc_matrix(_band_matrix(band))
+            if label == "log":
+                ipiv = lapack.dgttrf(band[:-1, 2], band[:, 1], band[1:, 0])[4]
+                lu = spla.splu(mat.T.tocsc())
+                assert np.array_equal(ipiv, np.arange(1, len(band) + 1))
+                assert np.array_equal(lu.perm_r, lu.perm_c)
+            rhs = np.cos(np.arange(len(band), dtype=float))
+            want = spla.spsolve(mat, rhs)
+            got = grid._factorize(band)(rhs)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_ties_are_backward_stable(self):
+        # tridiagonal M-matrices whose entries tie in size, a ball's centre
+        # row among them: rounding breaks the ties, so LAPACK and SuperLU may
+        # pivot apart, but the grid's solution is LAPACK's, backward stable,
+        # and within rounding of spsolve's
+        rng = np.random.default_rng(7)
+        for nun in (7, 8, 16, 33):
+            grid = _RadialGrid(laplacian(3), 3, *_radial_grid(Annulus(1.0, 2.0), nun + 1),
+                               False)
+            for k in range(200):
+                off = -rng.choice([0.0, 0.5, 1.0, 2.0], size=(nun, 2))
+                diag = -off.sum(axis=1) + rng.choice([0.0, 0.0, 0.25, 1.0], size=nun)
+                diag[diag == 0.0] = 1.0
+                band = np.stack([off[:, 0], diag, off[:, 1]], axis=1)
+                if k % 2:
+                    band[0] = (0.0, 2.0, -2.0)
+                mat = sparse.csr_matrix(_band_matrix(band))
+                try:
+                    spla.splu(mat.T.tocsc())
+                except RuntimeError:            # exactly singular
+                    continue
+                rhs = rng.standard_normal(nun)
+                grid._held = (None, None)
+                grid.system = lambda policy, band=band: band
+                got, want = grid._solve((), rhs), spla.spsolve(mat, rhs)
+                assert np.array_equal(got, _tridiagonal_solve(band, rhs))
+                assert _backward_error(mat, rhs, got) <= BACKWARD_C
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     # the benchmark's four pinned cases: at these grids the round-off floor
     # of the residual lies above the tolerance 1e-10 * (1 + |f| + |g|)
@@ -1272,6 +1199,48 @@ class TestTridiagonalSolve:
                            match="above tolerance 2.00e-10") as exc:
             solve_dirichlet_radial(make(), 3, prob, cells)
         assert exc.value.history[-1] > 2e-10
+
+
+# c of the bound |b - A x| <= c eps (|A| |x| + |b|) on every 2D solve at h >=
+# 1/64.  Forming b - A x from a row's at most 9 entries and b rounds by at most
+# gamma_10 = 10u = 5 eps of (|A| |x| + |b|) (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., section 3.1).  The LU of A^T on its diagonal
+# gives (A + dA) x = b with |dA| <= gamma_3m |L| |U| (Thm 9.4), m the longest
+# inner product of the sparse factors; on these M-matrices the row sums of
+# |L| |U| stay below 4 times those of |A| up to h = 1/128 (diagonal dominance
+# bounds the growth, section 9.5).  That worst case says little here: m grows
+# like 1/h, 319 terms at h = 1/64.  The rounding errors of an inner product's
+# terms take both signs and add like sqrt(m) (Higham and Mary, SIAM J. Sci.
+# Comput. 41, 2019), and the long ones run over fill entries that decay away
+# from the diagonal.  The solve's share is taken as twice the residual's,
+# 10 eps, which gives c = 16 with 1 eps to spare.
+BACKWARD_C_2D = 16.0
+
+
+class TestSparseSolve:
+    @pytest.mark.parametrize("name", ["laplacian", "pucci_max", "pucci_min",
+                                      "isaacs_2d"])
+    def test_every_sweep_is_backward_stable(self, monkeypatch, name):
+        # each 2D solve's x meets |b - A x| <= BACKWARD_C_2D eps (|A| |x| +
+        # |b|), A the sweep's matrix, at every node: on the unit square at
+        # h = 1/8 to 1/64, on an annulus, and in the eigen loop's steps
+        op = {"laplacian": laplacian(2), "pucci_max": pucci_max(1.0, 2.0, 2),
+              "pucci_min": pucci_min(1.0, 3.0, 2),
+              "isaacs_2d": parse_operator_spec(
+                  (SAMPLES / "isaacs_2d.json").read_text())}[name]
+        square = DirichletProblem(domain=SQUARE, n=2, rhs=lambda x, y: 1.0 + x * y,
+                                  boundary=lambda x, y: x * x - y)
+        annulus = DirichletProblem(domain=Annulus(1.0, 2.0), n=2,
+                                   rhs=lambda x, y: 1.0 + x * y,
+                                   boundary=lambda r: 1.0 / r)
+        seen = []
+        for prob, h in [(square, 1.0 / cells) for cells in (8, 16, 32, 64)] + [
+                (annulus, 1.0 / 16)]:
+            seen += _sweep_solves(monkeypatch, lambda: solve_dirichlet_2d(op, prob, h))
+        seen += _sweep_solves(monkeypatch, lambda: principal_eigenvalue(op, SQUARE, 32))
+        assert len(seen) > 10
+        for mat, rhs, x in seen:
+            assert _backward_error(mat, rhs, x) <= BACKWARD_C_2D
 
 
 def _held_solves(name):
