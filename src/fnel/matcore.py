@@ -9,11 +9,17 @@ that ``eval_operator`` evaluates in one call, with LAPACK eigenvalues.  Where
 every matrix is diagonal (the radial Hessians and the indicator matrices of
 a rotation-invariant F), ``eval_diagonal`` takes the (..., n) diagonals and
 returns the same bits without building, checking or diagonalizing matrices.
+
+An Isaacs family's controls are checked and symmetrized once, as one
+(k, n, n) stack (``control_matrices``), and the rotation samples behind a
+``rot_invariant`` claim are stored symmetrized, so building an operator
+symmetrizes no matrix twice.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,6 +29,7 @@ MAX_DIM = 8
 ROTATION_SAMPLES = 64  # random (M, rotated M) pairs behind an Isaacs rot_invariant claim
 ROTATION_SEED = 0
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+_HALF_MAX = 0.5 * np.finfo(float).max
 
 LAPLACIAN = "laplacian"
 PUCCI_MAX = "pucci_max"
@@ -45,18 +52,32 @@ def _symmetrized(a):
 
     Each matrix may differ from its transpose as ``np.allclose`` allows
     (relative 1e-5), with absolute slack 1e-12 times its largest entry plus one.
+    Each is scaled on its own, so a stack gets the bits of one matrix at a
+    time.  A failing stack raises a ``ValueError`` whose ``index`` is the
+    row-major position of its first failing matrix.
     """
-    if not np.isfinite(a).all():
-        raise ValueError("entries must be finite")
-    at = a.swapaxes(-1, -2)
     scale = 1.0 + np.abs(a).max(axis=(-2, -1), keepdims=True, initial=0.0)
-    if (np.abs(a - at) > 1e-12 * scale + 1e-5 * np.abs(at)).any():
-        raise ValueError("matrix is not symmetric")
-    if scale.max(initial=0.0) > 0.5 * np.finfo(float).max:   # a + at may overflow
+    finite = np.isfinite(scale)  # max passes NaN and inf on
+    if not finite.all():
+        k = int(np.argmin(finite))
+        _symmetrized(a.reshape((-1,) + a.shape[-2:])[:k])  # an earlier asymmetric one first
+        raise _failure("entries must be finite", k)
+    at = a.swapaxes(-1, -2)
+    off = np.abs(a - at) > 1e-12 * scale + 1e-5 * np.abs(at)
+    if off.any():
+        raise _failure("matrix is not symmetric", int(np.argmax(off.any(axis=(-2, -1)))))
+    if scale.max(initial=0.0) > _HALF_MAX:   # a + at may overflow
         with np.errstate(over="ignore"):
             out = 0.5 * (a + at)
         return np.where(np.isinf(out), 0.5 * a + 0.5 * at, out)
     return 0.5 * (a + at)
+
+
+def _failure(problem, index):
+    """ValueError(problem) naming the failing matrix by its ``index``."""
+    exc = ValueError(problem)
+    exc.index = index
+    return exc
 
 
 def diag_matrices(values) -> np.ndarray:
@@ -99,6 +120,13 @@ class SymMatrix:
     @classmethod
     def from_dense(cls, a) -> "SymMatrix":
         return cls(a)
+
+    @classmethod
+    def _checked(cls, a) -> "SymMatrix":
+        """Wrap a read-only, exactly symmetric (dim, dim) array as it is."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", a)
+        return m
 
     @classmethod
     def diag(cls, *values) -> "SymMatrix":
@@ -166,7 +194,11 @@ class EllipticOperator:
 
     Built-in kinds: laplacian, pucci_max, pucci_min; or a finite sup-inf
     (Isaacs) family of control matrices A with lam*I <= A <= Lam*I.
-    ``families`` is a list over the sup index of lists over the inf index.
+    ``families`` is a list over the sup index of lists over the inf index, of
+    SymMatrix taken as stored: ``isaacs`` and spec parsing symmetrize every
+    control once, as one stack (``control_matrices``).  A ``rot_invariant``
+    claim is checked by ``_isaacs_value`` at the cached rotation samples,
+    stored symmetrized, and dropped if a rotation moves F.
     """
 
     dim: int
@@ -226,7 +258,8 @@ class EllipticOperator:
             object.__setattr__(self, "families", fams)
             object.__setattr__(self, "_controls", np.array(ctrl)[:, :, None, :])
             if self.rot_invariant:  # a rotated sample that moves F downgrades the claim
-                a, b = eval_operator(self, _rotation_pairs(self.dim))
+                n = self.dim
+                a, b = _isaacs_value(self, _rotation_pairs(n).reshape(2, -1, 1, 1, n * n, 1))
                 if not (np.abs(a - b) <= 1e-8 * (1.0 + np.abs(a))).all():
                     object.__setattr__(self, "rot_invariant", False)
         elif self.families:
@@ -236,11 +269,12 @@ class EllipticOperator:
 @functools.lru_cache(maxsize=MAX_DIM)  # one entry per dimension
 def _rotation_pairs(n):
     """Read-only (2, ROTATION_SAMPLES, n, n) stack of random symmetric m and
-    q m q^T, q orthogonal, drawn at the first Isaacs construction in dim n."""
+    q m q^T, q orthogonal, drawn at the first Isaacs construction in dim n and
+    stored symmetrized, as ``eval_operator`` would read them."""
     draws = np.random.default_rng(ROTATION_SEED).standard_normal((ROTATION_SAMPLES, 2, n, n))
     m = 0.5 * (draws[:, 0] + draws[:, 0].swapaxes(1, 2))
     q = np.linalg.qr(draws[:, 1])[0]
-    pairs = np.stack([m, q @ m @ q.swapaxes(1, 2)])
+    pairs = _symmetrized(np.stack([m, q @ m @ q.swapaxes(1, 2)]))
     pairs.flags.writeable = False
     return pairs
 
@@ -258,14 +292,44 @@ def pucci_min(lam, Lam, dim) -> EllipticOperator:
 
 
 def isaacs(lam, Lam, dim, families, rot_invariant=False) -> EllipticOperator:
-    fams = tuple(
-        tuple(a if isinstance(a, SymMatrix) else SymMatrix.from_dense(a) for a in row)
-        for row in families
-    )
+    """Sup-inf operator of ``families``, rows of dim x dim control matrices
+    (arrays or SymMatrix), symmetrized by ``control_matrices``."""
     return EllipticOperator(
-        dim=dim, kind=ISAACS, lam=lam, Lam=Lam, families=fams,
-        rot_invariant=rot_invariant,
+        dim=dim, kind=ISAACS, lam=lam, Lam=Lam,
+        families=control_matrices(families, dim), rot_invariant=rot_invariant,
     )
+
+
+def control_matrices(families, dim, name="control matrix ({i},{j})") -> tuple:
+    """Rows of dim x dim control matrices (arrays or SymMatrix) -> rows of
+    read-only SymMatrix.
+
+    Every control, ragged rows flattened, goes into one (k, dim, dim) stack
+    that ``_symmetrized`` checks and symmetrizes once; each SymMatrix is a
+    row of it, with the bits ``SymMatrix`` gives one matrix at a time.  The
+    first control in row-major order of the wrong shape, not finite or not
+    symmetric raises ``InvalidOperator``, naming it by ``name``.
+    """
+    if not 1 <= dim <= MAX_DIM:
+        raise InvalidOperator(f"dim must be in [1, {MAX_DIM}]")
+    rows = [tuple(row) for row in families]
+    where = [name.format(i=i, j=j) for i, row in enumerate(rows) for j in range(len(row))]
+    mats = []
+    for control, a in zip(where, itertools.chain.from_iterable(rows)):
+        try:
+            a = np.asarray(a.entries if isinstance(a, SymMatrix) else a, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            raise InvalidOperator(f"{control}: entries must be finite") from None
+        if a.shape != (dim, dim):
+            raise InvalidOperator(f"{control} has shape {a.shape}, not ({dim}, {dim})")
+        mats.append(a)
+    try:
+        stack = _symmetrized(np.array(mats).reshape(-1, dim, dim))
+    except ValueError as exc:
+        raise InvalidOperator(f"{where[exc.index]}: {exc}") from None
+    stack.flags.writeable = False
+    out = iter([SymMatrix._checked(a) for a in stack])
+    return tuple(tuple(itertools.islice(out, len(row))) for row in rows)
 
 
 def control_table(f: EllipticOperator):

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import sys
 
-import numpy as np
-
 from .matcore import (
-    ISAACS, KINDS, LAPLACIAN, EllipticOperator, InvalidOperator, SymMatrix,
+    ISAACS, KINDS, LAPLACIAN, EllipticOperator, InvalidOperator, control_matrices,
 )
+
+_NUMBERS = {int, float}
 
 
 class SpecError(ValueError):
@@ -52,31 +53,37 @@ def parse_operator_spec(text: str) -> EllipticOperator:
         raise SpecError("field 'lambda' must be positive")
     if Lam < lam:
         raise SpecError("field 'Lambda' must be >= 'lambda'")
-    families = ()
-    rot = bool(doc.get("rot_invariant", kind != ISAACS))
-    if kind == ISAACS:
-        raw = doc.get("families")
-        if not raw:
-            raise SpecError("isaacs kind needs a nonempty 'families' field")
-        fams = []
-        for i, row in enumerate(raw):
-            fam_row = []
-            for j, mat in enumerate(row):
-                arr = np.asarray(mat, dtype=float)
-                if arr.shape != (n, n):
-                    raise SpecError(
-                        f"families[{i}][{j}] must be an {n}x{n} matrix")
-                try:
-                    fam_row.append(SymMatrix.from_dense(arr))
-                except ValueError as exc:
-                    raise SpecError(f"families[{i}][{j}]: {exc}") from exc
-            fams.append(tuple(fam_row))
-        families = tuple(fams)
+    rot = doc.get("rot_invariant", kind != ISAACS)
+    if type(rot) is not bool:
+        raise SpecError("field 'rot_invariant' must be true or false")
     try:
+        families = _families(doc, n) if kind == ISAACS else ()
         return EllipticOperator(dim=n, kind=kind, lam=lam, Lam=Lam,
                                 families=families, rot_invariant=rot)
     except InvalidOperator as exc:
         raise SpecError(str(exc)) from exc
+
+
+def _families(doc, n):
+    """The 'families' field as rows of SymMatrix: JSON lists of n x n
+    matrices of numbers (not bools), symmetrized in one stack.  The first
+    bad matrix in row-major order is named families[i][j]."""
+    raw = doc.get("families")
+    if not raw:
+        raise SpecError("isaacs kind needs a nonempty 'families' field")
+    if type(raw) is not list:
+        raise SpecError("field 'families' must be a list of rows of matrices")
+    name = "families[{i}][{j}]"
+    for i, row in enumerate(raw):
+        if type(row) is not list:
+            raise SpecError(f"families[{i}] must be a list of matrices")
+        for j, mat in enumerate(row):
+            if not (type(mat) is list and len(mat) == n
+                    and all(type(r) is list and len(r) == n for r in mat)
+                    and set(map(type, itertools.chain.from_iterable(mat))) <= _NUMBERS):
+                control_matrices(raw[:i] + [row[:j]], n, name)  # an earlier bad one first
+                raise SpecError(f"families[{i}][{j}] is not a list of {n} rows of {n} numbers")
+    return control_matrices(raw, n, name)
 
 
 def serialize_operator(op: EllipticOperator) -> str:

@@ -347,6 +347,29 @@ class TestRotationSamples:
         assert matcore._rotation_pairs(3) is pairs
         with pytest.raises(ValueError):
             pairs[0, 0, 0, 0] = 1.0
+        assert _same_bits(pairs, pairs.swapaxes(-1, -2))  # stored symmetrized
+
+    @staticmethod
+    def _fresh_pairs(n):
+        """The draw behind _rotation_pairs, left as drawn: q m q^T unsymmetrized."""
+        draws = np.random.default_rng(matcore.ROTATION_SEED).standard_normal(
+            (matcore.ROTATION_SAMPLES, 2, n, n))
+        m = 0.5 * (draws[:, 0] + draws[:, 0].swapaxes(1, 2))
+        q = np.linalg.qr(draws[:, 1])[0]
+        return np.stack([m, q @ m @ q.swapaxes(1, 2)])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cached_pairs_give_eval_operator_bits(self, n):
+        rng = np.random.default_rng(50 + n)
+        fresh = self._fresh_pairs(n)
+        assert not _same_bits(fresh, fresh.swapaxes(-1, -2)) or n == 1
+        ops = [isaacs(1, 2, n, [[1.5 * np.eye(n), 1.2 * np.eye(n)], [1.8 * np.eye(n)]],
+                      rot_invariant=True),
+               _ragged_isaacs(rng, n)]
+        assert ops[0].rot_invariant and (n == 1 or not ops[1].rot_invariant)
+        flat = matcore._rotation_pairs(n).reshape(2, -1, 1, 1, n * n, 1)
+        for op in ops:
+            assert _same_bits(matcore._isaacs_value(op, flat), eval_operator(op, fresh))
 
     def test_non_invariant_spec_is_still_downgraded(self):
         controls = [[[1.0, 0.0], [0.0, 2.0]], [[1.5, 0.3], [0.3, 1.5]]]
@@ -354,6 +377,70 @@ class TestRotationSamples:
             doc = {**self.SCALAR, "n": 2, "families": [controls]}
             assert not parse_operator_spec(json.dumps(doc)).rot_invariant
             assert not isaacs(1, 2, 2, [[np.diag([1.0, 2.0])]], rot_invariant=True).rot_invariant
+
+
+class TestControlMatrices:
+    """One stack symmetrizes every control, with the bits of one SymMatrix at
+    a time, and names the first control that fails."""
+
+    @staticmethod
+    def _families(rng, n, sizes):
+        def control():
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300)
+            return a + a.T * (1.0 + 1e-9)
+        return [[control() for _ in range(k)] for k in sizes]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stack_matches_one_matrix_at_a_time(self, n):
+        rng = np.random.default_rng(70 + n)
+        special = [np.diag([1e308] + [-1.0] * (n - 1)), -np.zeros((n, n)),
+                   np.full((n, n), 5e-324), np.full((n, n), -1e308)]
+        if n > 1:  # TestSymmetrizedOverflow's matrices, padded to dim n
+            off = np.zeros((n, n))
+            off[0, 1] = off[1, 0] = 1e308
+            tiny = np.eye(n)
+            tiny[0, 0], tiny[0, 1], tiny[1, 0] = 1e308, 5e-324, 5e-324
+            special += [off, tiny]
+        for sizes in ((1,), (3, 1, 2), (2, 2)):
+            fams = self._families(rng, n, sizes)
+            fams[-1][-1] = special[len(sizes) % len(special)]
+            fams.append(special)
+            got = matcore.control_matrices(fams, n)
+            assert [len(row) for row in got] == [len(row) for row in fams]
+            for row, want in zip(got, fams):
+                for a, b in zip(row, want):
+                    assert _same_bits(a.entries, SymMatrix(b).entries)
+                    assert not a.entries.flags.writeable
+
+    def test_dimension_is_checked_first(self):
+        for dim in (0, 9):
+            with pytest.raises(InvalidOperator, match=r"dim must be in \[1, 8\]"):
+                isaacs(1.0, 2.0, dim, [[np.eye(dim)]])
+
+    def test_symmetric_controls_are_kept_as_given(self):
+        a = SymMatrix(np.array([[1.0, -0.0], [-0.0, 2.0]]))
+        (got,), = matcore.control_matrices([[a]], 2)
+        assert got == a and _same_bits(got.entries, a.entries)
+
+    def test_first_bad_control_is_named(self):
+        asym, inf = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]])
+        ok = np.eye(2)
+        cases = [([[ok], [ok, asym]], "(1,1): matrix is not symmetric"),
+                 ([[ok, inf], [asym]], "(0,1): entries must be finite"),
+                 ([[ok, asym], [inf]], "(0,1): matrix is not symmetric"),
+                 ([[ok], [], [ok, ok, inf]], "(2,2): entries must be finite"),
+                 ([[ok, np.eye(3)]], "(0,1) has shape (3, 3), not (2, 2)")]
+        for families, message in cases:
+            with pytest.raises(InvalidOperator) as exc:
+                isaacs(1.0, 2.0, 2, families)
+            assert str(exc.value) == "control matrix " + message
+            i, j = message[1], message[3]
+            doc = {"kind": "isaacs", "n": 2, "families":
+                   [[np.asarray(a).tolist() for a in row] for row in families]}
+            with pytest.raises(SpecError) as exc:
+                parse_operator_spec(json.dumps(doc).replace("Infinity", "1e999"))
+            if "shape" not in message:
+                assert str(exc.value) == f"families[{i}][{j}]" + message[5:]
 
 
 class TestSymmetrizedOverflow:

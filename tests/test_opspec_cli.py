@@ -83,11 +83,56 @@ class TestSpecParsing:
         (json.dumps({"n": 2, "kind": "isaacs"}), "families"),
         (json.dumps({"n": 2, "kind": "isaacs",
                      "families": [[[[1.0]]]]}), "families[0][0]"),
+        (json.dumps({**ISAACS_DOC, "families": [5]}), "families[0] must be a list"),
+        (json.dumps({**ISAACS_DOC, "families": 5}), "'families' must be a list"),
+        (json.dumps({**ISAACS_DOC, "families": "ab"}), "'families' must be a list"),
+        (json.dumps({**ISAACS_DOC, "families": ["ab"]}), "families[0] must be a list"),
+        (json.dumps({**ISAACS_DOC, "families": [[[["x", 0.0], [0.0, 1.0]]]]}),
+         "families[0][0] is not a list of 2 rows of 2 numbers"),
+        (json.dumps({**ISAACS_DOC, "families": [[[["1.0", 0.0], [0.0, 1.0]]]]}),
+         "families[0][0] is not a list of 2 rows of 2 numbers"),
+        (json.dumps({**ISAACS_DOC, "families": [[[[True, 0.0], [0.0, 1.0]]]]}),
+         "families[0][0] is not a list of 2 rows of 2 numbers"),
+        (json.dumps({**ISAACS_DOC, "families": [[[[None, 0.0], [0.0, 1.0]]]]}),
+         "families[0][0] is not a list of 2 rows of 2 numbers"),
+        (json.dumps({**ISAACS_DOC, "families": [[[1.0, 0.0], [0.0, 1.0]]]}),
+         "families[0][0] is not a list of 2 rows of 2 numbers"),
+        (json.dumps({**ISAACS_DOC, "families": [[[[1.0, 0.0], [0.0, 1.0]], "ab"]]}),
+         "families[0][1] is not a list of 2 rows of 2 numbers"),
+        (json.dumps({**ISAACS_DOC, "families": [[[[10 ** 400, 0], [0, 1]]]]}),
+         "families[0][0]: entries must be finite"),
+        (json.dumps({**ISAACS_DOC, "families": [[[[1.0, 0.0], [0.0, 1.0]]],
+                                                 [[[1.5, 0.0], [0.0, 1.5]],
+                                                  [[1.0, 0.5], [0.0, 1.0]]]]}),
+         "families[1][1]: matrix is not symmetric"),
+        (json.dumps({**ISAACS_DOC, "rot_invariant": "false"}), "'rot_invariant'"),
+        (json.dumps({**ISAACS_DOC, "rot_invariant": 1}), "'rot_invariant'"),
+        (json.dumps({**ISAACS_DOC, "rot_invariant": None}), "'rot_invariant'"),
+        (json.dumps({**PM_DOC, "rot_invariant": "true"}), "'rot_invariant'"),
     ])
     def test_error_names_offending_field(self, doc, field):
         with pytest.raises(SpecError) as exc:
             parse_operator_spec(doc)
         assert field in str(exc.value)
+
+    def test_rot_invariant_is_read_as_a_json_boolean(self):
+        assert parse_operator_spec(json.dumps(ISAACS_DOC)).rot_invariant is False
+        doc = {**ISAACS_DOC, "families": [[[[1.5, 0.0], [0.0, 1.5]]]]}
+        for flag in (True, False):
+            op = parse_operator_spec(json.dumps({**doc, "rot_invariant": flag}))
+            assert op.rot_invariant is flag
+        assert parse_operator_spec(json.dumps({**PM_DOC, "rot_invariant": False})).rot_invariant
+
+    def test_an_earlier_bad_matrix_is_named_before_a_later_malformed_one(self):
+        asym = [[1.0, 0.5], [0.0, 1.0]]
+        doc = {**ISAACS_DOC, "families": [[np.eye(2).tolist(), asym], [[[1.0]]]]}
+        with pytest.raises(SpecError) as exc:
+            parse_operator_spec(json.dumps(doc))
+        assert str(exc.value) == "families[0][1]: matrix is not symmetric"
+        doc = {**ISAACS_DOC, "families": [[np.eye(2).tolist(), [[1.0]]], [asym]]}
+        with pytest.raises(SpecError) as exc:
+            parse_operator_spec(json.dumps(doc))
+        assert str(exc.value) == "families[0][1] is not a list of 2 rows of 2 numbers"
 
     def test_integral_float_n_accepted(self):
         assert parse_operator_spec(json.dumps({**PM_DOC, "n": 3.0})).dim == 3
@@ -125,6 +170,15 @@ class TestCliExitCodes:
         assert main(["classify", "--op", str(path), "--p", "2.0"]) \
             == EXIT_BAD_SPEC
         assert "'Lambda' must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("families", ['[5]', '["ab"]', '[[[["x", 0], [0, 1]]]]',
+                                          '[[[[true, 0], [0, 1]]]]'])
+    def test_malformed_families_is_bad_spec(self, tmp_path, capsys, families):
+        path = tmp_path / "op.json"
+        path.write_text(f'{{"n": 2, "kind": "isaacs", "families": {families}}}')
+        assert main(["classify", "--op", str(path), "--p", "2.0"]) == EXIT_BAD_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith("invalid operator spec: families[0]") and "Traceback" not in err
 
     def test_missing_spec_file(self, tmp_path, capsys):
         assert main(["alpha-star", "--op", str(tmp_path / "nope.json")]) \

@@ -962,7 +962,7 @@ def _splu_options(monkeypatch, skew=False):
 
 class TestFactorizationReuse:
     @pytest.mark.parametrize("name", SOLVE_CASES)
-    def test_matches_spsolve_bit_for_bit(self, monkeypatch, name):
+    def test_matches_a_fresh_factorization(self, monkeypatch, name):
         # a sweep's solution has the bits of a fresh factorization of its
         # matrix's transpose, a radial one LAPACK's, a 2D one SuperLU's in
         # symmetric mode, and lies within rounding of spsolve's
