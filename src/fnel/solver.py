@@ -61,12 +61,11 @@ policy; the eigen loop's linear steps solve with it too.  No order or
 factorization outlives its grid.
 
 ``fundamental_profile`` samples a solution at 128 points on each of 33
-spheres of radius s in [2, 8] in one pass (a sample off a 2D grid's domain
-raises) and fits A s^-a + B to the min and the max profile by
-``_brent_min``, a bounded Brent search over a that takes scipy's steps, each
-one a closed-form least-squares line in s^-a; a max profile equal to the min
-one (always so when radial) reuses the min fit.  log_case: the line
-A + B log s fits as well (to 1e-9) or a < 0.05.
+spheres of radius s in [2, 8], step 2^(1/16), in one pass (a sample off a 2D
+grid's domain raises).  ``_slope_fit`` reads the exponent a of A s^-a + B off
+the min and the max profile as minus the slope of one least-squares line of
+log|m(s) - m(sqrt(2) s)| against log s, for either sign of a; a max profile
+equal to the min one (always so when radial) reuses the min fit.
 
 scipy is imported where a matrix is first factorized: scipy.linalg's LAPACK
 by the radial grid, scipy.sparse and its SuperLU by the 2D grid.  Importing
@@ -84,7 +83,7 @@ import numpy as np
 from .matcore import (
     ISAACS, LAPLACIAN, PUCCI_MAX, PUCCI_MIN, EllipticOperator, control_table,
 )
-from .scaling import alpha_bracket
+from .scaling import LOG_CASE_THRESHOLD, alpha_bracket
 
 RESIDUAL_TOL = 1e-10
 SEED_TOL = 1e-5                         # RESIDUAL_TOL of an ``_OnGrid`` solve
@@ -622,23 +621,21 @@ def convergence_order(f_op: EllipticOperator, problem: DirichletProblem,
         raise ValueError("problem must carry an exact solution oracle")
     if len(cell_counts) < 3:
         raise ValueError("need at least 3 grid levels")
-    hs, errs = [], []
-    is_2d = isinstance(problem.domain, Rectangle)
+    errs = []
     for cells in cell_counts:
-        if is_2d:
+        if isinstance(problem.domain, Rectangle):
             fld = solve_dirichlet_2d(f_op, problem, problem.domain.grid_step(cells))
-            errs.append(max(abs(fld.values[ij] - problem.exact(*fld.xy(*ij)))
-                            for ij in np.ndindex(fld.values.shape)))
+            exact = _at_nodes(problem, "exact", np.ones(fld.values.shape, bool),
+                              fld.x0, fld.y0, fld.h)
         else:
             fld = solve_dirichlet_radial(f_op, problem.n, problem, cells)
-            exact = np.array([problem.exact(ri) for ri in fld.nodes])
-            errs.append(np.abs(fld.values - exact).max())
-        hs.append(1.0 / cells)
+            exact = _data(problem, "exact", fld.nodes.tolist())
+        errs.append(np.abs(fld.values.ravel() - exact).max())
     errs = np.asarray(errs)
     if np.all(errs < 1e-12):
         return "exact"
-    slope = np.polyfit(np.log(hs), np.log(np.maximum(errs, 1e-300)), 1)[0]
-    return float(slope)
+    hs = [1.0 / cells for cells in cell_counts]
+    return float(np.polyfit(np.log(hs), np.log(np.maximum(errs, 1e-300)), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -881,6 +878,7 @@ def solve_dirichlet_2d(f_op: EllipticOperator, problem: DirichletProblem,
 
 @dataclass(frozen=True)
 class FundamentalProfile:
+    """``fitted_alpha`` is signed, and 0.0 exactly when ``log_case``."""
     field: object
     fitted_alpha: float
     log_case: bool
@@ -888,10 +886,11 @@ class FundamentalProfile:
 
 
 def _sphere_samples(fld, sig):
-    """The field at 128 points of each sphere of radius sig, (spheres, samples);
-    a radial field gives one sample per sphere, a 2D one NaN off its domain."""
+    """The field at 128 points of each sphere of radius sig, (spheres, samples):
+    one per sphere, linear in log r (exact on a log profile), from a radial
+    field, and NaN off its domain from a 2D one."""
     if isinstance(fld, RadialField):
-        return fld(sig)[:, None]
+        return np.interp(np.log(sig), np.log(fld.nodes), fld.values)[:, None]
     th = np.linspace(0, 2 * math.pi, 128, endpoint=False).tolist()
     cos, sin = (np.array([f(t) for t in th]) for f in (math.cos, math.sin))
     return fld.interp(sig[:, None] * cos, sig[:, None] * sin)
@@ -908,62 +907,17 @@ def _line_fit(x, m):
     return (c0, mbar - c0 * xbar), math.sqrt((r * r).sum() / r.size)
 
 
-def _brent_min(fun, lo, hi, xatol):
-    """Brent's bounded minimization of ``fun`` on [lo, hi]: (x, fun(x), number
-    of calls).  Golden-section steps, with a parabola through the three best
-    points where it falls inside the bracket, until the bracket is within
-    about xatol of the best point or after 500 calls.  It takes the steps of
-    scipy's ``minimize_scalar(method="bounded")``: the same constants, tests,
-    ties and update order, in numpy scalars, so the bits are the same."""
-    sqrt_eps, golden = np.sqrt(2.2e-16), 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = lo, hi
-    xf = nfc = fulc = a + golden * (b - a)   # the best point, second and third
-    fx = fnfc = ffulc = fun(xf)
-    num, rat, e = 1, 0.0, 0.0
-    while num < 500:
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if not np.abs(xf - xm) > tol2 - 0.5 * (b - a):
-            break
-        parabolic = False
-        if np.abs(e) > tol1:
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r, e = e, rat
-            if np.abs(p) < np.abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                parabolic = True
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-        if not parabolic:
-            e = (a if xf >= xm else b) - xf
-            rat = golden * e
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = fun(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-    return xf, fx, num
+def _slope_fit(sig, m):
+    """(a, rms) of m ~ A s^-a + B on ``sig``: a is minus the slope of log|d|
+    against log s, d(s) = m(s) - m(sqrt(2) s) = A (1 - 2^(-a/2)) s^-a with
+    sqrt(2) s 8 samples on, and 0 on a log profile; a d that flips sign raises."""
+    d = m[:-8] - m[8:]
+    flip = np.flatnonzero(np.sign(d) * np.sign(d[0]) <= 0)
+    if flip.size:
+        raise ValueError(f"m(s) - m(sqrt(2) s) changes sign at s = {sig[flip[0]]:.6g}; "
+                         "on A s^-a + B it keeps one sign")
+    (slope, _), rms = _line_fit(np.log(sig[:-8]), np.log(np.abs(d)))
+    return -float(slope), rms
 
 
 def fundamental_profile(f_op: EllipticOperator, n: int,
@@ -971,8 +925,18 @@ def fundamental_profile(f_op: EllipticOperator, n: int,
     """Estimate the scaling exponent from a numerical fundamental solution.
 
     Solves F(D^2 u) = 0 on annulus(1, 16), boundary 1 inside and 0 outside,
-    then fits sphere minima m(s) over s in [2, 8] against A s^{-a} + B and
-    against the logarithmic model A + B log s.
+    and fits the sphere minima m(s), s in [2, 8], to A s^-a + B: the signed
+    ``fitted_alpha``, 0.0 with ``log_case`` when |a| < LOG_CASE_THRESHOLD (the
+    tie rule of ``alpha_star``).  In 2D a fit of the maxima too bounds the
+    exponent as an interval, ``alpha_min_fit`` to ``alpha_max_fit`` in
+    ``fit_report``, with the min fit's ``slope_rms``, ``bracket`` and
+    ``sigma_window``; the 2D error is first order in the grid step.
+
+    Radially, with h = log(16)/cells and |alpha*| h <= 1, |fitted_alpha -
+    alpha*| <= |alpha*| (1 + alpha*^2) h^2/6 + 1e-10: the scheme's exponent is
+    (2/h) artanh(alpha* h/2) = alpha* + alpha*^3 h^2/12 + O(h^4), and log-r
+    interpolation adds at most about |alpha*| h^2/10 (n = 2..6 Laplacian and
+    Pucci, Lambda/lambda <= 5.5, 16-4096 cells: within 0.78 of the bound).
     """
     if cells < 2:
         raise ValueError("need at least 2 cells")
@@ -991,24 +955,10 @@ def fundamental_profile(f_op: EllipticOperator, n: int,
         raise ValueError(f"{off} of the {vals.size} sphere samples fell off the "
                          "grid; a fit needs whole spheres, so use more cells")
     mins, maxs = vals.min(axis=1), vals.max(axis=1)
-    lo, hi = alpha_bracket(f_op, n)
-
-    def power_fit(m):
-        x, rms, _ = _brent_min(lambda a: _line_fit(sig ** (-a), m)[1],
-                               1e-3, max(hi, 0.5) + 2.0, 1e-10)
-        return float(x), float(rms)
-
-    alpha_min, rss_power = power_fit(mins)
-    rss_log = _line_fit(np.log(sig), mins)[1]
-    log_case = rss_log <= rss_power * (1.0 + 1e-9) or alpha_min < 0.05
-    alpha_fit = 0.0 if alpha_min < 0.05 else alpha_min
-
-    # the max-based fit reports the spread over each sphere
-    alpha_max = alpha_min if np.array_equal(maxs, mins) else power_fit(maxs)[0]
-    report = {
-        "rss_power": rss_power, "rss_log": rss_log,
-        "alpha_min_fit": alpha_min, "alpha_max_fit": alpha_max,
-        "bracket": (lo, hi), "sigma_window": (2.0, 8.0),
-    }
-    return FundamentalProfile(field=fld, fitted_alpha=alpha_fit,
+    alpha_min, rms = _slope_fit(sig, mins)
+    log_case = abs(alpha_min) < LOG_CASE_THRESHOLD
+    alpha_max = alpha_min if np.array_equal(maxs, mins) else _slope_fit(sig, maxs)[0]
+    report = {"slope_rms": rms, "alpha_min_fit": alpha_min, "alpha_max_fit": alpha_max,
+              "bracket": alpha_bracket(f_op, n), "sigma_window": (2.0, 8.0)}
+    return FundamentalProfile(field=fld, fitted_alpha=0.0 if log_case else alpha_min,
                               log_case=log_case, fit_report=report)

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from fnel import (
-    Annulus, Ball, DirichletProblem, Rectangle, convergence_order,
+    Annulus, Ball, DirichletProblem, Rectangle, alpha_star, convergence_order,
     fundamental_profile, isaacs, laplacian, pucci_max, pucci_min,
     principal_eigenvalue, residual_norm, solve_dirichlet_2d, solve_dirichlet_radial,
 )
@@ -21,8 +21,8 @@ from fnel.liouville import _signed_min_residual
 from fnel.matcore import ISAACS, LAPLACIAN, PUCCI_MAX, PUCCI_MIN, control_table
 from fnel.solver import (
     Field2D, NonMonotoneScheme, RadialField, _control_families, _evaluate_2d,
-    _brent_min, _Grid2D, _HeldLU, _line_fit, _pattern_weights,
-    _radial_grid, _radial_rhs, _RadialGrid,
+    _Grid2D, _HeldLU, _line_fit, _pattern_weights,
+    _radial_grid, _radial_rhs, _RadialGrid, _slope_fit,
     _stencil_coefficients,
 )
 from conftest import counted_solves
@@ -527,8 +527,8 @@ class TestFundamentalProfile:
         assert rep["alpha_min_fit"] == rep["alpha_max_fit"]
 
     @pytest.mark.parametrize("make,n,want", [
-        (lambda: pucci_max(1.0, 2.0, 3), 3, 3.000065982559387),
-        (lambda: laplacian(3), 3, 1.0000024408425265),
+        (lambda: pucci_max(1.0, 2.0, 3), 3, 3.0000659827929423),
+        (lambda: laplacian(3), 3, 1.000002443721213),
     ], ids=["pucci_max", "laplacian"])
     def test_fitted_alpha_pinned(self, make, n, want):
         prof = fundamental_profile(make(), n, cells=512)
@@ -538,12 +538,12 @@ class TestFundamentalProfile:
     def test_isaacs_2d_fits_pinned(self):
         op = parse_operator_spec((SAMPLES / "isaacs_2d.json").read_text())
         rep = fundamental_profile(op, 2, cells=128).fit_report
-        assert rep["alpha_min_fit"] == pytest.approx(0.3454815476585385, abs=1e-9)
-        assert rep["alpha_max_fit"] == pytest.approx(0.16232212275009078, abs=1e-9)
+        assert rep["alpha_min_fit"] == pytest.approx(0.3448206800134577, abs=1e-9)
+        assert rep["alpha_max_fit"] == pytest.approx(0.16166052521976498, abs=1e-9)
 
     def test_isaacs_2d_partial_spheres_rejected(self):
         # at 64 cells 130 samples on 3 of the 33 spheres lie off the annulus
-        # grid; fitting the rest pinned alpha_max_fit at Brent's lower bound
+        # grid, and the min and max of part of a sphere are not the sphere's
         op = parse_operator_spec((SAMPLES / "isaacs_2d.json").read_text())
         with pytest.raises(ValueError, match="130 of the 4224 sphere samples "
                                              "fell off the grid"):
@@ -569,57 +569,70 @@ class TestFundamentalProfile:
         assert np.allclose(coef, want, rtol=1e-12, atol=0.0)
         assert rss == pytest.approx(want_rss, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("make,n,want", [
+        (lambda: pucci_min(1.0, 4.0, 4), 4, -0.25),
+        (lambda: pucci_min(1.0, 2.0, 2), 2, -0.5),
+    ], ids=["pucci_min_1_4_4", "pucci_min_1_2_2"])
+    def test_negative_exponent_is_signed(self, make, n, want):
+        # alpha* < 0 is no log case: the fit reads the exponent's sign
+        prof = fundamental_profile(make(), n, cells=512)
+        assert not prof.log_case
+        assert prof.fitted_alpha == pytest.approx(want, abs=1e-6)
+        assert prof.fit_report["alpha_min_fit"] == prof.fitted_alpha
 
-class TestBrentMin:
-    """``_brent_min`` against scipy's bounded search, bit for bit."""
+    @pytest.mark.parametrize("cells", [16, 100, 512])
+    @pytest.mark.parametrize("shift", [1e-6, -1e-6, 0.0])
+    def test_log_case_is_alpha_star_tie_rule(self, cells, shift):
+        # pucci_min(1, 2/(1 + shift), 3) has alpha* = shift: only 0 is a log
+        # case, at cell counts whose nodes miss the sample radii too
+        op = pucci_min(1.0, 2.0 / (1.0 + shift), 3)
+        prof = fundamental_profile(op, 3, cells=cells)
+        assert prof.log_case == (shift == 0.0)
+        if shift:
+            assert prof.fitted_alpha == pytest.approx(shift, rel=1e-2)
+        else:
+            assert prof.fitted_alpha == 0.0
+            assert abs(prof.fit_report["alpha_min_fit"]) < 1e-14
 
-    @staticmethod
-    def assert_as_scipy(fun, lo, hi, xatol):
-        from scipy.optimize import minimize_scalar
+    @pytest.mark.parametrize("cells", [64, 512])
+    @pytest.mark.parametrize("make,n", [
+        (lambda: laplacian(2), 2), (lambda: laplacian(3), 3),
+        (lambda: pucci_max(1.0, 2.0, 2), 2), (lambda: pucci_max(1.0, 2.0, 3), 3),
+        (lambda: pucci_max(1.0, 3.0, 4), 4), (lambda: pucci_min(1.0, 2.0, 3), 3),
+        (lambda: pucci_min(1.0, 4.0, 4), 4), (lambda: pucci_min(1.0, 2.0, 2), 2),
+        (lambda: pucci_min(1.0, 2.0 / (1.0 + 1e-6), 3), 3),
+        (lambda: pucci_min(1.0, 2.0 / (1.0 - 1e-6), 3), 3),
+    ], ids=["lap2", "lap3", "pmax2", "pmax3", "pmax_1_3_4", "pmin3", "pmin_1_4_4",
+            "pmin2", "alpha_1e-6", "alpha_-1e-6"])
+    def test_error_within_stated_bound(self, make, n, cells):
+        # fundamental_profile's docstring: |fitted - alpha*| <= |alpha*|
+        # (1 + alpha*^2) h^2/6 + 1e-10, h = log(16)/cells, when |alpha*| h <= 1
+        op = make()
+        want = alpha_star(op, n).alpha_star
+        h = math.log(16.0) / cells
+        assert abs(want) * h <= 1.0
+        got = fundamental_profile(op, n, cells=cells).fitted_alpha
+        assert abs(got - want) <= abs(want) * (1 + want * want) * h * h / 6 + 1e-10
 
-        want = minimize_scalar(fun, bounds=(lo, hi), method="bounded",
-                               options={"xatol": xatol})
-        x, fx, nfev = _brent_min(fun, lo, hi, xatol)
-        assert float(x).hex() == float(want.x).hex()
-        assert float(fx).hex() == float(want.fun).hex()
-        assert nfev == want.nfev
-        return want
+    def test_sign_change_raises_naming_the_radius(self):
+        # m = -(log s - log 3)^2 has d(s) = m(s) - m(sqrt(2) s) < 0 up to
+        # s = 3 2^(-1/4) and > 0 past it
+        sig = np.geomspace(2.0, 8.0, 33)
+        flip = sig[np.argmax(sig > 3.0 * 2.0 ** -0.25)]
+        with pytest.raises(ValueError, match=rf"changes sign at s = {flip:.6g};"):
+            _slope_fit(sig, -np.log(sig / 3.0) ** 2)
+        with pytest.raises(ValueError, match=r"changes sign at s = 2;"):
+            _slope_fit(sig, np.ones_like(sig))
 
-    @pytest.mark.parametrize("make,n,cells,fits", [
-        (lambda: pucci_max(1.0, 2.0, 3), 3, 512, 1),
-        (lambda: laplacian(3), 3, 512, 1),
-        (lambda: parse_operator_spec((SAMPLES / "isaacs_2d.json").read_text()),
-         2, 128, 2),
-    ], ids=["pucci_max", "laplacian", "isaacs_2d"])
-    def test_profile_fits(self, monkeypatch, make, n, cells, fits):
-        # every objective a pinned profile fits: the min profile's, and the
-        # max profile's where it differs
-        seen = []
-
-        def record(fun, lo, hi, xatol):
-            seen.append((fun, lo, hi, xatol))
-            return _brent_min(fun, lo, hi, xatol)
-
-        monkeypatch.setattr(solver, "_brent_min", record)
-        fundamental_profile(make(), n, cells=cells)
-        assert len(seen) == fits
-        for args in seen:
-            self.assert_as_scipy(*args)
-
-    @pytest.mark.parametrize("fun,lo,hi", [
-        (lambda x: x, 0.0, 1.0),
-        (lambda x: -x * x, 0.0, 2.0),
-        (lambda x: 1.0, 1e-3, 3.0),
-        (lambda x: abs(x - 0.3), 0.0, 1.0),
-    ], ids=["lower_bound", "upper_bound", "constant", "vee"])
-    def test_objectives(self, fun, lo, hi):
-        assert self.assert_as_scipy(fun, lo, hi, 1e-10).status == 0
-
-    def test_stops_at_500_calls(self):
-        # with xatol 0 the bracket around |x|'s minimum 0 never gets narrow
-        # enough, relative to the best point, to stop
-        want = self.assert_as_scipy(abs, -1.0, 1.0, 0.0)
-        assert want.nfev == 500 and want.status == 1
+    @pytest.mark.parametrize("cells", [128, 256])
+    def test_isaacs_2d_fits_form_an_interval(self, cells):
+        op = parse_operator_spec((SAMPLES / "isaacs_2d.json").read_text())
+        prof = fundamental_profile(op, 2, cells=cells)
+        rep = prof.fit_report
+        assert 0.0 < rep["alpha_max_fit"] < rep["alpha_min_fit"] < 1.0
+        assert prof.fitted_alpha == rep["alpha_min_fit"] and not prof.log_case
+        assert set(rep) == {"slope_rms", "alpha_min_fit", "alpha_max_fit",
+                            "bracket", "sigma_window"}
 
 
 def _pattern_weights_reference(f_op, n, a, b):
