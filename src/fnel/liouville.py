@@ -28,6 +28,11 @@ from .spectral import principal_eigenvalue
 LOG_GRID = np.geomspace(1.5, 100.0, 256)
 NO_CROSSING = "NO_CROSSING"
 SIGMA_START = 1.0 + 1e-9                 # the first scale of a certificate's curve
+NEWTON_TOL = 1e-10                       # sup-norm stop of ``_newton_solve``
+LM_MU0 = 1e-3                            # first damping, relative to diag(J^T J)
+LM_DIFF_STEP = 2.0 ** -26                # forward-difference step in w = log(x)
+LM_MAX_ITER = 200                        # trial steps per phase, accepted or rejected
+LM_SCALE_STEP = 1e-2                     # the scale phase ends at a shift below this
 
 
 class WrongRegime(ValueError):
@@ -458,37 +463,104 @@ def _angular_residual(f_op, psi_vals, beta, rhs_vals):
     return eval_operator(f_op, rot @ hmat @ rot.swapaxes(1, 2)) - rhs_vals
 
 
+def _tridiagonal_jacobian(fn, w, r):
+    """Forward-difference Jacobian of fn at w, where fn(w) = r, for an fn
+    whose entry i depends only on w[i - 1], w[i] and w[i + 1] (periodic).
+    Columns j = 0, 1, 2 mod 3 below m - m % 3 form three colours and the rest
+    one each, so columns of one colour lie 3 or more apart and touch no
+    common row: one call of fn per colour, 3 to 5 calls for m >= 3."""
+    m = len(w)
+    j, q = np.arange(m), m - m % 3
+    colour = np.where(j < q, j % 3, 3 + j - q)
+    jac = np.zeros((m, m))
+    for c in np.unique(colour):
+        cols = np.flatnonzero(colour == c)
+        wt = w.copy()
+        wt[cols] += LM_DIFF_STEP
+        rows = (cols[:, None] + np.array([-1, 0, 1])) % m
+        jac[rows, cols[:, None]] = (fn(wt) - r)[rows] / (wt - w)[cols, None]
+    return jac
+
+
+def _levenberg_marquardt(resid, z, jacobian, step_tol):
+    """Levenberg-Marquardt on 1/2 |resid(z)|^2 from z, to sup-norm NEWTON_TOL.
+
+    Marquardt's diagonal scaling, with the damping mu updated by the gain
+    ratio of each trial step (Nielsen's rule); jacobian(z, r) is recomputed
+    after every accepted step.  A trial point where resid raises
+    FloatingPointError is a rejected step.  Returns (z, r) at the first point
+    that meets the tolerance or that an accepted step shorter than step_tol
+    (sup-norm) reaches, else at the last point once LM_MAX_ITER trial steps
+    are spent or a step no longer moves z; r is None if resid fails at z.
+    """
+    def merit(z):
+        try:
+            r = resid(z)
+            return r, 0.5 * float(r @ r)
+        except FloatingPointError:
+            return None, math.inf
+
+    r, f = merit(z)
+    mu, nu, jac = LM_MU0, 2.0, None
+    for _ in range(LM_MAX_ITER):
+        if r is None or np.abs(r).max() <= NEWTON_TOL:
+            break
+        try:
+            if jac is None:
+                jac = jacobian(z, r)
+                a, g = jac.T @ jac, jac.T @ r
+                d = np.maximum(np.diag(a), np.finfo(float).tiny)
+            step = np.linalg.solve(a + np.diag(mu * d), -g)
+        except (FloatingPointError, np.linalg.LinAlgError):
+            break
+        if np.array_equal(z + step, z):
+            break
+        rt, ft = merit(z + step)
+        predicted = 0.5 * float(step @ (mu * d * step - g))
+        if ft < f and predicted > 0:
+            gain = min((f - ft) / predicted, 1.0)
+            z, r, f, jac = z + step, rt, ft, None
+            if np.abs(step).max() < step_tol:
+                break
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+    return z, r
+
+
 def _newton_solve(residual_fn, x0):
     """Solve residual_fn(x) = 0 for a positive vector x, to sup-norm 1e-10.
 
-    Works in w = log(x), which enforces positivity without constraints.
-    F is only piecewise smooth (eigenvalue crossings), so the Powell hybrid
-    method can stall on a bad trust region; restarting from the stalled
-    iterate (up to five attempts) usually escapes, and Levenberg-Marquardt is
-    the last resort.  A trial point where exp(w) or the residual overflows
-    ends its attempt, and the next attempt starts from the best trial point
-    seen so far.
+    ``_levenberg_marquardt`` in w = log(x), which keeps x positive, in two
+    phases: first over the uniform shifts w + s alone, until a shift is
+    shorter than LM_SCALE_STEP, then over all of w.  From a start far off in
+    scale (``cone_map_A``'s constant start when the solution is many times
+    larger) the full iteration can otherwise run into a valley where some
+    x[i] tends to 0.  Entry i of residual_fn may depend only on x[i] and its
+    periodic neighbours x[i - 1] and x[i + 1] (``_tridiagonal_jacobian``).
+    A trial point where exp(w) underflows or overflows, or the residual or
+    its squared norm overflows or turns invalid, is a rejected step.
     """
-    from scipy.optimize import root
+    def fn(w):
+        with np.errstate(under="raise"):
+            x = np.exp(w)
+        return residual_fn(x)
+
+    def shift_column(s, r):
+        st = s + LM_DIFF_STEP
+        return ((fn(w + st) - r) / (st - s))[:, None]
+
     w = np.log(np.asarray(x0, dtype=float))
-    best = {"nrm": math.inf, "w": w}
-
-    def wrapped(w):
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            res = residual_fn(np.exp(w))
-        nrm = float(np.abs(res).max())
-        if nrm < best["nrm"]:
-            best["nrm"], best["w"] = nrm, w.copy()
-        return res
-
-    for method, opts in [("hybr", {"tol": 1e-12})] * 5 + [("lm", {})]:
-        try:
-            w = root(wrapped, w, method=method, **opts).x
-            nrm = float(np.abs(wrapped(w)).max())
-        except FloatingPointError:
-            w, nrm = best["w"], best["nrm"]
-        if nrm <= 1e-10:
-            return np.exp(w)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        s, _ = _levenberg_marquardt(lambda s: fn(w + s), np.zeros(1), shift_column,
+                                    LM_SCALE_STEP)
+        w, r = _levenberg_marquardt(
+            fn, w + s, lambda w, r: _tridiagonal_jacobian(fn, w, r), 0.0)
+    nrm = math.inf if r is None else float(np.abs(r).max())
+    if nrm <= NEWTON_TOL:
+        return np.exp(w)
     raise RuntimeError(f"Newton did not converge (residual {nrm:.2e})")
 
 
@@ -510,7 +582,8 @@ def cone_map_A(f_op: EllipticOperator, n: int, p: float,
 
     Constant profiles reduce to the closed-form scalar c^p / K; angular
     profiles (n = 2) are solved on the periodic angular grid by
-    ``_newton_solve`` (Powell hybrid with restarts, Levenberg-Marquardt last).
+    ``_newton_solve`` (Levenberg-Marquardt in log psi, first on the scale,
+    from the constant max(|v|, 1e-3)).
     """
     b = beta_star(p, 0.0)
     if abs(v.beta - b) > 1e-12:
@@ -548,8 +621,11 @@ def fixed_point(f_op: EllipticOperator, n: int, p: float,
     Returns (profile, r_bar, report).  The constant profile is the closed
     form c* = K^{1/(p-1)} of ``explicit_constant``.  With angular_points > 0
     (n = 2; the only path for an F that is not rotation-invariant) the
-    angular profile is solved by ``_newton_solve`` from a perturbed constant
-    profile, since naive iteration of the cone map is repelling (p > 1).
+    angular profile is solved by ``_newton_solve`` (Levenberg-Marquardt in
+    log psi) from a perturbed constant profile, since naive iteration of the
+    cone map is repelling (p > 1).  On coarse grids the discrete angular
+    system can have non-constant solutions besides c*, which a strongly
+    perturbed start may reach.
     """
     b = beta_star(p, 0.0)
     if angular_points and n != 2:

@@ -83,7 +83,7 @@ import numpy as np
 from .matcore import (
     ISAACS, LAPLACIAN, PUCCI_MAX, PUCCI_MIN, EllipticOperator, control_table,
 )
-from .scaling import LOG_CASE_THRESHOLD, alpha_bracket
+from .scaling import LOG_CASE_THRESHOLD, alpha_bracket, alpha_star
 
 RESIDUAL_TOL = 1e-10
 SEED_TOL = 1e-5                         # RESIDUAL_TOL of an ``_OnGrid`` solve
@@ -937,9 +937,18 @@ def fundamental_profile(f_op: EllipticOperator, n: int,
     (2/h) artanh(alpha* h/2) = alpha* + alpha*^3 h^2/12 + O(h^4), and log-r
     interpolation adds at most about |alpha*| h^2/10 (n = 2..6 Laplacian and
     Pucci, Lambda/lambda <= 5.5, 16-4096 cells: within 0.78 of the bound).
+    A radial grid with |alpha*| h > 1 raises ValueError naming the fewest
+    cells that pass, ceil(|alpha*| log 16): the scheme's exponent has its pole
+    at alpha* h = 2, and past the bound the fit drifts far off with no sign.
     """
     if cells < 2:
         raise ValueError("need at least 2 cells")
+    if f_op.rot_invariant:
+        a = alpha_star(f_op, n).alpha_star
+        if abs(a) * math.log(16.0) > cells:
+            raise ValueError(f"{cells} cells are too coarse for alpha* = {a:.6g}: "
+                             f"the fit needs |alpha*| log(16)/cells <= 1, so at least "
+                             f"{math.ceil(abs(a) * math.log(16.0))} cells")
     problem = DirichletProblem(
         domain=Annulus(1.0, 16.0), n=n,
         boundary=lambda r: 1.0 if abs(r - 1.0) < abs(r - 16.0) else 0.0)

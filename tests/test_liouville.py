@@ -19,11 +19,13 @@ from fnel import (
     solve_dirichlet_radial, sphere_min_curve,
 )
 from fnel.liouville import (
-    NO_CROSSING, NotSuperharmonic, WrongRegime, _angular_residual,
-    _signed_min_residual, angular_hessian_profile, inner_validity_radius,
+    LM_DIFF_STEP, NO_CROSSING, NotSuperharmonic, WrongRegime, _angular_residual,
+    _signed_min_residual, _tridiagonal_jacobian, angular_hessian_profile,
+    inner_validity_radius,
 )
-from fnel.scaling import K_coefficient, beta_star
+from fnel.scaling import NONEXISTENCE_EXTERIOR, K_coefficient, beta_star, classify
 from fnel.solver import Field2D, RadialField
+from conftest import random_isaacs
 
 PI2 = math.pi ** 2
 
@@ -443,13 +445,48 @@ class TestFixedPoint:
             spread = prof.angular.max() - prof.angular.min()
             assert spread <= 1e-8 and rep["residual"] <= 1e-6
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_trial_points_reach_the_fallbacks(self):
-        # hybr steps here reach w where exp(w) overflows; the attempt ends
-        # there and the restarts and Levenberg-Marquardt run, instead of a
-        # ValueError escaping from the matrix checks inside the residual
+        # Levenberg-Marquardt trial steps here reach w where exp(w), the
+        # residual or its squared norm overflows; each such point is a
+        # rejected step that raises the damping, with no warning, and the
+        # solve ends in the documented RuntimeError instead of a ValueError
+        # from the matrix checks inside the residual
         op = isaacs(1.0, 2.0, 2, [[np.diag([1.0, 1.5])], [np.diag([1.5, 1.0])]])
         with pytest.raises(RuntimeError, match="Newton did not converge"):
             fixed_point(op, 2, 5.0, angular_points=12, perturb=0.05, seed=1)
+
+    def test_angular_path_is_the_closed_form(self):
+        # seeded draws of rotation-invariant operators in the existence
+        # regime: the angular solve must land on c* = K^{1/(p-1)} at every
+        # angle.  Grids of fewer than 24 points are left out: they admit
+        # non-constant discrete solutions next to c*, which a start
+        # perturbed by up to 30% can reach
+        rng = np.random.default_rng(34)
+        for _ in range(30):
+            lam = float(rng.uniform(0.5, 2.0))
+            op = pucci_max(lam, lam * float(rng.uniform(1.2, 6.0)), 2)
+            a = op.Lam / op.lam - 1.0
+            p = 1.0 + 2.0 / (a * float(rng.uniform(0.05, 0.95)))
+            m, perturb = int(rng.integers(24, 129)), float(rng.uniform(0.0, 0.3))
+            prof, _, rep = fixed_point(op, 2, p, angular_points=m, perturb=perturb,
+                                       seed=int(rng.integers(1000)))
+            c_star = K_coefficient(op, 2, beta_star(p)) ** (1.0 / (p - 1.0))
+            assert np.abs(prof.angular / c_star - 1.0).max() <= 1e-8, (op, p, m)
+            assert rep["residual"] <= 1e-9
+
+    def test_rotation_invariant_isaacs_has_no_angular_existence_regime(self):
+        # a rotation-invariant Isaacs family in 2D has scalar controls, so
+        # alpha* = n - 2 = 0 and every p is on the nonexistence side
+        rng = np.random.default_rng(35)
+        for _ in range(10):
+            rows = [[float(s) * np.eye(2) for s in rng.uniform(1.0, 2.0, 2)]
+                    for _ in range(2)]
+            op = isaacs(1.0, 2.0, 2, rows, rot_invariant=True)
+            p = float(rng.uniform(1.1, 20.0))
+            assert classify(op, 2, p).outcome == NONEXISTENCE_EXTERIOR
+            with pytest.raises(WrongRegime):
+                fixed_point(op, 2, p, angular_points=int(rng.integers(3, 129)))
 
     def test_wrong_regime(self, lap3):
         with pytest.raises(WrongRegime):
@@ -467,6 +504,58 @@ class TestFixedPoint:
     def test_dichotomy_wording(self, pm3):
         _, _, rep = fixed_point(pm3, 3, 2.0)
         assert "not excluded" in rep["dichotomy"]
+
+
+_JACOBIAN_OPS = {
+    "pucci_max": pucci_max(1.0, 2.0, 2),
+    "isaacs_rot": isaacs(1.0, 2.0, 2, [[np.eye(2), 2.0 * np.eye(2)], [1.5 * np.eye(2)]],
+                         rot_invariant=True),
+    "isaacs_general": random_isaacs(np.random.default_rng(4), 2),
+}
+
+
+class TestNewtonJacobian:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 64])
+    @pytest.mark.parametrize("kind", sorted(_JACOBIAN_OPS))
+    def test_coloured_matches_one_column_at_a_time(self, kind, m):
+        # the coloured Jacobian reads each column only on the rows j-1, j, j+1
+        # of the periodic tridiagonal pattern; it must equal a dense forward
+        # difference that moves one column per residual call
+        op, p = _JACOBIAN_OPS[kind], 4.0
+        b = beta_star(p)
+        rng = np.random.default_rng(m)
+        w = np.log(rng.uniform(0.5, 1.5, m))
+        rhs = rng.uniform(0.1, 1.0, m)
+        for fn in (lambda w: _angular_residual(op, np.exp(w), b, rhs),
+                   lambda w: _angular_residual(op, np.exp(w), b, np.exp(w) ** p) / np.exp(w)):
+            r = fn(w)
+            dense = np.empty((m, m))
+            for j in range(m):
+                wt = w.copy()
+                wt[j] += LM_DIFF_STEP
+                dense[:, j] = (fn(wt) - r) / (wt[j] - w[j])
+            assert np.array_equal(_tridiagonal_jacobian(fn, w, r), dense)
+
+    def test_three_to_five_residual_calls(self):
+        # a periodic tridiagonal linear map is its own Jacobian: a colour
+        # holding two columns that touch one row would be off by O(1)
+        for m in range(1, 131):
+            rng = np.random.default_rng(m)
+            band = rng.uniform(0.5, 1.5, (3, m))
+            calls = []
+
+            def fn(w):
+                calls.append(1)
+                return band[0] * np.roll(w, 1) + band[1] * w + band[2] * np.roll(w, -1)
+
+            w = rng.uniform(-1.0, 1.0, m)
+            jac = _tridiagonal_jacobian(fn, w, fn(w))
+            want = np.zeros((m, m))
+            for i in range(m):
+                for k, d in enumerate((-1, 0, 1)):
+                    want[i, (i + d) % m] += band[k, i]
+            assert np.allclose(jac, want, rtol=1e-6, atol=1e-6), m
+            assert min(m, 3) <= len(calls) - 1 <= 5, m
 
 
 class TestHomogeneousProfile:
@@ -488,15 +577,26 @@ class TestHomogeneousProfile:
 
 class TestImport:
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # import fnel loads no scipy: an LU comes in at the first
-        # factorization, and only the Newton solve needs scipy.optimize; a
-        # radial and a 2D profile fit run without it
+        # import fnel loads no scipy, and the angular Newton solves of
+        # fixed_point and cone_map_A run on numpy alone; an LU comes in at the
+        # first factorization, and a radial and a 2D profile fit run without
+        # scipy.optimize
         import fnel
 
         env = {**os.environ, "PYTHONPATH": str(Path(fnel.__file__).parents[1])}
         code = (
             "import sys, fnel\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "import numpy as np\n"
+            "def scipy():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            "op = fnel.pucci_max(1.0, 2.0, 2)\n"
+            "fnel.fixed_point(op, 2, 4.0, angular_points=16, perturb=0.1)\n"
+            "theta = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)\n"
+            "v = fnel.HomogeneousProfile(beta=fnel.beta_star(4.0), n=2,\n"
+            "                            angular=0.6 + 0.1 * np.cos(theta))\n"
+            "fnel.cone_map_A(op, 2, 4.0, v)\n"
+            "print(scipy())\n"
             "fnel.fundamental_profile(fnel.pucci_max(1.0, 2.0, 3), 3, cells=64)\n"
             "spec = open(sys.argv[1]).read()\n"
             "fnel.fundamental_profile(fnel.parse_operator_spec(spec), 2, cells=128)\n"
@@ -504,4 +604,4 @@ class TestImport:
         isaacs_2d = Path(__file__).resolve().parents[1] / "samples" / "isaacs_2d.json"
         out = subprocess.run([sys.executable, "-c", code, str(isaacs_2d)], env=env,
                              check=True, capture_output=True, text=True).stdout
-        assert out.split("\n")[:2] == ["[]", "False"]
+        assert out.split("\n")[:3] == ["[]", "[]", "False"]

@@ -514,6 +514,16 @@ class TestCommandTable:
         assert out.err.startswith("usage error: ") and "Traceback" not in out.err
         assert out.out == ""
 
+    def test_grid_too_coarse_for_alpha_star_is_usage(self, tmp_path, capsys):
+        # pucci_max(1, 5.5, 6) has alpha* = 26.5; at 40 cells the fit read
+        # 45.58 with exit 0
+        doc = {"kind": "pucci_max", "n": 6, "lambda": 1.0, "Lambda": 5.5}
+        path = write_spec(tmp_path, doc)
+        assert main(["fundamental", "--op", str(path), "--cells", "40"]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.err.startswith("usage error: 40 cells are too coarse")
+        assert "at least 74 cells" in out.err and out.out == ""
+
     @pytest.mark.parametrize("command", ["solve", "eigen", "fundamental", "hadamard",
                                          "certificate"])
     def test_csv_header_holds_the_echo(self, command, capsys):

@@ -614,6 +614,20 @@ class TestFundamentalProfile:
         got = fundamental_profile(op, n, cells=cells).fitted_alpha
         assert abs(got - want) <= abs(want) * (1 + want * want) * h * h / 6 + 1e-10
 
+    @pytest.mark.parametrize("cells", [37, 40, 48, 64])
+    def test_grid_too_coarse_for_alpha_star_raises(self, cells):
+        # pucci_max(1, 5.5, 6) has alpha* = 26.5: these grids read 75.29,
+        # 45.58, 34.96 and 30.17 with no warning before the check
+        with pytest.raises(ValueError, match=rf"{cells} cells are too coarse for "
+                                             r"alpha\* = 26.5: .* at least 74 cells"):
+            fundamental_profile(pucci_max(1.0, 5.5, 6), 6, cells=cells)
+
+    def test_fewest_cells_that_pass_meet_the_stated_bound(self):
+        want, h = 26.5, math.log(16.0) / 74
+        assert want * h <= 1.0
+        got = fundamental_profile(pucci_max(1.0, 5.5, 6), 6, cells=74).fitted_alpha
+        assert abs(got - want) <= want * (1 + want * want) * h * h / 6 + 1e-10
+
     def test_sign_change_raises_naming_the_radius(self):
         # m = -(log s - log 3)^2 has d(s) = m(s) - m(sqrt(2) s) < 0 up to
         # s = 3 2^(-1/4) and > 0 past it
