@@ -28,7 +28,6 @@ EXIT_NUMERICAL = 2
 EXIT_BAD_SPEC = 3
 
 SWEEP_ROW_CAP = 10 ** 6
-BEND_BLOCK = 32  # in-regime bend rows per stacked call: bounds the matrix stack
 
 
 class _UsageError(Exception):
@@ -297,21 +296,20 @@ def _attempt(fn, *args):
 
 
 def _bend_rows(op, exps, rep):
-    """``bend`` columns: rows with 0 < beta* < alpha* from stacked calls of
-    BEND_BLOCK rows, the WrongRegime of the other rows from the sweep's alpha*;
-    rows whose alpha* or beta* failed, and those of a block that raises, take
-    the scalar path, which names each row's own error."""
+    """``bend`` columns: rows with 0 < beta* < alpha* from one stacked call,
+    the WrongRegime of the other rows from the sweep's alpha*; rows whose
+    alpha* or beta* failed, and all in-regime rows if the stacked call raises,
+    take the scalar path, which names each row's own error."""
     betas = {} if isinstance(rep, _RowError) else {
         i: e[3] for i, e in enumerate(exps) if not isinstance(e[3], _RowError)}
     inside = [i for i, b in betas.items() if 0.0 < b < rep.alpha_star]
     done = {i: _row_error(liouville.bend_regime_error(b, rep.alpha_star))
             for i, b in betas.items() if not 0.0 < b < rep.alpha_star}
-    for k in range(0, len(inside), BEND_BLOCK):
-        block = inside[k:k + BEND_BLOCK]
-        ps, gammas = np.array([exps[i][1:3] for i in block], dtype=float).T
+    if inside:
+        ps, gammas = np.array([exps[i][1:3] for i in inside], dtype=float).T
         out = _attempt(liouville.bend_fundamental, op, op.dim, ps, gammas)
         if not isinstance(out, _RowError):
-            done.update(zip(block, zip(out[0].tolist(), out[1].tolist())))
+            done.update(zip(inside, zip(out[0].tolist(), out[1].tolist())))
     rows = [done.get(i) or _attempt(liouville.bend_fundamental, op, op.dim, p, gamma)
             for i, (_, p, gamma, _, _) in enumerate(exps)]
     return [r if isinstance(r, _RowError) else f"{r[0]},{r[1]}" for r in rows]
@@ -355,7 +353,7 @@ def run_sweep(config: dict, jobs: int = 1) -> tuple:
     Rows run over the axis product in ``SWEEP_AXES`` order.  Each distinct
     operator (lambda, Lambda, n) is built and its alpha* found once, beta* once
     per (p, gamma); ``constant`` takes an operator's K values from one stacked
-    call, and ``bend`` its in-regime rows from stacked blocks.  ``jobs`` is
+    call, and ``bend`` its in-regime rows from one stacked call.  ``jobs`` is
     ignored: the benchmark harness (perfbench/workloads.py) still passes it,
     and the keyword goes with the next change to that harness.
     """

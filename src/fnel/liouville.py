@@ -62,18 +62,18 @@ class HomogeneousProfile:
     angular: Optional[np.ndarray] = None   # values at 2*pi*j/m, j=0..m-1
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
         if (self.constant is None) == (self.angular is None):
             raise ValueError("exactly one of constant/angular must be set")
-        if self.constant is not None and self.constant < 0:
-            raise ValueError("profile must be nonnegative")
+        if self.constant is not None and not 0 <= self.constant < math.inf:
+            raise ValueError("profile must be nonnegative and finite")
         if self.angular is not None:
             if self.n != 2:
                 raise ValueError("angular profiles only supported for n = 2")
             arr = np.asarray(self.angular, dtype=float)
-            if arr.min() < 0:
-                raise ValueError("profile must be nonnegative")
+            if not 0 <= arr.min() <= arr.max() < math.inf:
+                raise ValueError("profile must be nonnegative and finite")
             object.__setattr__(self, "angular", arr)
 
     @property
@@ -280,13 +280,6 @@ def critical_log_check(f_op: EllipticOperator, n: int) -> dict:
 # bending and truncation
 
 
-def _bend_samples(b, p, gamma):
-    """g', g'' and r^{-gamma} g^p of g = r^{-b} on the log grid, from scalar
-    exponents: numpy's ``r ** e`` takes another path for an array of e."""
-    r = LOG_GRID
-    return -b * r ** (-b - 1.0), b * (b + 1.0) * r ** (-b - 2.0), r ** (-gamma) * (r ** (-b)) ** p
-
-
 def bend_regime_error(b, a) -> WrongRegime:
     """What ``bend_fundamental`` raises for beta* = b outside (0, alpha* = a)."""
     return WrongRegime(f"requires 0 < beta*={b:.4g} < alpha*={a:.4g}")
@@ -296,33 +289,26 @@ def bend_fundamental(f_op: EllipticOperator, n: int, p, gamma=0.0) -> tuple:
     """Power of the fundamental solution as an explicit supersolution.
 
     Returns (tau, c, report): tau = beta*/alpha* in (0,1), v = r^{-beta*},
-    and the largest c with F(D^2 v) >= c r^{-gamma} v^p on the log grid.
-    Arrays of p and gamma broadcast: alpha* is found once, one stacked
-    operator call covers every entry, and tau, c and the report's beta_star,
-    K_at_beta_star and ratio_spread hold each entry's scalar-call value.
+    and the largest c with F(D^2 v) >= c r^{-gamma} v^p.  Positive
+    homogeneity gives F(D^2 v) = K(beta*) r^{-beta*-2}, and beta*(p-1) =
+    2-gamma makes r^{-gamma} v^p = r^{-beta*-2} too, so c = K(beta*) at every
+    r.  Arrays of p and gamma broadcast: alpha* is found once, one
+    ``K_coefficient`` call covers every entry, and tau, c and the report's
+    beta_star and K_at_beta_star hold each entry's scalar-call value.
     """
     if not f_op.rot_invariant:
         raise ValueError("bending needs a rotationally invariant operator")
     a = alpha_star(f_op, n).alpha_star
     shape = np.broadcast_shapes(np.shape(p), np.shape(gamma))
-    entries = list(zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in (p, gamma))))
-    bs = [beta_star(*e) for e in entries]
-    b = np.reshape(bs, shape)
+    entries = zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in (p, gamma)))
+    b = np.reshape([beta_star(*e) for e in entries], shape)
     outside = ~((0.0 < b) & (b < a))
     if outside.any():  # names the first entry outside the regime
         raise bend_regime_error(b[outside][0], a)
-    samples = [_bend_samples(bi, pi, gi) for bi, (pi, gi) in zip(bs, entries)]
-    g1, g2, rhs = np.moveaxis(np.reshape(samples, shape + (3, LOG_GRID.size)), -2, 0)
-    ratios = eval_diagonal(f_op, radial_diagonal(n, g1, g2, LOG_GRID)) / rhs
-    tau, c, spread = b / a, ratios.min(axis=-1), np.ptp(ratios, axis=-1)
+    c, tau = K_coefficient(f_op, n, b), b / a
     if not b.ndim:
-        b, tau, c, spread = float(b), float(tau), float(c), float(spread)
-    report = {
-        "tau": tau, "c": c, "beta_star": b, "alpha_star": a,
-        "K_at_beta_star": K_coefficient(f_op, n, b),
-        "grid": (float(LOG_GRID[0]), float(LOG_GRID[-1]), len(LOG_GRID)),
-        "ratio_spread": spread,
-    }
+        b, tau = float(b), float(tau)
+    report = {"tau": tau, "c": c, "beta_star": b, "alpha_star": a, "K_at_beta_star": c}
     return tau, c, report
 
 
@@ -356,7 +342,10 @@ def build_global_supersolution(f_op: EllipticOperator, n: int, p: float,
 
     Only valid with gamma <= 0 in the existence regime.  The truncation
     constant a and the tail scale are found by dyadic scans, mirroring the
-    'small constant' selections of the construction.
+    'small constant' selections of the construction.  The tail v = s r^{-b}
+    has F(D^2 v) = s K(b) r^{-b-2} and r^{-gamma} v^p = s^p r^{-b-2}, as in
+    ``bend_fundamental``, so its residual is r^{-b-2} (s K - s^p) on the log
+    grid.
     """
     if gamma > 0:
         raise ValueError("construction requires gamma <= 0")
@@ -416,10 +405,7 @@ def build_global_supersolution(f_op: EllipticOperator, n: int, p: float,
     # per-piece residuals of F(D^2 u) - |x|^{-gamma} u^p
     inner_res = float(np.min(
         a_val - weight[interior] * np.maximum(w_vals[interior], 0.0) ** p))
-    r = LOG_GRID
-    lhs = eval_diagonal(f_op, radial_diagonal(n, -b * s_val * r ** (-b - 1.0),
-                                              b * (b + 1.0) * s_val * r ** (-b - 2.0), r))
-    tail_res_min = float((lhs - r ** (-gamma) * v_at(r) ** p).min())
+    tail_res_min = float((LOG_GRID ** (-b - 2.0) * (s_val * k - s_val ** p)).min())
     residual_report = {
         "inner_min_residual": inner_res,
         "tail_min_residual": tail_res_min,
@@ -625,7 +611,8 @@ def fixed_point(f_op: EllipticOperator, n: int, p: float,
     log psi) from a perturbed constant profile, since naive iteration of the
     cone map is repelling (p > 1).  On coarse grids the discrete angular
     system can have non-constant solutions besides c*, which a strongly
-    perturbed start may reach.
+    perturbed start may reach; the report's constant_deviation,
+    max |psi/c* - 1| (None for an F without c*), shows how far it landed.
     """
     b = beta_star(p, 0.0)
     if angular_points and n != 2:
@@ -652,10 +639,12 @@ def fixed_point(f_op: EllipticOperator, n: int, p: float,
         psi = _newton_solve(full_residual, psi)
         profile = HomogeneousProfile(beta=b, n=n, angular=psi)
         resid = float(np.abs(_angular_residual(f_op, psi, b, psi ** p)).max())
+        deviation = None if c_star is None else float(np.abs(psi / c_star - 1.0).max())
     else:
         profile = HomogeneousProfile(beta=b, n=n, constant=c_star)
         # symbolic radial residual of F(D^2(c r^{-b})) - (c r^{-b})^p
         resid = abs(c_star * k - c_star ** p)
+        deviation = 0.0
 
     r_bar = 0.0 if k is None else inner_validity_radius(k, p)
     if profile.norm() <= r_bar:
@@ -667,6 +656,7 @@ def fixed_point(f_op: EllipticOperator, n: int, p: float,
         "r_bar": r_bar,
         "norm": profile.norm(),
         "residual": resid,
+        "constant_deviation": deviation,
         "dichotomy": ("either a bounded positive solution exists in the "
                       "whole space, or a (-beta*)-homogeneous positive "
                       "solution exists off the origin; the homogeneous "

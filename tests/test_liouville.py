@@ -244,12 +244,12 @@ class TestBend:
     def test_pucci_max_example(self, pm3):
         tau, c, rep = bend_fundamental(pm3, 3, 2.0, 0.0)
         assert tau == pytest.approx(2.0 / 3.0)
-        assert c == pytest.approx(2.0, rel=1e-9)
+        assert c == 2.0  # K(beta* = 2) exactly
 
     def test_laplacian_example(self, lap3):
         tau, c, rep = bend_fundamental(lap3, 3, 5.0, 0.0)
         assert tau == pytest.approx(0.5)
-        assert c == pytest.approx(0.25, rel=1e-9)
+        assert c == 0.25  # K(beta* = 1/2) exactly
 
     def test_tau_in_unit_interval(self, pm3):
         for p in (1.8, 2.0, 3.0, 6.0):
@@ -262,22 +262,25 @@ class TestBend:
 
     def test_scalar_call_gives_floats(self, pm3):
         tau, c, rep = bend_fundamental(pm3, 3, 2.0, 0.0)
-        assert all(type(v) is float for v in (tau, c, rep["beta_star"],
-                                              rep["K_at_beta_star"], rep["ratio_spread"]))
+        assert all(type(v) is float for v in (tau, c, rep["beta_star"], rep["K_at_beta_star"]))
 
-    @pytest.mark.parametrize("op", [laplacian(5), pucci_max(1.0, 2.0, 3),
-                                    pucci_min(1.0, 1.2, 6)], ids=lambda op: op.kind)
+    @pytest.mark.parametrize("op", [
+        laplacian(5), pucci_max(1.0, 2.0, 3), pucci_min(1.0, 1.2, 6),
+        isaacs(1.0, 2.0, 5, [[np.eye(5), 2.0 * np.eye(5)], [1.5 * np.eye(5)]], rot_invariant=True),
+    ], ids=lambda op: op.kind)
     def test_array_entries_match_scalar_calls(self, op):
-        # p = 2, 3 and gamma = 1, -0.5 give exponents 2, -1 and 0.5, which
-        # numpy's power takes by another path for a scalar than for an array
+        # c = K(beta*) bit for bit: F(D^2 r^{-b}) = K(b) r^{-b-2} and
+        # r^{-gamma} (r^{-b})^p = r^{-b-2} at b = beta*
         ps = np.array([[2.0, 3.0, 4.0], [5.0, 6.5, 9.0]])
         gammas = np.array([0.0, 1.0, -0.5])
         tau, c, rep = bend_fundamental(op, op.dim, ps, gammas)
-        assert tau.shape == c.shape == rep["ratio_spread"].shape == ps.shape
+        assert tau.shape == c.shape == rep["K_at_beta_star"].shape == ps.shape
         for i, j in np.ndindex(ps.shape):
-            t1, c1, rep1 = bend_fundamental(op, op.dim, float(ps[i, j]), float(gammas[j]))
+            p, gamma = float(ps[i, j]), float(gammas[j])
+            t1, c1, rep1 = bend_fundamental(op, op.dim, p, gamma)
             assert (tau[i, j], c[i, j]) == (t1, c1)
-            for key in ("beta_star", "K_at_beta_star", "ratio_spread"):
+            assert c1 == K_coefficient(op, op.dim, beta_star(p, gamma))
+            for key in ("beta_star", "K_at_beta_star"):
                 assert rep[key][i, j] == rep1[key]
             assert rep["alpha_star"] == rep1["alpha_star"]
 
@@ -501,6 +504,26 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="n = 2"):
             fixed_point(pm3, 3, 2.0, angular_points=16)
 
+    def test_constant_deviation_flags_a_non_constant_profile(self):
+        # a 3-point grid holds a non-constant discrete solution, which this
+        # start reaches with a residual near round-off
+        op = pucci_max(1.0, 3.0, 2)
+        prof, _, rep = fixed_point(op, 2, 4.0, angular_points=3, perturb=0.3, seed=0)
+        c_star = K_coefficient(op, 2, beta_star(4.0)) ** (1.0 / 3.0)
+        assert rep["residual"] <= 1e-9
+        assert rep["constant_deviation"] == np.abs(prof.angular / c_star - 1.0).max() > 0.1
+        _, _, rep = fixed_point(op, 2, 4.0, angular_points=32, perturb=0.1, seed=0)
+        assert rep["constant_deviation"] <= 1e-8
+        assert fixed_point(op, 2, 4.0)[2]["constant_deviation"] == 0.0
+
+    def test_constant_deviation_is_none_without_c_star(self):
+        # the sup over three rotations of diag(1, 2): not rotation-invariant
+        rot = [np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+               for t in np.pi * np.arange(3) / 3]
+        op = isaacs(1.0, 2.0, 2, [[q @ np.diag([1.0, 2.0]) @ q.T] for q in rot])
+        _, _, rep = fixed_point(op, 2, 5.0, angular_points=16)
+        assert rep["constant_deviation"] is None
+
     def test_dichotomy_wording(self, pm3):
         _, _, rep = fixed_point(pm3, 3, 2.0)
         assert "not excluded" in rep["dichotomy"]
@@ -568,6 +591,17 @@ class TestHomogeneousProfile:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             HomogeneousProfile(beta=1.0, n=2, constant=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        for kwargs in ({"beta": bad, "n": 3, "constant": 1.0},
+                       {"beta": 1.0, "n": 3, "constant": bad},
+                       {"beta": 1.0, "n": 2, "angular": [1.0, bad, 1.0]}):
+            with pytest.raises(ValueError, match="finite"):
+                HomogeneousProfile(**kwargs)
+        with pytest.raises(ValueError, match="finite"):
+            cone_map_A(pucci_max(1.0, 2.0, 3), 3, 3.0,
+                       HomogeneousProfile(beta=1.0, n=3, constant=bad))
 
     def test_evaluates_homogeneously(self):
         prof = HomogeneousProfile(beta=2.0, n=3, constant=1.5)

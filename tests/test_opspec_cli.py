@@ -307,6 +307,14 @@ class TestGoldenSamples:
         assert capsys.readouterr().out == \
             (self.SAMPLES / "fixed_point_output.json").read_text()
 
+    def test_bend_stdout_is_the_golden(self, capsys):
+        # c is K(beta*) = 2 exactly, with no sampling keys
+        assert main(["bend", "--op", str(self.SAMPLES / "pucci_max_n3.json"),
+                     "--p", "2.0"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == (self.SAMPLES / "bend_output.json").read_text()
+        assert json.loads(out)["c"] == 2.0
+
     def test_fixed_point_without_rotation_invariance_is_usage(self):
         # the constant profile needs a rotation-invariant F; the CLI has no
         # angular path, so it reports a usage error instead of a traceback

@@ -187,12 +187,11 @@ class TestWorkCounts:
         monkeypatch.setattr(liouville, "alpha_star", counted("bend_alpha", liouville.alpha_star))
         monkeypatch.setattr(liouville, "bend_fundamental",
                             counted("bend", liouville.bend_fundamental))
-        # beta* <= 1 < alpha* on all 4 operators: one block and one more row each
-        axes = {"p": list(np.linspace(3.0, 8.0, cli.BEND_BLOCK + 1)),
-                "Lambda": [2.0, 3.0], "n": [3, 4]}
+        # beta* <= 1 < alpha* on all 4 operators: one stacked call each
+        axes = {"p": list(np.linspace(3.0, 8.0, 33)), "Lambda": [2.0, 3.0], "n": [3, 4]}
         _, failed = run_sweep({"command": "bend", "axes": axes})
         assert not failed
-        assert counts == {"sweep_alpha": 4, "bend_alpha": 4 * 2, "bend": 4 * 2}
+        assert counts == {"sweep_alpha": 4, "bend_alpha": 4, "bend": 4}
 
     def test_bend_rows_outside_the_regime_reuse_the_sweeps_alpha(self, monkeypatch):
         counts = {"sweep_alpha": 0, "bend_alpha": 0, "bend": 0}
@@ -215,20 +214,20 @@ class TestWorkCounts:
 
 
 class TestBendBlocks:
-    """In-regime bend rows come from stacked calls of BEND_BLOCK rows."""
+    """In-regime bend rows come from one stacked call per operator."""
 
     @pytest.mark.parametrize("kind", ["laplacian", "pucci_max", "pucci_min"])
     def test_several_blocks_match_reference(self, kind):
-        # in-regime rows over several blocks, with rows outside the regime
+        # many in-regime rows per operator, with rows outside the regime
         # (p = 0.5, 1.5) between them
-        ps = list(np.linspace(1.8, 8.0, 2 * cli.BEND_BLOCK + 5))
+        ps = list(np.linspace(1.8, 8.0, 69))
         config = {"command": "bend", "kind": kind,
                   "axes": {"p": [0.5] + ps[:40] + [1.5] + ps[40:], "gamma": [0.0, 1.0],
                            "Lambda": [1.2, 3.0], "n": [4, 6]}}
         csv_text, failed = run_sweep(config)
         rows = [line.split(",") for line in csv_text.splitlines()[1:]]
         in_regime = Counter((r[3], r[4]) for r in rows if not r[-1])  # per (Lambda, n)
-        assert max(in_regime.values()) > 2 * cli.BEND_BLOCK
+        assert max(in_regime.values()) > 64
         assert (csv_text, failed) == reference_sweep(config)
 
     def test_wrong_regime_rows_match_reference(self):
