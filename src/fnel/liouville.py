@@ -2,14 +2,15 @@
 
 Lower bounds and Hadamard-type monotonicity, the eigenvalue-growth
 certificate behind the nonexistence argument, the critical-case logarithmic
-improvement, bent/truncated supersolutions, and the homogeneous-cone fixed
-point with its inner-radius bound.
+improvement, the bent fundamental solution and the whole-space supersolution
+truncated from it (both in closed form, with no solve or search), and the
+homogeneous-cone fixed point with its inner-radius bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -20,8 +21,7 @@ from .scaling import (
     K_coefficient, _c_star, alpha_star, beta_star, classify,
 )
 from .solver import (
-    Annulus, Ball, DirichletProblem, Field2D, RadialField, _RadialGrid,
-    _sphere_samples, solve_dirichlet_radial,
+    Annulus, Ball, Field2D, RadialField, _RadialGrid, _radial_grid, _sphere_samples,
 )
 from .spectral import principal_eigenvalue
 
@@ -105,11 +105,15 @@ class HomogeneousProfile:
 
 
 def rescale(obj, sigma: float, beta: float):
-    """sigma^beta u(sigma x); the identity on homogeneous profiles."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    """sigma^beta u(sigma x).  A (-b)-homogeneous profile comes back scaled by
+    sigma^{beta-b}: the same profile (``is``) when beta = b."""
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     if isinstance(obj, HomogeneousProfile):
-        return obj
+        if beta == obj.beta:
+            return obj
+        psi = "constant" if obj.is_constant else "angular"
+        return replace(obj, **{psi: sigma ** (beta - obj.beta) * getattr(obj, psi)})
     if isinstance(obj, RadialField):
         return RadialField(
             n=obj.n, nodes=obj.nodes / sigma,
@@ -314,11 +318,13 @@ def bend_fundamental(f_op: EllipticOperator, n: int, p, gamma=0.0) -> tuple:
 
 @dataclass(frozen=True)
 class PatchedSupersolution:
-    """Three-piece global supersolution: Dirichlet truncation near the
-    origin, pointwise min on a matching shell, scaled power tail outside."""
+    """u = w on [0, delta), min(v, w) up to match_radius = 1/3, v beyond: the
+    truncation w and tail v of ``build_global_supersolution``.  A min of two
+    supersolutions is one, and u is continuous: w < v on (0, 2 delta) and
+    v < w on [1/4, 1/2]."""
 
-    inner: RadialField          # solve of F(D^2 w) = a on the unit ball
-    a: float                    # right-hand side of the truncation solve
+    inner: RadialField          # w = a (1 - r^2) / q on the unit ball's nodes
+    a: float                    # F(D^2 w) = a
     delta: float                # inner interface radius
     match_radius: float         # outer interface radius
     tail_scale: float           # s in v(r) = s * r^{-beta}
@@ -328,24 +334,37 @@ class PatchedSupersolution:
 
     def __call__(self, r):
         w = float(self.inner(r)) if r <= self.inner.nodes[-1] else math.inf
-        v = self.tail_scale * r ** (-self.beta)
         if r < self.delta:
             return w
-        if r < self.match_radius:
-            return min(v, w)
-        return v
+        v = self.tail_scale * r ** (-self.beta)
+        return min(v, w) if r < self.match_radius else v
+
+
+def _dyadic_floor(x, bound, strict=False):
+    """Largest power of two <= x (< x if strict) for 0 <= x <= 1, read off
+    x's exponent; RuntimeError naming the bound if it underflows to 0."""
+    mant, expo = math.frexp(x)
+    y = math.ldexp(0.25 if strict and mant == 0.5 else 0.5, expo)
+    if not (x > 0.0 and y > 0.0):
+        raise RuntimeError(f"{bound} underflows to 0")
+    return y
 
 
 def build_global_supersolution(f_op: EllipticOperator, n: int, p: float,
                                gamma: float = 0.0, cells: int = 512) -> PatchedSupersolution:
     """Truncate the bent fundamental solution into a whole-space supersolution.
 
-    Only valid with gamma <= 0 in the existence regime.  The truncation
-    constant a and the tail scale are found by dyadic scans, mirroring the
-    'small constant' selections of the construction.  The tail v = s r^{-b}
-    has F(D^2 v) = s K(b) r^{-b-2} and r^{-gamma} v^p = s^p r^{-b-2}, as in
-    ``bend_fundamental``, so its residual is r^{-b-2} (s K - s^p) on the log
-    grid.
+    Only valid with gamma <= 0 in the existence regime; every piece is a
+    closed form.  w1 = (1 - r^2)/q, q = 2 F(-I), has D^2 w1 = -(2/q) I, so
+    w = a w1 has F(D^2 w) = a >= r^{-gamma} w^p on the unit ball for a <=
+    cap^{-1/(p-1)}, cap = max r^{-gamma} w1^p (at r^2 = -gamma/(2p - gamma)).
+    The tail v = s r^{-b}, b = beta*, has F(D^2 v) - r^{-gamma} v^p =
+    r^{-b-2} (s K(b) - s^p) (see ``bend_fundamental``), >= 0 for s <=
+    K^{1/(p-1)}, and v < w on [1/4, 1/2] for s < (a/q) min(4^{-b} 15/16,
+    2^{-b} 3/4), the min there of r^b w.  a and s are the largest powers of
+    two <= 1 within their bounds.  delta = (s q/a)^{1/b}/2 gives v > a/q >= w
+    on (0, 2 delta).  The report's residuals are on w's nodes and LOG_GRID;
+    its jumps use the exact w.  A bound that underflows raises RuntimeError.
     """
     if gamma > 0:
         raise ValueError("construction requires gamma <= 0")
@@ -354,57 +373,35 @@ def build_global_supersolution(f_op: EllipticOperator, n: int, p: float,
         raise WrongRegime("existence regime required")
     b = verdict.beta_star
     k = K_coefficient(f_op, n, b)
+    nodes, _ = _radial_grid(Ball(1.0), cells)
+    q = 2.0 * float(eval_diagonal(f_op, -np.ones(n)))
 
-    # unit-ball Dirichlet solve with unit source; w scales linearly in a
-    problem = DirichletProblem(domain=Ball(1.0), n=n, rhs=lambda r: 1.0)
-    w1 = solve_dirichlet_radial(f_op, n, problem, cells)
-    nodes = w1.nodes
-    vals1 = w1.values
-    interior = slice(0, len(nodes) - 1)
-    # need a >= r^{-gamma} (a w1)^p on the ball, i.e. a^{p-1} <= 1/max(...)
-    weight = np.where(nodes > 0, nodes ** (-gamma), 0.0 if gamma < 0 else 1.0)
-    cap = float((weight * np.maximum(vals1, 0.0) ** p).max())
-    a_val = None
-    for lvl in range(40):
-        cand = 2.0 ** (-lvl)
-        if cand ** (p - 1.0) * cap <= 1.0:
-            a_val = cand
-            break
-    if a_val is None:
-        raise WrongRegime("no admissible truncation constant in 40 dyadic levels")
-    w_vals = a_val * vals1
-    w_field = RadialField(n=n, nodes=nodes, values=w_vals, meta={**w1.meta, "a": a_val})
-
-    # tail scale s: supersolution needs s^{p-1} <= K; matching needs
-    # s r^{-beta} < w on the shell [1/4, 1/2]
-    shell = (nodes >= 0.25) & (nodes <= 0.5)
-    s_val = None
-    for lvl in range(40):
-        cand = 2.0 ** (-lvl)
-        if cand ** (p - 1.0) > k:
-            continue
-        if np.all(cand * nodes[shell] ** (-b) < w_vals[shell]):
-            s_val = cand
-            break
-    if s_val is None:
-        raise WrongRegime("no admissible tail scale in 40 dyadic levels")
-
-    # first radius where w crosses below v; w < v near 0 since v blows up
-    below = w_vals[1:] < s_val * nodes[1:] ** (-b)
-    cross_idx = int(np.argmin(below)) if not below.all() else len(below) - 1
-    delta = 0.5 * nodes[1 + cross_idx]
+    # cap = t^{-gamma/2} (1 - t)^p / q^p at t = r^2; the bounds on a and
+    # s^{p-1} <= K go through logs, where a power 1/(p-1) overflows for p near 1
+    t = -gamma / (2.0 * p - gamma)
+    log_cap = (-0.5 * gamma * math.log(t) if t > 0 else 0.0) + p * (math.log1p(-t) - math.log(q))
+    a_val = _dyadic_floor(math.exp(min(0.0, -log_cap / (p - 1.0))), "the bound on a")
+    log_k = math.log(k) if k > 0 else -math.inf
+    s_val = min(_dyadic_floor(math.exp(min(0.0, log_k / (p - 1.0))), "the bound K^{1/(p-1)} on s"),
+                _dyadic_floor(a_val / q * min(0.25 ** b * 0.9375, 0.5 ** b * 0.75),
+                              "the shell bound on s", strict=True))
+    delta = 0.5 * (s_val * q / a_val) ** (1.0 / b)
+    if not delta > 0.0:
+        raise RuntimeError("the inner interface radius delta underflows to 0")
     match_radius = 1.0 / 3.0
+
+    def w_at(r):
+        return a_val * (1.0 - r * r) / q
 
     def v_at(r):
         return s_val * r ** (-b)
 
-    jump_inner = abs(min(v_at(delta), float(w_field(delta))) - float(w_field(delta)))
-    jump_outer = abs(min(v_at(match_radius), float(w_field(match_radius)))
-                     - v_at(match_radius))
+    inner = RadialField(n=n, nodes=nodes, values=w_at(nodes), meta={"a": a_val, "q": q})
+    jump_inner = abs(min(v_at(delta), w_at(delta)) - w_at(delta))
+    jump_outer = abs(min(v_at(match_radius), w_at(match_radius)) - v_at(match_radius))
 
     # per-piece residuals of F(D^2 u) - |x|^{-gamma} u^p
-    inner_res = float(np.min(
-        a_val - weight[interior] * np.maximum(w_vals[interior], 0.0) ** p))
+    inner_res = float(np.min(a_val - nodes ** (-gamma) * inner.values ** p))
     tail_res_min = float((LOG_GRID ** (-b - 2.0) * (s_val * k - s_val ** p)).min())
     residual_report = {
         "inner_min_residual": inner_res,
@@ -412,11 +409,8 @@ def build_global_supersolution(f_op: EllipticOperator, n: int, p: float,
         "passed": inner_res >= -1e-8 and tail_res_min >= -1e-8,
     }
     return PatchedSupersolution(
-        inner=w_field, a=a_val, delta=delta, match_radius=match_radius,
-        tail_scale=s_val, beta=b,
-        continuity_jumps=(jump_inner, jump_outer),
-        residual_report=residual_report,
-    )
+        inner=inner, a=a_val, delta=delta, match_radius=match_radius, tail_scale=s_val, beta=b,
+        continuity_jumps=(jump_inner, jump_outer), residual_report=residual_report)
 
 
 # ---------------------------------------------------------------------------

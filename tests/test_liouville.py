@@ -3,6 +3,7 @@ and the homogeneous-cone fixed point."""
 
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -61,6 +62,22 @@ class TestRescale:
         direct = rescale(fld, 6.0, 1.0)
         assert np.allclose(once.nodes, direct.nodes)
         assert np.allclose(once.values, direct.values)
+
+    def test_profile_of_another_degree_is_scaled(self):
+        # sigma^beta u(sigma x) at e1 is 2 * 1.5 * 2^-2 = 0.75
+        prof = HomogeneousProfile(beta=2.0, n=3, constant=1.5)
+        out = rescale(prof, 2.0, 1.0)
+        assert out.beta == 2.0 and out([1.0, 0.0, 0.0]) == 0.75
+        ang = HomogeneousProfile(beta=2.0, n=2, angular=np.array([1.0, 3.0, 2.0]))
+        assert np.array_equal(rescale(ang, 4.0, 2.5).angular, [2.0, 6.0, 4.0])
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_sigma_not_positive_and_finite(self, sigma):
+        prof = HomogeneousProfile(beta=2.0, n=3, constant=1.5)
+        fld = RadialField(n=3, nodes=np.geomspace(1.0, 4.0, 9), values=np.ones(9))
+        for obj in (prof, fld):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                rescale(obj, sigma, 1.0)
 
     def test_supersolution_sign_preserved(self, pm3):
         fld = harmonic_field(pm3, 3, lambda r: r ** -0.5,
@@ -315,6 +332,66 @@ class TestGlobalSupersolution:
         patch = build_global_supersolution(pm3, 3, 2.0, 0.0, cells=256)
         for r in (0.01, 0.2, patch.match_radius, 1.0, 10.0, 1e3):
             assert patch(r) > 0
+
+    def test_patch_at_the_origin_is_the_inner_piece(self, pm3):
+        patch = build_global_supersolution(pm3, 3, 2.0, 0.0, cells=256)
+        assert patch(0.0) == patch.inner(0.0) > 0
+        assert math.isfinite(patch(1e-300)) and patch(1e-300) > 0
+
+    def test_pieces_are_closed_forms(self, pm3):
+        # w1 = (1 - r^2)/q with q = 2 F(-I) = 2 Lambda n = 12; the tail meets
+        # w at delta = (s q / a)^{1/b} / 2
+        patch = build_global_supersolution(pm3, 3, 2.0, 0.0, cells=64)
+        r = patch.inner.nodes
+        assert np.array_equal(r, np.linspace(0.0, 1.0, 65))
+        assert np.array_equal(patch.inner.values, patch.a * (1.0 - r * r) / 12.0)
+        assert (patch.a, patch.tail_scale) == (1.0, 2.0 ** -8)
+        assert patch.delta == pytest.approx(0.5 * (12.0 / 256.0) ** 0.5, rel=1e-15)
+
+    def test_p_near_one_builds(self):
+        # the shell bound s < (a/q) 4^{-b} 15/16 is about 1e-26 at b = 40,
+        # below the 2^-39 a 40-level dyadic scan reaches
+        op = pucci_max(1.0, 10.0, 6)
+        patch = build_global_supersolution(op, 6, 1.05, 0.0, cells=256)
+        assert patch.residual_report["passed"]
+        assert max(patch.continuity_jumps) <= 1e-12
+        assert 0 < patch.tail_scale < 2.0 ** -39
+
+    def test_large_p_is_continuous_at_delta(self, lap3):
+        # w < v only below r ~ 3e-9 here, far inside the first node
+        patch = build_global_supersolution(lap3, 3, 41.0, 0.0, cells=256)
+        assert max(patch.continuity_jumps) <= 1e-12
+        assert 0 < patch.delta < patch.inner.nodes[1]
+        assert patch(patch.delta) == patch.inner(patch.delta)
+
+    @pytest.mark.parametrize("op, p, bound", [
+        # alpha* = 6999, so b = beta* = 3499.5 at p = 1 + 2/b and 4^{-b} underflows
+        (pucci_max(1.0, 1000.0, 8), 1.0 + 4.0 / 6999.0, "the shell bound on s"),
+        # beta* one ulp below alpha* = 1: existence, but K(beta*) rounds to 0
+        (pucci_min(1.0, 1.5, 4), 3.0000000000000004, "the bound K^{1/(p-1)} on s"),
+    ], ids=["shell", "K"])
+    def test_underflowing_bound_raises(self, op, p, bound):
+        with pytest.raises(RuntimeError, match=re.escape(f"{bound} underflows to 0")):
+            build_global_supersolution(op, op.dim, p, 0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_existence_grid_builds_continuous_patches(self, seed):
+        # a seeded slice of Laplacian and Pucci operators, n = 2..6,
+        # Lambda in {1.5, 3, 5.5}, gamma in {0, -0.5, -2} and beta*/alpha*
+        # in [0.05, 0.95]
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n, Lam = int(rng.integers(2, 7)), float(rng.choice([1.5, 3.0, 5.5]))
+            op = (laplacian(n), pucci_max(1.0, Lam, n), pucci_min(1.0, Lam, n))[rng.integers(3)]
+            a = classify(op, n, 2.0).alpha_star
+            if a <= 0:
+                continue
+            gamma = float(rng.choice([0.0, -0.5, -2.0]))
+            p = 1.0 + (2.0 - gamma) / (a * float(rng.choice(np.linspace(0.05, 0.95, 10))))
+            patch = build_global_supersolution(op, n, p, gamma, cells=256)
+            assert patch.residual_report["passed"], (op, p, gamma)
+            assert max(patch.continuity_jumps) <= 1e-12, (op, p, gamma)
+            assert 0 < patch.delta < 0.25, (op, p, gamma)
 
 
 class TestAngularHessianOracle:

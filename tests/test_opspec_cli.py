@@ -192,6 +192,14 @@ class TestCliExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert "WrongRegime" in payload["error"]
 
+    def test_truncate_underflow_writes_report(self, tmp_path, capsys):
+        # alpha* = 6999 puts beta* = 3499.5 at tau = 1/2: 4^{-beta*} underflows
+        path = write_spec(tmp_path, {"n": 8, "kind": "pucci_max", "Lambda": 1000.0})
+        code = main(["truncate", "--op", path, "--p", repr(1.0 + 4.0 / 6999.0)])
+        assert code == EXIT_NUMERICAL
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "RuntimeError: the shell bound on s underflows to 0"
+
     def test_dim_mismatch_is_usage(self, tmp_path, capsys):
         path = write_spec(tmp_path, PM_DOC)
         assert main(["alpha-star", "--op", path, "--n", "4"]) == EXIT_USAGE
@@ -314,6 +322,15 @@ class TestGoldenSamples:
         out = capsys.readouterr().out
         assert out == (self.SAMPLES / "bend_output.json").read_text()
         assert json.loads(out)["c"] == 2.0
+
+    def test_truncate_stdout_is_the_golden(self, capsys):
+        # the closed-form patch: a = 1, s = 2^-8, delta = (12/256)^{1/2}/2
+        # whatever the cells, and both continuity jumps 0
+        assert main(["truncate", "--op", str(self.SAMPLES / "pucci_max_n3.json"),
+                     "--p", "2.0", "--cells", "64"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == (self.SAMPLES / "truncate_output.json").read_text()
+        assert json.loads(out)["continuity_jumps"] == [0.0, 0.0]
 
     def test_fixed_point_without_rotation_invariance_is_usage(self):
         # the constant profile needs a rotation-invariant F; the CLI has no
