@@ -220,8 +220,7 @@ def _cmd_certificate(args, op):
 
 
 def _cmd_bend(args, op):
-    tau, c, rep = liouville.bend_fundamental(op, op.dim, args.p, args.gamma)
-    return {"tau": tau, "c": c, **rep}, None
+    return liouville.bend_fundamental(op, op.dim, args.p, args.gamma)[2], None
 
 
 def _cmd_truncate(args, op):
@@ -453,8 +452,7 @@ def main(argv=None) -> int:
         try:  # a handler returns its payload and None, a field or a (header, curve)
             payload, result = handler(args, op)
             code = EXIT_OK
-        except (solver.PolicyIterationDiverged, spectral.IterationFailure,
-                liouville.WrongRegime, RuntimeError) as exc:
+        except (liouville.WrongRegime, RuntimeError) as exc:
             payload, result = {"error": f"{type(exc).__name__}: {exc}"}, None
             code = EXIT_NUMERICAL
         echo = _echo(args, op)  # after the handler, which may fill in a default

@@ -26,7 +26,6 @@ from .solver import (
 from .spectral import principal_eigenvalue
 
 LOG_GRID = np.geomspace(1.5, 100.0, 256)
-NO_CROSSING = "NO_CROSSING"
 SIGMA_START = 1.0 + 1e-9                 # the first scale of a certificate's curve
 NEWTON_TOL = 1e-10                       # sup-norm stop of ``_newton_solve``
 LM_MU0 = 1e-3                            # first damping, relative to diag(J^T J)
@@ -207,15 +206,17 @@ def fit_lower_bound(fld, alpha: float) -> float:
 
 def nonexistence_certificate(f_op: EllipticOperator, n: int, p: float,
                              gamma: float, c: float, sigma_max: float = 1e6,
-                             cells: int = 1024,
-                             use_log_improvement: bool = True) -> dict:
+                             cells: int = 1024) -> dict:
     """Quantitative contradiction scale of the nonexistence proof.
 
     In the nonexistence regime the rescaled supersolutions force the first
     eigenvalue on the reference annulus above mu(sigma); the certificate
     reports the crossing scale sigma* where mu exceeds the computed
     lambda1.  c plays the lower-bound constant and is an input, not derived
-    (it aggregates unnamed ellipticity constants).
+    (it aggregates unnamed ellipticity constants).  Two modes: ``strict``,
+    mu = min(1, 2^{-gamma}) c^{p-1} sigma^{(beta*-alpha)(p-1)} for beta* >
+    alpha; ``critical-log``, mu = c (log sigma)^{p-1} from the logarithmic
+    lower bound c r^{-alpha} log r, for |beta* - alpha| < 1e-12.
     """
     if not 0 < c < math.inf:
         raise ValueError("c must be positive and finite")
@@ -227,35 +228,29 @@ def nonexistence_certificate(f_op: EllipticOperator, n: int, p: float,
     b_star = verdict.beta_star
     alpha = max(0.0, verdict.alpha_star)
     lam1 = principal_eigenvalue(f_op, Annulus(1.0, 2.0), cells).lambda1
-    prefactor = min(1.0, 2.0 ** (-gamma)) * c ** (p - 1.0)
     critical = abs(alpha - b_star) < 1e-12
 
     sigmas = np.geomspace(SIGMA_START, sigma_max, 64)
-    if critical and use_log_improvement:
+    if critical:
         mu = c * np.log(sigmas) ** (p - 1.0)
-        lg = (lam1 / c) ** (1.0 / (p - 1.0))
-        sigma_star = math.exp(lg)
+        sigma_star = math.exp((lam1 / c) ** (1.0 / (p - 1.0)))
         mode = "critical-log"
-    elif critical:
-        mu = np.full_like(sigmas, prefactor)
-        sigma_star = NO_CROSSING if prefactor <= lam1 else 1.0
-        mode = "critical-flat"
     else:
+        prefactor = min(1.0, 2.0 ** (-gamma)) * c ** (p - 1.0)
         expo = (b_star - alpha) * (p - 1.0)
         mu = prefactor * sigmas ** expo
         sigma_star = (lam1 / prefactor) ** (1.0 / expo)
         mode = "strict"
-    report = {
+    return {
         "mode": mode,
         "lambda1": lam1,
         "alpha": alpha,
         "beta_star": b_star,
-        "growth_exponent": None if critical else (b_star - alpha) * (p - 1.0),
+        "growth_exponent": None if critical else expo,
         "sigma_star": sigma_star,
         "curve": list(zip(sigmas.tolist(), np.asarray(mu).tolist())),
         "c_is_input": True,
     }
-    return report
 
 
 def critical_log_check(f_op: EllipticOperator, n: int) -> dict:
@@ -284,9 +279,24 @@ def critical_log_check(f_op: EllipticOperator, n: int) -> dict:
 # bending and truncation
 
 
-def bend_regime_error(b, a) -> WrongRegime:
-    """What ``bend_fundamental`` raises for beta* = b outside (0, alpha* = a)."""
-    return WrongRegime(f"requires 0 < beta*={b:.4g} < alpha*={a:.4g}")
+def bend_regime_error(b, a, k=None) -> WrongRegime:
+    """What an existence construction raises for beta* = b outside (0, alpha*
+    = a) or, given k, for K(b) = k <= 0 at a b within rounding below a."""
+    return WrongRegime(f"requires 0 < beta*={b:.4g} < alpha*={a:.4g}" if k is None else
+                       f"requires K(beta*) > 0; got K={k} at beta*={b}, alpha*={a}")
+
+
+def _existence_K(f_op, n, p, gamma=0.0):
+    """(beta*, K(beta*)) if classify reads existence and K(beta*) > 0, the one
+    gate of the existence constructions; else ``bend_regime_error``."""
+    verdict = classify(f_op, n, p, gamma)
+    b, a = verdict.beta_star, verdict.alpha_star
+    if verdict.outcome != EXISTENCE_SUPERSOLUTION:
+        raise bend_regime_error(b, a)
+    k = K_coefficient(f_op, n, b)
+    if not k > 0:
+        raise bend_regime_error(b, a, k)
+    return b, k
 
 
 def bend_fundamental(f_op: EllipticOperator, n: int, p, gamma=0.0) -> tuple:
@@ -298,7 +308,9 @@ def bend_fundamental(f_op: EllipticOperator, n: int, p, gamma=0.0) -> tuple:
     2-gamma makes r^{-gamma} v^p = r^{-beta*-2} too, so c = K(beta*) at every
     r.  Arrays of p and gamma broadcast: alpha* is found once, one
     ``K_coefficient`` call covers every entry, and tau, c and the report's
-    beta_star and K_at_beta_star hold each entry's scalar-call value.
+    beta_star and K_at_beta_star hold each entry's scalar-call value.  An
+    entry outside 0 < beta* < alpha*, or with K(beta*) <= 0, raises
+    WrongRegime (``bend_regime_error``), the first such entry named.
     """
     if not f_op.rot_invariant:
         raise ValueError("bending needs a rotationally invariant operator")
@@ -310,6 +322,9 @@ def bend_fundamental(f_op: EllipticOperator, n: int, p, gamma=0.0) -> tuple:
     if outside.any():  # names the first entry outside the regime
         raise bend_regime_error(b[outside][0], a)
     c, tau = K_coefficient(f_op, n, b), b / a
+    flat = ~(np.asarray(c) > 0)
+    if flat.any():
+        raise bend_regime_error(b[flat][0], a, np.asarray(c)[flat][0])
     if not b.ndim:
         b, tau = float(b), float(tau)
     report = {"tau": tau, "c": c, "beta_star": b, "alpha_star": a, "K_at_beta_star": c}
@@ -364,15 +379,13 @@ def build_global_supersolution(f_op: EllipticOperator, n: int, p: float,
     2^{-b} 3/4), the min there of r^b w.  a and s are the largest powers of
     two <= 1 within their bounds.  delta = (s q/a)^{1/b}/2 gives v > a/q >= w
     on (0, 2 delta).  The report's residuals are on w's nodes and LOG_GRID;
-    its jumps use the exact w.  A bound that underflows raises RuntimeError.
+    its jumps use the exact w.  Outside the existence regime, or with
+    K(beta*) <= 0, it raises WrongRegime (``_existence_K``); only a bound
+    that underflows raises RuntimeError.
     """
     if gamma > 0:
         raise ValueError("construction requires gamma <= 0")
-    verdict = classify(f_op, n, p, gamma)
-    if verdict.outcome != EXISTENCE_SUPERSOLUTION:
-        raise WrongRegime("existence regime required")
-    b = verdict.beta_star
-    k = K_coefficient(f_op, n, b)
+    b, k = _existence_K(f_op, n, p, gamma)
     nodes, _ = _radial_grid(Ball(1.0), cells)
     q = 2.0 * float(eval_diagonal(f_op, -np.ones(n)))
 
@@ -381,8 +394,8 @@ def build_global_supersolution(f_op: EllipticOperator, n: int, p: float,
     t = -gamma / (2.0 * p - gamma)
     log_cap = (-0.5 * gamma * math.log(t) if t > 0 else 0.0) + p * (math.log1p(-t) - math.log(q))
     a_val = _dyadic_floor(math.exp(min(0.0, -log_cap / (p - 1.0))), "the bound on a")
-    log_k = math.log(k) if k > 0 else -math.inf
-    s_val = min(_dyadic_floor(math.exp(min(0.0, log_k / (p - 1.0))), "the bound K^{1/(p-1)} on s"),
+    s_val = min(_dyadic_floor(math.exp(min(0.0, math.log(k) / (p - 1.0))),
+                              "the bound K^{1/(p-1)} on s"),
                 _dyadic_floor(a_val / q * min(0.25 ** b * 0.9375, 0.5 ** b * 0.75),
                               "the shell bound on s", strict=True))
     delta = 0.5 * (s_val * q / a_val) ** (1.0 / b)
@@ -544,18 +557,6 @@ def _newton_solve(residual_fn, x0):
     raise RuntimeError(f"Newton did not converge (residual {nrm:.2e})")
 
 
-def _existence_K(f_op, n, p, message):
-    """K(beta*(p)) if classify puts F in the existence regime, else WrongRegime
-    with message formatted by b = beta*, a = alpha*.  None, unchecked, for an
-    F that is not rotation-invariant (its regime needs an angular alpha*)."""
-    if not f_op.rot_invariant:
-        return None
-    verdict = classify(f_op, n, p)
-    if verdict.outcome != EXISTENCE_SUPERSOLUTION:
-        raise WrongRegime(message.format(b=verdict.beta_star, a=verdict.alpha_star))
-    return K_coefficient(f_op, n, verdict.beta_star)
-
-
 def cone_map_A(f_op: EllipticOperator, n: int, p: float,
                v: HomogeneousProfile) -> HomogeneousProfile:
     """The solution map A(v) = u with F(D^2 u) = v^p, u in the same cone.
@@ -568,12 +569,10 @@ def cone_map_A(f_op: EllipticOperator, n: int, p: float,
     b = beta_star(p, 0.0)
     if abs(v.beta - b) > 1e-12:
         raise ValueError(f"profile degree {v.beta} != beta*(p) = {b}")
-    k = _existence_K(f_op, n, p, "needs beta* < alpha*; got {b} >= {a}")
+    k = _existence_K(f_op, n, p)[1] if f_op.rot_invariant else None
     if v.is_constant:
         if k is None:
             raise ValueError("constant-profile path needs rotational invariance")
-        if v.constant == 0.0:
-            return HomogeneousProfile(beta=b, n=n, constant=0.0)
         return HomogeneousProfile(beta=b, n=n, constant=v.constant ** p / k)
     if n != 2:
         raise ValueError("angular path only available for n = 2")
@@ -614,7 +613,7 @@ def fixed_point(f_op: EllipticOperator, n: int, p: float,
     if not (angular_points or f_op.rot_invariant):
         raise ValueError("an operator that is not rotation-invariant needs the "
                          "angular path (angular_points > 0, n = 2)")
-    k = _existence_K(f_op, n, p, "needs beta*(p) = {b} < alpha* = {a}")
+    k = _existence_K(f_op, n, p)[1] if f_op.rot_invariant else None
     c_star = None if k is None else _c_star(k, p)
 
     if angular_points:

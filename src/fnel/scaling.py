@@ -143,7 +143,8 @@ def _c_star(k, p):
 def explicit_constant(f: EllipticOperator, n: int, p: float, gamma: float = 0.0) -> Optional[float]:
     """Constant c making u = c r^{-beta*} an exact solution of F(D^2u) = |x|^{-gamma} u^p.
 
-    Returns None when K <= 0, i.e. in the nonexistence regime.
+    Returns None when K <= 0: in the nonexistence regime, and also at a beta*
+    within rounding below alpha*, where ``classify`` still reads existence.
     """
     b = beta_star(p, gamma)
     if not f.rot_invariant:

@@ -20,11 +20,13 @@ from fnel import (
     solve_dirichlet_radial, sphere_min_curve,
 )
 from fnel.liouville import (
-    LM_DIFF_STEP, NO_CROSSING, NotSuperharmonic, WrongRegime, _angular_residual,
+    LM_DIFF_STEP, NotSuperharmonic, WrongRegime, _angular_residual,
     _signed_min_residual, _tridiagonal_jacobian, angular_hessian_profile,
     inner_validity_radius,
 )
-from fnel.scaling import NONEXISTENCE_EXTERIOR, K_coefficient, beta_star, classify
+from fnel.scaling import (
+    EXISTENCE_SUPERSOLUTION, NONEXISTENCE_EXTERIOR, K_coefficient, beta_star, classify,
+)
 from fnel.solver import Field2D, RadialField
 from conftest import random_isaacs
 
@@ -189,12 +191,6 @@ class TestCertificate:
         assert rep["sigma_star"] == pytest.approx(
             math.exp(rep["lambda1"]), rel=1e-6)
         assert rep["sigma_star"] == pytest.approx(math.exp(PI2), rel=0.05 * PI2)
-
-    def test_no_crossing_sentinel(self):
-        lap4 = laplacian(4)
-        rep = nonexistence_certificate(lap4, 4, 2.0, 0.0, c=0.5,
-                                       use_log_improvement=False)
-        assert rep["sigma_star"] == NO_CROSSING
 
     def test_existence_regime_rejected(self, pm3):
         with pytest.raises(WrongRegime):
@@ -364,14 +360,17 @@ class TestGlobalSupersolution:
         assert 0 < patch.delta < patch.inner.nodes[1]
         assert patch(patch.delta) == patch.inner(patch.delta)
 
-    @pytest.mark.parametrize("op, p, bound", [
+    @pytest.mark.parametrize("op, p, error, message", [
         # alpha* = 6999, so b = beta* = 3499.5 at p = 1 + 2/b and 4^{-b} underflows
-        (pucci_max(1.0, 1000.0, 8), 1.0 + 4.0 / 6999.0, "the shell bound on s"),
-        # beta* one ulp below alpha* = 1: existence, but K(beta*) rounds to 0
-        (pucci_min(1.0, 1.5, 4), 3.0000000000000004, "the bound K^{1/(p-1)} on s"),
+        (pucci_max(1.0, 1000.0, 8), 1.0 + 4.0 / 6999.0, RuntimeError,
+         "the shell bound on s underflows to 0"),
+        # beta* one ulp below alpha* = 1: classify reads existence, but K(beta*)
+        # rounds to 0, so the regime gate refuses it before any bound is taken
+        (pucci_min(1.0, 1.5, 4), 3.0000000000000004, WrongRegime,
+         "requires K(beta*) > 0; got K=0.0 at beta*=0.9999999999999998, alpha*=1.0"),
     ], ids=["shell", "K"])
-    def test_underflowing_bound_raises(self, op, p, bound):
-        with pytest.raises(RuntimeError, match=re.escape(f"{bound} underflows to 0")):
+    def test_underflowing_bound_raises(self, op, p, error, message):
+        with pytest.raises(error, match=re.escape(message)):
             build_global_supersolution(op, op.dim, p, 0.0)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -392,6 +391,55 @@ class TestGlobalSupersolution:
             assert patch.residual_report["passed"], (op, p, gamma)
             assert max(patch.continuity_jumps) <= 1e-12, (op, p, gamma)
             assert 0 < patch.delta < 0.25, (op, p, gamma)
+
+
+class TestExistenceGate:
+    """The four existence constructions return when K(beta*) > 0 and raise
+    WrongRegime when it rounds to 0 or below, as it can at a beta* just
+    below alpha*, where classify still reads existence."""
+
+    OPS = [op for op in [laplacian(n) for n in range(3, 7)] + [
+        kind(1.0, lam, n) for kind in (pucci_max, pucci_min)
+        for lam in (1.1, 1.5, 3.0, 5.5) for n in range(2, 7)]
+        if classify(op, op.dim, 2.0).alpha_star > 0]
+
+    @staticmethod
+    def near_threshold(op, count=60):
+        """The first count doubles above p* = 1 + 2/alpha* with an existence verdict."""
+        p, ps = 1.0 + 2.0 / classify(op, op.dim, 2.0).alpha_star, []
+        while len(ps) < count:
+            p = math.nextafter(p, math.inf)
+            if classify(op, op.dim, p).outcome == EXISTENCE_SUPERSOLUTION:
+                ps.append(p)
+        return ps
+
+    def test_constructions_follow_the_sign_of_K_near_the_threshold(self):
+        assert len(self.OPS) == 34
+        flat = set()
+        for op in self.OPS:
+            n, ps = op.dim, self.near_threshold(op)
+            ks = K_coefficient(op, n, [beta_star(p) for p in ps]).tolist()
+            for p, k in zip(ps, ks):
+                prof = HomogeneousProfile(beta=beta_star(p), n=n, constant=1.0)
+                for call in (lambda: bend_fundamental(op, n, p),
+                             lambda: build_global_supersolution(op, n, p, 0.0, cells=64),
+                             lambda: cone_map_A(op, n, p, prof),
+                             lambda: fixed_point(op, n, p)):
+                    if k > 0:
+                        call()
+                        continue
+                    flat.add((op.kind, n, p))
+                    with pytest.raises(WrongRegime, match=re.escape(f"got K={k!r} at beta*=")):
+                        call()
+            # the stacked call refuses the stack at its first entry with K <= 0
+            first = next((p for p, k in zip(ps, ks) if not k > 0), None)
+            if first is None:
+                assert bend_fundamental(op, n, np.array(ps))[1].tolist() == ks
+            else:
+                with pytest.raises(WrongRegime, match=re.escape(f"beta*={beta_star(first)!r},")):
+                    bend_fundamental(op, n, np.array(ps))
+        # the first double above p* in both cases
+        assert {("pucci_max", 2, 5.000000000000001), ("pucci_min", 4, 3.0000000000000004)} <= flat
 
 
 class TestAngularHessianOracle:

@@ -200,6 +200,23 @@ class TestCliExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "RuntimeError: the shell bound on s underflows to 0"
 
+    # beta* one ulp below alpha* = 1: classify reads existence, but K(beta*)
+    # rounds to 0; bend gave c = 0.0 with exit 0, truncate a RuntimeError on
+    # its s bound and fixed-point a usage error on a None constant
+    @pytest.mark.parametrize("command, echo", [
+        ("bend", {"gamma": 0.0}),
+        ("truncate", {"gamma": 0.0, "cells": 512}),
+        ("fixed-point", {}),
+    ])
+    def test_k_rounding_to_zero_is_wrong_regime(self, command, echo, tmp_path, capsys):
+        path = write_spec(tmp_path, {"n": 4, "kind": "pucci_min", "lambda": 1.0,
+                                     "Lambda": 1.5})
+        assert main([command, "--op", path, "--p", "3.0000000000000004"]) == EXIT_NUMERICAL
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("error").startswith("WrongRegime: requires K(beta*) > 0; got K=0.0")
+        assert report == {"operator_digest": operator_digest(load_operator(path)),
+                          "p": 3.0000000000000004, **echo}
+
     def test_dim_mismatch_is_usage(self, tmp_path, capsys):
         path = write_spec(tmp_path, PM_DOC)
         assert main(["alpha-star", "--op", path, "--n", "4"]) == EXIT_USAGE
