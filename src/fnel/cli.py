@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage error (an unwritable --out included),
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import json
 import math
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import liouville, scaling, solver, spectral
 from .matcore import EllipticOperator
-from .opspec import SpecError, load_operator, operator_digest, parse_operator_spec
+from .opspec import SpecError, build_operator, load_operator, operator_digest
 from .scaling import NonlinearitySpec
 from .solver import Annulus, Ball, DirichletProblem, Rectangle
 
@@ -63,6 +62,14 @@ def _json_default(obj):
     if isinstance(obj, np.floating):
         return float(obj)
     return str(obj)
+
+
+def _json_value(value):
+    """``value`` as ``json.loads(json.dumps(value, default=_json_default))``
+    gives it back; a plain None, bool, int, str or non-NaN float skips the text."""
+    if value is None or type(value) in (bool, int, str) or type(value) is float and value == value:
+        return value
+    return json.loads(json.dumps(value, default=_json_default))
 
 
 def _emit(args, text):
@@ -324,14 +331,11 @@ def _operator_rows(command, op, exps):
         betas = [e[3] for e in exps if not isinstance(e[3], _RowError)]
         ks = _attempt(scaling.K_coefficient, op, op.dim, betas) if op.rot_invariant else None
         ks = dict(zip(betas, ks.tolist())) if isinstance(ks, np.ndarray) else {}
-        rows = []
-        for _, p, gamma, b, b_text in exps:
-            if b in ks:
-                c = scaling._c_star(ks[b], p)
-            else:
-                c = _attempt(scaling.explicit_constant, op, op.dim, p, gamma)
-            rows.append(c if isinstance(c, _RowError) else f"{'NONE' if c is None else c},{b_text}")
-        return rows
+        cs = [scaling._c_star(ks[b], p) if b in ks
+              else _attempt(scaling.explicit_constant, op, op.dim, p, gamma)
+              for _, p, gamma, b, _ in exps]
+        return [c if isinstance(c, _RowError) else f"{'NONE' if c is None else c},{e[4]}"
+                for c, e in zip(cs, exps)]
     rep = _attempt(scaling.alpha_star, op, op.dim)
     if command == "bend":
         return _bend_rows(op, exps, rep)
@@ -350,11 +354,13 @@ def run_sweep(config: dict, jobs: int = 1) -> tuple:
     """Execute a sweep in this process; returns (csv_text, any_row_failed).
 
     Rows run over the axis product in ``SWEEP_AXES`` order.  Each distinct
-    operator (lambda, Lambda, n) is built and its alpha* found once, beta* once
-    per (p, gamma); ``constant`` takes an operator's K values from one stacked
-    call, and ``bend`` its in-regime rows from one stacked call.  ``jobs`` is
-    ignored: the benchmark harness (perfbench/workloads.py) still passes it,
-    and the keyword goes with the next change to that harness.
+    operator (lambda, Lambda, n), its values read as JSON would read them and
+    told apart by their reprs, is built by ``build_operator`` and its alpha*
+    found once, beta* once per (p, gamma); ``constant`` takes an operator's K
+    values from one stacked call, and ``bend`` its in-regime rows from one
+    stacked call.  ``jobs`` is ignored: the benchmark harness
+    (perfbench/workloads.py) still passes it, and the keyword goes with the
+    next change to that harness.
     """
     if not isinstance(config, dict):
         raise _UsageError("sweep config must be a JSON object")
@@ -372,35 +378,30 @@ def run_sweep(config: dict, jobs: int = 1) -> tuple:
     if total > SWEEP_ROW_CAP:
         raise _UsageError(f"axis product {total} exceeds the {SWEEP_ROW_CAP} row cap")
 
-    def product(keys):  # (axis text, axis values) over the product of keys
-        present = [k for k in keys if k in axes]
-        for combo in itertools.product(*(axes[k] for k in present)):
-            prm = dict(zip(present, combo))
-            yield ",".join(str(prm.get(k, "")) for k in keys), prm
+    def product(keys, defaults):  # (axis text, axis values) over the product of keys
+        texts = itertools.product(*([str(v) for v in axes[k]] if k in axes else [""] for k in keys))
+        values = itertools.product(*(axes.get(k, [d]) for k, d in zip(keys, defaults)))
+        return zip(map(",".join, texts), values)
 
     exps = []
-    for text, prm in product(SWEEP_AXES[:2]):
-        p, gamma = prm.get("p", 2.0), prm.get("gamma", 0.0)
+    for text, (p, gamma) in product(SWEEP_AXES[:2], (2.0, 0.0)):
         b = _attempt(scaling.beta_star, p, gamma)
         exps.append((text, p, gamma, b, str(b)))
     built, ops, failed = {}, [], False
-    for text, prm in product(SWEEP_AXES[2:]):
-        lam = prm.get("lambda", 1.0)
-        spec = json.dumps({"n": prm.get("n", 3), "kind": kind, "lambda": lam,
-                           "Lambda": prm.get("Lambda", lam)}, default=_json_default)
-        if spec not in built:
-            rows = _operator_rows(command, _attempt(parse_operator_spec, spec), exps)
+    for text, (lam, Lam, n) in product(SWEEP_AXES[2:], (1.0, None, 3)):
+        values = [_json_value(v) for v in (n, lam, Lam if "Lambda" in axes else lam)]
+        key = tuple(map(repr, values))
+        if key not in built:
+            doc = dict(zip(("n", "lambda", "Lambda"), values), kind=_json_value(kind))
+            rows = _operator_rows(command, _attempt(build_operator, doc), exps)
             failed = failed or any(isinstance(v, _RowError) for v in rows)
-            built[spec] = ["," * len(SWEEP_COLUMNS[command]) + v
-                           if isinstance(v, _RowError) else v + ","
-                           for v in rows]
-        ops.append((text, built[spec]))
-    buf = io.StringIO()
-    buf.write(",".join(SWEEP_AXES + SWEEP_COLUMNS[command] + ("error",)) + "\n")
-    for i, (text, *_) in enumerate(exps):
-        for op_text, cells in ops:
-            buf.write(f"{text},{op_text},{cells[i]}\n")
-    return buf.getvalue(), failed
+            built[key] = ["," * len(SWEEP_COLUMNS[command]) + v
+                          if isinstance(v, _RowError) else v + ","
+                          for v in rows]
+        ops.append((text, built[key]))
+    head = ",".join(SWEEP_AXES + SWEEP_COLUMNS[command] + ("error",))
+    lines = [f"{e[0]},{op_text},{cells[i]}" for i, e in enumerate(exps) for op_text, cells in ops]
+    return "\n".join([head, *lines, ""]), failed
 
 
 def _cmd_sweep(args):

@@ -10,10 +10,11 @@ every matrix is diagonal (the radial Hessians and the indicator matrices of
 a rotation-invariant F), ``eval_diagonal`` takes the (..., n) diagonals and
 returns the same bits without building, checking or diagonalizing matrices.
 
-An Isaacs family's controls are checked and symmetrized once, as one
-(k, n, n) stack (``control_matrices``), and the rotation samples behind a
-``rot_invariant`` claim are stored symmetrized, so building an operator
-symmetrizes no matrix twice.
+An Isaacs family's controls are built as one (k, n, n) float stack, checked
+and symmetrized once (``control_matrices``); an operator bounds its controls
+with one ``eigvalsh`` of their padded stack and keeps that stack as its
+control table.  The rotation samples behind a ``rot_invariant`` claim are
+stored symmetrized, so building an operator symmetrizes no matrix twice.
 """
 
 from __future__ import annotations
@@ -177,10 +178,12 @@ def _eigvalsh(a):
     nonzero entry below sqrt(tiny) times its matrix's largest is flushed to
     zero: its square underflows and can cost LAPACK digits of the largest
     eigenvalues, while flushing it moves each eigenvalue by less than its size
-    (Weyl).  Every other entry, -0.0 and NaN included, keeps its bits."""
+    (Weyl); a stack with nothing to flush goes as it is.  Every other entry,
+    -0.0 and NaN included, keeps its bits."""
     mag = np.abs(a)
     big = mag.max(axis=(-2, -1), keepdims=True, initial=0.0)
-    return np.linalg.eigvalsh(np.where((mag < _SQRT_TINY * big) & (mag > 0), 0.0, a))
+    flush = (mag < _SQRT_TINY * big) & (mag > 0)
+    return np.linalg.eigvalsh(np.where(flush, 0.0, a) if flush.any() else a)
 
 
 def eigenvalues_sym(m: SymMatrix) -> list:
@@ -221,44 +224,35 @@ class EllipticOperator:
             object.__setattr__(self, "Lam", 1.0)
             object.__setattr__(self, "rot_invariant", True)
         if not (0.0 < self.lam <= self.Lam):
-            raise InvalidOperator(
-                f"need 0 < lambda <= Lambda, got ({self.lam}, {self.Lam})"
-            )
+            raise InvalidOperator(f"need 0 < lambda <= Lambda, got ({self.lam}, {self.Lam})")
         if self.kind in (PUCCI_MAX, PUCCI_MIN):
             object.__setattr__(self, "rot_invariant", True)
         if self.kind == ISAACS:
             if not self.families:
                 raise InvalidOperator("isaacs kind needs a nonempty family")
-            fams = tuple(tuple(row) for row in self.families)
-            # the bounds checks below read one _eigvalsh of every well-formed control
-            ok = [a.entries for row in fams for a in row
-                  if isinstance(a, SymMatrix) and a.dim == self.dim]
-            bounds = iter(_eigvalsh(np.array(ok))[:, [0, -1]].tolist() if ok else ())
-            for i, row in enumerate(fams):
-                if not row:
-                    raise InvalidOperator(f"sup family {i} is empty")
-                for j, a in enumerate(row):
-                    if not isinstance(a, SymMatrix):
-                        raise InvalidOperator("control matrices must be SymMatrix")
-                    if a.dim != self.dim:
-                        raise InvalidOperator(
-                            f"control matrix ({i},{j}) has dim {a.dim}, "
-                            f"operator dim {self.dim}"
-                        )
-                    lo, hi = next(bounds)
-                    if lo < self.lam - 1e-12 or hi > self.Lam + 1e-12:
-                        raise InvalidOperator(
-                            f"control matrix ({i},{j}) has eigenvalues "
-                            f"[{lo:.6g}, {hi:.6g}] outside "
-                            f"[{self.lam}, {self.Lam}]"
-                        )
-            width = max(len(row) for row in fams)
-            ctrl = [[a.entries.ravel() for a in row + row[:1] * (width - len(row))]
-                    for row in fams]
+            fams, n = tuple(tuple(row) for row in self.families), self.dim
+            # the first empty row (at j = 0), non-SymMatrix or wrong-dim control
+            i, j = next(((i, j) for i, row in enumerate(fams) for j, a in enumerate(row or (None,))
+                         if not (isinstance(a, SymMatrix) and a.dim == n)), (len(fams), 0))
+            rows = fams[:i] + ((fams[i][:j],) if j else ())  # the controls before it
+            width = max(map(len, rows), default=1)
+            stack = np.array([[a.entries for a in row + row[:1] * (width - len(row))]
+                              for row in rows]).reshape(len(rows), width, n, n)
+            eigs = _eigvalsh(stack)
+            out = (eigs[..., 0] < self.lam - 1e-12) | (eigs[..., -1] > self.Lam + 1e-12)
+            if out.any():  # a padding copy repeats an earlier control, so is never first
+                k = divmod(int(out.argmax()), width)
+                raise InvalidOperator(
+                    f"control matrix ({k[0]},{k[1]}) has eigenvalues [{eigs[k][0]:.6g}, "
+                    f"{eigs[k][-1]:.6g}] outside [{self.lam}, {self.Lam}]")
+            if i < len(fams):
+                raise InvalidOperator(
+                    f"sup family {i} is empty" if not fams[i] else
+                    "control matrices must be SymMatrix" if not isinstance(fams[i][j], SymMatrix)
+                    else f"control matrix ({i},{j}) has dim {fams[i][j].dim}, operator dim {n}")
             object.__setattr__(self, "families", fams)
-            object.__setattr__(self, "_controls", np.array(ctrl)[:, :, None, :])
+            object.__setattr__(self, "_controls", stack.reshape(len(fams), width, 1, n * n))
             if self.rot_invariant:  # a rotated sample that moves F downgrades the claim
-                n = self.dim
                 a, b = _isaacs_value(self, _rotation_pairs(n).reshape(2, -1, 1, 1, n * n, 1))
                 if not (np.abs(a - b) <= 1e-8 * (1.0 + np.abs(a))).all():
                     object.__setattr__(self, "rot_invariant", False)
@@ -294,37 +288,37 @@ def pucci_min(lam, Lam, dim) -> EllipticOperator:
 def isaacs(lam, Lam, dim, families, rot_invariant=False) -> EllipticOperator:
     """Sup-inf operator of ``families``, rows of dim x dim control matrices
     (arrays or SymMatrix), symmetrized by ``control_matrices``."""
-    return EllipticOperator(
-        dim=dim, kind=ISAACS, lam=lam, Lam=Lam,
-        families=control_matrices(families, dim), rot_invariant=rot_invariant,
-    )
+    return EllipticOperator(dim=dim, kind=ISAACS, lam=lam, Lam=Lam,
+                            families=control_matrices(families, dim), rot_invariant=rot_invariant)
 
 
 def control_matrices(families, dim, name="control matrix ({i},{j})") -> tuple:
     """Rows of dim x dim control matrices (arrays or SymMatrix) -> rows of
-    read-only SymMatrix.
-
-    Every control, ragged rows flattened, goes into one (k, dim, dim) stack
-    that ``_symmetrized`` checks and symmetrizes once; each SymMatrix is a
-    row of it, with the bits ``SymMatrix`` gives one matrix at a time.  The
-    first control in row-major order of the wrong shape, not finite or not
-    symmetric raises ``InvalidOperator``, naming it by ``name``.
-    """
+    read-only SymMatrix: the rows of one (k, dim, dim) float stack, built by
+    one ``np.array`` call and checked and symmetrized by ``_symmetrized``, with
+    the bits ``SymMatrix`` gives one matrix at a time.  The first control in
+    row-major order of the wrong shape, not finite or not symmetric raises
+    ``InvalidOperator``, naming it by ``name``."""
     if not 1 <= dim <= MAX_DIM:
         raise InvalidOperator(f"dim must be in [1, {MAX_DIM}]")
     rows = [tuple(row) for row in families]
     where = [name.format(i=i, j=j) for i, row in enumerate(rows) for j in range(len(row))]
-    mats = []
-    for control, a in zip(where, itertools.chain.from_iterable(rows)):
-        try:
-            a = np.asarray(a.entries if isinstance(a, SymMatrix) else a, dtype=float)
-        except OverflowError:  # an int beyond the float range
-            raise InvalidOperator(f"{control}: entries must be finite") from None
-        if a.shape != (dim, dim):
-            raise InvalidOperator(f"{control} has shape {a.shape}, not ({dim}, {dim})")
-        mats.append(a)
+    flat = [a.entries if isinstance(a, SymMatrix) else a for row in rows for a in row]
     try:
-        stack = _symmetrized(np.array(mats).reshape(-1, dim, dim))
+        stack = np.array(flat, dtype=float)
+    except (ValueError, OverflowError):
+        stack = None
+    if stack is None or stack.shape != (len(flat), dim, dim):
+        for control, a in zip(where, flat):  # only to name the first misfit; ragged raises
+            try:
+                a = np.asarray(a, dtype=float)
+            except OverflowError:  # an int beyond the float range
+                raise InvalidOperator(f"{control}: entries must be finite") from None
+            if a.shape != (dim, dim):
+                raise InvalidOperator(f"{control} has shape {a.shape}, not ({dim}, {dim})")
+        stack = np.array(flat, dtype=float).reshape(0, dim, dim)  # no control at all
+    try:
+        stack = _symmetrized(stack)
     except ValueError as exc:
         raise InvalidOperator(f"{where[exc.index]}: {exc}") from None
     stack.flags.writeable = False
@@ -388,9 +382,11 @@ def eval_operator(f: EllipticOperator, m):
 
 def _isaacs_value(f, flat):
     """Isaacs F at (..., 1, 1, n*n, 1) rows: one BLAS dot per (matrix, control)
-    pair, so a matrix gets the same bits alone as inside a stack."""
+    pair, so a matrix gets the same bits alone as inside a stack, then the min
+    over controls and the max over rows as elementwise left-to-right folds."""
     vals = -(f._controls @ flat)[..., 0, 0]        # (..., rows, controls)
-    return vals.min(axis=-1).max(axis=-1)
+    low = functools.reduce(np.minimum, [vals[..., j] for j in range(vals.shape[-1])])
+    return functools.reduce(np.maximum, [low[..., i] for i in range(low.shape[-1])])
 
 
 def eval_diagonal(f: EllipticOperator, d):
@@ -473,11 +469,11 @@ def verify_ellipticity(f: EllipticOperator, samples: int, seed: int) -> Elliptic
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     n = f.dim
-    # drawn per sample (M, then N, then t), so a seed keeps its samples
-    draws = [(rng.standard_normal((n, n)) * 2.0, rng.standard_normal((n, n)),
-              rng.uniform(0.0, 4.0)) for _ in range(samples)]
-    a, b, t = (np.array(x) for x in zip(*draws))
-    m = 0.5 * (a + a.swapaxes(1, 2))            # random symmetric
+    # drawn per sample (M and N in one call, then t), so a seed keeps its samples
+    draws = [(rng.standard_normal((2, n, n)), rng.uniform(0.0, 4.0)) for _ in range(samples)]
+    mn, t = (np.array(x) for x in zip(*draws))
+    a, b = mn.swapaxes(0, 1)
+    m = a + a.swapaxes(1, 2)                     # random symmetric: sym(2 M), exactly
     nn = _symmetrized(b @ b.swapaxes(1, 2) / n)  # random positive semidefinite
     fm, fmn, ftm = eval_operator(f, np.stack([m, m - nn, t[:, None, None] * m]))
     trn = np.trace(nn, axis1=1, axis2=2)
@@ -496,10 +492,7 @@ def verify_ellipticity(f: EllipticOperator, samples: int, seed: int) -> Elliptic
             violations.append(("H1", k, mk, SymMatrix(nn[k]), float(fmn[k] - fm[k]),
                                (float(lo[k]), float(hi[k]))))
         if h2[k]:
-            violations.append(("H2", k, mk, float(t[k]), float(ftm[k]),
-                               float(t[k] * fm[k])))
+            violations.append(("H2", k, mk, float(t[k]), float(ftm[k]), float(t[k] * fm[k])))
         if sandwich[k]:
-            violations.append(("sandwich", k, mk, float(fm[k]),
-                               (float(pmin[k]), float(pmax[k]))))
-    return EllipticityReport(samples=samples, violations=violations,
-                             lam=f.lam, Lam=f.Lam)
+            violations.append(("sandwich", k, mk, float(fm[k]), (float(pmin[k]), float(pmax[k]))))
+    return EllipticityReport(samples=samples, violations=violations, lam=f.lam, Lam=f.Lam)

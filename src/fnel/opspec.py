@@ -1,4 +1,4 @@
-"""JSON operator specs: parsing, validation, serialization, digests."""
+"""JSON operator specs: decoding, building (``build_operator``), serialization, digests."""
 
 from __future__ import annotations
 
@@ -32,6 +32,12 @@ def parse_operator_spec(text: str) -> EllipticOperator:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"malformed JSON: {exc}") from exc
+    return build_operator(doc)
+
+
+def build_operator(doc) -> EllipticOperator:
+    """The validated operator of a decoded spec, a dict of JSON values as
+    ``json.loads`` gives them; sweeps build their operators here, with no text."""
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
     if "n" not in doc:
@@ -65,9 +71,9 @@ def parse_operator_spec(text: str) -> EllipticOperator:
 
 
 def _families(doc, n):
-    """The 'families' field as rows of SymMatrix: JSON lists of n x n
-    matrices of numbers (not bools), symmetrized in one stack.  The first
-    bad matrix in row-major order is named families[i][j]."""
+    """The 'families' field as rows of SymMatrix: the one shape and type pass
+    (n x n JSON lists of numbers, not bools) before ``control_matrices`` builds
+    one float stack.  The first bad matrix in row-major order is named families[i][j]."""
     raw = doc.get("families")
     if not raw:
         raise SpecError("isaacs kind needs a nonempty 'families' field")

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -295,6 +296,90 @@ class TestControlBounds:
             with pytest.raises(InvalidOperator) as exc:
                 EllipticOperator(dim=2, kind=ISAACS, lam=1.0, Lam=2.0, families=families)
             assert str(exc.value).startswith(message)
+
+
+class TestRaggedOffenders:
+    """The first offender of a ragged family is named from the flat index of
+    the padded stack, never as a padding copy."""
+
+    OK, LOW, HIGH = np.eye(2), np.diag([0.5, 1.0]), np.diag([1.0, 3.0])
+
+    def test_bounds_offender_in_a_ragged_row(self):
+        cases = [([[self.OK], [self.OK, self.OK, self.HIGH], [self.LOW]], (1, 2), "[1, 3]"),
+                 ([[self.OK, self.OK, self.OK], [self.LOW]], (1, 0), "[0.5, 1]"),
+                 ([[self.OK, self.OK], [self.OK], [self.OK, self.LOW, self.HIGH]], (2, 1),
+                  "[0.5, 1]")]
+        for families, (i, j), eigs in cases:
+            message = f"control matrix ({i},{j}) has eigenvalues {eigs} outside [1.0, 2.0]"
+            with pytest.raises(InvalidOperator) as exc:
+                isaacs(1.0, 2.0, 2, families)
+            assert str(exc.value) == message
+            doc = {"kind": "isaacs", "n": 2, "lambda": 1.0, "Lambda": 2.0,
+                   "families": [[a.tolist() for a in row] for row in families]}
+            with pytest.raises(SpecError) as exc:
+                parse_operator_spec(json.dumps(doc))
+            assert str(exc.value) == message
+
+    def test_structural_offender_after_a_ragged_row(self):
+        ok, low = SymMatrix(self.OK), SymMatrix(self.LOW)
+        cases = [(((ok,), (ok, ok, low), (ok, "x")), "control matrix (1,2) has eigenvalues"),
+                 (((ok, ok, ok), (ok,), (ok, "x", low)), "control matrices must be SymMatrix"),
+                 (((ok, ok, ok), (ok,), ()), "sup family 2 is empty"),
+                 (((ok, ok, ok), (ok, low), ()), "control matrix (1,1) has eigenvalues"),
+                 (((ok,), (ok, ok, SymMatrix(np.eye(3)))), "control matrix (1,2) has dim 3")]
+        for families, message in cases:
+            with pytest.raises(InvalidOperator) as exc:
+                EllipticOperator(dim=2, kind=ISAACS, lam=1.0, Lam=2.0, families=families)
+            assert str(exc.value).startswith(message)
+
+    def test_controls_are_the_padded_stack(self):
+        a, b, c = np.diag([1.0, 2.0]), 1.5 * np.eye(2), np.diag([2.0, 1.0])
+        op = isaacs(1.0, 2.0, 2, [[a], [b, c, a]])
+        assert op._controls.shape == (2, 3, 1, 4)
+        assert _same_bits(op._controls.reshape(2, 3, 2, 2), np.array([[a, a, a], [b, c, a]]))
+
+
+class TestIsaacsFolds:
+    """_isaacs_value's elementwise min over controls and max over rows give
+    the bits of the axis reductions they replaced."""
+
+    class _Values:
+        """A control stack whose product with any rows reads -vals."""
+
+        def __init__(self, vals):
+            self.neg = -vals[..., None, None]
+
+        def __matmul__(self, flat):
+            return self.neg
+
+    def _check(self, vals, signs):
+        f = types.SimpleNamespace(_controls=self._Values(vals))
+        got = matcore._isaacs_value(f, None)
+        want = vals.min(axis=-1).max(axis=-1)
+        assert np.array_equal(got, want, equal_nan=True)
+        if signs:
+            assert _same_bits(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_signed_zero_ties_and_nan(self):
+        # up to two rows and two controls an axis reduction is a scalar left
+        # fold on every numpy build, so the bits agree, the sign of a zero
+        # tie included; on longer axes numpy's SIMD reduction settles a
+        # signed-zero tie in a CPU-dependent order, so values are compared
+        rng = np.random.default_rng(11)
+        for lead in [(), (7,), (2, 64)]:
+            for rows in range(1, 6):
+                for width in range(1, 6):
+                    vals = rng.choice([-0.0, 0.0, -1.0, 1.0, np.nan], p=[.35, .35, .1, .1, .1],
+                                      size=lead + (rows, width))
+                    self._check(vals, signs=rows <= 2 and width <= 2)
+
+    def test_real_families_keep_their_bits(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 4):
+            op = _ragged_isaacs(rng, n)
+            flat = _stack(rng, (50,), n, diagonal=False).reshape(50, 1, 1, n * n, 1)
+            vals = -(op._controls @ flat)[..., 0, 0]
+            self._check(vals, signs=True)
 
 
 class TestControlTable:
@@ -725,3 +810,27 @@ class TestVerifyEllipticity:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             verify_ellipticity(laplacian(2), samples=0, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_samples_keep_the_three_call_draw_order(self, n, monkeypatch):
+        # M, then N, then t, each drawn by its own call, as before M and N
+        # came from one (2, n, n) draw
+        rng = np.random.default_rng(7)
+        a, b, t = [], [], []
+        for _ in range(200):
+            a.append(rng.standard_normal((n, n)) * 2.0)
+            b.append(rng.standard_normal((n, n)))
+            t.append(rng.uniform(0.0, 4.0))
+        a, b, t = np.array(a), np.array(b), np.array(t)
+        m = 0.5 * (a + a.swapaxes(1, 2))
+        nn = matcore._symmetrized(b @ b.swapaxes(1, 2) / n)
+        want = np.stack([m, m - nn, t[:, None, None] * m])
+        seen = []
+
+        def spy(f, stack):
+            seen.append(np.array(stack))
+            return eval_operator(f, stack)
+
+        monkeypatch.setattr(matcore, "eval_operator", spy)
+        verify_ellipticity(pucci_max(1.0, 2.0, n), samples=200, seed=7)
+        assert len(seen) == 1 and _same_bits(seen[0], want)

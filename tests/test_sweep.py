@@ -133,6 +133,43 @@ class TestNonIntegerN:
         assert [r[-1] for r in rows] == ["", msg, msg, "", msg]
 
 
+class TestJsonCoercion:
+    """Sweep operators built from their values read what a JSON round trip of
+    each spec reads: the oracle writes every spec as JSON text and parses it."""
+
+    ODD = [np.float64(2.0), np.int64(3), np.bool_(True), True, "3", None,
+           math.nan, math.inf, -0.0, [3], object()]
+
+    @staticmethod
+    def _round_trip(monkeypatch):
+        """Make run_sweep build each operator from its spec's JSON text."""
+        monkeypatch.setattr(cli, "_json_value", lambda value: value)
+        monkeypatch.setattr(cli, "build_operator", lambda doc: parse_operator_spec(
+            json.dumps(doc, default=cli._json_default)))
+
+    @pytest.mark.parametrize("kind", ["pucci_max", "laplacian", np.str_("pucci_min"), 7])
+    @pytest.mark.parametrize("command", ["classify", "alpha-star"])
+    def test_csv_matches_the_round_trip(self, kind, command, monkeypatch):
+        axes = {"p": [2.0], "lambda": [1.0, 0.0, *self.ODD],
+                "Lambda": [2.5, 0.0, *self.ODD], "n": [3, 3.0, 0.0, *self.ODD]}
+        config = {"command": command, "kind": kind, "axes": axes}
+        got = run_sweep(config)
+        self._round_trip(monkeypatch)
+        want = run_sweep(config)
+        assert got == want
+        assert got[1] and got[0].count("\n") == 1 + 13 * 13 * 14
+        assert "SpecError: field 'n' must be an integer" in got[0]
+
+    def test_odd_values_pass_and_fail_as_json_reads_them(self):
+        axes = {"lambda": [np.float64(1.0), np.int64(1), np.bool_(True), "1"],
+                "Lambda": [np.float32(2.0)], "n": [np.int64(3), "3", np.bool_(True)]}
+        csv_text, failed = run_sweep({"command": "alpha-star", "axes": axes})
+        errors = [line.split(",")[-1] for line in csv_text.splitlines()[1:]]
+        ok, n_err, lam_err = "", "SpecError: field 'n' must be an integer", \
+            "SpecError: field 'lambda' must be a finite number"
+        assert failed and errors == [ok, ok, n_err] * 2 + [lam_err, lam_err, n_err] * 2
+
+
 class TestWorkCounts:
     @pytest.mark.parametrize("command", ["classify", "alpha-star"])
     @pytest.mark.parametrize("n_p,n_gamma", [(1, 1), (9, 3)])
@@ -145,8 +182,7 @@ class TestWorkCounts:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(cli, "parse_operator_spec",
-                            counted("build", cli.parse_operator_spec))
+        monkeypatch.setattr(cli, "build_operator", counted("build", cli.build_operator))
         monkeypatch.setattr(scaling, "alpha_star", counted("alpha", scaling.alpha_star))
         axes = {"p": list(np.linspace(1.5, 6.0, n_p)),
                 "gamma": list(np.linspace(-1.0, 1.0, n_gamma)),
